@@ -8,24 +8,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Corpus, normalize_hashtag
+from .corpus import FAKE, TRUE, Corpus, normalize_hashtag
 from .credibility import (
     CredibilityVector,
     PROVENANCE_ALL_DATA,
     init_credibility,
     propagate_iterative,
     rescale_credibility,
-    symmetric_normalize,
 )
-from .graph import all_relations_truncated_with_trace, build_direct_graph, normalize
-from .harness import (
-    ExperimentConfig,
-    METHOD_UNWEIGHTED,
-    PipelineOperators,
-    _split_with_retries,
-    build_pipeline,
-    propagate,
-)
+from .harness import ExperimentConfig, _split_with_retries, build_pipeline, propagate
 
 logger = logging.getLogger(__name__)
 
@@ -60,43 +51,41 @@ def purity_analysis(corpus: Corpus) -> PurityReport:
     hashtags have no defined proportion and are counted separately.
     The three fractions partition each news item's hashtag set.
     """
-    usage: dict[str, set[int]] = {}
-    for item in corpus.news:
-        if item.label is None:
-            continue
-        for h in item.hashtag_union:
-            usage.setdefault(h, set()).add(item.label)
-    classes = {
-        h: (MIXED if len(labels) == 2 else (FAKE_ONLY if -1 in labels else TRUE_ONLY))
-        for h, labels in usage.items()
-    }
+    occ = corpus.occurrences
+    news, tag = occ.distinct
+    label = occ.labels[news]
+    news, tag, label = news[label != 0], tag[label != 0], label[label != 0]
+    q = len(corpus.vocabulary)
+    fake = np.bincount(tag[label == FAKE], minlength=q) > 0
+    true = np.bincount(tag[label == TRUE], minlength=q) > 0
+    # class column per hashtag: 0 fake only, 1 true only, 2 mixed
+    cls = np.where(fake & true, 2, np.where(fake, 0, 1))
+    counts = np.bincount(news * 3 + cls[tag], minlength=3 * len(corpus.news)).reshape(-1, 3)
 
     rows: list[PurityRow] = []
     skipped = 0
-    for item in corpus.news:
+    for item, (n_fake, n_true, n_mixed) in zip(corpus.news, counts.tolist()):
         if item.label is None:
             continue
-        tags = item.hashtag_union
-        if not tags:
+        n = n_fake + n_true + n_mixed
+        if not n:
             skipped += 1
             continue
-        counts = {FAKE_ONLY: 0, TRUE_ONLY: 0, MIXED: 0}
-        for h in tags:
-            counts[classes[h]] += 1
-        n = len(tags)
         rows.append(
             PurityRow(
                 news_id=item.id,
                 label=item.label,
                 n_hashtags=n,
-                frac_fake_only=counts[FAKE_ONLY] / n,
-                frac_true_only=counts[TRUE_ONLY] / n,
-                frac_mixed=counts[MIXED] / n,
+                frac_fake_only=n_fake / n,
+                frac_true_only=n_true / n,
+                frac_mixed=n_mixed / n,
             )
         )
-    tally = {FAKE_ONLY: 0, TRUE_ONLY: 0, MIXED: 0}
-    for cls in classes.values():
-        tally[cls] += 1
+    tally = {
+        FAKE_ONLY: int(np.sum(fake & ~true)),
+        TRUE_ONLY: int(np.sum(true & ~fake)),
+        MIXED: int(np.sum(fake & true)),
+    }
     return PurityReport(rows=tuple(rows), skipped_no_hashtags=skipped, hashtag_classes=tally)
 
 
@@ -217,32 +206,22 @@ class ConvergenceTrace:
 
 
 def convergence_trace(corpus: Corpus, config: ExperimentConfig) -> ConvergenceTrace:
-    """Residual series for both loops of the full pipeline.
+    """Residual series for both loops of the pipeline ``config`` selects.
 
     The closure loop reports the Frobenius norm of each added power term
     relative to the accumulated sum; the propagation loop reports the
     max-norm change per iteration.  With tolerance 0 both series have
-    exactly as many rows as their iteration caps.
+    exactly as many rows as their iteration caps.  Methods without a
+    closure (``newstag_no_indirect``, or any edgeless corpus) report no
+    closure rows.
     """
     config.validate()
-    graph = build_direct_graph(corpus, weighted=config.method != METHOD_UNWEIGHTED)
-    N = normalize(graph)
-    relation, closure_residuals = all_relations_truncated_with_trace(
-        N, config.k1, config.drop_tolerance
-    )
-    X, degrees = symmetric_normalize(relation)
-    ops = PipelineOperators(
-        vocab=graph.vocab,
-        relation=relation,
-        X=X,
-        degrees=degrees,
-        per_post=config.method != METHOD_UNWEIGHTED,
-    )
+    ops = build_pipeline(corpus, config)
     train, _, _ = _split_with_retries(corpus, config.train_fraction, config.seed)
     c0 = init_credibility(corpus, train, ops.vocab, per_post=ops.per_post)
     prop = replace(config.propagation, mu=config.mu)
     _, residuals = propagate_iterative(ops.X, c0, prop)
     return ConvergenceTrace(
-        closure_residuals=tuple(closure_residuals),
+        closure_residuals=ops.relation.trace,
         propagation_residuals=tuple(residuals),
     )

@@ -308,6 +308,18 @@ def _experiment_config(eff: dict):
     return config
 
 
+def _relation_matrix(corpus, eff: dict):
+    """The relation matrix ``--matrix`` selects, built from the corpus."""
+    from .graph import all_relations_exact, all_relations_truncated, build_direct_graph, normalize
+
+    N = normalize(build_direct_graph(corpus, weighted=eff["weighted"]))
+    if eff["matrix"] == "normalized":
+        return N
+    if eff["matrix"] == "exact":
+        return all_relations_exact(N)
+    return all_relations_truncated(N, eff["k1"], eff["drop_tolerance"], eff.get("rel_tol"))
+
+
 def _synthetic_params(eff: dict):
     from .synth import SyntheticParams
 
@@ -369,19 +381,11 @@ def _cmd_synth(eff: dict) -> int:
 
 
 def _cmd_build_graph(eff: dict) -> int:
-    from .graph import all_relations_exact, all_relations_truncated, build_direct_graph, normalize, save_matrix
+    from .graph import save_matrix
 
     if eff["k1"] < 1:
         raise CliUsageError(f"k1 must be >= 1, got {eff['k1']}")
-    corpus = _read_corpus(eff["input"])
-    graph = build_direct_graph(corpus, weighted=eff["weighted"])
-    N = normalize(graph)
-    if eff["matrix"] == "normalized":
-        matrix = N
-    elif eff["matrix"] == "exact":
-        matrix = all_relations_exact(N)
-    else:
-        matrix = all_relations_truncated(N, eff["k1"], eff["drop_tolerance"], eff["rel_tol"])
+    matrix = _relation_matrix(_read_corpus(eff["input"]), eff)
     save_matrix(matrix, eff["out"])
     _write_echo("build-graph", eff, eff["out"])
     print(f"wrote {matrix.kind} matrix ({matrix.q} hashtags) to {eff['out']}")
@@ -500,14 +504,7 @@ def _cmd_analyze(eff: dict) -> int:
 
 def _cmd_export(eff: dict) -> int:
     from .credibility import CredibilityVector, PROVENANCE_ALL_DATA, init_credibility
-    from .graph import (
-        all_relations_exact,
-        all_relations_truncated,
-        build_direct_graph,
-        export_graph,
-        load_matrix,
-        normalize,
-    )
+    from .graph import export_graph, load_matrix
 
     corpus = None
     if eff["matrix_file"]:
@@ -518,14 +515,7 @@ def _cmd_export(eff: dict) -> int:
             corpus = _read_corpus(eff["input"])
     elif eff["input"]:
         corpus = _read_corpus(eff["input"])
-        graph = build_direct_graph(corpus, weighted=eff["weighted"])
-        N = normalize(graph)
-        if eff["matrix"] == "normalized":
-            matrix = N
-        elif eff["matrix"] == "exact":
-            matrix = all_relations_exact(N)
-        else:
-            matrix = all_relations_truncated(N, eff["k1"], eff["drop_tolerance"])
+        matrix = _relation_matrix(corpus, eff)
     else:
         raise CliUsageError("export requires --input or --matrix-file")
 

@@ -64,14 +64,32 @@ class NewsItem:
     published_at: datetime | None
     posts: tuple[Post, ...]
 
-    @property
-    def hashtag_union(self) -> tuple[str, ...]:
-        """Distinct hashtags across all posts, first-appearance order."""
-        seen: dict[str, None] = {}
-        for post in self.posts:
-            for h in post.hashtags:
-                seen.setdefault(h)
-        return tuple(seen)
+
+@dataclass(frozen=True)
+class Occurrences:
+    """Every (news, post, hashtag) occurrence of a corpus as flat arrays.
+
+    Occurrences are in stream order: news in corpus order, posts in news
+    order, hashtags in post order.  The co-occurrence graph, the initial
+    credibility, news scores and purity are all reductions over these
+    arrays.
+    """
+
+    news: np.ndarray  # int64 news row per occurrence
+    post: np.ndarray  # int64 position of the post in the corpus-wide post sequence
+    tag: np.ndarray  # int64 vocabulary index per occurrence
+    n_posts: int
+    labels: np.ndarray  # int64 per news row: -1 fake, +1 true, 0 unlabeled
+    row: dict[str, int]  # news id -> news row
+
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """(news, tag) arrays holding each hashtag once per news item,
+        in first-appearance order."""
+        width = int(self.tag.max(initial=-1)) + 1
+        _, first = np.unique(self.news * width + self.tag, return_index=True)
+        first.sort()
+        return self.news[first], self.tag[first]
 
 
 @dataclass(frozen=True)
@@ -109,6 +127,22 @@ class Corpus:
     @cached_property
     def vocab_index(self) -> dict[str, int]:
         return {h: k for k, h in enumerate(self.vocabulary)}
+
+    @cached_property
+    def occurrences(self) -> Occurrences:
+        """The occurrence table, built on first use."""
+        index = self.vocab_index
+        posts = [post for item in self.news for post in item.posts]
+        post = np.repeat(np.arange(len(posts)), [len(p.hashtags) for p in posts])
+        post_news = np.repeat(np.arange(len(self.news)), [len(item.posts) for item in self.news])
+        return Occurrences(
+            news=post_news[post],
+            post=post,
+            tag=np.fromiter((index[h] for p in posts for h in p.hashtags), dtype=np.int64),
+            n_posts=len(posts),
+            labels=np.array([item.label or 0 for item in self.news], dtype=np.int64),
+            row={item.id: r for r, item in enumerate(self.news)},
+        )
 
     def labeled_ids(self) -> tuple[str, ...]:
         return tuple(item.id for item in self.news if item.label is not None)

@@ -85,26 +85,20 @@ def init_credibility(
     hashtag it carries, so popular news weighs more; without it each
     news votes once per distinct hashtag (the unweighted variant's
     simplified form).  Every entry lies in [-1, 1] by construction.
+    ``vocab`` must be the corpus vocabulary; unknown train ids raise
+    KeyError.
     """
-    index = {h: k for k, h in enumerate(vocab)}
-    num = np.zeros(len(vocab), dtype=np.int64)
-    den = np.zeros(len(vocab), dtype=np.int64)
-    for news_id in train_ids:
-        item = corpus.news_by_id[news_id]
-        if item.label is None:
-            raise ValueError(f"train id {news_id!r} is unlabeled")
-        tags = (
-            (h for post in item.posts for h in post.hashtags)
-            if per_post
-            else iter(item.hashtag_union)
-        )
-        for h in tags:
-            try:
-                k = index[h]
-            except KeyError:
-                raise ValueError(f"hashtag {h!r} missing from vocabulary") from None
-            num[k] += item.label
-            den[k] += 1
+    if tuple(vocab) != corpus.vocabulary:
+        raise ValueError("vocab must equal the corpus vocabulary")
+    occ = corpus.occurrences
+    rows = np.array([occ.row[news_id] for news_id in train_ids], dtype=np.int64)
+    unlabeled = rows[occ.labels[rows] == 0]
+    if unlabeled.size:
+        raise ValueError(f"train id {corpus.news[unlabeled[0]].id!r} is unlabeled")
+    votes = np.bincount(rows, minlength=len(corpus.news))  # per news row
+    news, tag = (occ.news, occ.tag) if per_post else occ.distinct
+    num = np.bincount(tag, weights=(occ.labels * votes)[news], minlength=len(vocab))
+    den = np.bincount(tag, weights=votes[news], minlength=len(vocab))
     values = np.where(den > 0, num / np.maximum(den, 1), 0.0)
     return CredibilityVector(values=values, provenance=PROVENANCE_INITIAL)
 
@@ -211,28 +205,19 @@ def score_news(
     """Sum propagated hashtag credibility over each news item's posts.
 
     With ``per_post`` a hashtag contributes once per post carrying it;
-    otherwise once per news item.  Unknown news ids raise KeyError.
+    otherwise once per news item.  Each sum runs in stream order.
+    Unknown news ids raise KeyError.
     """
     values = _values(c_hat)
-    index = corpus.vocab_index
     if values.shape[0] != len(corpus.vocabulary):
         raise ValueError(
             f"credibility vector length {values.shape[0]} does not match "
             f"vocabulary size {len(corpus.vocabulary)}"
         )
-    scores: dict[str, float] = {}
-    for news_id in target_ids:
-        item = corpus.news_by_id[news_id]
-        total = 0.0
-        if per_post:
-            for post in item.posts:
-                for h in post.hashtags:
-                    total += values[index[h]]
-        else:
-            for h in item.hashtag_union:
-                total += values[index[h]]
-        scores[news_id] = float(total)
-    return scores
+    occ = corpus.occurrences
+    news, tag = (occ.news, occ.tag) if per_post else occ.distinct
+    totals = np.bincount(news, weights=values[tag], minlength=len(corpus.news))
+    return {news_id: float(totals[occ.row[news_id]]) for news_id in target_ids}
 
 
 def predict(

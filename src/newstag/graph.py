@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -30,6 +31,11 @@ ALL_RELATIONS_TRUNCATED = "all_relations_truncated"
 ALL_RELATIONS_EXACT = "all_relations_exact"
 
 MATRIX_FORMAT_HEADER = "# newstag-matrix v1"
+
+# Largest vocabulary the exact closure accepts.  Its dense solve holds a
+# handful of q x q float64 arrays at once: at q = 3000 one call peaks at
+# about 480 MiB RSS.
+EXACT_MAX_Q = 3000
 
 
 class GraphError(ValueError):
@@ -73,6 +79,9 @@ class RelationMatrix:
     values: sp.csr_matrix  # full symmetric, float64
     vocab: tuple[str, ...]
     k1: int | None = None
+    # truncated closure only: each accumulated term's Frobenius norm
+    # relative to the running sum (see all_relations_truncated)
+    trace: tuple[float, ...] = ()
 
     @property
     def q(self) -> int:
@@ -83,33 +92,21 @@ def build_direct_graph(corpus: Corpus, weighted: bool = True) -> HashtagGraph:
     """Count per-post hashtag co-occurrences over all news (transductive).
 
     Weighted mode counts one unit per post containing both hashtags;
-    unweighted mode keeps only the 0/1 indicator.  Vocabulary indices
-    follow first appearance in the corpus stream, so construction is
+    unweighted mode keeps only the 0/1 indicator.  The counts are the
+    strict upper triangle of ``B^T B`` for the post x hashtag incidence
+    ``B`` of the corpus occurrence table.  Vocabulary indices follow
+    first appearance in the corpus stream, so construction is
     deterministic.  A corpus with no multi-hashtag post yields an
     edgeless graph.
     """
     if not corpus.news:
         raise GraphError("cannot build a graph from an empty corpus")
-    index = corpus.vocab_index
+    occ = corpus.occurrences
     q = len(corpus.vocabulary)
-    counts: dict[tuple[int, int], int] = {}
-    for item in corpus.news:
-        for post in item.posts:
-            ids = sorted({index[h] for h in post.hashtags})
-            for a in range(len(ids)):
-                for b in range(a + 1, len(ids)):
-                    key = (ids[a], ids[b])
-                    counts[key] = counts.get(key, 0) + 1
-    if counts:
-        keys = sorted(counts)
-        rows = np.fromiter((k[0] for k in keys), dtype=np.int64, count=len(keys))
-        cols = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
-        data = np.fromiter((counts[k] for k in keys), dtype=np.int64, count=len(keys))
-        if not weighted:
-            data = np.ones_like(data)
-        upper = sp.csr_matrix((data, (rows, cols)), shape=(q, q))
-    else:
-        upper = sp.csr_matrix((q, q), dtype=np.int64)
+    B = sp.csr_matrix((np.ones(occ.tag.size, dtype=np.int64), (occ.post, occ.tag)), shape=(occ.n_posts, q))
+    upper = sp.triu(B.T @ B, k=1, format="csr")
+    if not weighted:
+        upper.data[:] = 1
     return HashtagGraph(vocab=corpus.vocabulary, upper=upper)
 
 
@@ -134,19 +131,19 @@ def _frobenius(M: sp.spmatrix) -> float:
     return float(np.sqrt(np.sum(M.data * M.data))) if M.nnz else 0.0
 
 
-def all_relations_truncated_with_trace(
+def all_relations_truncated(
     N: RelationMatrix,
     k1: int,
     drop_tolerance: float = 0.0,
     rel_tol: float | None = None,
-) -> tuple[RelationMatrix, list[float]]:
-    """Partial power sum N + N^2 + ... + N^k1 plus its accumulation trace.
+) -> RelationMatrix:
+    """Partial power sum N + N^2 + ... + N^k1, with its accumulation trace.
 
-    The trace holds, for each accumulated term, the Frobenius norm of
-    the term relative to the accumulated sum; it is 1.0 for the first
-    term and decays geometrically whenever the series converges.  With
-    ``rel_tol`` set, accumulation stops early once the relative change
-    drops below it (k1 then acts as a cap).  Entries smaller than
+    The result's ``trace`` holds, for each accumulated term, the
+    Frobenius norm of the term relative to the accumulated sum; it is
+    1.0 for the first term and decays geometrically whenever the series
+    converges.  With ``rel_tol`` set, accumulation stops early once the
+    relative change drops below it (k1 then acts as a cap).  Entries smaller than
     ``drop_tolerance`` in magnitude are pruned after each accumulation;
     the default 0 keeps everything.
     """
@@ -173,21 +170,9 @@ def all_relations_truncated_with_trace(
         trace.append(_frobenius(power) / denom if denom else 0.0)
     # k1 records the number of terms actually accumulated (rel_tol may
     # have stopped the loop before the cap)
-    return (
-        RelationMatrix(kind=ALL_RELATIONS_TRUNCATED, values=total, vocab=N.vocab, k1=len(trace)),
-        trace,
+    return RelationMatrix(
+        kind=ALL_RELATIONS_TRUNCATED, values=total, vocab=N.vocab, k1=len(trace), trace=tuple(trace)
     )
-
-
-def all_relations_truncated(
-    N: RelationMatrix,
-    k1: int,
-    drop_tolerance: float = 0.0,
-    rel_tol: float | None = None,
-) -> RelationMatrix:
-    """Partial power sum N + N^2 + ... + N^k1 (see the trace variant)."""
-    matrix, _ = all_relations_truncated_with_trace(N, k1, drop_tolerance, rel_tol)
-    return matrix
 
 
 def estimate_spectral_radius(M: sp.spmatrix, max_iter: int = 500, rtol: float = 1e-12) -> float:
@@ -216,44 +201,34 @@ def estimate_spectral_radius(M: sp.spmatrix, max_iter: int = 500, rtol: float = 
     return ratio
 
 
-def all_relations_exact(N: RelationMatrix, dense_cap: int = 2000) -> RelationMatrix:
+def all_relations_exact(N: RelationMatrix) -> RelationMatrix:
     """Exact series limit N (I - N)^{-1}, refused for divergent inputs.
 
-    The spectral radius of N is estimated by power iteration; anything
-    not safely below 1 raises :class:`SeriesDivergentError` (this can
-    genuinely happen, e.g. for weight-regular components where every row
-    sum equals the maximum).  Instances with q <= ``dense_cap`` use one
-    dense multi-column solve; larger ones are factorized sparsely and
-    solved column by column.  A residual check guards against a
-    misleading radius estimate.
+    The closure is dense, so it is one dense multi-column solve, and
+    vocabularies above ``EXACT_MAX_Q`` hashtags are refused before
+    anything of size q x q is allocated.  The spectral radius of N is
+    estimated by power iteration; anything not safely below 1 raises
+    :class:`SeriesDivergentError` (this can genuinely happen, e.g. for
+    weight-regular components where every row sum equals the maximum).
+    A residual check guards against a misleading radius estimate.
     """
     if N.kind != NORMALIZED_DIRECT:
         raise GraphError(f"exact closure expects a normalized_direct matrix, got {N.kind!r}")
     q = N.q
+    if q > EXACT_MAX_Q:
+        raise GraphError(
+            f"exact closure refused: q={q} hashtags exceeds the dense-solve cap of {EXACT_MAX_Q}"
+        )
     radius = estimate_spectral_radius(N.values)
     if radius > 1.0 - 1e-6:
         raise SeriesDivergentError(
             f"series divergent: spectral radius estimate {radius:.9f} is not below 1"
         )
-    if q <= dense_cap:
-        dense_n = N.values.toarray()
-        solved = np.linalg.solve(np.eye(q) - dense_n, dense_n)
-        solved = (solved + solved.T) / 2.0
-        residual = float(np.max(np.abs((np.eye(q) - dense_n) @ solved - dense_n)))
-        result = sp.csr_matrix(solved)
-    else:
-        from scipy.sparse.linalg import splu
-
-        lu = splu((sp.identity(q, format="csc") - N.values.tocsc()).tocsc())
-        cols = np.empty((q, q))
-        for j in range(q):
-            rhs = np.asarray(N.values.getcol(j).todense()).ravel()
-            cols[:, j] = lu.solve(rhs)
-        solved = (cols + cols.T) / 2.0
-        residual = float(
-            np.max(np.abs((solved - N.values @ solved) - N.values.toarray()))
-        )
-        result = sp.csr_matrix(solved)
+    dense_n = N.values.toarray()
+    solved = np.linalg.solve(np.eye(q) - dense_n, dense_n)
+    solved = (solved + solved.T) / 2.0
+    residual = float(np.max(np.abs((np.eye(q) - dense_n) @ solved - dense_n)))
+    result = sp.csr_matrix(solved)
     if not np.isfinite(residual) or residual > 1e-6:
         raise GraphError(f"exact closure solve failed (residual {residual:.3e})")
     result.eliminate_zeros()
@@ -286,8 +261,20 @@ def save_matrix(matrix: RelationMatrix, path: str | Path) -> None:
             fh.write(f"{upper.row[i]}\t{upper.col[i]}\t{float(upper.data[i])!r}\n")
 
 
+def _parse_field(path, line_no: int, parse, text: str, what: str):
+    try:
+        return parse(text)
+    except ValueError:
+        raise GraphError(f"{path}:{line_no}: bad {what} {text!r}") from None
+
+
 def load_matrix(path: str | Path) -> RelationMatrix:
-    """Read a relation matrix written by :func:`save_matrix`."""
+    """Read a relation matrix written by :func:`save_matrix`.
+
+    Every entry line must follow the ``# q:`` header and hold a finite
+    value at integer indices ``0 <= row <= col < q``, once per index
+    pair; any other line raises :class:`GraphError` naming ``path:line``.
+    """
     kind = None
     k1 = None
     q = None
@@ -295,11 +282,12 @@ def load_matrix(path: str | Path) -> RelationMatrix:
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
+    seen: set[tuple[int, int]] = set()
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if first != MATRIX_FORMAT_HEADER:
             raise GraphError(f"{path}: not a newstag matrix file")
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -308,16 +296,33 @@ def load_matrix(path: str | Path) -> RelationMatrix:
                 if key == "kind":
                     kind = value
                 elif key == "k1":
-                    k1 = int(value)
+                    k1 = _parse_field(path, line_no, int, value, "k1")
                 elif key == "q":
-                    q = int(value)
+                    q = _parse_field(path, line_no, int, value, "q")
                 elif key == "vocab":
-                    vocab = tuple(json.loads(value))
+                    names = _parse_field(path, line_no, json.loads, value, "vocab")
+                    if not isinstance(names, list) or not all(isinstance(h, str) for h in names):
+                        raise GraphError(f"{path}:{line_no}: vocab must be a JSON list of strings")
+                    vocab = tuple(names)
                 continue
-            r_s, c_s, v_s = line.split("\t")
-            rows.append(int(r_s))
-            cols.append(int(c_s))
-            vals.append(float(v_s))
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise GraphError(f"{path}:{line_no}: expected row, col, value; got {len(fields)} field(s)")
+            if q is None:
+                raise GraphError(f"{path}:{line_no}: entry before the q header")
+            row = _parse_field(path, line_no, int, fields[0], "row index")
+            col = _parse_field(path, line_no, int, fields[1], "column index")
+            value = _parse_field(path, line_no, float, fields[2], "value")
+            if not 0 <= row <= col < q:
+                raise GraphError(f"{path}:{line_no}: entry ({row}, {col}) outside 0 <= row <= col < q={q}")
+            if not math.isfinite(value):
+                raise GraphError(f"{path}:{line_no}: non-finite value {fields[2]!r}")
+            if (row, col) in seen:
+                raise GraphError(f"{path}:{line_no}: duplicate entry ({row}, {col})")
+            seen.add((row, col))
+            rows.append(row)
+            cols.append(col)
+            vals.append(value)
     if kind is None or q is None or vocab is None:
         raise GraphError(f"{path}: missing matrix header fields")
     if len(vocab) != q:

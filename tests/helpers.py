@@ -193,19 +193,7 @@ def dense_pipeline_oracle(
     inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
     X = np.outer(inv_sqrt, inv_sqrt) * relation
 
-    num = np.zeros(q)
-    den = np.zeros(q)
-    for news_id in train_ids:
-        item = corpus.news_by_id[news_id]
-        if per_post:
-            tags = [h for post in item.posts for h in post.hashtags]
-        else:
-            tags = list(dict.fromkeys(h for post in item.posts for h in post.hashtags))
-        for h in tags:
-            num[index[h]] += item.label
-            den[index[h]] += 1
-    c0 = np.where(den > 0, num / np.maximum(den, 1), 0.0)
-
+    c0 = c0_oracle(corpus, train_ids, per_post)
     c = c0.copy()
     for _ in range(max_iterations):
         c_next = mu * (X @ c) + (1 - mu) * c0
@@ -214,12 +202,64 @@ def dense_pipeline_oracle(
         if tolerance > 0 and delta < tolerance:
             break
 
-    def score(item):
-        if per_post:
-            return sum(c[index[h]] for post in item.posts for h in post.hashtags)
-        return sum(c[index[h]] for h in dict.fromkeys(h for post in item.posts for h in post.hashtags))
+    scores = score_oracle(corpus, c, per_post)
+    return {news_id: (1 if s > 0 else -1) for news_id, s in scores.items()}
 
-    return {item.id: (1 if score(item) > 0 else -1) for item in corpus.news}
+
+def _news_tags(item, per_post: bool) -> list[str]:
+    tags = [h for post in item.posts for h in post.hashtags]
+    return tags if per_post else list(dict.fromkeys(tags))
+
+
+def c0_oracle(corpus: Corpus, train_ids, per_post: bool = True) -> np.ndarray:
+    """Initial-credibility oracle: average training label per hashtag, by loops."""
+    index = {h: k for k, h in enumerate(corpus.vocabulary)}
+    num = np.zeros(len(index))
+    den = np.zeros(len(index))
+    for news_id in train_ids:
+        item = corpus.news_by_id[news_id]
+        for h in _news_tags(item, per_post):
+            num[index[h]] += item.label
+            den[index[h]] += 1
+    return np.where(den > 0, num / np.maximum(den, 1), 0.0)
+
+
+def score_oracle(corpus: Corpus, c, per_post: bool = True) -> dict[str, float]:
+    """News-score oracle: sum of hashtag scores per news item, in stream order."""
+    index = {h: k for k, h in enumerate(corpus.vocabulary)}
+    scores = {}
+    for item in corpus.news:
+        total = 0.0
+        for h in _news_tags(item, per_post):
+            total += c[index[h]]
+        scores[item.id] = float(total)
+    return scores
+
+
+def purity_oracle(corpus: Corpus) -> tuple[list[tuple], dict[str, int], int]:
+    """Purity oracle: (rows, hashtag class tally, skipped news), by loops."""
+    usage: dict[str, set[int]] = {}
+    for item in corpus.news:
+        if item.label is not None:
+            for h in _news_tags(item, per_post=False):
+                usage.setdefault(h, set()).add(item.label)
+    classes = {
+        h: "mixed" if len(labels) == 2 else ("fake_only" if -1 in labels else "true_only")
+        for h, labels in usage.items()
+    }
+    rows, skipped = [], 0
+    for item in corpus.news:
+        if item.label is None:
+            continue
+        tags = _news_tags(item, per_post=False)
+        if not tags:
+            skipped += 1
+            continue
+        n = len(tags)
+        fractions = [sum(classes[h] == cls for h in tags) / n for cls in ("fake_only", "true_only", "mixed")]
+        rows.append((item.id, item.label, n, *fractions))
+    tally = {cls: sum(v == cls for v in classes.values()) for cls in ("fake_only", "true_only", "mixed")}
+    return rows, tally, skipped
 
 
 def pair_count_oracle(corpus: Corpus) -> dict[tuple[str, str], int]:

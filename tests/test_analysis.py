@@ -7,8 +7,8 @@ from newstag.analysis import (
     purity_analysis,
 )
 from newstag.corpus import Corpus
-from newstag.credibility import PropagationConfig, init_credibility
-from newstag.harness import ExperimentConfig
+from newstag.credibility import PropagationConfig, init_credibility, propagate_iterative, symmetric_normalize
+from newstag.harness import ExperimentConfig, _split_with_retries
 from newstag.synth import SyntheticParams, generate_synthetic
 
 from helpers import spectral_radius_dense, timed_news, untimed_corpus
@@ -198,3 +198,23 @@ def test_trace_propagation_ratio_bounded_by_mu():
     for prev, cur in zip(residuals[1:], residuals[2:]):
         if prev > 1e-13:
             assert cur <= (config.mu + 1e-6) * prev
+
+
+def test_trace_no_indirect_propagates_over_direct_graph():
+    corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.9), seed=3)
+    prop = PropagationConfig(mu=0.4, max_iterations=6, tolerance=0.0)
+    trace = convergence_trace(corpus, config_for(3, method="newstag_no_indirect", propagation=prop))
+    assert trace.closure_residuals == ()
+    X, _ = symmetric_normalize(normalize(build_direct_graph(corpus)))
+    train, _, _ = _split_with_retries(corpus, 0.8, 3)
+    c0 = init_credibility(corpus, train, corpus.vocabulary)
+    _, expected = propagate_iterative(X, c0, prop)
+    assert trace.propagation_residuals == tuple(expected)
+
+
+def test_trace_edgeless_corpus_has_no_closure_rows():
+    corpus = untimed_corpus([(f"n{i}", 1 if i % 2 else -1, [[f"h{i % 4}"]]) for i in range(10)])
+    prop = PropagationConfig(mu=0.4, max_iterations=4, tolerance=0.0)
+    trace = convergence_trace(corpus, config_for(0, propagation=prop))
+    assert trace.closure_residuals == ()
+    assert len(trace.propagation_residuals) == 4

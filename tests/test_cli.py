@@ -288,3 +288,31 @@ def test_synth_params_file(workdir):
     run_cli("synth", "--params", str(params), "--news", "10", "--seed", "2", "--out", str(out2))
     assert len(out1.read_text().splitlines()) == 20
     assert len(out2.read_text().splitlines()) == 10
+
+
+def test_analyze_convergence_without_closure_writes_no_closure_rows(workdir):
+    edgeless = workdir / "edgeless.jsonl"
+    edgeless.write_text("".join(
+        json.dumps({"id": f"n{i}", "label": 1 if i % 2 else -1,
+                    "posts": [{"post_id": f"p{i}", "hashtags": [f"h{i % 4}"]}]}) + "\n"
+        for i in range(10)
+    ))
+    for corpus, method in ((edgeless, "newstag"), (workdir / "corpus.jsonl", "newstag_no_indirect")):
+        out = workdir / f"conv-{method}.csv"
+        result = run_cli(
+            "analyze", "--kind", "convergence", "--input", str(corpus), "--method", method,
+            "--out", str(out),
+        )
+        assert result.returncode == 0, result.stderr
+        assert {line.split(",")[0] for line in out.read_text().splitlines()[1:]} == {"propagation"}
+
+
+def test_export_bad_matrix_entry_exits_2(workdir):
+    bad = workdir / "bad.matrix"
+    bad.write_text('# newstag-matrix v1\n# kind: normalized_direct\n# q: 2\n# vocab: ["a", "b"]\n0\t1\n')
+    result = run_cli(
+        "export", "--matrix-file", str(bad), "--color-by", "none",
+        "--edges-out", str(workdir / "bad-edges.tsv"),
+    )
+    assert result.returncode == 2
+    assert f"{bad}:5:" in result.stderr

@@ -88,6 +88,12 @@ def test_init_rejects_unlabeled_train_id():
         init_credibility(corpus, ("u",), corpus.vocabulary)
 
 
+def test_init_rejects_vocab_other_than_corpus_vocabulary():
+    corpus = untimed_corpus([("t", 1, [["a", "b"]])])
+    with pytest.raises(ValueError, match="vocabulary"):
+        init_credibility(corpus, ("t",), ("b", "a"))
+
+
 # --- symmetric_normalize --------------------------------------------------------
 
 def test_symmetric_normalize_two_node_any_weight():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,13 +7,13 @@ import scipy.sparse as sp
 from newstag.corpus import Corpus
 from newstag.credibility import CredibilityVector, PROVENANCE_ALL_DATA
 from newstag.graph import (
+    EXACT_MAX_Q,
     GraphError,
     NORMALIZED_DIRECT,
     RelationMatrix,
     SeriesDivergentError,
     all_relations_exact,
     all_relations_truncated,
-    all_relations_truncated_with_trace,
     build_direct_graph,
     estimate_spectral_radius,
     export_graph,
@@ -195,10 +197,10 @@ def test_truncated_drop_tolerance_prunes():
 
 def test_truncated_trace_shape_and_tolerance_mode():
     N = path_graph_n()
-    _, trace = all_relations_truncated_with_trace(N, k1=7)
+    trace = all_relations_truncated(N, k1=7).trace
     assert len(trace) == 7
     assert trace[0] == 1.0
-    W, short_trace = all_relations_truncated_with_trace(N, k1=50, rel_tol=1e-3)
+    short_trace = all_relations_truncated(N, k1=50, rel_tol=1e-3).trace
     assert len(short_trace) < 50
     assert short_trace[-1] < 1e-3
 
@@ -229,6 +231,17 @@ def test_exact_single_edge_divergent():
     corpus = untimed_corpus([("n1", 1, [["a", "b"]])])
     N = normalize(build_direct_graph(corpus))  # [[0,1],[1,0]], radius 1
     with pytest.raises(SeriesDivergentError, match="divergent"):
+        all_relations_exact(N)
+
+
+def test_exact_refuses_vocabulary_above_cap():
+    q = EXACT_MAX_Q + 1
+    N = RelationMatrix(
+        kind=NORMALIZED_DIRECT,
+        values=sp.csr_matrix((q, q)),  # no stored entries: nothing q x q is allocated
+        vocab=tuple(f"h{k}" for k in range(q)),
+    )
+    with pytest.raises(GraphError, match=f"q={q} .* {EXACT_MAX_Q}"):
         all_relations_exact(N)
 
 
@@ -297,6 +310,43 @@ def test_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("hello\n")
     with pytest.raises(GraphError):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "entry, reason",
+    [
+        ("0\t1", "got 2 field"),
+        ("0\t1\t0.5\t0.5", "got 4 field"),
+        ("0\t1.5\t0.5", "bad column index"),
+        ("x\t1\t0.5", "bad row index"),
+        ("0\t1\tabc", "bad value"),
+        ("2\t1\t0.5", "outside"),  # below the diagonal
+        ("0\t3\t0.5", "outside"),  # column >= q
+        ("-1\t1\t0.5", "outside"),
+        ("0\t1\tnan", "non-finite"),
+        ("0\t1\t-inf", "non-finite"),
+        ("0\t1\t0.25", "duplicate entry"),  # (0, 1) is already stored
+    ],
+)
+def test_load_rejects_bad_entry_with_location(tmp_path, entry, reason):
+    path = tmp_path / "bad.matrix"
+    save_matrix(path_graph_n(), path)  # q = 3
+    text = path.read_text() + entry + "\n"
+    path.write_text(text)
+    with pytest.raises(GraphError, match=f"^{re.escape(str(path))}:{text.count(chr(10))}: .*{reason}"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("vocab", ["5", '{"a": 1, "b": 2, "c": 3}', '["a", "b", 3]', "[oops"])
+def test_load_rejects_bad_vocab_header(tmp_path, vocab):
+    path = tmp_path / "bad.matrix"
+    save_matrix(path_graph_n(), path)
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(k for k, line in enumerate(lines) if line.startswith("# vocab: "))
+    lines[at] = f"# vocab: {vocab}\n"
+    path.write_text("".join(lines))
+    with pytest.raises(GraphError, match=f"^{re.escape(str(path))}:{at + 1}: .*vocab"):
         load_matrix(path)
 
 
