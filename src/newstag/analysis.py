@@ -4,7 +4,7 @@ and convergence traces for both accumulation loops."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,10 +168,12 @@ def case_study(corpus: Corpus, config: ExperimentConfig, watchlist) -> tuple[Cas
     ``c_star`` averages labels over every labeled news item; the
     estimate comes from one trained pipeline run at ``config.seed`` and
     is rescaled to [-1, 1] for comparability.  Watchlist entries are
-    normalized before lookup; absent hashtags are marked as such.
+    normalized before lookup; absent hashtags are marked as such.  Both
+    read the working corpus, cut at the config's time horizon if any.
     """
     config.validate()
     ops = build_pipeline(corpus, config)
+    corpus = ops.corpus
     index = {h: k for k, h in enumerate(ops.vocab)}
 
     raw_star = init_credibility(corpus, corpus.labeled_ids(), ops.vocab, per_post=ops.per_post)
@@ -213,14 +215,14 @@ def convergence_trace(corpus: Corpus, config: ExperimentConfig) -> ConvergenceTr
     max-norm change per iteration.  With tolerance 0 both series have
     exactly as many rows as their iteration caps.  Methods without a
     closure (``newstag_no_indirect``, or any edgeless corpus) report no
-    closure rows.
+    closure rows.  The config's time horizon, if any, applies as in
+    :func:`newstag.harness.run_experiment`.
     """
     config.validate()
     ops = build_pipeline(corpus, config)
-    train, _, _ = _split_with_retries(corpus, config.train_fraction, config.seed)
-    c0 = init_credibility(corpus, train, ops.vocab, per_post=ops.per_post)
-    prop = replace(config.propagation, mu=config.mu)
-    _, residuals = propagate_iterative(ops.X, c0, prop)
+    train, _, _ = _split_with_retries(ops.corpus, config.train_fraction, config.seed)
+    c0 = init_credibility(ops.corpus, train, ops.vocab, per_post=ops.per_post)
+    _, residuals = propagate_iterative(ops.X, c0, config.mu, config.propagation)
     return ConvergenceTrace(
         closure_residuals=ops.relation.trace,
         propagation_residuals=tuple(residuals),

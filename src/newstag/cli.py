@@ -112,7 +112,7 @@ def _resolve(args: argparse.Namespace, opts: list[Opt], extra_sources: list[dict
     return effective
 
 
-def _load_config_echo(path: str, subcommand: str) -> dict:
+def _load_config_echo(path: str, subcommand: str, opts: list[Opt]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -128,6 +128,9 @@ def _load_config_echo(path: str, subcommand: str) -> dict:
     params = payload.get("parameters")
     if not isinstance(params, dict):
         raise CliUsageError(f"config file {path}: missing parameters object")
+    unknown = sorted(set(params) - {opt.name for opt in opts})
+    if unknown:
+        raise CliUsageError(f"config file {path}: {subcommand} takes no parameter {unknown[0]!r}")
     return params
 
 
@@ -188,7 +191,6 @@ RUN_OPTS = [
     Opt("train_fraction", "float", 0.8, help="labeled fraction used for training"),
     Opt("horizon_hours", "float", help="optional detection-time filter in hours"),
     Opt("repetitions", "int", 10, help="number of repeated splits"),
-    Opt("drop_tolerance", "float", 0.0, help="closure entry pruning threshold"),
     _SEED,
 ]
 
@@ -280,29 +282,23 @@ RUN_ONLY_OPTS = RUN_OPTS + [
 # Shared builders
 # ---------------------------------------------------------------------------
 
+# ExperimentConfig field set by each experiment option; a subcommand that
+# sweeps or grid-searches a field lacks its option and keeps the default.
+_EXPERIMENT_FIELDS = {"method": "method", "mu": "mu", "k1": "k1", "train_fraction": "train_fraction",
+                      "horizon_hours": "time_horizon_hours", "seed": "seed", "repetitions": "repetitions"}
+
+
 def _experiment_config(eff: dict):
     from .credibility import PropagationConfig
     from .harness import ExperimentConfig
 
-    if eff.get("k2") is not None:
+    if eff["k2"] is not None:
         max_iterations, tolerance = eff["k2"], 0.0
     else:
         max_iterations, tolerance = eff["max_iterations"], eff["tolerance"]
     config = ExperimentConfig(
-        method=eff.get("method", "newstag"),
-        mu=eff.get("mu", 0.4),
-        k1=eff["k1"],
-        propagation=PropagationConfig(
-            mu=eff.get("mu", 0.4),
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-            mode=eff["mode"],
-        ),
-        train_fraction=eff["train_fraction"],
-        time_horizon_hours=eff.get("horizon_hours"),
-        seed=eff["seed"],
-        repetitions=eff["repetitions"],
-        drop_tolerance=eff["drop_tolerance"],
+        propagation=PropagationConfig(max_iterations=max_iterations, tolerance=tolerance, mode=eff["mode"]),
+        **{field: eff[name] for name, field in _EXPERIMENT_FIELDS.items() if name in eff},
     )
     config.validate()
     return config
@@ -312,6 +308,8 @@ def _relation_matrix(corpus, eff: dict):
     """The relation matrix ``--matrix`` selects, built from the corpus."""
     from .graph import all_relations_exact, all_relations_truncated, build_direct_graph, normalize
 
+    if eff["k1"] < 1:
+        raise CliUsageError(f"k1 must be >= 1, got {eff['k1']}")
     N = normalize(build_direct_graph(corpus, weighted=eff["weighted"]))
     if eff["matrix"] == "normalized":
         return N
@@ -383,8 +381,6 @@ def _cmd_synth(eff: dict) -> int:
 def _cmd_build_graph(eff: dict) -> int:
     from .graph import save_matrix
 
-    if eff["k1"] < 1:
-        raise CliUsageError(f"k1 must be >= 1, got {eff['k1']}")
     matrix = _relation_matrix(_read_corpus(eff["input"]), eff)
     save_matrix(matrix, eff["out"])
     _write_echo("build-graph", eff, eff["out"])
@@ -415,7 +411,7 @@ def _cmd_grid_mu(eff: dict) -> int:
     from .harness import grid_search_mu
     from .reports import write_grid_csv
 
-    config = _experiment_config({**eff, "mu": 0.5})  # placeholder; grid supplies mu
+    config = _experiment_config(eff)
     corpus = _read_corpus(eff["input"])
     result = grid_search_mu(corpus, config, eff["grid"])
     write_grid_csv(result, eff["out"])
@@ -428,7 +424,7 @@ def _cmd_sweep_volume(eff: dict) -> int:
     from .harness import sweep_training_fraction
     from .reports import write_sweep_csv
 
-    config = _experiment_config({**eff, "train_fraction": 0.8})
+    config = _experiment_config(eff)
     corpus = _read_corpus(eff["input"])
     rows = sweep_training_fraction(corpus, config, eff["fractions"])
     write_sweep_csv([(repr(x), report) for x, report in rows], eff["out"])
@@ -441,7 +437,7 @@ def _cmd_sweep_time(eff: dict) -> int:
     from .harness import sweep_detection_time
     from .reports import write_sweep_csv
 
-    config = _experiment_config({**eff, "horizon_hours": None})
+    config = _experiment_config(eff)
     corpus = _read_corpus(eff["input"])
     rows = sweep_detection_time(corpus, config, eff["horizons"])
     write_sweep_csv(rows, eff["out"])
@@ -456,7 +452,7 @@ def _cmd_ablate(eff: dict) -> int:
     from .harness import METHODS, run_experiment
     from .reports import write_json
 
-    config = _experiment_config({**eff, "method": "newstag"})
+    config = _experiment_config(eff)
     corpus = _read_corpus(eff["input"])
     payload = {"methods": {}}
     for method in METHODS:
@@ -591,7 +587,7 @@ def main(argv=None) -> int:
         try:
             sources = []
             if args.config:
-                sources.append(_load_config_echo(args.config, args.subcommand))
+                sources.append(_load_config_echo(args.config, args.subcommand, opts))
             effective = _resolve(args, opts, sources)
             if args.subcommand == "synth" and effective.get("params"):
                 # The echo (when present) outranks the params file so that

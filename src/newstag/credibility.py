@@ -29,6 +29,9 @@ PROVENANCE_ALL_DATA = "all_data_c_star"
 MODE_ITERATIVE = "iterative"
 MODE_CLOSED_FORM = "closed_form"
 
+# Largest vocabulary the closed form solves densely; above it, sparse LU.
+CLOSED_FORM_DENSE_MAX_Q = 2000
+
 
 class PropagationError(RuntimeError):
     """Raised when the linear solve fails; indicates a defect, not bad data."""
@@ -45,17 +48,16 @@ class CredibilityVector:
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    """Solver knobs.  tolerance=0 disables early stopping, so the
-    iteration runs for exactly ``max_iterations`` steps (the published
-    protocol fixes five iterations rather than a tolerance)."""
+    """Solver settings; the model weight ``mu`` is passed separately.
+    tolerance=0 disables early stopping, so the iteration runs for
+    exactly ``max_iterations`` steps (the published protocol fixes five
+    iterations rather than a tolerance)."""
 
-    mu: float = 0.4
     max_iterations: int = 100
     tolerance: float = 1e-9
     mode: str = MODE_ITERATIVE
 
     def validate(self) -> None:
-        _check_mu(self.mu)
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.tolerance < 0:
@@ -120,6 +122,7 @@ def symmetric_normalize(W: RelationMatrix) -> tuple[sp.csr_matrix, np.ndarray]:
 def propagate_iterative(
     X: sp.spmatrix,
     c0: CredibilityVector,
+    mu: float,
     config: PropagationConfig,
 ) -> tuple[CredibilityVector, list[float]]:
     """Fixed-point iteration c <- mu*X c + (1-mu)*c0 starting from c0.
@@ -128,27 +131,23 @@ def propagate_iterative(
     positive) or after ``max_iterations`` steps.  Returns the final
     vector and the per-iteration residual trace.
     """
+    _check_mu(mu)
     config.validate()
     start = _values(c0)
-    anchor = (1.0 - config.mu) * start
+    anchor = (1.0 - mu) * start
     c = start.copy()
     residuals: list[float] = []
     for _ in range(config.max_iterations):
-        c_next = config.mu * (X @ c) + anchor
+        c_next = mu * (X @ c) + anchor
         delta = float(np.max(np.abs(c_next - c))) if c.size else 0.0
         residuals.append(delta)
         c = c_next
         if config.tolerance > 0.0 and delta < config.tolerance:
             break
-    return CredibilityVector(values=c, provenance=PROVENANCE_PROPAGATED, mu=config.mu), residuals
+    return CredibilityVector(values=c, provenance=PROVENANCE_PROPAGATED, mu=mu), residuals
 
 
-def propagate_closed_form(
-    X: sp.spmatrix,
-    c0: CredibilityVector,
-    mu: float,
-    dense_cap: int = 2000,
-) -> CredibilityVector:
+def propagate_closed_form(X: sp.spmatrix, c0: CredibilityVector, mu: float) -> CredibilityVector:
     """Direct solve of (I - mu*X) c = (1-mu) c0.
 
     Invertibility follows from the spectral radius of X being at most 1
@@ -160,17 +159,17 @@ def propagate_closed_form(
     rhs = (1.0 - mu) * start
     if q == 0:
         return CredibilityVector(values=rhs, provenance=PROVENANCE_PROPAGATED, mu=mu)
-    try:
-        if q <= dense_cap:
-            system = np.eye(q) - mu * X.toarray()
-            solution = np.linalg.solve(system, rhs)
-        else:
-            from scipy.sparse.linalg import spsolve
+    if q <= CLOSED_FORM_DENSE_MAX_Q:
+        try:
+            solution = np.linalg.solve(np.eye(q) - mu * X.toarray(), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise PropagationError(f"closed-form propagation solve failed: {exc}") from exc
+    else:
+        from scipy.sparse.linalg import spsolve
 
-            system = sp.identity(q, format="csc") - mu * X.tocsc()
-            solution = spsolve(system, rhs)
-    except Exception as exc:  # LinAlgError or UMFPACK failure
-        raise PropagationError(f"closed-form propagation solve failed: {exc}") from exc
+        # A singular sparse system comes back as NaN (with a
+        # MatrixRankWarning) and is caught by the finiteness check below.
+        solution = spsolve(sp.identity(q, format="csc") - mu * X.tocsc(), rhs)
     if not np.all(np.isfinite(solution)):
         raise PropagationError("closed-form propagation produced non-finite values")
     return CredibilityVector(values=solution, provenance=PROVENANCE_PROPAGATED, mu=mu)

@@ -62,7 +62,6 @@ class ExperimentConfig:
     time_horizon_hours: float | None = None
     seed: int = 0
     repetitions: int = 10
-    drop_tolerance: float = 0.0
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -79,7 +78,7 @@ class ExperimentConfig:
             raise ValueError("seed must be non-negative")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        replace(self.propagation, mu=self.mu).validate()
+        self.propagation.validate()
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -109,10 +108,9 @@ class MetricsReport:
     micro_f1_std: float
     confusion_total: dict[str, int]
 
-    def to_dict(self, include_predictions: bool = False) -> dict:
-        reps = []
-        for rep in self.repetitions:
-            entry = {
+    def to_dict(self) -> dict:
+        reps = [
+            {
                 "repetition": rep.repetition,
                 "split_seed": rep.split_seed,
                 "n_train": rep.n_train,
@@ -122,12 +120,8 @@ class MetricsReport:
                 "micro_f1": rep.micro_f1,
                 "confusion": rep.confusion,
             }
-            if include_predictions and rep.predictions is not None:
-                entry["predictions"] = {
-                    news_id: {"label": label, "score": score}
-                    for news_id, (label, score) in rep.predictions.items()
-                }
-            reps.append(entry)
+            for rep in self.repetitions
+        ]
         return {
             "method": self.method,
             "config": self.config,
@@ -201,8 +195,13 @@ def compute_f1(predictions, truths) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class PipelineOperators:
-    """Split-independent artifacts shared across repetitions."""
+    """Split-independent artifacts shared across repetitions.
 
+    ``corpus`` is the working corpus: the input cut at the config's time
+    horizon, if any.  Splits, ``c0`` and scores read it.
+    """
+
+    corpus: Corpus
     vocab: tuple[str, ...]
     relation: RelationMatrix
     X: sp.csr_matrix
@@ -221,12 +220,16 @@ def _zero_relation(vocab: tuple[str, ...]) -> RelationMatrix:
 
 
 def build_pipeline(corpus: Corpus, config: ExperimentConfig) -> PipelineOperators:
-    """Graph, closure, and propagation operator for one corpus.
+    """Working corpus, graph, closure, and propagation operator.
 
-    An edgeless graph (or an empty vocabulary) falls back to an all-zero
-    relation matrix: propagation then anchors every hashtag at
-    (1 - mu) * c0, and hashtag-free corpora stay predictable.
+    The optional time horizon filters the whole corpus (train and test
+    alike) before graph construction.  An edgeless graph (or an empty
+    vocabulary) falls back to an all-zero relation matrix: propagation
+    then anchors every hashtag at (1 - mu) * c0, and hashtag-free
+    corpora stay predictable.
     """
+    if config.time_horizon_hours is not None:
+        corpus = filter_by_time(corpus, config.time_horizon_hours)
     weighted = config.method != METHOD_UNWEIGHTED
     per_post = config.method != METHOD_UNWEIGHTED
     graph = build_direct_graph(corpus, weighted=weighted)
@@ -237,18 +240,17 @@ def build_pipeline(corpus: Corpus, config: ExperimentConfig) -> PipelineOperator
         if config.method == METHOD_NO_INDIRECT:
             relation = N
         else:
-            relation = all_relations_truncated(N, config.k1, config.drop_tolerance)
+            relation = all_relations_truncated(N, config.k1)
     X, degrees = symmetric_normalize(relation)
     return PipelineOperators(
-        vocab=graph.vocab, relation=relation, X=X, degrees=degrees, per_post=per_post
+        corpus=corpus, vocab=graph.vocab, relation=relation, X=X, degrees=degrees, per_post=per_post
     )
 
 
 def propagate(ops: PipelineOperators, c0: CredibilityVector, config: ExperimentConfig) -> CredibilityVector:
-    prop = replace(config.propagation, mu=config.mu)
-    if prop.mode == MODE_CLOSED_FORM:
-        return propagate_closed_form(ops.X, c0, prop.mu)
-    c_hat, _ = propagate_iterative(ops.X, c0, prop)
+    if config.propagation.mode == MODE_CLOSED_FORM:
+        return propagate_closed_form(ops.X, c0, config.mu)
+    c_hat, _ = propagate_iterative(ops.X, c0, config.mu, config.propagation)
     return c_hat
 
 
@@ -270,16 +272,15 @@ def _split_with_retries(
 
 
 def _run_single(
-    corpus: Corpus,
     ops: PipelineOperators,
     config: ExperimentConfig,
     train: tuple[str, ...],
     targets: tuple[str, ...],
 ) -> dict[str, tuple[int, float]]:
     """Train on ``train``, return {news_id: (predicted_label, score)} for targets."""
-    c0 = init_credibility(corpus, train, ops.vocab, per_post=ops.per_post)
+    c0 = init_credibility(ops.corpus, train, ops.vocab, per_post=ops.per_post)
     c_hat = propagate(ops, c0, config)
-    scores = score_news(corpus, targets, c_hat, per_post=ops.per_post)
+    scores = score_news(ops.corpus, targets, c_hat, per_post=ops.per_post)
     return {news_id: (1 if s > 0.0 else -1, s) for news_id, s in scores.items()}
 
 
@@ -290,20 +291,16 @@ def run_experiment(
 ) -> MetricsReport:
     """Repeated split/train/predict/score runs on one corpus.
 
-    The optional time horizon filters the whole corpus (train and test
-    alike) before graph construction.  Each repetition derives its split
-    seed as ``seed ^ repetition`` and is resampled (deterministically)
-    if the test side lacks a class.  Metrics cover labeled test items;
-    news left without posts by the filter still get predicted (score 0,
-    hence -1) and are additionally counted per repetition.
+    Splits and scores read the working corpus of :func:`build_pipeline`.
+    Each repetition derives its split seed as ``seed ^ repetition`` and
+    is resampled (deterministically) if the test side lacks a class.
+    Metrics cover labeled test items; news left without posts by the
+    time filter still get predicted (score 0, hence -1) and are
+    additionally counted per repetition.
     """
     config.validate()
-    working = (
-        filter_by_time(corpus, config.time_horizon_hours)
-        if config.time_horizon_hours is not None
-        else corpus
-    )
-    ops = build_pipeline(working, config)
+    ops = build_pipeline(corpus, config)
+    working = ops.corpus
     by_id = working.news_by_id
 
     reps: list[RepetitionResult] = []
@@ -312,7 +309,7 @@ def run_experiment(
         train, test, split_seed = _split_with_retries(
             working, config.train_fraction, config.seed ^ rep
         )
-        outcome = _run_single(working, ops, config, train, test)
+        outcome = _run_single(ops, config, train, test)
         labeled_test = [i for i in test if by_id[i].label is not None]
         preds = [outcome[i][0] for i in labeled_test]
         truths = [by_id[i].label for i in labeled_test]
@@ -385,11 +382,9 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
     if not usable:
         raise ValueError("mu grid is empty after restricting to (0,1)")
 
-    working = (
-        filter_by_time(corpus, config.time_horizon_hours)
-        if config.time_horizon_hours is not None
-        else corpus
-    )
+    # Pipeline operators do not depend on mu; build them once.
+    ops = build_pipeline(corpus, config)
+    working = ops.corpus
     by_id = working.news_by_id
 
     # Inner splits are shared across grid values so scores are comparable.
@@ -408,9 +403,6 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
         val = tuple(i for i in train if i in val_set)
         folds.append((inner_train, val))
 
-    # Pipeline operators do not depend on mu; build them once.
-    ops = build_pipeline(working, config)
-
     rows = []
     best_mu = None
     best_score = -1.0
@@ -418,7 +410,7 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
         candidate = replace(config, mu=mu)
         macros, micros = [], []
         for inner_train, val in folds:
-            outcome = _run_single(working, ops, candidate, inner_train, val)
+            outcome = _run_single(ops, candidate, inner_train, val)
             preds = [outcome[i][0] for i in val]
             truths = [by_id[i].label for i in val]
             macro, micro = compute_f1(preds, truths)

@@ -28,8 +28,8 @@ def write_json(payload: dict, path: str | Path) -> None:
         fh.write("\n")
 
 
-def write_metrics_json(report: MetricsReport, path: str | Path, include_predictions: bool = False) -> None:
-    write_json(report.to_dict(include_predictions=include_predictions), path)
+def write_metrics_json(report: MetricsReport, path: str | Path) -> None:
+    write_json(report.to_dict(), path)
 
 
 def write_predictions_csv(predictions: dict[str, tuple[int, float]], path: str | Path) -> None:

@@ -90,7 +90,7 @@ def test_criterion_02_proposition_equivalence():
             mu = MU_GRID[seed % 9]
             closed = propagate_closed_form(X, c0, mu)
             iterated, _ = propagate_iterative(
-                X, c0, PropagationConfig(mu=mu, max_iterations=10000, tolerance=1e-12)
+                X, c0, mu, PropagationConfig(max_iterations=10000, tolerance=1e-12)
             )
             assert np.max(np.abs(closed.values - iterated.values)) <= 1e-8
             for c_hat in (closed, iterated):
@@ -130,7 +130,7 @@ def test_criterion_04_analytic_fixed_point():
         closed = propagate_closed_form(X, c0, mu=0.4)
         assert np.max(np.abs(closed.values - np.array([3 / 7, -3 / 7]))) <= 1e-9
         iterated, _ = propagate_iterative(
-            X, c0, PropagationConfig(mu=0.4, max_iterations=10000, tolerance=1e-14)
+            X, c0, 0.4, PropagationConfig(max_iterations=10000, tolerance=1e-14)
         )
         assert np.max(np.abs(iterated.values - np.array([3 / 7, -3 / 7]))) <= 1e-9
 
@@ -227,7 +227,7 @@ def _e2e_config(seed: int) -> ExperimentConfig:
     return ExperimentConfig(
         mu=0.4,
         k1=10,
-        propagation=PropagationConfig(mu=0.4, max_iterations=100, tolerance=1e-9),
+        propagation=PropagationConfig(max_iterations=100, tolerance=1e-9),
         train_fraction=0.8,
         seed=seed,
         repetitions=1,
@@ -268,7 +268,7 @@ CHAIN_PARAMS = SyntheticParams(
 # A single fixed-point step: with a two-hop bridge path, information from
 # labeled hashtags cannot reach the designated hashtags through the direct
 # graph, while the k1>=2 closure has already folded the path into an edge.
-CHAIN_PROPAGATION = PropagationConfig(mu=0.4, max_iterations=1, tolerance=0.0)
+CHAIN_PROPAGATION = PropagationConfig(max_iterations=1, tolerance=0.0)
 
 
 def test_criterion_08_indirect_relation_benefit():
@@ -322,7 +322,7 @@ def test_criterion_09_ablation_identity():
             base = ExperimentConfig(
                 mu=0.4,
                 k1=1,
-                propagation=PropagationConfig(mu=0.4, max_iterations=100, tolerance=1e-9),
+                propagation=PropagationConfig(max_iterations=100, tolerance=1e-9),
                 train_fraction=0.8,
                 seed=seed,
                 repetitions=1,

@@ -19,7 +19,7 @@ def config_for(corpus_seed=0, **overrides) -> ExperimentConfig:
     base = dict(
         mu=0.4,
         k1=10,
-        propagation=PropagationConfig(mu=0.4, max_iterations=100, tolerance=1e-9),
+        propagation=PropagationConfig(max_iterations=100, tolerance=1e-9),
         train_fraction=0.8,
         seed=corpus_seed,
         repetitions=1,
@@ -166,7 +166,7 @@ def test_all_data_credibility_differs_from_train_only():
 def test_trace_row_counts_match_iteration_caps():
     corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.9), seed=3)
     config = config_for(
-        3, k1=7, propagation=PropagationConfig(mu=0.4, max_iterations=5, tolerance=0.0)
+        3, k1=7, propagation=PropagationConfig(max_iterations=5, tolerance=0.0)
     )
     trace = convergence_trace(corpus, config)
     assert len(trace.closure_residuals) == 7
@@ -191,7 +191,7 @@ def test_trace_propagation_ratio_bounded_by_mu():
         SyntheticParams(hashtags=50, news=60, purity=0.9, posts_per_news=(4, 8)), seed=5
     )
     config = config_for(
-        5, propagation=PropagationConfig(mu=0.4, max_iterations=30, tolerance=0.0)
+        5, propagation=PropagationConfig(max_iterations=30, tolerance=0.0)
     )
     trace = convergence_trace(corpus, config)
     residuals = trace.propagation_residuals
@@ -202,19 +202,19 @@ def test_trace_propagation_ratio_bounded_by_mu():
 
 def test_trace_no_indirect_propagates_over_direct_graph():
     corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.9), seed=3)
-    prop = PropagationConfig(mu=0.4, max_iterations=6, tolerance=0.0)
+    prop = PropagationConfig(max_iterations=6, tolerance=0.0)
     trace = convergence_trace(corpus, config_for(3, method="newstag_no_indirect", propagation=prop))
     assert trace.closure_residuals == ()
     X, _ = symmetric_normalize(normalize(build_direct_graph(corpus)))
     train, _, _ = _split_with_retries(corpus, 0.8, 3)
     c0 = init_credibility(corpus, train, corpus.vocabulary)
-    _, expected = propagate_iterative(X, c0, prop)
+    _, expected = propagate_iterative(X, c0, 0.4, prop)
     assert trace.propagation_residuals == tuple(expected)
 
 
 def test_trace_edgeless_corpus_has_no_closure_rows():
     corpus = untimed_corpus([(f"n{i}", 1 if i % 2 else -1, [[f"h{i % 4}"]]) for i in range(10)])
-    prop = PropagationConfig(mu=0.4, max_iterations=4, tolerance=0.0)
+    prop = PropagationConfig(max_iterations=4, tolerance=0.0)
     trace = convergence_trace(corpus, config_for(0, propagation=prop))
     assert trace.closure_residuals == ()
     assert len(trace.propagation_residuals) == 4

@@ -316,3 +316,64 @@ def test_export_bad_matrix_entry_exits_2(workdir):
     )
     assert result.returncode == 2
     assert f"{bad}:5:" in result.stderr
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("convergence", []),
+    ("case-study", ["--watchlist", "f0001,t0001,f0002,t0002,missing"]),
+], ids=["convergence", "case-study"])
+def test_analyze_honours_horizon(workdir, kind, extra):
+    from newstag.corpus import filter_by_time, parse_corpus, write_corpus
+
+    corpus = workdir / "corpus.jsonl"
+    cut = workdir / f"cut-{kind}.jsonl"
+    write_corpus(filter_by_time(parse_corpus(corpus), 6.0), cut)
+    outs = {}
+    for name, args in (("flag", ["--input", str(corpus), "--horizon-hours", "6"]),
+                       ("cut", ["--input", str(cut)]),
+                       ("full", ["--input", str(corpus)])):
+        outs[name] = workdir / f"h-{kind}-{name}.csv"
+        result = run_cli("analyze", "--kind", kind, *args, *extra, "--out", str(outs[name]))
+        assert result.returncode == 0, result.stderr
+    assert outs["flag"].read_bytes() == outs["cut"].read_bytes()
+    assert outs["flag"].read_bytes() != outs["full"].read_bytes()
+
+
+def test_run_report_config_holds_mu_once(workdir):
+    out = workdir / "mu-once.json"
+    result = run_cli(
+        "run", "--input", str(workdir / "corpus.jsonl"), "--mu", "0.3", "--repetitions", "1",
+        "--out", str(out),
+    )
+    assert result.returncode == 0, result.stderr
+    config = json.loads(out.read_text())["config"]
+    assert config["mu"] == 0.3
+    assert "mu" not in config["propagation"]
+    assert "drop_tolerance" not in config
+
+
+def test_config_echo_with_unknown_parameter_exits_1(workdir):
+    out = workdir / "echo-extra.json"
+    result = run_cli(
+        "run", "--input", str(workdir / "corpus.jsonl"), "--repetitions", "1", "--out", str(out),
+    )
+    assert result.returncode == 0, result.stderr
+    echo = workdir / "echo-extra.json.config.json"
+    payload = json.loads(echo.read_text())
+    payload["parameters"]["drop_tolerance"] = 0.0
+    echo.write_text(json.dumps(payload))
+    result = run_cli("run", "--config", str(echo), "--out", str(workdir / "echo-extra2.json"))
+    assert result.returncode == 1
+    assert "drop_tolerance" in result.stderr
+    assert not (workdir / "echo-extra2.json").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["build-graph", "export"])
+def test_k1_zero_exits_1(workdir, subcommand):
+    out_flag = "--out" if subcommand == "build-graph" else "--edges-out"
+    result = run_cli(
+        subcommand, "--input", str(workdir / "corpus.jsonl"), "--k1", "0",
+        out_flag, str(workdir / f"k1-zero-{subcommand}.out"),
+    )
+    assert result.returncode == 1
+    assert "k1 must be >= 1" in result.stderr

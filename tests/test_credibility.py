@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import MatrixRankWarning
 
+import newstag.credibility
 from newstag.credibility import (
     CredibilityVector,
     PROVENANCE_INITIAL,
     PROVENANCE_PROPAGATED,
     PropagationConfig,
+    PropagationError,
     cost_evaluate,
     init_credibility,
     predict,
@@ -145,7 +148,7 @@ def test_two_node_fixed_point_is_three_sevenths():
     closed = propagate_closed_form(X, c0, mu=0.4)
     assert np.allclose(closed.values, [3 / 7, -3 / 7], atol=1e-12)
     iterated, _ = propagate_iterative(
-        X, c0, PropagationConfig(mu=0.4, max_iterations=10000, tolerance=1e-13)
+        X, c0, 0.4, PropagationConfig(max_iterations=10000, tolerance=1e-13)
     )
     assert np.allclose(iterated.values, [3 / 7, -3 / 7], atol=1e-9)
     assert iterated.provenance == PROVENANCE_PROPAGATED
@@ -155,7 +158,7 @@ def test_two_node_fixed_point_is_three_sevenths():
 def test_vanishing_mu_recovers_c0():
     _, X, _, c0 = random_problem(1)
     result, _ = propagate_iterative(
-        X, c0, PropagationConfig(mu=1e-9, max_iterations=100, tolerance=1e-15)
+        X, c0, 1e-9, PropagationConfig(max_iterations=100, tolerance=1e-15)
     )
     assert np.max(np.abs(result.values - c0.values)) <= 1e-8
 
@@ -163,7 +166,7 @@ def test_vanishing_mu_recovers_c0():
 def test_fixed_iteration_count_protocol():
     _, X, _, c0 = random_problem(2)
     _, residuals = propagate_iterative(
-        X, c0, PropagationConfig(mu=0.4, max_iterations=5, tolerance=0.0)
+        X, c0, 0.4, PropagationConfig(max_iterations=5, tolerance=0.0)
     )
     assert len(residuals) == 5
 
@@ -174,7 +177,7 @@ def test_iterative_matches_closed_form():
         mu = [0.1, 0.3, 0.5, 0.7, 0.9][seed % 5]
         closed = propagate_closed_form(X, c0, mu)
         iterated, _ = propagate_iterative(
-            X, c0, PropagationConfig(mu=mu, max_iterations=10000, tolerance=1e-12)
+            X, c0, mu, PropagationConfig(max_iterations=10000, tolerance=1e-12)
         )
         assert np.max(np.abs(closed.values - iterated.values)) <= 1e-8
 
@@ -197,9 +200,9 @@ def test_propagation_is_antisymmetric_in_c0():
                 plus = propagate_closed_form(X, c0, 0.4).values
                 minus = propagate_closed_form(X, neg, 0.4).values
             else:
-                config = PropagationConfig(mu=0.4, max_iterations=50, tolerance=0.0)
-                plus = propagate_iterative(X, c0, config)[0].values
-                minus = propagate_iterative(X, neg, config)[0].values
+                config = PropagationConfig(max_iterations=50, tolerance=0.0)
+                plus = propagate_iterative(X, c0, 0.4, config)[0].values
+                minus = propagate_iterative(X, neg, 0.4, config)[0].values
             assert np.max(np.abs(plus + minus)) <= 1e-12
 
 
@@ -231,11 +234,26 @@ def test_contraction_rate_toward_solution():
             err_prev = err
 
 
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+def test_closed_form_singular_system_raises(monkeypatch, dense):
+    # mu * X has eigenvalue 1, so I - mu*X is singular
+    X = sp.csr_matrix(np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    c0 = CredibilityVector(values=np.array([1.0, 0.5, -0.2]), provenance=PROVENANCE_INITIAL)
+    if dense:
+        with pytest.raises(PropagationError, match="solve failed"):
+            propagate_closed_form(X, c0, 0.5)
+    else:
+        monkeypatch.setattr(newstag.credibility, "CLOSED_FORM_DENSE_MAX_Q", 2)
+        with pytest.warns(MatrixRankWarning), pytest.raises(PropagationError, match="non-finite"):
+            propagate_closed_form(X, c0, 0.5)
+
+
 def test_propagation_config_validation():
+    _, X, _, c0 = random_problem(0)
     with pytest.raises(ValueError, match="mu"):
-        PropagationConfig(mu=0.0).validate()
+        propagate_iterative(X, c0, 0.0, PropagationConfig())
     with pytest.raises(ValueError, match="mu"):
-        PropagationConfig(mu=1.0).validate()
+        propagate_iterative(X, c0, 1.0, PropagationConfig())
     with pytest.raises(ValueError, match="max_iterations"):
         PropagationConfig(max_iterations=0).validate()
     with pytest.raises(ValueError, match="tolerance"):

@@ -18,7 +18,7 @@ from newstag.harness import (
 from newstag.synth import SyntheticParams, generate_synthetic
 
 from helpers import brute_force_f1, dense_pipeline_oracle, timed_news, untimed_corpus
-from newstag.corpus import Corpus
+from newstag.corpus import Corpus, filter_by_time
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -26,7 +26,7 @@ def small_config(**overrides) -> ExperimentConfig:
         method=METHOD_NEWSTAG,
         mu=0.4,
         k1=10,
-        propagation=PropagationConfig(mu=0.4, max_iterations=100, tolerance=1e-9),
+        propagation=PropagationConfig(max_iterations=100, tolerance=1e-9),
         train_fraction=0.8,
         seed=0,
         repetitions=3,
@@ -135,8 +135,8 @@ def test_methods_differ_in_their_operators():
 def test_closed_form_mode_matches_iterative_labels():
     params = SyntheticParams(hashtags=50, news=36, purity=0.8, posts_per_news=(2, 6))
     corpus = generate_synthetic(params, seed=14)
-    tight = PropagationConfig(mu=0.4, max_iterations=10000, tolerance=1e-12)
-    closed = PropagationConfig(mu=0.4, mode="closed_form")
+    tight = PropagationConfig(max_iterations=10000, tolerance=1e-12)
+    closed = PropagationConfig(mode="closed_form")
     a = run_experiment(
         corpus, small_config(repetitions=2, propagation=tight), collect_predictions=True
     )
@@ -267,6 +267,25 @@ def test_time_horizon_filters_before_graph():
     for rep in report.repetitions:
         assert all(label == -1 for label, _ in rep.predictions.values())
         assert rep.n_test_empty == len(rep.predictions)
+
+
+def test_build_pipeline_applies_time_horizon():
+    corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.9), seed=2)
+    cut = filter_by_time(corpus, 6.0)
+    ops = build_pipeline(corpus, small_config(time_horizon_hours=6.0))
+    plain = build_pipeline(cut, small_config())
+    assert ops.corpus.news == cut.news
+    assert ops.vocab == cut.vocabulary != corpus.vocabulary
+    assert (ops.X != plain.X).nnz == 0
+    assert build_pipeline(corpus, small_config()).corpus is corpus
+
+
+def test_report_config_carries_mu_once():
+    corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.9), seed=2)
+    config = run_experiment(corpus, small_config(mu=0.3, repetitions=1)).to_dict()["config"]
+    assert config["mu"] == 0.3
+    assert "mu" not in config["propagation"]
+    assert "drop_tolerance" not in config
 
 
 def test_degenerate_corpus_exhausts_resampling():
