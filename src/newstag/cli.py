@@ -128,13 +128,18 @@ def _load_config_echo(path: str, subcommand: str, opts: list[Opt]) -> dict:
     params = payload.get("parameters")
     if not isinstance(params, dict):
         raise CliUsageError(f"config file {path}: missing parameters object")
+    return _known(params, opts, f"config file {path}", subcommand)
+
+
+def _known(params: dict, opts: list[Opt], source: str, subcommand: str) -> dict:
+    """``params`` if every key names an option of ``subcommand``."""
     unknown = sorted(set(params) - {opt.name for opt in opts})
     if unknown:
-        raise CliUsageError(f"config file {path}: {subcommand} takes no parameter {unknown[0]!r}")
+        raise CliUsageError(f"{source}: {subcommand} takes no parameter {unknown[0]!r}")
     return params
 
 
-def _load_params_file(path: str) -> dict:
+def _load_params_file(path: str, opts: list[Opt]) -> dict:
     """Flat key=value file (synthetic-corpus parameters)."""
     values: dict[str, str] = {}
     try:
@@ -149,7 +154,7 @@ def _load_params_file(path: str) -> dict:
                 values[key.strip().replace("-", "_")] = value.strip()
     except FileNotFoundError:
         raise FileNotFoundError(f"params file not found: {path}") from None
-    return values
+    return _known(values, opts, f"params file {path}", "synth")
 
 
 def _echo_path(out: str) -> str:
@@ -593,7 +598,7 @@ def main(argv=None) -> int:
                 # The echo (when present) outranks the params file so that
                 # replaying a config reproduces the original artifacts even
                 # if the params file changed since.
-                sources.append(_load_params_file(effective["params"]))
+                sources.append(_load_params_file(effective["params"], opts))
                 effective = _resolve(args, opts, sources)
             return handler(effective)
         except (CorpusError, GraphError) as exc:

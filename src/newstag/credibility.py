@@ -114,8 +114,9 @@ def symmetric_normalize(W: RelationMatrix) -> tuple[sp.csr_matrix, np.ndarray]:
     """
     degrees = np.asarray(W.values.sum(axis=1)).ravel()
     inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.maximum(degrees, 1e-300)), 0.0)
-    scale = sp.diags(inv_sqrt)
-    X = (scale @ W.values @ scale).tocsr()
+    X = W.values.tocsr(copy=True)
+    X.data *= np.repeat(inv_sqrt, np.diff(X.indptr))  # row scale
+    X.data *= inv_sqrt[X.indices]  # column scale
     return X, degrees
 
 
@@ -128,8 +129,9 @@ def propagate_iterative(
     """Fixed-point iteration c <- mu*X c + (1-mu)*c0 starting from c0.
 
     Stops when the max-norm change drops below ``tolerance`` (if
-    positive) or after ``max_iterations`` steps.  Returns the final
-    vector and the per-iteration residual trace.
+    positive) or after ``max_iterations`` steps; stopping at the cap
+    with a positive tolerance logs a warning.  Returns the final vector
+    and the per-iteration residual trace.
     """
     _check_mu(mu)
     config.validate()
@@ -144,6 +146,13 @@ def propagate_iterative(
         c = c_next
         if config.tolerance > 0.0 and delta < config.tolerance:
             break
+    else:
+        if config.tolerance > 0.0:
+            logger.warning(
+                "propagation stopped at the iteration cap: mu=%r, %d iterations, "
+                "last residual %.3e >= tolerance %r",
+                mu, config.max_iterations, residuals[-1], config.tolerance,
+            )
     return CredibilityVector(values=c, provenance=PROVENANCE_PROPAGATED, mu=mu), residuals
 
 

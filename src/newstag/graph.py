@@ -37,6 +37,11 @@ MATRIX_FORMAT_HEADER = "# newstag-matrix v1"
 # about 480 MiB RSS.
 EXACT_MAX_Q = 3000
 
+# Largest vocabulary the truncated closure accepts.  It is built in
+# dense q x q float64 buffers and raises the peak RSS by about
+# 25 * q**2 bytes (~1.5 GiB at the cap).
+TRUNCATED_MAX_Q = 8000
+
 
 class GraphError(ValueError):
     """Raised for graph construction or normalization failures."""
@@ -127,8 +132,8 @@ def normalize(graph: HashtagGraph) -> RelationMatrix:
     return RelationMatrix(kind=NORMALIZED_DIRECT, values=N, vocab=graph.vocab)
 
 
-def _frobenius(M: sp.spmatrix) -> float:
-    return float(np.sqrt(np.sum(M.data * M.data))) if M.nnz else 0.0
+def _frobenius(M: np.ndarray) -> float:
+    return math.sqrt(np.einsum("ij,ij->", M, M))
 
 
 def all_relations_truncated(
@@ -146,6 +151,12 @@ def all_relations_truncated(
     relative change drops below it (k1 then acts as a cap).  Entries smaller than
     ``drop_tolerance`` in magnitude are pruned after each accumulation;
     the default 0 keeps everything.
+
+    On a connected graph the sum fills in to a dense matrix, so it is
+    accumulated in one dense q x q buffer by sparse x dense products
+    (single-threaded, so the bytes do not depend on a BLAS thread pool)
+    and converted to CSR once.  Vocabularies above ``TRUNCATED_MAX_Q``
+    hashtags are refused before anything of size q x q is allocated.
     """
     if N.kind != NORMALIZED_DIRECT:
         raise GraphError(f"closure expects a normalized_direct matrix, got {N.kind!r}")
@@ -153,25 +164,38 @@ def all_relations_truncated(
         raise GraphError(f"k1 must be >= 1, got {k1}")
     if drop_tolerance < 0:
         raise GraphError("drop_tolerance must be >= 0")
+    q = N.q
+    if q > TRUNCATED_MAX_Q:
+        raise GraphError(
+            f"truncated closure refused: q={q} hashtags exceeds the dense-buffer cap of {TRUNCATED_MAX_Q}"
+        )
 
     base = N.values
-    power = base.copy()
-    total = base.copy()
-    trace: list[float] = [1.0 if total.nnz else 0.0]
+    power = base.toarray()
+    total = power.copy()
+    trace: list[float] = [1.0 if base.nnz else 0.0]
     for _ in range(2, k1 + 1):
         if rel_tol is not None and trace[-1] < rel_tol:
             break
-        power = (power @ base).tocsr()
-        total = (total + power).tocsr()
+        power = base @ power
+        total += power
         if drop_tolerance > 0.0:
-            total.data[np.abs(total.data) < drop_tolerance] = 0.0
-            total.eliminate_zeros()
+            total[np.abs(total) < drop_tolerance] = 0.0
         denom = _frobenius(total)
         trace.append(_frobenius(power) / denom if denom else 0.0)
+    del power
+    # CSR straight from the buffer: half the temporaries of sp.csr_matrix(total)
+    mask = total != 0
+    indptr = np.zeros(q + 1, dtype=np.int32)
+    np.cumsum(mask.sum(axis=1), out=indptr[1:])
+    flat = np.flatnonzero(mask)
+    indices = np.remainder(flat, q, out=flat).astype(np.int32)
+    del flat
+    values = sp.csr_matrix((total[mask], indices, indptr), shape=(q, q))
     # k1 records the number of terms actually accumulated (rel_tol may
     # have stopped the loop before the cap)
     return RelationMatrix(
-        kind=ALL_RELATIONS_TRUNCATED, values=total, vocab=N.vocab, k1=len(trace), trace=tuple(trace)
+        kind=ALL_RELATIONS_TRUNCATED, values=values, vocab=N.vocab, k1=len(trace), trace=tuple(trace)
     )
 
 

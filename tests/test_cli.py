@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -288,6 +289,31 @@ def test_synth_params_file(workdir):
     run_cli("synth", "--params", str(params), "--news", "10", "--seed", "2", "--out", str(out2))
     assert len(out1.read_text().splitlines()) == 20
     assert len(out2.read_text().splitlines()) == 10
+
+
+def test_synth_params_file_with_unknown_key_exits_1(workdir):
+    params = workdir / "typo.params"
+    params.write_text("hashtag=30\nnews=20\n")
+    out = workdir / "typo.jsonl"
+    result = run_cli("synth", "--params", str(params), "--seed", "2", "--out", str(out))
+    assert result.returncode == 1
+    assert "'hashtag'" in result.stderr
+    assert not out.exists()
+
+
+def test_run_above_truncated_cap_exits_2(workdir, monkeypatch, capsys):
+    import newstag.graph
+    from newstag.cli import main
+
+    monkeypatch.setattr(newstag.graph, "TRUNCATED_MAX_Q", 10)
+    out = workdir / "above-cap.json"
+    status = main([
+        "run", "--input", str(workdir / "corpus.jsonl"), "--method", "newstag",
+        "--repetitions", "1", "--out", str(out),
+    ])
+    assert status == 2
+    assert re.search(r"^error: truncated closure refused: q=\d+ .* cap of 10$", capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_analyze_convergence_without_closure_writes_no_closure_rows(workdir):

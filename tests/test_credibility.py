@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -127,6 +129,18 @@ def test_symmetric_normalize_isolated_rows_zero():
     assert np.all(X.toarray()[:, 2] == 0.0)
 
 
+def test_symmetric_normalize_matches_diagonal_scaling():
+    for seed in range(5):
+        W = random_graph_matrix(np.random.default_rng(seed))
+        dense = W.values.toarray()
+        X, D = symmetric_normalize(W)
+        assert np.array_equal(W.values.toarray(), dense)  # W is left untouched
+        assert np.allclose(D, dense.sum(axis=1), rtol=1e-15, atol=0)
+        inv_sqrt = np.where(D > 0, 1.0 / np.sqrt(np.where(D > 0, D, 1.0)), 0.0)
+        assert X.nnz == W.values.nnz
+        assert np.allclose(X.toarray(), np.outer(inv_sqrt, inv_sqrt) * dense, rtol=1e-15, atol=0)
+
+
 def test_isolated_node_anchors_at_one_minus_mu():
     W = RelationMatrix(
         kind=NORMALIZED_DIRECT,
@@ -169,6 +183,32 @@ def test_fixed_iteration_count_protocol():
         X, c0, 0.4, PropagationConfig(max_iterations=5, tolerance=0.0)
     )
     assert len(residuals) == 5
+
+
+def test_iteration_cap_above_tolerance_warns(caplog):
+    _, X, _, c0 = random_problem(2)
+    with caplog.at_level(logging.WARNING, logger="newstag.credibility"):
+        _, residuals = propagate_iterative(
+            X, c0, 0.4, PropagationConfig(max_iterations=3, tolerance=1e-12)
+        )
+    assert len(residuals) == 3
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    message = record.getMessage()
+    assert "mu=0.4" in message
+    assert "3 iterations" in message
+    assert f"{residuals[-1]:.3e}" in message
+
+
+@pytest.mark.parametrize("max_iterations, tolerance", [(5, 0.0), (1000, 1e-9)])
+def test_fixed_steps_or_convergence_do_not_warn(caplog, max_iterations, tolerance):
+    _, X, _, c0 = random_problem(2)
+    with caplog.at_level(logging.DEBUG, logger="newstag.credibility"):
+        _, residuals = propagate_iterative(
+            X, c0, 0.4, PropagationConfig(max_iterations=max_iterations, tolerance=tolerance)
+        )
+    assert len(residuals) == 5 if tolerance == 0.0 else residuals[-1] < tolerance
+    assert caplog.records == []
 
 
 def test_iterative_matches_closed_form():

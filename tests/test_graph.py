@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from newstag.credibility import CredibilityVector, PROVENANCE_ALL_DATA
 from newstag.graph import (
     EXACT_MAX_Q,
     GraphError,
+    HashtagGraph,
     NORMALIZED_DIRECT,
     RelationMatrix,
+    TRUNCATED_MAX_Q,
     SeriesDivergentError,
     all_relations_exact,
     all_relations_truncated,
@@ -205,6 +208,91 @@ def test_truncated_trace_shape_and_tolerance_mode():
     assert short_trace[-1] < 1e-3
 
 
+def closure_graph(rng, shape: str) -> RelationMatrix:
+    """Normalized N over a random graph of the given shape.
+
+    ``disconnected``: sparse random weights with isolated hashtags;
+    ``blocks``: block-diagonal components under a random relabelling;
+    ``regular``: a weight-regular cycle whose row sums equal the
+    maximum (so rho(N) = 1) beside a lighter random component.
+    """
+    q = int(rng.integers(12, 40))
+    dense = np.zeros((q, q), dtype=np.int64)
+    if shape == "disconnected":
+        for k in range(q):
+            for l in range(k + 1, q):
+                if rng.random() < 0.06:
+                    dense[k, l] = int(rng.integers(1, 10))
+    elif shape == "blocks":
+        cuts = np.sort(rng.choice(np.arange(2, q - 1), size=int(rng.integers(1, 4)), replace=False))
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, q]):
+            for k in range(lo, hi):
+                for l in range(k + 1, hi):
+                    if rng.random() < 0.5:
+                        dense[k, l] = int(rng.integers(1, 10))
+    else:
+        m = int(rng.integers(3, q - 3))
+        weight = q  # above any row sum of the unit-weight rest: the cycle rows hold the maximum
+        for k in range(m):
+            dense[min(k, (k + 1) % m), max(k, (k + 1) % m)] = weight
+        for k in range(m, q):
+            for l in range(k + 1, q):
+                if rng.random() < 0.2:
+                    dense[k, l] = 1
+    dense[0, 1] = max(dense[0, 1], 1)  # never edgeless
+    perm = rng.permutation(q)
+    full = (dense + dense.T)[np.ix_(perm, perm)]
+    upper = sp.csr_matrix(np.triu(full, 1))
+    return normalize(HashtagGraph(vocab=tuple(f"h{k}" for k in range(q)), upper=upper))
+
+
+def pruned_power_sum(n_dense: np.ndarray, k1: int, drop_tolerance: float) -> np.ndarray:
+    """Dense closure oracle that prunes the running sum after each added term."""
+    power = n_dense.copy()
+    total = n_dense.copy()
+    for _ in range(2, k1 + 1):
+        power = power @ n_dense
+        total = total + power
+        total[np.abs(total) < drop_tolerance] = 0.0
+    return total
+
+
+@pytest.mark.parametrize("shape", ["disconnected", "blocks", "regular"])
+@pytest.mark.parametrize("k1", [1, 2, 6, 10])
+def test_truncated_closure_contract_on_random_graphs(shape, k1):
+    for seed in range(6):
+        N = closure_graph(np.random.default_rng((seed, k1)), shape)
+        n = N.values.toarray()
+        if shape == "regular":
+            assert spectral_radius_dense(n) == pytest.approx(1.0, abs=1e-12)
+        W = all_relations_truncated(N, k1)
+        assert W.kind == "all_relations_truncated"
+        assert W.k1 == k1
+        assert W.values.has_canonical_format
+        # stored entries are exactly the pairs joined by a walk of 1..k1 steps
+        hop = reach = n > 0
+        for _ in range(2, k1 + 1):
+            hop = (hop.astype(np.int64) @ (n > 0).astype(np.int64)) > 0
+            reach = reach | hop
+        assert W.values.nnz == np.count_nonzero(reach)
+        assert np.max(np.abs(W.values.toarray() - dense_power_sum(n, k1))) <= 1e-12
+        partial = [dense_power_sum(n, k) for k in range(1, k1 + 1)]
+        expected_trace = [1.0] + [
+            np.linalg.norm(b - a) / np.linalg.norm(b) for a, b in zip(partial, partial[1:])
+        ]
+        assert np.allclose(W.trace, expected_trace, rtol=0, atol=1e-12)
+
+        pruned = all_relations_truncated(N, k1, drop_tolerance=0.0137)
+        oracle = n if k1 == 1 else pruned_power_sum(n, k1, 0.0137)
+        assert pruned.values.nnz == np.count_nonzero(oracle)
+        assert np.max(np.abs(pruned.values.toarray() - oracle)) <= 1e-12
+
+        early = all_relations_truncated(N, k1, rel_tol=0.2)
+        stop = next((k for k, r in enumerate(expected_trace, start=1) if r < 0.2), k1)
+        assert early.k1 == len(early.trace) == stop
+        assert np.max(np.abs(early.values.toarray() - dense_power_sum(n, stop))) <= 1e-12
+
+
 def test_truncated_validates_inputs():
     N = path_graph_n()
     with pytest.raises(GraphError):
@@ -243,6 +331,23 @@ def test_exact_refuses_vocabulary_above_cap():
     )
     with pytest.raises(GraphError, match=f"q={q} .* {EXACT_MAX_Q}"):
         all_relations_exact(N)
+
+
+def test_truncated_refuses_vocabulary_above_cap():
+    q = TRUNCATED_MAX_Q + 1
+    N = RelationMatrix(
+        kind=NORMALIZED_DIRECT,
+        values=sp.csr_matrix((q, q)),  # no stored entries: nothing q x q is allocated
+        vocab=tuple(f"h{k}" for k in range(q)),
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match=f"q={q} .* {TRUNCATED_MAX_Q}"):
+            all_relations_truncated(N, k1=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < q * q  # refused before even a q x q boolean mask
 
 
 def test_exact_matches_truncated_on_contractive_instances():
