@@ -216,7 +216,9 @@ def convergence_trace(corpus: Corpus, config: ExperimentConfig) -> ConvergenceTr
     exactly as many rows as their iteration caps.  Methods without a
     closure (``newstag_no_indirect``, or any edgeless corpus) report no
     closure rows.  The config's time horizon, if any, applies as in
-    :func:`newstag.harness.run_experiment`.
+    :func:`newstag.harness.run_experiment`, and propagation runs over the
+    operator :func:`newstag.harness.build_pipeline` returns (a dense
+    array or CSR; the residuals do not depend on which beyond rounding).
     """
     config.validate()
     ops = build_pipeline(corpus, config)

@@ -29,7 +29,8 @@ PROVENANCE_ALL_DATA = "all_data_c_star"
 MODE_ITERATIVE = "iterative"
 MODE_CLOSED_FORM = "closed_form"
 
-# Largest vocabulary the closed form solves densely; above it, sparse LU.
+# Largest vocabulary whose sparse operator the closed form solves densely;
+# above it, sparse LU.
 CLOSED_FORM_DENSE_MAX_Q = 2000
 
 
@@ -121,13 +122,14 @@ def symmetric_normalize(W: RelationMatrix) -> tuple[sp.csr_matrix, np.ndarray]:
 
 
 def propagate_iterative(
-    X: sp.spmatrix,
+    X: sp.spmatrix | np.ndarray,
     c0: CredibilityVector,
     mu: float,
     config: PropagationConfig,
 ) -> tuple[CredibilityVector, list[float]]:
     """Fixed-point iteration c <- mu*X c + (1-mu)*c0 starting from c0.
 
+    ``X`` is sparse or a dense q x q array; each step is one ``X @ c``.
     Stops when the max-norm change drops below ``tolerance`` (if
     positive) or after ``max_iterations`` steps; stopping at the cap
     with a positive tolerance logs a warning.  Returns the final vector
@@ -156,9 +158,13 @@ def propagate_iterative(
     return CredibilityVector(values=c, provenance=PROVENANCE_PROPAGATED, mu=mu), residuals
 
 
-def propagate_closed_form(X: sp.spmatrix, c0: CredibilityVector, mu: float) -> CredibilityVector:
+def propagate_closed_form(
+    X: sp.spmatrix | np.ndarray, c0: CredibilityVector, mu: float
+) -> CredibilityVector:
     """Direct solve of (I - mu*X) c = (1-mu) c0.
 
+    A dense ``X`` is solved densely at any size; a sparse one densely up
+    to ``CLOSED_FORM_DENSE_MAX_Q`` hashtags and by sparse LU above.
     Invertibility follows from the spectral radius of X being at most 1
     and mu < 1; a failure here is a defect signal, not a data error.
     """
@@ -168,9 +174,10 @@ def propagate_closed_form(X: sp.spmatrix, c0: CredibilityVector, mu: float) -> C
     rhs = (1.0 - mu) * start
     if q == 0:
         return CredibilityVector(values=rhs, provenance=PROVENANCE_PROPAGATED, mu=mu)
-    if q <= CLOSED_FORM_DENSE_MAX_Q:
+    dense = isinstance(X, np.ndarray)
+    if dense or q <= CLOSED_FORM_DENSE_MAX_Q:
         try:
-            solution = np.linalg.solve(np.eye(q) - mu * X.toarray(), rhs)
+            solution = np.linalg.solve(np.eye(q) - mu * (X if dense else X.toarray()), rhs)
         except np.linalg.LinAlgError as exc:
             raise PropagationError(f"closed-form propagation solve failed: {exc}") from exc
     else:

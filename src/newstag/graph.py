@@ -173,14 +173,14 @@ def all_relations_truncated(
     base = N.values
     power = base.toarray()
     total = power.copy()
+    _prune(total, drop_tolerance)
     trace: list[float] = [1.0 if base.nnz else 0.0]
     for _ in range(2, k1 + 1):
         if rel_tol is not None and trace[-1] < rel_tol:
             break
         power = base @ power
         total += power
-        if drop_tolerance > 0.0:
-            total[np.abs(total) < drop_tolerance] = 0.0
+        _prune(total, drop_tolerance)
         denom = _frobenius(total)
         trace.append(_frobenius(power) / denom if denom else 0.0)
     del power
@@ -197,6 +197,12 @@ def all_relations_truncated(
     return RelationMatrix(
         kind=ALL_RELATIONS_TRUNCATED, values=values, vocab=N.vocab, k1=len(trace), trace=tuple(trace)
     )
+
+
+def _prune(total: np.ndarray, drop_tolerance: float) -> None:
+    """Zero the entries of ``total`` smaller than ``drop_tolerance`` in magnitude."""
+    if drop_tolerance > 0.0:
+        total[np.abs(total) < drop_tolerance] = 0.0
 
 
 def estimate_spectral_radius(M: sp.spmatrix, max_iter: int = 500, rtol: float = 1e-12) -> float:

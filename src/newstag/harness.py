@@ -198,13 +198,15 @@ class PipelineOperators:
     """Split-independent artifacts shared across repetitions.
 
     ``corpus`` is the working corpus: the input cut at the config's time
-    horizon, if any.  Splits, ``c0`` and scores read it.
+    horizon, if any.  Splits, ``c0`` and scores read it.  ``X`` is the
+    propagation operator, a dense q x q array when that is no larger
+    than its CSR form, else CSR.
     """
 
     corpus: Corpus
     vocab: tuple[str, ...]
     relation: RelationMatrix
-    X: sp.csr_matrix
+    X: sp.csr_matrix | np.ndarray
     degrees: np.ndarray
     per_post: bool
 
@@ -227,6 +229,11 @@ def build_pipeline(corpus: Corpus, config: ExperimentConfig) -> PipelineOperator
     vocabulary) falls back to an all-zero relation matrix: propagation
     then anchors every hashtag at (1 - mu) * c0, and hashtag-free
     corpora stay predictable.
+
+    The operator is kept as a dense array whenever that takes no more
+    bytes than its CSR form, as the closure of a connected graph does:
+    each propagation step is then one BLAS matrix-vector product
+    instead of a walk over CSR indices.
     """
     if config.time_horizon_hours is not None:
         corpus = filter_by_time(corpus, config.time_horizon_hours)
@@ -242,6 +249,9 @@ def build_pipeline(corpus: Corpus, config: ExperimentConfig) -> PipelineOperator
         else:
             relation = all_relations_truncated(N, config.k1)
     X, degrees = symmetric_normalize(relation)
+    q = len(graph.vocab)
+    if q * q * X.dtype.itemsize <= X.data.nbytes + X.indices.nbytes + X.indptr.nbytes:
+        X = X.toarray()
     return PipelineOperators(
         corpus=corpus, vocab=graph.vocab, relation=relation, X=X, degrees=degrees, per_post=per_post
     )
@@ -299,7 +309,13 @@ def run_experiment(
     additionally counted per repetition.
     """
     config.validate()
-    ops = build_pipeline(corpus, config)
+    return _run_repetitions(build_pipeline(corpus, config), config, collect_predictions)
+
+
+def _run_repetitions(
+    ops: PipelineOperators, config: ExperimentConfig, collect_predictions: bool = False
+) -> MetricsReport:
+    """The repetitions of :func:`run_experiment` over built operators."""
     working = ops.corpus
     by_id = working.news_by_id
 
@@ -433,15 +449,17 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
 def sweep_training_fraction(
     corpus: Corpus, config: ExperimentConfig, fractions
 ) -> list[tuple[float, MetricsReport]]:
-    """run_experiment per training fraction, with shared seeds."""
-    fractions = list(fractions)
-    if not fractions:
+    """run_experiment per training fraction, with shared seeds.
+
+    A fraction changes only the splits, so the pipeline is built once.
+    """
+    configs = [replace(config, train_fraction=float(fraction)) for fraction in fractions]
+    if not configs:
         raise ValueError("fraction list must not be empty")
-    out = []
-    for fraction in fractions:
-        report = run_experiment(corpus, replace(config, train_fraction=float(fraction)))
-        out.append((float(fraction), report))
-    return out
+    for candidate in configs:
+        candidate.validate()
+    ops = build_pipeline(corpus, configs[0])
+    return [(candidate.train_fraction, _run_repetitions(ops, candidate)) for candidate in configs]
 
 
 def sweep_detection_time(

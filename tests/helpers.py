@@ -107,6 +107,11 @@ def random_contractive_n(seed: int, q_range=(10, 50), density=0.2) -> RelationMa
 # Independent oracles
 # ---------------------------------------------------------------------------
 
+def as_dense(X) -> np.ndarray:
+    """A propagation operator as a dense array, whichever way it is stored."""
+    return X.toarray() if sp.issparse(X) else np.asarray(X)
+
+
 def spectral_radius_dense(dense: np.ndarray) -> float:
     """Dense eigensolve oracle for symmetric matrices."""
     if dense.size == 0:

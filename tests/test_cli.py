@@ -4,7 +4,9 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 CMD = [sys.executable, "-m", "newstag"]
 
@@ -276,6 +278,57 @@ def test_run_closed_form_mode(workdir):
     assert result.returncode == 0, result.stderr
     payload = json.loads((workdir / "cf.json").read_text())
     assert payload["config"]["propagation"]["mode"] == "closed_form"
+
+
+def test_run_closed_form_labels_do_not_depend_on_operator_storage(workdir, monkeypatch):
+    from dataclasses import replace
+
+    import newstag.harness
+    from newstag.cli import main
+
+    def run(name):
+        out, predictions = workdir / f"cf-{name}.json", workdir / f"cf-{name}.csv"
+        assert main([
+            "run", "--input", str(workdir / "corpus.jsonl"), "--repetitions", "3",
+            "--mode", "closed_form", "--out", str(out), "--predictions-out", str(predictions),
+        ]) == 0
+        labels = [line.split(",")[:2] for line in predictions.read_text().splitlines()]
+        return labels, json.loads(out.read_text())["aggregate"]
+
+    dense = run("dense")
+    build_pipeline = newstag.harness.build_pipeline
+
+    def build_csr(corpus, config):
+        ops = build_pipeline(corpus, config)
+        assert isinstance(ops.X, np.ndarray)
+        return replace(ops, X=sp.csr_matrix(ops.X))
+
+    monkeypatch.setattr(newstag.harness, "build_pipeline", build_csr)
+    assert run("csr") == dense
+
+
+def test_run_bytes_do_not_depend_on_blas_thread_count(tmp_path):
+    from newstag._threads import _BLAS_VARS
+    from newstag.corpus import parse_corpus
+    from newstag.harness import ExperimentConfig, build_pipeline
+
+    corpus = tmp_path / "corpus.jsonl"
+    result = run_cli(
+        "synth", "--hashtags", "800", "--news", "500", "--purity", "0.9", "--seed", "1", "--out", str(corpus)
+    )
+    assert result.returncode == 0, result.stderr
+    assert isinstance(build_pipeline(parse_corpus(corpus), ExperimentConfig()).X, np.ndarray)
+    outputs = []
+    for threads in ("1", "2"):
+        env = {key: value for key, value in os.environ.items() if key not in _BLAS_VARS}
+        env["NEWSTAG_THREADS"] = threads
+        out, predictions = tmp_path / f"run-{threads}.json", tmp_path / f"pred-{threads}.csv"
+        result = run_cli(
+            "run", "--input", str(corpus), "--out", str(out), "--predictions-out", str(predictions), env=env
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append((out.read_bytes(), predictions.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_synth_params_file(workdir):

@@ -21,7 +21,14 @@ from newstag.credibility import (
     score_news,
     symmetric_normalize,
 )
-from newstag.graph import NORMALIZED_DIRECT, RelationMatrix, build_direct_graph, normalize
+from newstag.graph import (
+    NORMALIZED_DIRECT,
+    HashtagGraph,
+    RelationMatrix,
+    all_relations_truncated,
+    build_direct_graph,
+    normalize,
+)
 
 from helpers import cost_oracle, random_graph_matrix, spectral_radius_dense, untimed_corpus
 
@@ -272,6 +279,47 @@ def test_contraction_rate_toward_solution():
             if err_prev > 1e-13:
                 assert err <= (mu + 1e-6) * err_prev
             err_prev = err
+
+
+def cycle_relation(q: int) -> RelationMatrix:
+    """Weight-regular cycle: every row sum is the maximum, so rho(N) = 1."""
+    k = np.arange(q)
+    lo, hi = np.minimum(k, (k + 1) % q), np.maximum(k, (k + 1) % q)
+    upper = sp.csr_matrix((np.full(q, 3, dtype=np.int64), (lo, hi)), shape=(q, q))
+    return normalize(HashtagGraph(vocab=tuple(f"h{i}" for i in range(q)), upper=upper))
+
+
+def test_dense_and_csr_operators_propagate_alike():
+    problems = [(X, c0) for _, X, _, c0 in map(random_problem, range(8))]
+    rng = np.random.default_rng(7)
+    for N in (cycle_relation(9), cycle_relation(14)):
+        assert spectral_radius_dense(N.values.toarray()) == pytest.approx(1.0, abs=1e-12)
+        for W in (N, all_relations_truncated(N, 10)):
+            X, _ = symmetric_normalize(W)
+            c0 = CredibilityVector(values=rng.uniform(-1.0, 1.0, size=W.q), provenance=PROVENANCE_INITIAL)
+            problems.append((X, c0))
+    configs = (
+        (0.4, PropagationConfig()),
+        (0.9, PropagationConfig(max_iterations=10000, tolerance=1e-12)),
+        (0.5, PropagationConfig(max_iterations=5, tolerance=0.0)),
+    )
+    for X, c0 in problems:
+        dense = X.toarray()
+        for mu, config in configs:
+            sparse_c, sparse_res = propagate_iterative(X, c0, mu, config)
+            dense_c, dense_res = propagate_iterative(dense, c0, mu, config)
+            assert len(dense_res) == len(sparse_res)
+            assert np.max(np.abs(dense_c.values - sparse_c.values)) <= 1e-12
+            assert np.max(np.abs(np.subtract(dense_res, sparse_res))) <= 1e-12
+        closed_sparse = propagate_closed_form(X, c0, 0.4).values
+        assert np.max(np.abs(propagate_closed_form(dense, c0, 0.4).values - closed_sparse)) <= 1e-12
+
+
+def test_closed_form_solves_dense_operator_above_sparse_cut_over(monkeypatch):
+    _, X, _, c0 = random_problem(3)
+    expected = propagate_closed_form(X, c0, 0.4).values
+    monkeypatch.setattr(newstag.credibility, "CLOSED_FORM_DENSE_MAX_Q", 2)
+    assert np.max(np.abs(propagate_closed_form(X.toarray(), c0, 0.4).values - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])

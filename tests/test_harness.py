@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from newstag.credibility import PropagationConfig, init_credibility, predict, CredibilityVector
+import newstag.harness
+from newstag.credibility import (
+    PropagationConfig,
+    init_credibility,
+    predict,
+    CredibilityVector,
+    symmetric_normalize,
+)
 from newstag.harness import (
     ExperimentConfig,
     HarnessError,
@@ -17,7 +25,7 @@ from newstag.harness import (
 )
 from newstag.synth import SyntheticParams, generate_synthetic
 
-from helpers import brute_force_f1, dense_pipeline_oracle, timed_news, untimed_corpus
+from helpers import as_dense, brute_force_f1, dense_pipeline_oracle, timed_news, untimed_corpus
 from newstag.corpus import Corpus, filter_by_time
 
 
@@ -276,8 +284,27 @@ def test_build_pipeline_applies_time_horizon():
     plain = build_pipeline(cut, small_config())
     assert ops.corpus.news == cut.news
     assert ops.vocab == cut.vocabulary != corpus.vocabulary
-    assert (ops.X != plain.X).nnz == 0
+    assert np.array_equal(as_dense(ops.X), as_dense(plain.X))
     assert build_pipeline(corpus, small_config()).corpus is corpus
+
+
+def test_operator_is_dense_exactly_when_no_larger_than_csr():
+    corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.9), seed=2)
+    edgeless = untimed_corpus([(f"n{i}", 1 if i % 2 else -1, [[f"h{i % 4}"]]) for i in range(8)])
+    cases = [
+        (corpus, METHOD_NEWSTAG, np.ndarray),
+        (corpus, METHOD_UNWEIGHTED, np.ndarray),
+        (corpus, METHOD_NO_INDIRECT, sp.csr_matrix),
+        (edgeless, METHOD_NEWSTAG, sp.csr_matrix),
+        (edgeless, METHOD_NO_INDIRECT, sp.csr_matrix),
+    ]
+    for case_corpus, method, kind in cases:
+        ops = build_pipeline(case_corpus, small_config(method=method))
+        csr, _ = symmetric_normalize(ops.relation)
+        assert type(ops.X) is kind, method
+        q = len(ops.vocab)
+        assert (kind is np.ndarray) == (8 * q * q <= csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
+        assert np.array_equal(as_dense(ops.X), csr.toarray())
 
 
 def test_report_config_carries_mu_once():
@@ -347,6 +374,28 @@ def test_sweep_training_fraction_runs_all_points():
     assert [x for x, _ in rows] == [0.2, 0.8]
     for _, report in rows:
         assert report.micro_f1_mean == 1.0
+
+
+def test_sweep_training_fraction_builds_pipeline_once(monkeypatch):
+    corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.8), seed=3)
+    config = small_config(repetitions=2)
+    fractions = [0.3, 0.5, 0.8]
+    expected = [run_experiment(corpus, small_config(repetitions=2, train_fraction=f)) for f in fractions]
+    builds = []
+    real_build = newstag.harness.build_pipeline
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(newstag.harness, "build_pipeline", counting_build)
+    rows = sweep_training_fraction(corpus, config, fractions)
+    assert len(builds) == 1
+    assert [x for x, _ in rows] == fractions
+    assert [report.to_dict() for _, report in rows] == [report.to_dict() for report in expected]
+    with pytest.raises(ValueError, match="train_fraction"):
+        sweep_training_fraction(corpus, config, [0.5, 1.0])
+    assert len(builds) == 1  # every fraction is checked before anything is built
 
 
 def test_sweep_empty_lists_rejected():
