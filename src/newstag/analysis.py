@@ -174,13 +174,13 @@ def case_study(corpus: Corpus, config: ExperimentConfig, watchlist) -> tuple[Cas
     config.validate()
     ops = build_pipeline(corpus, config)
     corpus = ops.corpus
-    index = {h: k for k, h in enumerate(ops.vocab)}
+    index = corpus.vocab_index
 
-    raw_star = init_credibility(corpus, corpus.labeled_ids(), ops.vocab, per_post=ops.per_post)
+    raw_star = init_credibility(corpus, corpus.labeled_ids(), corpus.vocabulary, per_post=ops.per_post)
     c_star = CredibilityVector(values=raw_star.values, provenance=PROVENANCE_ALL_DATA)
 
     train, _, _ = _split_with_retries(corpus, config.train_fraction, config.seed)
-    c0 = init_credibility(corpus, train, ops.vocab, per_post=ops.per_post)
+    c0 = init_credibility(corpus, train, corpus.vocabulary, per_post=ops.per_post)
     c_hat = rescale_credibility(propagate(ops, c0, config))
 
     rows = []
@@ -223,9 +223,9 @@ def convergence_trace(corpus: Corpus, config: ExperimentConfig) -> ConvergenceTr
     config.validate()
     ops = build_pipeline(corpus, config)
     train, _, _ = _split_with_retries(ops.corpus, config.train_fraction, config.seed)
-    c0 = init_credibility(ops.corpus, train, ops.vocab, per_post=ops.per_post)
+    c0 = init_credibility(ops.corpus, train, ops.corpus.vocabulary, per_post=ops.per_post)
     _, residuals = propagate_iterative(ops.X, c0, config.mu, config.propagation)
     return ConvergenceTrace(
-        closure_residuals=ops.relation.trace,
+        closure_residuals=ops.closure_trace,
         propagation_residuals=tuple(residuals),
     )

@@ -147,9 +147,6 @@ class Corpus:
     def labeled_ids(self) -> tuple[str, ...]:
         return tuple(item.id for item in self.news if item.label is not None)
 
-    def unlabeled_ids(self) -> tuple[str, ...]:
-        return tuple(item.id for item in self.news if item.label is None)
-
     def __len__(self) -> int:
         return len(self.news)
 
@@ -213,10 +210,6 @@ def _parse_record(obj: dict, line_no: int) -> NewsItem:
     news_id = obj.get("id")
     if not isinstance(news_id, str) or not news_id:
         raise CorpusError(f"line {line_no}: id must be a nonempty string")
-    label = obj.get("label")
-    if label is not None:
-        if not isinstance(label, int) or isinstance(label, bool) or label not in VALID_LABELS:
-            raise CorpusError(f"line {line_no}: news {news_id!r}: label must be -1, 1, or null")
     published_raw = obj.get("published_at")
     published_at = None
     if published_raw is not None:
@@ -230,7 +223,8 @@ def _parse_record(obj: dict, line_no: int) -> NewsItem:
     if not isinstance(posts_raw, list):
         raise CorpusError(f"line {line_no}: news {news_id!r}: posts must be a list")
     posts = tuple(_parse_post(p, news_id, line_no) for p in posts_raw)
-    return NewsItem(id=news_id, label=label, published_at=published_at, posts=posts)
+    # parse_corpus has already rejected any label other than -1, 1 or null
+    return NewsItem(id=news_id, label=obj.get("label"), published_at=published_at, posts=posts)
 
 
 def parse_corpus(

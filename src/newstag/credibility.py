@@ -12,6 +12,7 @@ relation matrix, and the fixed-point iteration
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,12 @@ PROVENANCE_ALL_DATA = "all_data_c_star"
 MODE_ITERATIVE = "iterative"
 MODE_CLOSED_FORM = "closed_form"
 
-# Largest vocabulary whose sparse operator the closed form solves densely;
-# above it, sparse LU.
-CLOSED_FORM_DENSE_MAX_Q = 2000
+# Relative residual at which the closed form's conjugate gradient stops.
+CLOSED_FORM_TOLERANCE = 1e-14
 
 
 class PropagationError(RuntimeError):
-    """Raised when the linear solve fails; indicates a defect, not bad data."""
+    """Raised when the closed-form solve fails; indicates a defect, not bad data."""
 
 
 @dataclass(frozen=True)
@@ -158,34 +158,58 @@ def propagate_iterative(
     return CredibilityVector(values=c, provenance=PROVENANCE_PROPAGATED, mu=mu), residuals
 
 
+def _closed_form_iteration_cap(mu: float) -> int:
+    """Twice the conjugate-gradient steps that reach ``CLOSED_FORM_TOLERANCE``.
+
+    The eigenvalues of I - mu*X lie in [1 - mu, 1 + mu], so its condition
+    number is at most kappa = (1 + mu) / (1 - mu), and the residual after
+    k steps is at most 2 sqrt(kappa) rate^k of the first, with
+    rate = (sqrt(kappa) - 1) / (sqrt(kappa) + 1) = mu / (1 + sqrt(1 - mu^2)).
+    """
+    kappa = (1.0 + mu) / (1.0 - mu)
+    log_inv_rate = math.log1p(math.sqrt(1.0 - mu * mu)) - math.log(mu)
+    return 2 * math.ceil(math.log(2.0 * math.sqrt(kappa) / CLOSED_FORM_TOLERANCE) / log_inv_rate)
+
+
 def propagate_closed_form(
     X: sp.spmatrix | np.ndarray, c0: CredibilityVector, mu: float
 ) -> CredibilityVector:
-    """Direct solve of (I - mu*X) c = (1-mu) c0.
+    """Solve (I - mu*X) c = (1-mu) c0 by conjugate gradient.
 
-    A dense ``X`` is solved densely at any size; a sparse one densely up
-    to ``CLOSED_FORM_DENSE_MAX_Q`` hashtags and by sparse LU above.
-    Invertibility follows from the spectral radius of X being at most 1
-    and mu < 1; a failure here is a defect signal, not a data error.
+    ``X`` is sparse or a dense q x q array; each step is one ``X @ p``.
+    The system is symmetric positive definite because the spectral
+    radius of X is at most 1 and mu < 1, so the loop stops once the
+    residual is ``CLOSED_FORM_TOLERANCE`` of the right-hand side's.  Its
+    reductions are numpy sums, not BLAS dot products, so the result does
+    not depend on the BLAS thread count.  A curvature ``p . Ap <= 0``, no
+    convergence within :func:`_closed_form_iteration_cap` steps or a
+    non-finite result is a defect signal, not a data error.
     """
     _check_mu(mu)
-    start = _values(c0)
-    q = start.shape[0]
-    rhs = (1.0 - mu) * start
-    if q == 0:
-        return CredibilityVector(values=rhs, provenance=PROVENANCE_PROPAGATED, mu=mu)
-    dense = isinstance(X, np.ndarray)
-    if dense or q <= CLOSED_FORM_DENSE_MAX_Q:
-        try:
-            solution = np.linalg.solve(np.eye(q) - mu * (X if dense else X.toarray()), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise PropagationError(f"closed-form propagation solve failed: {exc}") from exc
-    else:
-        from scipy.sparse.linalg import spsolve
-
-        # A singular sparse system comes back as NaN (with a
-        # MatrixRankWarning) and is caught by the finiteness check below.
-        solution = spsolve(sp.identity(q, format="csc") - mu * X.tocsc(), rhs)
+    rhs = (1.0 - mu) * _values(c0)
+    solution = np.zeros_like(rhs)
+    r = rhs.copy()
+    p = r.copy()
+    rr = rr0 = float((r * r).sum())
+    stop = CLOSED_FORM_TOLERANCE**2 * rr0
+    for _ in range(_closed_form_iteration_cap(mu)):
+        if rr <= stop:
+            break
+        Ap = p - mu * (X @ p)
+        curvature = float((p * Ap).sum())
+        if not curvature > 0.0:
+            raise PropagationError(f"closed-form propagation met non-positive curvature {curvature!r}")
+        alpha = rr / curvature
+        solution += alpha * p
+        r -= alpha * Ap
+        rr_next = float((r * r).sum())
+        p = r + (rr_next / rr) * p
+        rr = rr_next
+    if rr > stop:
+        raise PropagationError(
+            f"closed-form propagation did not converge: mu={mu!r}, "
+            f"relative residual {math.sqrt(rr / rr0):.3e}"
+        )
     if not np.all(np.isfinite(solution)):
         raise PropagationError("closed-form propagation produced non-finite values")
     return CredibilityVector(values=solution, provenance=PROVENANCE_PROPAGATED, mu=mu)
@@ -262,16 +286,3 @@ def rescale_credibility(c_hat: CredibilityVector) -> CredibilityVector:
         logger.warning("rescale: all-zero credibility vector left unchanged")
         return CredibilityVector(values=values.copy(), provenance=c_hat.provenance, mu=c_hat.mu)
     return CredibilityVector(values=values / peak, provenance=c_hat.provenance, mu=c_hat.mu)
-
-
-def write_credibility(
-    c: CredibilityVector, vocab: tuple[str, ...], path
-) -> None:
-    """Persist a credibility vector as TSV (hashtag, score, provenance)."""
-    values = _values(c)
-    if values.shape[0] != len(vocab):
-        raise ValueError("credibility vector length does not match vocabulary")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("hashtag\tscore\tprovenance\n")
-        for k, name in enumerate(vocab):
-            fh.write(f"{name}\t{float(values[k])!r}\t{c.provenance}\n")

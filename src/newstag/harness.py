@@ -27,13 +27,7 @@ from .credibility import (
     score_news,
     symmetric_normalize,
 )
-from .graph import (
-    ALL_RELATIONS_TRUNCATED,
-    RelationMatrix,
-    all_relations_truncated,
-    build_direct_graph,
-    normalize,
-)
+from .graph import all_relations_truncated, build_direct_graph, normalize
 
 logger = logging.getLogger(__name__)
 
@@ -198,27 +192,17 @@ class PipelineOperators:
     """Split-independent artifacts shared across repetitions.
 
     ``corpus`` is the working corpus: the input cut at the config's time
-    horizon, if any.  Splits, ``c0`` and scores read it.  ``X`` is the
-    propagation operator, a dense q x q array when that is no larger
-    than its CSR form, else CSR.
+    horizon, if any.  Splits, ``c0`` and scores read it, and its
+    vocabulary indexes ``X``.  ``X`` is the propagation operator, a
+    dense q x q array when that is no larger than its CSR form, else
+    CSR.  ``closure_trace`` is the closure's accumulation trace (empty
+    when no closure is built).
     """
 
     corpus: Corpus
-    vocab: tuple[str, ...]
-    relation: RelationMatrix
     X: sp.csr_matrix | np.ndarray
-    degrees: np.ndarray
+    closure_trace: tuple[float, ...]
     per_post: bool
-
-
-def _zero_relation(vocab: tuple[str, ...]) -> RelationMatrix:
-    q = len(vocab)
-    return RelationMatrix(
-        kind=ALL_RELATIONS_TRUNCATED,
-        values=sp.csr_matrix((q, q), dtype=np.float64),
-        vocab=vocab,
-        k1=0,
-    )
 
 
 def build_pipeline(corpus: Corpus, config: ExperimentConfig) -> PipelineOperators:
@@ -226,35 +210,35 @@ def build_pipeline(corpus: Corpus, config: ExperimentConfig) -> PipelineOperator
 
     The optional time horizon filters the whole corpus (train and test
     alike) before graph construction.  An edgeless graph (or an empty
-    vocabulary) falls back to an all-zero relation matrix: propagation
-    then anchors every hashtag at (1 - mu) * c0, and hashtag-free
-    corpora stay predictable.
+    vocabulary) gets an all-zero operator: propagation then anchors
+    every hashtag at (1 - mu) * c0, and hashtag-free corpora stay
+    predictable.
 
     The operator is kept as a dense array whenever that takes no more
     bytes than its CSR form, as the closure of a connected graph does:
     each propagation step is then one BLAS matrix-vector product
-    instead of a walk over CSR indices.
+    instead of a walk over CSR indices.  The relation it is built from
+    is released first; only the closure's trace is kept.
     """
     if config.time_horizon_hours is not None:
         corpus = filter_by_time(corpus, config.time_horizon_hours)
     weighted = config.method != METHOD_UNWEIGHTED
     per_post = config.method != METHOD_UNWEIGHTED
     graph = build_direct_graph(corpus, weighted=weighted)
-    if graph.n_edges == 0:
-        relation = _zero_relation(graph.vocab)
-    else:
-        N = normalize(graph)
-        if config.method == METHOD_NO_INDIRECT:
-            relation = N
-        else:
-            relation = all_relations_truncated(N, config.k1)
-    X, degrees = symmetric_normalize(relation)
     q = len(graph.vocab)
-    if q * q * X.dtype.itemsize <= X.data.nbytes + X.indices.nbytes + X.indptr.nbytes:
-        X = X.toarray()
-    return PipelineOperators(
-        corpus=corpus, vocab=graph.vocab, relation=relation, X=X, degrees=degrees, per_post=per_post
-    )
+    closure_trace: tuple[float, ...] = ()
+    if graph.n_edges == 0:
+        X = sp.csr_matrix((q, q))
+    else:
+        relation = normalize(graph)
+        if config.method != METHOD_NO_INDIRECT:
+            relation = all_relations_truncated(relation, config.k1)
+            closure_trace = relation.trace
+        X, _ = symmetric_normalize(relation)
+        del relation
+        if q * q * X.dtype.itemsize <= X.data.nbytes + X.indices.nbytes + X.indptr.nbytes:
+            X = X.toarray()
+    return PipelineOperators(corpus=corpus, X=X, closure_trace=closure_trace, per_post=per_post)
 
 
 def propagate(ops: PipelineOperators, c0: CredibilityVector, config: ExperimentConfig) -> CredibilityVector:
@@ -288,7 +272,7 @@ def _run_single(
     targets: tuple[str, ...],
 ) -> dict[str, tuple[int, float]]:
     """Train on ``train``, return {news_id: (predicted_label, score)} for targets."""
-    c0 = init_credibility(ops.corpus, train, ops.vocab, per_post=ops.per_post)
+    c0 = init_credibility(ops.corpus, train, ops.corpus.vocabulary, per_post=ops.per_post)
     c_hat = propagate(ops, c0, config)
     scores = score_news(ops.corpus, targets, c_hat, per_post=ops.per_post)
     return {news_id: (1 if s > 0.0 else -1, s) for news_id, s in scores.items()}

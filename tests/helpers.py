@@ -112,6 +112,12 @@ def as_dense(X) -> np.ndarray:
     return X.toarray() if sp.issparse(X) else np.asarray(X)
 
 
+def closed_form_oracle(X, c0, mu: float) -> np.ndarray:
+    """Closed-form propagation oracle: a dense solve of (I - mu*X) c = (1 - mu) c0."""
+    dense = as_dense(X)
+    return np.linalg.solve(np.eye(dense.shape[0]) - mu * dense, (1.0 - mu) * np.asarray(c0, dtype=float))
+
+
 def spectral_radius_dense(dense: np.ndarray) -> float:
     """Dense eigensolve oracle for symmetric matrices."""
     if dense.size == 0:

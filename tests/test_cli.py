@@ -307,7 +307,8 @@ def test_run_closed_form_labels_do_not_depend_on_operator_storage(workdir, monke
     assert run("csr") == dense
 
 
-def test_run_bytes_do_not_depend_on_blas_thread_count(tmp_path):
+@pytest.mark.parametrize("mode", ["iterative", "closed_form"])
+def test_run_bytes_do_not_depend_on_blas_thread_count(tmp_path, mode):
     from newstag._threads import _BLAS_VARS
     from newstag.corpus import parse_corpus
     from newstag.harness import ExperimentConfig, build_pipeline
@@ -324,7 +325,8 @@ def test_run_bytes_do_not_depend_on_blas_thread_count(tmp_path):
         env["NEWSTAG_THREADS"] = threads
         out, predictions = tmp_path / f"run-{threads}.json", tmp_path / f"pred-{threads}.csv"
         result = run_cli(
-            "run", "--input", str(corpus), "--out", str(out), "--predictions-out", str(predictions), env=env
+            "run", "--input", str(corpus), "--mode", mode, "--out", str(out), "--predictions-out", str(predictions),
+            env=env,
         )
         assert result.returncode == 0, result.stderr
         outputs.append((out.read_bytes(), predictions.read_bytes()))

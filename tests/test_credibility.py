@@ -3,9 +3,7 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import MatrixRankWarning
 
-import newstag.credibility
 from newstag.credibility import (
     CredibilityVector,
     PROVENANCE_INITIAL,
@@ -30,7 +28,13 @@ from newstag.graph import (
     normalize,
 )
 
-from helpers import cost_oracle, random_graph_matrix, spectral_radius_dense, untimed_corpus
+from helpers import (
+    closed_form_oracle,
+    cost_oracle,
+    random_graph_matrix,
+    spectral_radius_dense,
+    untimed_corpus,
+)
 
 
 def two_node_matrix(weight=1.0) -> RelationMatrix:
@@ -315,25 +319,35 @@ def test_dense_and_csr_operators_propagate_alike():
         assert np.max(np.abs(propagate_closed_form(dense, c0, 0.4).values - closed_sparse)) <= 1e-12
 
 
-def test_closed_form_solves_dense_operator_above_sparse_cut_over(monkeypatch):
-    _, X, _, c0 = random_problem(3)
-    expected = propagate_closed_form(X, c0, 0.4).values
-    monkeypatch.setattr(newstag.credibility, "CLOSED_FORM_DENSE_MAX_Q", 2)
-    assert np.max(np.abs(propagate_closed_form(X.toarray(), c0, 0.4).values - expected)) <= 1e-12
+@pytest.mark.parametrize("mu", [0.01, 0.1, 0.5, 0.9, 0.99])
+def test_closed_form_matches_dense_solve_oracle(mu):
+    rng = np.random.default_rng(int(mu * 1000))
+    operators = [X for _, X, _, _ in map(random_problem, range(8))]
+    for N in (cycle_relation(9), cycle_relation(14)):
+        for W in (N, all_relations_truncated(N, 10)):
+            X, _ = symmetric_normalize(W)
+            assert spectral_radius_dense(X.toarray()) == pytest.approx(1.0, abs=1e-12)
+            operators.append(X)
+    operators.append(sp.csr_matrix((0, 0)))
+    for X in operators:
+        q = X.shape[0]
+        for values in (rng.uniform(-1.0, 1.0, size=q), np.zeros(q)):
+            c0 = CredibilityVector(values=values, provenance=PROVENANCE_INITIAL)
+            oracle = closed_form_oracle(X, values, mu)
+            for stored in (X, X.toarray()):
+                got = propagate_closed_form(stored, c0, mu)
+                assert got.values.shape == (q,)
+                assert got.provenance == PROVENANCE_PROPAGATED and got.mu == mu
+                assert np.max(np.abs(got.values - oracle), initial=0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
-def test_closed_form_singular_system_raises(monkeypatch, dense):
+def test_closed_form_singular_system_raises(dense):
     # mu * X has eigenvalue 1, so I - mu*X is singular
     X = sp.csr_matrix(np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     c0 = CredibilityVector(values=np.array([1.0, 0.5, -0.2]), provenance=PROVENANCE_INITIAL)
-    if dense:
-        with pytest.raises(PropagationError, match="solve failed"):
-            propagate_closed_form(X, c0, 0.5)
-    else:
-        monkeypatch.setattr(newstag.credibility, "CLOSED_FORM_DENSE_MAX_Q", 2)
-        with pytest.warns(MatrixRankWarning), pytest.raises(PropagationError, match="non-finite"):
-            propagate_closed_form(X, c0, 0.5)
+    with pytest.raises(PropagationError):
+        propagate_closed_form(X.toarray() if dense else X, c0, 0.5)
 
 
 def test_propagation_config_validation():

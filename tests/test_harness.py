@@ -27,6 +27,24 @@ from newstag.synth import SyntheticParams, generate_synthetic
 
 from helpers import as_dense, brute_force_f1, dense_pipeline_oracle, timed_news, untimed_corpus
 from newstag.corpus import Corpus, filter_by_time
+from newstag.graph import (
+    NORMALIZED_DIRECT,
+    RelationMatrix,
+    all_relations_truncated,
+    build_direct_graph,
+    normalize,
+)
+
+
+def relation_of(corpus: Corpus, method: str, k1: int = 10) -> RelationMatrix:
+    """The relation ``build_pipeline`` derives its operator from, rebuilt
+    here (all zeros for an edgeless graph)."""
+    graph = build_direct_graph(corpus, weighted=method != METHOD_UNWEIGHTED)
+    if graph.n_edges == 0:
+        q = len(graph.vocab)
+        return RelationMatrix(kind=NORMALIZED_DIRECT, values=sp.csr_matrix((q, q)), vocab=graph.vocab)
+    N = normalize(graph)
+    return N if method == METHOD_NO_INDIRECT else all_relations_truncated(N, k1)
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -136,8 +154,12 @@ def test_methods_differ_in_their_operators():
     direct = build_pipeline(corpus, small_config(method=METHOD_NO_INDIRECT))
     unweighted = build_pipeline(corpus, small_config(method=METHOD_UNWEIGHTED))
     assert newstag.per_post and direct.per_post and not unweighted.per_post
-    assert newstag.relation.values.nnz >= direct.relation.values.nnz
-    assert direct.relation.kind == "normalized_direct"
+    closure, N = relation_of(corpus, METHOD_NEWSTAG), relation_of(corpus, METHOD_NO_INDIRECT)
+    assert closure.values.nnz >= N.values.nnz
+    assert N.kind == "normalized_direct"
+    assert newstag.closure_trace == closure.trace != () and direct.closure_trace == ()
+    assert np.array_equal(as_dense(newstag.X), symmetric_normalize(closure)[0].toarray())
+    assert np.array_equal(as_dense(direct.X), symmetric_normalize(N)[0].toarray())
 
 
 def test_closed_form_mode_matches_iterative_labels():
@@ -181,7 +203,9 @@ def test_post_replication_leaves_predictions_unchanged():
     )
     ops_a = build_pipeline(corpus, small_config())
     ops_b = build_pipeline(replicated, small_config())
-    assert np.array_equal(ops_a.relation.values.toarray(), ops_b.relation.values.toarray())
+    relation_a, relation_b = relation_of(corpus, METHOD_NEWSTAG), relation_of(replicated, METHOD_NEWSTAG)
+    assert np.array_equal(relation_a.values.toarray(), relation_b.values.toarray())
+    assert np.array_equal(as_dense(ops_a.X), as_dense(ops_b.X))
     # c0 and per-post scores scale by 3 but every sign (hence label) holds
     a = run_experiment(corpus, small_config(repetitions=2), collect_predictions=True)
     b = run_experiment(replicated, small_config(repetitions=2), collect_predictions=True)
@@ -283,7 +307,7 @@ def test_build_pipeline_applies_time_horizon():
     ops = build_pipeline(corpus, small_config(time_horizon_hours=6.0))
     plain = build_pipeline(cut, small_config())
     assert ops.corpus.news == cut.news
-    assert ops.vocab == cut.vocabulary != corpus.vocabulary
+    assert ops.corpus.vocabulary == cut.vocabulary != corpus.vocabulary
     assert np.array_equal(as_dense(ops.X), as_dense(plain.X))
     assert build_pipeline(corpus, small_config()).corpus is corpus
 
@@ -300,9 +324,9 @@ def test_operator_is_dense_exactly_when_no_larger_than_csr():
     ]
     for case_corpus, method, kind in cases:
         ops = build_pipeline(case_corpus, small_config(method=method))
-        csr, _ = symmetric_normalize(ops.relation)
+        csr, _ = symmetric_normalize(relation_of(case_corpus, method))
         assert type(ops.X) is kind, method
-        q = len(ops.vocab)
+        q = len(ops.corpus.vocabulary)
         assert (kind is np.ndarray) == (8 * q * q <= csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
         assert np.array_equal(as_dense(ops.X), csr.toarray())
 
