@@ -4,6 +4,7 @@ and convergence traces for both accumulation loops."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,8 +107,8 @@ def popularity_analysis(corpus: Corpus, checkpoints_hours) -> PopularityReport:
     per class and checkpoint.
     """
     checkpoints = tuple(sorted(float(c) for c in checkpoints_hours))
-    if not checkpoints or checkpoints[0] <= 0:
-        raise ValueError("checkpoints must be positive hours")
+    if not checkpoints or not all(0 < c < math.inf for c in checkpoints):
+        raise ValueError("checkpoints must be positive finite hours")
     per_news: list[dict] = []
     excluded = 0
     dropped_posts = 0
@@ -176,11 +177,11 @@ def case_study(corpus: Corpus, config: ExperimentConfig, watchlist) -> tuple[Cas
     corpus = ops.corpus
     index = corpus.vocab_index
 
-    raw_star = init_credibility(corpus, corpus.labeled_ids(), corpus.vocabulary, per_post=ops.per_post)
+    raw_star = init_credibility(corpus, np.flatnonzero(corpus.occurrences.labels), per_post=ops.per_post)
     c_star = CredibilityVector(values=raw_star.values, provenance=PROVENANCE_ALL_DATA)
 
     train, _, _ = _split_with_retries(corpus, config.train_fraction, config.seed)
-    c0 = init_credibility(corpus, train, corpus.vocabulary, per_post=ops.per_post)
+    c0 = init_credibility(corpus, train, per_post=ops.per_post)
     c_hat = rescale_credibility(propagate(ops, c0, config))
 
     rows = []
@@ -223,7 +224,7 @@ def convergence_trace(corpus: Corpus, config: ExperimentConfig) -> ConvergenceTr
     config.validate()
     ops = build_pipeline(corpus, config)
     train, _, _ = _split_with_retries(ops.corpus, config.train_fraction, config.seed)
-    c0 = init_credibility(ops.corpus, train, ops.corpus.vocabulary, per_post=ops.per_post)
+    c0 = init_credibility(ops.corpus, train, per_post=ops.per_post)
     _, residuals = propagate_iterative(ops.X, c0, config.mu, config.propagation)
     return ConvergenceTrace(
         closure_residuals=ops.closure_trace,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +48,10 @@ class Opt:
     required: bool = False
     choices: tuple | None = None
 
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
 
 def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -61,12 +66,11 @@ _CLI_TYPES = {"str": str, "int": int, "float": float, "floats": str, "strs": str
 
 def _add_opts(parser: argparse.ArgumentParser, opts: list[Opt]) -> None:
     for opt in opts:
-        flag = "--" + opt.name.replace("_", "-")
         if opt.kind == "bool":
-            parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=None, help=opt.help)
+            parser.add_argument(opt.flag, action=argparse.BooleanOptionalAction, default=None, help=opt.help)
         else:
             parser.add_argument(
-                flag,
+                opt.flag,
                 type=_CLI_TYPES[opt.kind],
                 default=None,
                 choices=opt.choices if opt.kind in ("str", "int") else None,
@@ -78,8 +82,14 @@ def _coerce(opt: Opt, value):
     """Normalize a value from CLI text, an echo file, or a params file."""
     if value is None:
         return None
-    if opt.kind == "floats":
-        return _parse_float_list(value) if isinstance(value, str) else [float(v) for v in value]
+    if opt.kind in ("float", "floats"):
+        if opt.kind == "float":
+            numbers = [float(value)]
+        else:
+            numbers = _parse_float_list(value) if isinstance(value, str) else [float(v) for v in value]
+        if not all(map(math.isfinite, numbers)):
+            raise CliUsageError(f"{opt.flag} must be finite, got {value!r}")
+        return numbers[0] if opt.kind == "float" else numbers
     if opt.kind == "strs":
         return _parse_str_list(value) if isinstance(value, str) else [str(v) for v in value]
     if opt.kind == "bool":
@@ -88,8 +98,6 @@ def _coerce(opt: Opt, value):
         return bool(value)
     if opt.kind == "int":
         return int(value)
-    if opt.kind == "float":
-        return float(value)
     return value
 
 
@@ -107,7 +115,7 @@ def _resolve(args: argparse.Namespace, opts: list[Opt], extra_sources: list[dict
         if value is None:
             value = opt.default
         if value is None and opt.required:
-            raise CliUsageError(f"missing required option --{opt.name.replace('_', '-')}")
+            raise CliUsageError(f"missing required option {opt.flag}")
         effective[opt.name] = value
     return effective
 
@@ -473,6 +481,7 @@ def _cmd_ablate(eff: dict) -> int:
 
 def _cmd_analyze(eff: dict) -> int:
     from .analysis import case_study, convergence_trace, popularity_analysis, purity_analysis
+    from .corpus import filter_by_time
     from .reports import (
         write_case_study_csv,
         write_convergence_csv,
@@ -482,6 +491,9 @@ def _cmd_analyze(eff: dict) -> int:
 
     corpus = _read_corpus(eff["input"])
     kind = eff["kind"]
+    if kind in ("purity", "popularity") and eff["horizon_hours"] is not None:
+        # convergence and case-study cut the corpus in build_pipeline
+        corpus = filter_by_time(corpus, eff["horizon_hours"])
     if kind == "purity":
         write_purity_csv(purity_analysis(corpus), eff["out"])
     elif kind == "popularity":
@@ -522,14 +534,15 @@ def _cmd_export(eff: dict) -> int:
 
     credibility = None
     if eff["color_by"] == "c_star":
-        if corpus is None or not corpus.labeled_ids():
+        if corpus is None or not corpus.occurrences.labels.any():
             raise CliUsageError(
                 "coloring by all-data credibility needs a labeled --input corpus; "
                 "use --color-by none otherwise"
             )
         if corpus.vocabulary != matrix.vocab:
             raise CliUsageError("corpus vocabulary does not match the cached matrix")
-        raw = init_credibility(corpus, corpus.labeled_ids(), matrix.vocab, per_post=True)
+        labeled = corpus.occurrences.labels.nonzero()[0]
+        raw = init_credibility(corpus, labeled, per_post=True)
         credibility = CredibilityVector(values=raw.values, provenance=PROVENANCE_ALL_DATA)
 
     export_graph(

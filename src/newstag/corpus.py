@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import unicodedata
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -72,7 +73,9 @@ class Occurrences:
     Occurrences are in stream order: news in corpus order, posts in news
     order, hashtags in post order.  The co-occurrence graph, the initial
     credibility, news scores and purity are all reductions over these
-    arrays.
+    arrays.  A news row is the item's position in ``Corpus.news``; the
+    experiment path addresses news by row, and splits draw from
+    ``labels``.
     """
 
     news: np.ndarray  # int64 news row per occurrence
@@ -80,7 +83,7 @@ class Occurrences:
     tag: np.ndarray  # int64 vocabulary index per occurrence
     n_posts: int
     labels: np.ndarray  # int64 per news row: -1 fake, +1 true, 0 unlabeled
-    row: dict[str, int]  # news id -> news row
+    post_count: np.ndarray  # int64 number of posts per news row
 
     @cached_property
     def distinct(self) -> tuple[np.ndarray, np.ndarray]:
@@ -121,10 +124,6 @@ class Corpus:
         return cls(news=items, vocabulary=tuple(seen))
 
     @cached_property
-    def news_by_id(self) -> dict[str, NewsItem]:
-        return {item.id: item for item in self.news}
-
-    @cached_property
     def vocab_index(self) -> dict[str, int]:
         return {h: k for k, h in enumerate(self.vocabulary)}
 
@@ -134,18 +133,15 @@ class Corpus:
         index = self.vocab_index
         posts = [post for item in self.news for post in item.posts]
         post = np.repeat(np.arange(len(posts)), [len(p.hashtags) for p in posts])
-        post_news = np.repeat(np.arange(len(self.news)), [len(item.posts) for item in self.news])
+        post_count = np.array([len(item.posts) for item in self.news], dtype=np.int64)
         return Occurrences(
-            news=post_news[post],
+            news=np.repeat(np.arange(len(self.news)), post_count)[post],
             post=post,
             tag=np.fromiter((index[h] for p in posts for h in p.hashtags), dtype=np.int64),
             n_posts=len(posts),
             labels=np.array([item.label or 0 for item in self.news], dtype=np.int64),
-            row={item.id: r for r, item in enumerate(self.news)},
+            post_count=post_count,
         )
-
-    def labeled_ids(self) -> tuple[str, ...]:
-        return tuple(item.id for item in self.news if item.label is not None)
 
     def __len__(self) -> int:
         return len(self.news)
@@ -339,8 +335,8 @@ def filter_by_time(corpus: Corpus, horizon_hours: float) -> Corpus:
     filtering.  Both counts are logged.  The vocabulary is recomputed
     from the retained posts.
     """
-    if horizon_hours <= 0:
-        raise ValueError(f"horizon_hours must be positive, got {horizon_hours}")
+    if not 0 < horizon_hours < math.inf:
+        raise ValueError(f"horizon_hours must be positive and finite, got {horizon_hours}")
     horizon = timedelta(hours=horizon_hours)
     exempt = 0
     dropped_untimed = 0
@@ -367,27 +363,32 @@ def filter_by_time(corpus: Corpus, horizon_hours: float) -> Corpus:
     return Corpus.from_news(filtered)
 
 
-def split_corpus(
-    corpus: Corpus, train_fraction: float, seed: int
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Randomly partition labeled news ids into train and test sides.
+def draw_rows(rows: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` of ``rows`` drawn by ``default_rng(seed).permutation``, and the rest.
 
-    Exactly ``floor(train_fraction * n_labeled)`` ids go to train; the
-    rest, plus every unlabeled news item, go to the test/predict side.
-    Deterministic for a fixed seed.  Returned ids keep corpus order.
+    Both keep the order of ``rows``.
+    """
+    drawn = np.zeros(len(rows), dtype=bool)
+    drawn[np.random.default_rng(seed).permutation(len(rows))[:n]] = True
+    return rows[drawn], rows[~drawn]
+
+
+def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Randomly partition the labeled news rows into train and test sides.
+
+    Exactly ``floor(train_fraction * n_labeled)`` labeled rows go to
+    train; the rest, plus every unlabeled row, go to the test/predict
+    side.  Deterministic for a fixed seed.  Both sides are sorted int64
+    rows of the corpus's occurrence table.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0,1), got {train_fraction}")
-    labeled = corpus.labeled_ids()
+    labels = corpus.occurrences.labels
+    labeled = np.flatnonzero(labels)
     if len(labeled) < 2:
         raise CorpusError("split requires at least 2 labeled news items")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(labeled))
-    n_train = int(len(labeled) * train_fraction)
-    train_set = {labeled[i] for i in order[:n_train]}
-    train = tuple(i for i in labeled if i in train_set)
-    test = tuple(item.id for item in corpus.news if item.id not in train_set)
-    return train, test
+    train, _ = draw_rows(labeled, int(len(labeled) * train_fraction), seed)
+    return train, np.setdiff1d(np.arange(len(labels)), train)
 
 
 def corpus_stats(corpus: Corpus, clock_skew: timedelta = timedelta(0)) -> dict:

@@ -61,8 +61,8 @@ class PropagationConfig:
     def validate(self) -> None:
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.tolerance < 0:
-            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
+        if not 0.0 <= self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
         if self.mode not in (MODE_ITERATIVE, MODE_CLOSED_FORM):
             raise ValueError(f"unknown propagation mode {self.mode!r}")
 
@@ -76,32 +76,27 @@ def _values(c) -> np.ndarray:
     return np.asarray(c.values if isinstance(c, CredibilityVector) else c, dtype=np.float64)
 
 
-def init_credibility(
-    corpus: Corpus,
-    train_ids,
-    vocab: tuple[str, ...],
-    per_post: bool = True,
-) -> CredibilityVector:
+def init_credibility(corpus: Corpus, train_rows, per_post: bool = True) -> CredibilityVector:
     """Weighted average training label per hashtag (0 when unseen).
 
-    With ``per_post`` each post of a training news votes once per
-    hashtag it carries, so popular news weighs more; without it each
-    news votes once per distinct hashtag (the unweighted variant's
-    simplified form).  Every entry lies in [-1, 1] by construction.
-    ``vocab`` must be the corpus vocabulary; unknown train ids raise
-    KeyError.
+    ``train_rows`` are news rows of the corpus's occurrence table.  With
+    ``per_post`` each post of a training news votes once per hashtag it
+    carries, so popular news weighs more; without it each news votes
+    once per distinct hashtag (the unweighted variant's simplified
+    form).  Every entry lies in [-1, 1] by construction.  An unlabeled
+    train row raises ValueError.
     """
-    if tuple(vocab) != corpus.vocabulary:
-        raise ValueError("vocab must equal the corpus vocabulary")
     occ = corpus.occurrences
-    rows = np.array([occ.row[news_id] for news_id in train_ids], dtype=np.int64)
+    rows = np.asarray(train_rows, dtype=np.int64)
     unlabeled = rows[occ.labels[rows] == 0]
     if unlabeled.size:
-        raise ValueError(f"train id {corpus.news[unlabeled[0]].id!r} is unlabeled")
+        row = unlabeled[0]
+        raise ValueError(f"train row {row} (news {corpus.news[row].id!r}) is unlabeled")
+    q = len(corpus.vocabulary)
     votes = np.bincount(rows, minlength=len(corpus.news))  # per news row
     news, tag = (occ.news, occ.tag) if per_post else occ.distinct
-    num = np.bincount(tag, weights=(occ.labels * votes)[news], minlength=len(vocab))
-    den = np.bincount(tag, weights=votes[news], minlength=len(vocab))
+    num = np.bincount(tag, weights=(occ.labels * votes)[news], minlength=q)
+    den = np.bincount(tag, weights=votes[news], minlength=q)
     values = np.where(den > 0, num / np.maximum(den, 1), 0.0)
     return CredibilityVector(values=values, provenance=PROVENANCE_INITIAL)
 
@@ -235,17 +230,12 @@ def cost_evaluate(W: RelationMatrix, D: np.ndarray, c, c0, mu: float) -> float:
     return mu * smooth + (1.0 - mu) * anchor
 
 
-def score_news(
-    corpus: Corpus,
-    target_ids,
-    c_hat: CredibilityVector,
-    per_post: bool = True,
-) -> dict[str, float]:
-    """Sum propagated hashtag credibility over each news item's posts.
+def score_news(corpus: Corpus, c_hat: CredibilityVector, per_post: bool = True) -> np.ndarray:
+    """Sum propagated hashtag credibility over each news row's posts.
 
-    With ``per_post`` a hashtag contributes once per post carrying it;
-    otherwise once per news item.  Each sum runs in stream order.
-    Unknown news ids raise KeyError.
+    Returns one score per news row.  With ``per_post`` a hashtag
+    contributes once per post carrying it; otherwise once per news
+    item.  Each sum runs in stream order.
     """
     values = _values(c_hat)
     if values.shape[0] != len(corpus.vocabulary):
@@ -255,23 +245,16 @@ def score_news(
         )
     occ = corpus.occurrences
     news, tag = (occ.news, occ.tag) if per_post else occ.distinct
-    totals = np.bincount(news, weights=values[tag], minlength=len(corpus.news))
-    return {news_id: float(totals[occ.row[news_id]]) for news_id in target_ids}
+    return np.bincount(news, weights=values[tag], minlength=len(corpus.news))
 
 
-def predict(
-    corpus: Corpus,
-    target_ids,
-    c_hat: CredibilityVector,
-    per_post: bool = True,
-) -> dict[str, int]:
-    """Sign rule over the credibility score: +1 if positive, else -1.
+def predict(corpus: Corpus, c_hat: CredibilityVector, per_post: bool = True) -> np.ndarray:
+    """Sign rule over each news row's score: +1 if positive, else -1.
 
     A score of exactly zero (e.g. a hashtag-free news item) predicts
     fake: the tie goes to the "otherwise" branch.
     """
-    scores = score_news(corpus, target_ids, c_hat, per_post=per_post)
-    return {news_id: (1 if s > 0.0 else -1) for news_id, s in scores.items()}
+    return np.where(score_news(corpus, c_hat, per_post=per_post) > 0.0, 1, -1)
 
 
 def rescale_credibility(c_hat: CredibilityVector) -> CredibilityVector:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, filter_by_time, split_corpus
+from .corpus import Corpus, draw_rows, filter_by_time, split_corpus
 from .credibility import (
     CredibilityVector,
     PropagationConfig,
@@ -66,8 +66,8 @@ class ExperimentConfig:
             raise ValueError(f"k1 must be >= 1, got {self.k1}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0,1), got {self.train_fraction}")
-        if self.time_horizon_hours is not None and self.time_horizon_hours <= 0:
-            raise ValueError("time_horizon_hours must be positive")
+        if self.time_horizon_hours is not None and not 0 < self.time_horizon_hours < math.inf:
+            raise ValueError("time_horizon_hours must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.repetitions < 1:
@@ -250,14 +250,13 @@ def propagate(ops: PipelineOperators, c0: CredibilityVector, config: ExperimentC
 
 def _split_with_retries(
     corpus: Corpus, train_fraction: float, seed: int
-) -> tuple[tuple[str, ...], tuple[str, ...], int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Seeded split, resampled until train has labels and test has both classes."""
-    by_id = corpus.news_by_id
+    labels = corpus.occurrences.labels
     for attempt in range(MAX_SPLIT_ATTEMPTS):
         split_seed = seed + _RESAMPLE_STRIDE * attempt
         train, test = split_corpus(corpus, train_fraction, split_seed)
-        test_labels = {by_id[i].label for i in test if by_id[i].label is not None}
-        if train and test_labels == {-1, 1}:
+        if train.size and -1 in labels[test] and 1 in labels[test]:
             return train, test, split_seed
     raise HarnessError(
         f"no usable split after {MAX_SPLIT_ATTEMPTS} attempts "
@@ -266,16 +265,13 @@ def _split_with_retries(
 
 
 def _run_single(
-    ops: PipelineOperators,
-    config: ExperimentConfig,
-    train: tuple[str, ...],
-    targets: tuple[str, ...],
-) -> dict[str, tuple[int, float]]:
-    """Train on ``train``, return {news_id: (predicted_label, score)} for targets."""
-    c0 = init_credibility(ops.corpus, train, ops.corpus.vocabulary, per_post=ops.per_post)
+    ops: PipelineOperators, config: ExperimentConfig, train: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train on the ``train`` rows; return the predicted label and score of every news row."""
+    c0 = init_credibility(ops.corpus, train, per_post=ops.per_post)
     c_hat = propagate(ops, c0, config)
-    scores = score_news(ops.corpus, targets, c_hat, per_post=ops.per_post)
-    return {news_id: (1 if s > 0.0 else -1, s) for news_id, s in scores.items()}
+    scores = score_news(ops.corpus, c_hat, per_post=ops.per_post)
+    return np.where(scores > 0.0, 1, -1), scores
 
 
 def run_experiment(
@@ -300,34 +296,37 @@ def _run_repetitions(
     ops: PipelineOperators, config: ExperimentConfig, collect_predictions: bool = False
 ) -> MetricsReport:
     """The repetitions of :func:`run_experiment` over built operators."""
-    working = ops.corpus
-    by_id = working.news_by_id
+    occ = ops.corpus.occurrences
 
     reps: list[RepetitionResult] = []
     total = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
     for rep in range(config.repetitions):
         train, test, split_seed = _split_with_retries(
-            working, config.train_fraction, config.seed ^ rep
+            ops.corpus, config.train_fraction, config.seed ^ rep
         )
-        outcome = _run_single(ops, config, train, test)
-        labeled_test = [i for i in test if by_id[i].label is not None]
-        preds = [outcome[i][0] for i in labeled_test]
-        truths = [by_id[i].label for i in labeled_test]
+        predicted, scores = _run_single(ops, config, train)
+        labeled_test = test[occ.labels[test] != 0]
+        preds = predicted[labeled_test].tolist()
+        truths = occ.labels[labeled_test].tolist()
         macro, micro = compute_f1(preds, truths)
         conf = confusion_counts(preds, truths)
         for key in total:
             total[key] += conf[key]
+        predictions = None
+        if collect_predictions:
+            ids = (ops.corpus.news[r].id for r in test.tolist())
+            predictions = dict(zip(ids, zip(predicted[test].tolist(), scores[test].tolist())))
         reps.append(
             RepetitionResult(
                 repetition=rep,
                 split_seed=split_seed,
                 n_train=len(train),
                 n_test_labeled=len(labeled_test),
-                n_test_empty=sum(1 for i in test if not by_id[i].posts),
+                n_test_empty=int(np.count_nonzero(occ.post_count[test] == 0)),
                 macro_f1=macro,
                 micro_f1=micro,
                 confusion=conf,
-                predictions=outcome if collect_predictions else None,
+                predictions=predictions,
             )
         )
 
@@ -384,23 +383,17 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
 
     # Pipeline operators do not depend on mu; build them once.
     ops = build_pipeline(corpus, config)
-    working = ops.corpus
-    by_id = working.news_by_id
+    labels = ops.corpus.occurrences.labels
 
     # Inner splits are shared across grid values so scores are comparable.
-    folds: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
+    folds: list[tuple[np.ndarray, np.ndarray]] = []
     for rep in range(config.repetitions):
         train, _, split_seed = _split_with_retries(
-            working, config.train_fraction, config.seed ^ rep
+            ops.corpus, config.train_fraction, config.seed ^ rep
         )
         if len(train) < 2:
             raise HarnessError("training side too small for an inner validation split")
-        rng = np.random.default_rng(split_seed + 104729)
-        order = rng.permutation(len(train))
-        n_val = max(1, int(0.1 * len(train)))
-        val_set = {train[i] for i in order[:n_val]}
-        inner_train = tuple(i for i in train if i not in val_set)
-        val = tuple(i for i in train if i in val_set)
+        val, inner_train = draw_rows(train, max(1, int(0.1 * len(train))), split_seed + 104729)
         folds.append((inner_train, val))
 
     rows = []
@@ -410,10 +403,8 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
         candidate = replace(config, mu=mu)
         macros, micros = [], []
         for inner_train, val in folds:
-            outcome = _run_single(ops, candidate, inner_train, val)
-            preds = [outcome[i][0] for i in val]
-            truths = [by_id[i].label for i in val]
-            macro, micro = compute_f1(preds, truths)
+            predicted, _ = _run_single(ops, candidate, inner_train)
+            macro, micro = compute_f1(predicted[val].tolist(), labels[val].tolist())
             macros.append(macro)
             micros.append(micro)
         row = {

@@ -166,7 +166,7 @@ def brute_force_f1(predictions, truths) -> tuple[float, float]:
 
 def dense_pipeline_oracle(
     corpus: Corpus,
-    train_ids,
+    train_rows,
     mu: float,
     k1: int,
     max_iterations: int = 100,
@@ -204,7 +204,7 @@ def dense_pipeline_oracle(
     inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
     X = np.outer(inv_sqrt, inv_sqrt) * relation
 
-    c0 = c0_oracle(corpus, train_ids, per_post)
+    c0 = c0_oracle(corpus, train_rows, per_post)
     c = c0.copy()
     for _ in range(max_iterations):
         c_next = mu * (X @ c) + (1 - mu) * c0
@@ -222,13 +222,13 @@ def _news_tags(item, per_post: bool) -> list[str]:
     return tags if per_post else list(dict.fromkeys(tags))
 
 
-def c0_oracle(corpus: Corpus, train_ids, per_post: bool = True) -> np.ndarray:
+def c0_oracle(corpus: Corpus, train_rows, per_post: bool = True) -> np.ndarray:
     """Initial-credibility oracle: average training label per hashtag, by loops."""
     index = {h: k for k, h in enumerate(corpus.vocabulary)}
     num = np.zeros(len(index))
     den = np.zeros(len(index))
-    for news_id in train_ids:
-        item = corpus.news_by_id[news_id]
+    for row in train_rows:
+        item = corpus.news[row]
         for h in _news_tags(item, per_post):
             num[index[h]] += item.label
             den[index[h]] += 1

@@ -189,7 +189,7 @@ def test_criterion_06_structural_invariants():
         )
         train, _ = split_corpus(corpus, 0.8, seed=3)
         for per_post in (True, False):
-            c0 = init_credibility(corpus, train, corpus.vocabulary, per_post=per_post)
+            c0 = init_credibility(corpus, train, per_post=per_post)
             assert np.all(c0.values >= -1.0) and np.all(c0.values <= 1.0)
 
         # antisymmetry of propagation in c0 (<= 1e-12)
@@ -207,12 +207,11 @@ def test_criterion_06_structural_invariants():
             for i in range(15)
         ]
         corpus = untimed_corpus(spec)
-        ids = [i for i, _, _ in spec]
         values = rng.uniform(-1, 1, size=len(corpus.vocabulary))
-        base = predict(corpus, ids, CredibilityVector(values, "propagated"))
+        base = predict(corpus, CredibilityVector(values, "propagated"))
         for alpha in (0.5, 2.0, 4.0, 1024.0, 3.0, 0.1):
             scaled = CredibilityVector(values * alpha, "propagated")
-            assert predict(corpus, ids, scaled) == base
+            assert np.array_equal(predict(corpus, scaled), base)
 
         # spectral radius of X bounded by 1 (dense eigensolve, q <= 50)
         for seed in range(10):
@@ -301,13 +300,13 @@ def test_criterion_08_indirect_relation_benefit():
             assert acc_full > acc_direct
             assert acc_direct == 0.0
             # overall labeled-test accuracy is never hurt by the closure
-            by_id = corpus.news_by_id
-            labeled_test = [i for i in full.predictions if by_id[i].label is not None]
+            label_of = {item.id: item.label for item in corpus.news}
+            labeled_test = [i for i in full.predictions if label_of[i] is not None]
             overall_full = sum(
-                full.predictions[i][0] == by_id[i].label for i in labeled_test
+                full.predictions[i][0] == label_of[i] for i in labeled_test
             )
             overall_direct = sum(
-                direct.predictions[i][0] == by_id[i].label for i in labeled_test
+                direct.predictions[i][0] == label_of[i] for i in labeled_test
             )
             assert overall_full >= overall_direct
 

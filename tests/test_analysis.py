@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from newstag.analysis import (
@@ -154,8 +155,8 @@ def test_all_data_credibility_differs_from_train_only():
             ("test_f", -1, [["zz", "a"]]),
         ]
     )
-    c_star = init_credibility(corpus, corpus.labeled_ids(), corpus.vocabulary)
-    c0 = init_credibility(corpus, ("train_f", "train_t"), corpus.vocabulary)
+    c_star = init_credibility(corpus, np.flatnonzero(corpus.occurrences.labels))
+    c0 = init_credibility(corpus, (0, 1))  # train_f, train_t
     k = corpus.vocab_index["zz"]
     assert c_star.values[k] == -1.0
     assert c0.values[k] == 0.0
@@ -207,7 +208,7 @@ def test_trace_no_indirect_propagates_over_direct_graph():
     assert trace.closure_residuals == ()
     X, _ = symmetric_normalize(normalize(build_direct_graph(corpus)))
     train, _, _ = _split_with_retries(corpus, 0.8, 3)
-    c0 = init_credibility(corpus, train, corpus.vocabulary)
+    c0 = init_credibility(corpus, train)
     _, expected = propagate_iterative(X, c0, 0.4, prop)
     assert trace.propagation_residuals == tuple(expected)
 

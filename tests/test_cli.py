@@ -402,7 +402,9 @@ def test_export_bad_matrix_entry_exits_2(workdir):
 @pytest.mark.parametrize("kind, extra", [
     ("convergence", []),
     ("case-study", ["--watchlist", "f0001,t0001,f0002,t0002,missing"]),
-], ids=["convergence", "case-study"])
+    ("purity", []),
+    ("popularity", []),
+], ids=["convergence", "case-study", "purity", "popularity"])
 def test_analyze_honours_horizon(workdir, kind, extra):
     from newstag.corpus import filter_by_time, parse_corpus, write_corpus
 
@@ -418,6 +420,26 @@ def test_analyze_honours_horizon(workdir, kind, extra):
         assert result.returncode == 0, result.stderr
     assert outs["flag"].read_bytes() == outs["cut"].read_bytes()
     assert outs["flag"].read_bytes() != outs["full"].read_bytes()
+
+
+@pytest.mark.parametrize("subcommand, flag, value", [
+    ("run", "--horizon-hours", "inf"),
+    ("run", "--horizon-hours", "nan"),
+    ("sweep-time", "--horizons", "inf"),
+    ("validate", "--clock-skew-hours", "nan"),
+    ("run", "--tolerance", "nan"),
+    ("run", "--tolerance", "inf"),
+    ("analyze", "--checkpoints", "nan,12"),
+    ("synth", "--post-window-hours", "inf"),
+])
+def test_non_finite_flag_exits_1(workdir, subcommand, flag, value):
+    inputs = [] if subcommand == "synth" else ["--input", str(workdir / "corpus.jsonl")]
+    kind = ["--kind", "popularity"] if subcommand == "analyze" else []
+    result = run_cli(subcommand, *inputs, *kind, flag, value, "--out", str(workdir / "non-finite.out"))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:") and flag in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert not (workdir / "non-finite.out").exists()
 
 
 def test_run_report_config_holds_mu_once(workdir):

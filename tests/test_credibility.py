@@ -62,7 +62,7 @@ def test_init_per_post_weighted_average():
     corpus = untimed_corpus(
         [("t", 1, [["h"], ["h"]]), ("f", -1, [["h"]])]
     )
-    c0 = init_credibility(corpus, ("t", "f"), corpus.vocabulary, per_post=True)
+    c0 = init_credibility(corpus, (0, 1), per_post=True)
     assert c0.values[0] == pytest.approx(1 / 3, abs=1e-15)
     assert c0.provenance == PROVENANCE_INITIAL
 
@@ -71,7 +71,7 @@ def test_init_per_news_indicator_form():
     corpus = untimed_corpus(
         [("t", 1, [["h"], ["h"]]), ("f", -1, [["h"]])]
     )
-    c0 = init_credibility(corpus, ("t", "f"), corpus.vocabulary, per_post=False)
+    c0 = init_credibility(corpus, (0, 1), per_post=False)
     assert c0.values[0] == 0.0
 
 
@@ -79,7 +79,7 @@ def test_init_unseen_hashtag_defaults_to_zero():
     corpus = untimed_corpus(
         [("t", 1, [["a"]]), ("u", None, [["b"]])]
     )
-    c0 = init_credibility(corpus, ("t",), corpus.vocabulary, per_post=True)
+    c0 = init_credibility(corpus, (0,), per_post=True)
     index = corpus.vocab_index
     assert c0.values[index["a"]] == 1.0
     assert c0.values[index["b"]] == 0.0
@@ -92,22 +92,16 @@ def test_init_values_always_in_unit_interval():
         posts = [[f"h{int(rng.integers(12))}" for _ in range(3)] for _ in range(4)]
         spec.append((f"n{i}", 1 if rng.random() < 0.5 else -1, posts))
     corpus = untimed_corpus(spec)
-    train = corpus.labeled_ids()[:20]
+    train = range(20)  # every news is labeled
     for per_post in (True, False):
-        c0 = init_credibility(corpus, train, corpus.vocabulary, per_post=per_post)
+        c0 = init_credibility(corpus, train, per_post=per_post)
         assert np.all(c0.values >= -1.0) and np.all(c0.values <= 1.0)
 
 
 def test_init_rejects_unlabeled_train_id():
     corpus = untimed_corpus([("t", 1, [["a"]]), ("u", None, [["a"]])])
     with pytest.raises(ValueError, match="unlabeled"):
-        init_credibility(corpus, ("u",), corpus.vocabulary)
-
-
-def test_init_rejects_vocab_other_than_corpus_vocabulary():
-    corpus = untimed_corpus([("t", 1, [["a", "b"]])])
-    with pytest.raises(ValueError, match="vocabulary"):
-        init_credibility(corpus, ("t",), ("b", "a"))
+        init_credibility(corpus, (1,))  # u
 
 
 # --- symmetric_normalize --------------------------------------------------------
@@ -425,24 +419,24 @@ def test_constant_vector_on_regular_graph_has_zero_smoothness():
 def test_predict_positive_sum():
     corpus = untimed_corpus([("n1", None, [["h1", "h2"]])])
     c_hat = CredibilityVector(values=np.array([0.5, 0.3]), provenance=PROVENANCE_PROPAGATED)
-    scores = score_news(corpus, ("n1",), c_hat)
-    assert scores["n1"] == pytest.approx(0.8)
-    assert predict(corpus, ("n1",), c_hat) == {"n1": 1}
+    scores = score_news(corpus, c_hat)
+    assert scores[0] == pytest.approx(0.8)
+    assert predict(corpus, c_hat).tolist() == [1]
 
 
 def test_predict_zero_score_is_fake():
     corpus = untimed_corpus([("n1", None, [])])
     c_hat = CredibilityVector(values=np.zeros(0), provenance=PROVENANCE_PROPAGATED)
-    assert predict(corpus, ("n1",), c_hat) == {"n1": -1}
+    assert predict(corpus, c_hat).tolist() == [-1]
 
 
 def test_predict_per_post_multiplicity():
     corpus = untimed_corpus([("n1", None, [["h"], ["h"], ["h"]])])
     c_hat = CredibilityVector(values=np.array([0.2]), provenance=PROVENANCE_PROPAGATED)
-    assert score_news(corpus, ("n1",), c_hat, per_post=True)["n1"] == pytest.approx(0.6)
-    assert score_news(corpus, ("n1",), c_hat, per_post=False)["n1"] == pytest.approx(0.2)
-    assert predict(corpus, ("n1",), c_hat, per_post=True)["n1"] == 1
-    assert predict(corpus, ("n1",), c_hat, per_post=False)["n1"] == 1
+    assert score_news(corpus, c_hat, per_post=True)[0] == pytest.approx(0.6)
+    assert score_news(corpus, c_hat, per_post=False)[0] == pytest.approx(0.2)
+    assert predict(corpus, c_hat, per_post=True)[0] == 1
+    assert predict(corpus, c_hat, per_post=False)[0] == 1
 
 
 def test_predict_invariant_under_positive_scaling():
@@ -453,16 +447,16 @@ def test_predict_invariant_under_positive_scaling():
     ]
     corpus = untimed_corpus(spec)
     values = rng.uniform(-1, 1, size=len(corpus.vocabulary))
-    base = predict(corpus, [i for i, _, _ in spec], CredibilityVector(values, "propagated"))
+    base = predict(corpus, CredibilityVector(values, "propagated"))
     for alpha in (0.5, 2.0, 1024.0, 3.0, 0.1):
         scaled = CredibilityVector(values * alpha, "propagated")
-        assert predict(corpus, [i for i, _, _ in spec], scaled) == base
+        assert np.array_equal(predict(corpus, scaled), base)
 
 
 def test_predict_length_mismatch_rejected():
     corpus = untimed_corpus([("n1", None, [["a", "b"]])])
     with pytest.raises(ValueError, match="vocabulary"):
-        predict(corpus, ("n1",), CredibilityVector(np.zeros(5), "propagated"))
+        predict(corpus, CredibilityVector(np.zeros(5), "propagated"))
 
 
 # --- rescale -----------------------------------------------------------------------
@@ -492,5 +486,4 @@ def test_rescale_never_flips_predictions():
     c = CredibilityVector(
         values=rng.uniform(-0.5, 0.5, size=len(corpus.vocabulary)), provenance="propagated"
     )
-    ids = [i for i, _, _ in spec]
-    assert predict(corpus, ids, rescale_credibility(c)) == predict(corpus, ids, c)
+    assert np.array_equal(predict(corpus, rescale_credibility(c)), predict(corpus, c))

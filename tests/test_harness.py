@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +9,7 @@ from newstag.credibility import (
     PropagationConfig,
     init_credibility,
     predict,
+    score_news,
     CredibilityVector,
     symmetric_normalize,
 )
@@ -16,9 +19,11 @@ from newstag.harness import (
     METHOD_NEWSTAG,
     METHOD_NO_INDIRECT,
     METHOD_UNWEIGHTED,
+    METHODS,
     build_pipeline,
     compute_f1,
     grid_search_mu,
+    propagate,
     run_experiment,
     sweep_detection_time,
     sweep_training_fraction,
@@ -26,7 +31,7 @@ from newstag.harness import (
 from newstag.synth import SyntheticParams, generate_synthetic
 
 from helpers import as_dense, brute_force_f1, dense_pipeline_oracle, timed_news, untimed_corpus
-from newstag.corpus import Corpus, filter_by_time
+from newstag.corpus import Corpus, filter_by_time, split_corpus
 from newstag.graph import (
     NORMALIZED_DIRECT,
     RelationMatrix,
@@ -251,6 +256,43 @@ def test_hashtag_order_in_posts_is_irrelevant():
         assert labels_a == labels_b
 
 
+@pytest.mark.parametrize("mode", ["iterative", "closed_form"])
+@pytest.mark.parametrize("method", METHODS)
+def test_scores_equivariant_under_news_and_hashtag_permutation(method, mode):
+    # news rows and vocabulary indices are storage order only: permuting
+    # the news and the hashtags within each post (which permutes the
+    # vocabulary) must permute the scores with them, for a training set
+    # held fixed by id
+    corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.8), seed=12)
+    rng = np.random.default_rng(12)
+    shuffled = Corpus.from_news(
+        replace(item, posts=tuple(
+            replace(post, hashtags=tuple(rng.permutation(post.hashtags).tolist())) for post in item.posts
+        ))
+        for item in (corpus.news[r] for r in rng.permutation(len(corpus.news)))
+    )
+    assert [item.id for item in shuffled.news] != [item.id for item in corpus.news]
+    assert shuffled.vocabulary != corpus.vocabulary
+    assert set(shuffled.vocabulary) == set(corpus.vocabulary)
+    train, _ = split_corpus(corpus, 0.8, seed=12)
+    train_ids = {corpus.news[r].id for r in train}
+    config = small_config(method=method, propagation=PropagationConfig(mode=mode))
+    results = []
+    for c in (corpus, shuffled):
+        ops = build_pipeline(c, config)
+        rows = [r for r, item in enumerate(c.news) if item.id in train_ids]
+        c_hat = propagate(ops, init_credibility(ops.corpus, rows, per_post=ops.per_post), config)
+        scores = score_news(ops.corpus, c_hat, per_post=ops.per_post)
+        labels = predict(ops.corpus, c_hat, per_post=ops.per_post)
+        results.append({item.id: (s, lab) for item, s, lab in zip(c.news, scores, labels)})
+    base, permuted = results
+    assert base.keys() == permuted.keys()
+    for news_id, (score, label) in base.items():
+        assert abs(permuted[news_id][0] - score) <= 1e-12, news_id
+        if abs(score) > 1e-12:
+            assert permuted[news_id][1] == label, news_id
+
+
 def test_ablation_identity_k1_one_equals_no_indirect():
     for seed in range(5):
         params = SyntheticParams(hashtags=50, news=36, purity=0.75, posts_per_news=(2, 6))
@@ -269,10 +311,10 @@ def test_single_class_training_predictions():
     corpus = untimed_corpus(
         [("t1", 1, [["a", "b"]]), ("t2", 1, [["b", "c"]]), ("x", None, [["a"], ["d"]])]
     )
-    c0 = init_credibility(corpus, ("t1", "t2"), corpus.vocabulary)
+    c0 = init_credibility(corpus, (0, 1))  # t1, t2
     assert set(np.unique(c0.values)) <= {0.0, 1.0}
-    preds = predict(corpus, ("x",), CredibilityVector(c0.values, "initial_c0"))
-    assert preds["x"] in (1, -1)
+    preds = predict(corpus, CredibilityVector(c0.values, "initial_c0"))
+    assert preds[2] in (1, -1)  # x
 
 
 def test_report_determinism():
@@ -362,6 +404,16 @@ def test_config_validation_errors():
         small_config(repetitions=0).validate()
     with pytest.raises(ValueError, match="k1"):
         small_config(k1=0).validate()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_values_rejected(value):
+    with pytest.raises(ValueError, match="time_horizon_hours"):
+        small_config(time_horizon_hours=value).validate()
+    with pytest.raises(ValueError, match="tolerance"):
+        small_config(propagation=PropagationConfig(tolerance=value)).validate()
+    with pytest.raises(ValueError, match="horizon_hours"):
+        filter_by_time(untimed_corpus([("n", 1, [["a"]])]), value)
 
 
 # --- grid search ---------------------------------------------------------------------

@@ -79,17 +79,16 @@ def test_graph_matches_pair_count_oracle(weighted):
 @pytest.mark.parametrize("per_post", [True, False])
 def test_c0_and_scores_match_loop_oracles(per_post):
     for k, corpus in enumerate(corpora()):
-        labeled = corpus.labeled_ids()
+        labeled = np.flatnonzero(corpus.occurrences.labels)
         train = labeled[: (len(labeled) + 1) // 2]
-        c0 = init_credibility(corpus, train, corpus.vocabulary, per_post=per_post)
+        c0 = init_credibility(corpus, train, per_post=per_post)
         assert_bitwise(c0.values, c0_oracle(corpus, train, per_post))
 
         c = np.random.default_rng(k).uniform(-1.0, 1.0, size=len(corpus.vocabulary))
-        ids = tuple(item.id for item in corpus.news)
-        scores = score_news(corpus, ids, c, per_post=per_post)
+        scores = score_news(corpus, c, per_post=per_post)
         expected = score_oracle(corpus, c, per_post)
-        assert list(scores) == list(expected)
-        assert_bitwise(list(scores.values()), list(expected.values()))
+        assert [item.id for item in corpus.news] == list(expected)
+        assert_bitwise(scores, list(expected.values()))
 
 
 def test_purity_matches_loop_oracle():
@@ -108,6 +107,6 @@ def test_occurrence_table_built_once_per_corpus():
     corpus = random_corpus(0)
     table = corpus.occurrences
     build_direct_graph(corpus)
-    init_credibility(corpus, corpus.labeled_ids(), corpus.vocabulary)
+    init_credibility(corpus, np.flatnonzero(corpus.occurrences.labels))
     assert corpus.occurrences is table
     assert filter_by_time(corpus, 24.0).occurrences is not table

@@ -59,7 +59,7 @@ def test_chain_corpus_structure():
     corpus = generate_synthetic(params, seed=5)
     designated = designated_chain_ids(corpus)
     assert len(designated) == 4
-    by_id = corpus.news_by_id
+    by_id = {item.id: item for item in corpus.news}
     # designated news are labeled true; carriers are unlabeled
     for news_id in designated:
         assert by_id[news_id].label == 1
