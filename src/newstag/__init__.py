@@ -7,7 +7,6 @@ predicts each unseen news item's credibility from the sign of its
 hashtags' scores.
 """
 
-from . import _threads  # noqa: F401  (must run before anything imports numpy)
 from .corpus import (
     Corpus,
     CorpusError,
@@ -20,7 +19,6 @@ from .corpus import (
     write_corpus,
 )
 from .credibility import (
-    CredibilityVector,
     PropagationConfig,
     cost_evaluate,
     init_credibility,
@@ -61,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Corpus",
     "CorpusError",
-    "CredibilityVector",
     "ExperimentConfig",
     "GraphError",
     "HashtagGraph",

@@ -10,13 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import FAKE, TRUE, Corpus, normalize_hashtag
-from .credibility import (
-    CredibilityVector,
-    PROVENANCE_ALL_DATA,
-    init_credibility,
-    propagate_iterative,
-    rescale_credibility,
-)
+from .credibility import init_credibility, propagate_iterative, rescale_credibility
 from .harness import ExperimentConfig, _split_with_retries, build_pipeline, propagate
 
 logger = logging.getLogger(__name__)
@@ -177,8 +171,7 @@ def case_study(corpus: Corpus, config: ExperimentConfig, watchlist) -> tuple[Cas
     corpus = ops.corpus
     index = corpus.vocab_index
 
-    raw_star = init_credibility(corpus, np.flatnonzero(corpus.occurrences.labels), per_post=ops.per_post)
-    c_star = CredibilityVector(values=raw_star.values, provenance=PROVENANCE_ALL_DATA)
+    c_star = init_credibility(corpus, np.flatnonzero(corpus.occurrences.labels), per_post=ops.per_post)
 
     train, _, _ = _split_with_retries(corpus, config.train_fraction, config.seed)
     c0 = init_credibility(corpus, train, per_post=ops.per_post)
@@ -195,8 +188,8 @@ def case_study(corpus: Corpus, config: ExperimentConfig, watchlist) -> tuple[Cas
             CaseStudyRow(
                 hashtag=name,
                 status="ok",
-                c_star=float(c_star.values[k]),
-                c_hat_rescaled=float(c_hat.values[k]),
+                c_star=float(c_star[k]),
+                c_hat_rescaled=float(c_hat[k]),
             )
         )
     return tuple(rows)

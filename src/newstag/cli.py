@@ -8,8 +8,7 @@ errors (missing or malformed inputs, degenerate experiments).  Errors
 are single machine-parsable lines on stderr.
 
 Numeric modules are imported inside handlers, keeping --help and flag
-validation fast.  The NEWSTAG_THREADS cap is applied by the package's
-import bootstrap before any of them load numpy.
+validation fast.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import argparse
 import json
 import logging
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -97,7 +97,11 @@ def _coerce(opt: Opt, value):
             return value.strip().lower() in ("1", "true", "yes", "on")
         return bool(value)
     if opt.kind == "int":
-        return int(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        if isinstance(value, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", value):
+            return int(value)
+        raise CliUsageError(f"{opt.flag} must be an integer, got {value!r}")
     return value
 
 
@@ -516,7 +520,7 @@ def _cmd_analyze(eff: dict) -> int:
 
 
 def _cmd_export(eff: dict) -> int:
-    from .credibility import CredibilityVector, PROVENANCE_ALL_DATA, init_credibility
+    from .credibility import init_credibility
     from .graph import export_graph, load_matrix
 
     corpus = None
@@ -541,9 +545,7 @@ def _cmd_export(eff: dict) -> int:
             )
         if corpus.vocabulary != matrix.vocab:
             raise CliUsageError("corpus vocabulary does not match the cached matrix")
-        labeled = corpus.occurrences.labels.nonzero()[0]
-        raw = init_credibility(corpus, labeled, per_post=True)
-        credibility = CredibilityVector(values=raw.values, provenance=PROVENANCE_ALL_DATA)
+        credibility = init_credibility(corpus, corpus.occurrences.labels.nonzero()[0], per_post=True)
 
     export_graph(
         matrix,
@@ -584,8 +586,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    # NEWSTAG_THREADS is exported to the BLAS thread variables by
-    # newstag._threads at package import, before numpy loads.
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -596,8 +596,8 @@ def main(argv=None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
             stream=sys.stderr,
         )
-        # Imported here (after the thread-cap env vars are in place) so the
-        # data-error classes are available to the handlers' except clauses.
+        # Imported here so the data-error classes are available to the
+        # handlers' except clauses.
         from .corpus import CorpusError
         from .graph import GraphError
 

@@ -237,8 +237,10 @@ def parse_corpus(
     reported (appended to ``errors`` when given, and logged).  Duplicate
     news ids and out-of-range labels are always fatal.  Posts created
     earlier than ``published_at - clock_skew`` are warned about, not
-    rejected: real streams contain retweet-time anomalies.
+    rejected: real streams contain retweet-time anomalies.  A negative
+    ``clock_skew`` raises ValueError.
     """
+    _check_clock_skew(clock_skew)
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return parse_corpus(fh, lenient=lenient, clock_skew=clock_skew, errors=errors)
@@ -391,8 +393,15 @@ def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[np.n
     return train, np.setdiff1d(np.arange(len(labels)), train)
 
 
+def _check_clock_skew(clock_skew: timedelta) -> None:
+    if clock_skew < timedelta(0):
+        hours = clock_skew.total_seconds() / 3600
+        raise ValueError(f"clock skew allowance must be >= 0 hours, got {hours:g}")
+
+
 def corpus_stats(corpus: Corpus, clock_skew: timedelta = timedelta(0)) -> dict:
     """Descriptive statistics used by the ``validate`` CLI subcommand."""
+    _check_clock_skew(clock_skew)
     n_posts = sum(len(item.posts) for item in corpus.news)
     n_fake = sum(1 for item in corpus.news if item.label == FAKE)
     n_true = sum(1 for item in corpus.news if item.label == TRUE)

@@ -7,6 +7,7 @@ initial scores, controlled by ``mu`` in (0, 1): the minimizer solves
 ``(I - mu * X) c = (1 - mu) * c0`` with X the symmetrically normalized
 relation matrix, and the fixed-point iteration
 ``c <- mu * X c + (1 - mu) * c0`` contracts to it at rate mu.
+Credibility vectors are float64 arrays indexed by vocabulary position.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from .graph import RelationMatrix
 
 logger = logging.getLogger(__name__)
 
-PROVENANCE_INITIAL = "initial_c0"
-PROVENANCE_PROPAGATED = "propagated"
-PROVENANCE_ALL_DATA = "all_data_c_star"
-
 MODE_ITERATIVE = "iterative"
 MODE_CLOSED_FORM = "closed_form"
 
@@ -36,15 +33,6 @@ CLOSED_FORM_TOLERANCE = 1e-14
 
 class PropagationError(RuntimeError):
     """Raised when the closed-form solve fails; indicates a defect, not bad data."""
-
-
-@dataclass(frozen=True)
-class CredibilityVector:
-    """Real score per vocabulary index, tagged with how it was obtained."""
-
-    values: np.ndarray
-    provenance: str
-    mu: float | None = None
 
 
 @dataclass(frozen=True)
@@ -72,11 +60,7 @@ def _check_mu(mu: float) -> None:
         raise ValueError("mu must be in (0,1)")
 
 
-def _values(c) -> np.ndarray:
-    return np.asarray(c.values if isinstance(c, CredibilityVector) else c, dtype=np.float64)
-
-
-def init_credibility(corpus: Corpus, train_rows, per_post: bool = True) -> CredibilityVector:
+def init_credibility(corpus: Corpus, train_rows, per_post: bool = True) -> np.ndarray:
     """Weighted average training label per hashtag (0 when unseen).
 
     ``train_rows`` are news rows of the corpus's occurrence table.  With
@@ -97,8 +81,7 @@ def init_credibility(corpus: Corpus, train_rows, per_post: bool = True) -> Credi
     news, tag = (occ.news, occ.tag) if per_post else occ.distinct
     num = np.bincount(tag, weights=(occ.labels * votes)[news], minlength=q)
     den = np.bincount(tag, weights=votes[news], minlength=q)
-    values = np.where(den > 0, num / np.maximum(den, 1), 0.0)
-    return CredibilityVector(values=values, provenance=PROVENANCE_INITIAL)
+    return np.where(den > 0, num / np.maximum(den, 1), 0.0)
 
 
 def symmetric_normalize(W: RelationMatrix) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -118,10 +101,10 @@ def symmetric_normalize(W: RelationMatrix) -> tuple[sp.csr_matrix, np.ndarray]:
 
 def propagate_iterative(
     X: sp.spmatrix | np.ndarray,
-    c0: CredibilityVector,
+    c0,
     mu: float,
     config: PropagationConfig,
-) -> tuple[CredibilityVector, list[float]]:
+) -> tuple[np.ndarray, list[float]]:
     """Fixed-point iteration c <- mu*X c + (1-mu)*c0 starting from c0.
 
     ``X`` is sparse or a dense q x q array; each step is one ``X @ c``.
@@ -132,9 +115,8 @@ def propagate_iterative(
     """
     _check_mu(mu)
     config.validate()
-    start = _values(c0)
-    anchor = (1.0 - mu) * start
-    c = start.copy()
+    c = np.array(c0, dtype=np.float64)
+    anchor = (1.0 - mu) * c
     residuals: list[float] = []
     for _ in range(config.max_iterations):
         c_next = mu * (X @ c) + anchor
@@ -150,7 +132,7 @@ def propagate_iterative(
                 "last residual %.3e >= tolerance %r",
                 mu, config.max_iterations, residuals[-1], config.tolerance,
             )
-    return CredibilityVector(values=c, provenance=PROVENANCE_PROPAGATED, mu=mu), residuals
+    return c, residuals
 
 
 def _closed_form_iteration_cap(mu: float) -> int:
@@ -166,9 +148,7 @@ def _closed_form_iteration_cap(mu: float) -> int:
     return 2 * math.ceil(math.log(2.0 * math.sqrt(kappa) / CLOSED_FORM_TOLERANCE) / log_inv_rate)
 
 
-def propagate_closed_form(
-    X: sp.spmatrix | np.ndarray, c0: CredibilityVector, mu: float
-) -> CredibilityVector:
+def propagate_closed_form(X: sp.spmatrix | np.ndarray, c0, mu: float) -> np.ndarray:
     """Solve (I - mu*X) c = (1-mu) c0 by conjugate gradient.
 
     ``X`` is sparse or a dense q x q array; each step is one ``X @ p``.
@@ -181,7 +161,7 @@ def propagate_closed_form(
     non-finite result is a defect signal, not a data error.
     """
     _check_mu(mu)
-    rhs = (1.0 - mu) * _values(c0)
+    rhs = (1.0 - mu) * np.asarray(c0, dtype=np.float64)
     solution = np.zeros_like(rhs)
     r = rhs.copy()
     p = r.copy()
@@ -207,7 +187,7 @@ def propagate_closed_form(
         )
     if not np.all(np.isfinite(solution)):
         raise PropagationError("closed-form propagation produced non-finite values")
-    return CredibilityVector(values=solution, provenance=PROVENANCE_PROPAGATED, mu=mu)
+    return solution
 
 
 def cost_evaluate(W: RelationMatrix, D: np.ndarray, c, c0, mu: float) -> float:
@@ -219,8 +199,8 @@ def cost_evaluate(W: RelationMatrix, D: np.ndarray, c, c0, mu: float) -> float:
     :func:`symmetric_normalize`.
     """
     _check_mu(mu)
-    cv = _values(c)
-    c0v = _values(c0)
+    cv = np.asarray(c, dtype=np.float64)
+    c0v = np.asarray(c0, dtype=np.float64)
     inv_sqrt = np.where(D > 0, 1.0 / np.sqrt(np.maximum(D, 1e-300)), 0.0)
     scaled = cv * inv_sqrt
     upper = sp.triu(W.values, k=1).tocoo()
@@ -230,14 +210,14 @@ def cost_evaluate(W: RelationMatrix, D: np.ndarray, c, c0, mu: float) -> float:
     return mu * smooth + (1.0 - mu) * anchor
 
 
-def score_news(corpus: Corpus, c_hat: CredibilityVector, per_post: bool = True) -> np.ndarray:
+def score_news(corpus: Corpus, c_hat, per_post: bool = True) -> np.ndarray:
     """Sum propagated hashtag credibility over each news row's posts.
 
     Returns one score per news row.  With ``per_post`` a hashtag
     contributes once per post carrying it; otherwise once per news
     item.  Each sum runs in stream order.
     """
-    values = _values(c_hat)
+    values = np.asarray(c_hat, dtype=np.float64)
     if values.shape[0] != len(corpus.vocabulary):
         raise ValueError(
             f"credibility vector length {values.shape[0]} does not match "
@@ -248,7 +228,7 @@ def score_news(corpus: Corpus, c_hat: CredibilityVector, per_post: bool = True) 
     return np.bincount(news, weights=values[tag], minlength=len(corpus.news))
 
 
-def predict(corpus: Corpus, c_hat: CredibilityVector, per_post: bool = True) -> np.ndarray:
+def predict(corpus: Corpus, c_hat, per_post: bool = True) -> np.ndarray:
     """Sign rule over each news row's score: +1 if positive, else -1.
 
     A score of exactly zero (e.g. a hashtag-free news item) predicts
@@ -257,15 +237,15 @@ def predict(corpus: Corpus, c_hat: CredibilityVector, per_post: bool = True) -> 
     return np.where(score_news(corpus, c_hat, per_post=per_post) > 0.0, 1, -1)
 
 
-def rescale_credibility(c_hat: CredibilityVector) -> CredibilityVector:
+def rescale_credibility(c_hat) -> np.ndarray:
     """Divide by the maximum magnitude, mapping scores onto [-1, 1].
 
     Preserves signs, ordering, and therefore every prediction.  An
     all-zero vector is returned unchanged with a warning.
     """
-    values = _values(c_hat)
+    values = np.array(c_hat, dtype=np.float64)
     peak = float(np.max(np.abs(values))) if values.size else 0.0
     if peak == 0.0:
         logger.warning("rescale: all-zero credibility vector left unchanged")
-        return CredibilityVector(values=values.copy(), provenance=c_hat.provenance, mu=c_hat.mu)
-    return CredibilityVector(values=values / peak, provenance=c_hat.provenance, mu=c_hat.mu)
+        return values
+    return values / peak

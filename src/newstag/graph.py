@@ -392,7 +392,7 @@ def export_graph(
     """
     scores = None
     if credibility is not None:
-        scores = np.asarray(credibility.values, dtype=float)
+        scores = np.asarray(credibility, dtype=float)
         if scores.shape[0] != matrix.q:
             raise GraphError("credibility vector does not match matrix vocabulary")
 

@@ -18,7 +18,6 @@ import scipy.sparse as sp
 
 from .corpus import Corpus, draw_rows, filter_by_time, split_corpus
 from .credibility import (
-    CredibilityVector,
     PropagationConfig,
     MODE_CLOSED_FORM,
     init_credibility,
@@ -136,19 +135,16 @@ class MetricsReport:
 
 def confusion_counts(predictions, truths) -> dict[str, int]:
     """Binary confusion counts with +1 as the positive class."""
-    tp = fp = tn = fn = 0
-    for pred, truth in zip(predictions, truths):
-        if truth == 1:
-            if pred == 1:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if pred == 1:
-                fp += 1
-            else:
-                tn += 1
-    return {"tp": tp, "fp": fp, "tn": tn, "fn": fn}
+    pred = np.asarray(predictions) == 1
+    truth = np.asarray(truths) == 1
+    if pred.shape != truth.shape:
+        raise ValueError("predictions and truths must be equal-length")
+    return {
+        "tp": int(np.count_nonzero(pred & truth)),
+        "fp": int(np.count_nonzero(pred & ~truth)),
+        "tn": int(np.count_nonzero(~pred & ~truth)),
+        "fn": int(np.count_nonzero(~pred & truth)),
+    }
 
 
 def _class_f1(tp: int, fp: int, fn: int) -> float:
@@ -165,13 +161,14 @@ def compute_f1(predictions, truths) -> tuple[float, float]:
     classes, which for single-label binary classification equals
     accuracy.
     """
-    predictions = list(predictions)
-    truths = list(truths)
-    if not predictions or len(predictions) != len(truths):
+    predictions = np.asarray(predictions)
+    truths = np.asarray(truths)
+    if not predictions.size or predictions.shape != truths.shape:
         raise ValueError("predictions and truths must be equal-length and nonempty")
-    for value in (*predictions, *truths):
-        if value not in (-1, 1):
-            raise ValueError(f"labels must be -1 or +1, got {value!r}")
+    values = np.concatenate((predictions.ravel(), truths.ravel()))
+    bad = values[(values != 1) & (values != -1)]
+    if bad.size:
+        raise ValueError(f"labels must be -1 or +1, got {bad.tolist()[0]!r}")
     c = confusion_counts(predictions, truths)
     f1_pos = _class_f1(c["tp"], c["fp"], c["fn"])
     f1_neg = _class_f1(c["tn"], c["fn"], c["fp"])
@@ -179,7 +176,7 @@ def compute_f1(predictions, truths) -> tuple[float, float]:
     # Pooled micro precision equals pooled recall here (every item gets
     # exactly one prediction), so micro F1 reduces to a single division.
     pooled_tp = c["tp"] + c["tn"]
-    micro = pooled_tp / len(predictions)
+    micro = pooled_tp / predictions.size
     return macro, micro
 
 
@@ -241,7 +238,7 @@ def build_pipeline(corpus: Corpus, config: ExperimentConfig) -> PipelineOperator
     return PipelineOperators(corpus=corpus, X=X, closure_trace=closure_trace, per_post=per_post)
 
 
-def propagate(ops: PipelineOperators, c0: CredibilityVector, config: ExperimentConfig) -> CredibilityVector:
+def propagate(ops: PipelineOperators, c0: np.ndarray, config: ExperimentConfig) -> np.ndarray:
     if config.propagation.mode == MODE_CLOSED_FORM:
         return propagate_closed_form(ops.X, c0, config.mu)
     c_hat, _ = propagate_iterative(ops.X, c0, config.mu, config.propagation)
@@ -306,8 +303,8 @@ def _run_repetitions(
         )
         predicted, scores = _run_single(ops, config, train)
         labeled_test = test[occ.labels[test] != 0]
-        preds = predicted[labeled_test].tolist()
-        truths = occ.labels[labeled_test].tolist()
+        preds = predicted[labeled_test]
+        truths = occ.labels[labeled_test]
         macro, micro = compute_f1(preds, truths)
         conf = confusion_counts(preds, truths)
         for key in total:
@@ -404,7 +401,7 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
         macros, micros = [], []
         for inner_train, val in folds:
             predicted, _ = _run_single(ops, candidate, inner_train)
-            macro, micro = compute_f1(predicted[val].tolist(), labels[val].tolist())
+            macro, micro = compute_f1(predicted[val], labels[val])
             macros.append(macro)
             micros.append(micro)
         row = {

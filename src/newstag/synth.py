@@ -10,6 +10,7 @@ indirect relations in controlled experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -71,6 +72,10 @@ class SyntheticParams:
         ):
             if lo < 1 or hi < lo:
                 raise ValueError(f"{name} range must satisfy 1 <= lo <= hi, got ({lo}, {hi})")
+        if not 0.0 <= self.post_window_hours < math.inf:
+            raise ValueError(f"post_window_hours must be finite and >= 0, got {self.post_window_hours}")
+        if not math.isfinite(self.publish_step_hours):
+            raise ValueError(f"publish_step_hours must be finite, got {self.publish_step_hours}")
 
 
 def generate_synthetic(params: SyntheticParams, seed: int) -> Corpus:

@@ -14,8 +14,6 @@ import pytest
 
 from newstag.corpus import split_corpus
 from newstag.credibility import (
-    CredibilityVector,
-    PROVENANCE_INITIAL,
     PropagationConfig,
     cost_evaluate,
     init_credibility,
@@ -61,7 +59,7 @@ def random_instance(seed: int, min_degree: int = 0):
     rng = np.random.default_rng(seed)
     W = random_graph_matrix(rng, min_degree=min_degree)
     X, D = symmetric_normalize(W)
-    c0 = CredibilityVector(rng.uniform(-1, 1, size=W.q), PROVENANCE_INITIAL)
+    c0 = rng.uniform(-1, 1, size=W.q)
     return W, X, D, c0
 
 
@@ -92,9 +90,9 @@ def test_criterion_02_proposition_equivalence():
             iterated, _ = propagate_iterative(
                 X, c0, mu, PropagationConfig(max_iterations=10000, tolerance=1e-12)
             )
-            assert np.max(np.abs(closed.values - iterated.values)) <= 1e-8
+            assert np.max(np.abs(closed - iterated)) <= 1e-8
             for c_hat in (closed, iterated):
-                residual = c_hat.values - (mu * (X @ c_hat.values) + (1 - mu) * c0.values)
+                residual = c_hat - (mu * (X @ c_hat) + (1 - mu) * c0)
                 assert np.max(np.abs(residual)) <= 1e-8
         assert time.perf_counter() - start < 10.0
 
@@ -104,11 +102,11 @@ def test_criterion_03_contraction_rate():
         for seed in range(100):
             _, X, _, c0 = random_instance(seed)
             mu = MU_GRID[seed % 9]
-            c_hat = propagate_closed_form(X, c0, mu).values
-            c = c0.values.copy()
+            c_hat = propagate_closed_form(X, c0, mu)
+            c = c0.copy()
             errors = [np.linalg.norm(c - c_hat)]
             for _ in range(200):
-                c = mu * (X @ c) + (1 - mu) * c0.values
+                c = mu * (X @ c) + (1 - mu) * c0
                 errors.append(np.linalg.norm(c - c_hat))
                 if errors[-1] < 1e-12:
                     break
@@ -126,13 +124,13 @@ def test_criterion_04_analytic_fixed_point():
         corpus = untimed_corpus([("n1", 1, [["a", "b"]])])
         N = normalize(build_direct_graph(corpus))
         X, _ = symmetric_normalize(N)
-        c0 = CredibilityVector(np.array([1.0, -1.0]), PROVENANCE_INITIAL)
+        c0 = np.array([1.0, -1.0])
         closed = propagate_closed_form(X, c0, mu=0.4)
-        assert np.max(np.abs(closed.values - np.array([3 / 7, -3 / 7]))) <= 1e-9
+        assert np.max(np.abs(closed - np.array([3 / 7, -3 / 7]))) <= 1e-9
         iterated, _ = propagate_iterative(
             X, c0, 0.4, PropagationConfig(max_iterations=10000, tolerance=1e-14)
         )
-        assert np.max(np.abs(iterated.values - np.array([3 / 7, -3 / 7]))) <= 1e-9
+        assert np.max(np.abs(iterated - np.array([3 / 7, -3 / 7]))) <= 1e-9
 
 
 def test_criterion_05_minimizer_property():
@@ -141,12 +139,12 @@ def test_criterion_05_minimizer_property():
         for seed in range(20):
             W, X, D, c0 = random_instance(seed + 300, min_degree=1)
             mu = MU_GRID[seed % 9]
-            c_hat = propagate_closed_form(X, c0, mu).values
-            base = cost_evaluate(W, D, c_hat, c0.values, mu)
+            c_hat = propagate_closed_form(X, c0, mu)
+            base = cost_evaluate(W, D, c_hat, c0, mu)
             rng = np.random.default_rng(seed + 9000)
             for _ in range(1000):
                 delta = rng.uniform(-0.1, 0.1, size=W.q)
-                if cost_evaluate(W, D, c_hat + delta, c0.values, mu) < base:
+                if cost_evaluate(W, D, c_hat + delta, c0, mu) < base:
                     violations += 1
         assert violations == 0
 
@@ -190,14 +188,14 @@ def test_criterion_06_structural_invariants():
         train, _ = split_corpus(corpus, 0.8, seed=3)
         for per_post in (True, False):
             c0 = init_credibility(corpus, train, per_post=per_post)
-            assert np.all(c0.values >= -1.0) and np.all(c0.values <= 1.0)
+            assert np.all(c0 >= -1.0) and np.all(c0 <= 1.0)
 
         # antisymmetry of propagation in c0 (<= 1e-12)
         for seed in range(5):
             _, X, _, c0 = random_instance(seed + 600)
-            neg = CredibilityVector(-c0.values, PROVENANCE_INITIAL)
-            plus = propagate_closed_form(X, c0, 0.4).values
-            minus = propagate_closed_form(X, neg, 0.4).values
+            neg = -c0
+            plus = propagate_closed_form(X, c0, 0.4)
+            minus = propagate_closed_form(X, neg, 0.4)
             assert np.max(np.abs(plus + minus)) <= 1e-12
 
         # prediction invariance under positive scaling of c_hat (exact)
@@ -208,9 +206,9 @@ def test_criterion_06_structural_invariants():
         ]
         corpus = untimed_corpus(spec)
         values = rng.uniform(-1, 1, size=len(corpus.vocabulary))
-        base = predict(corpus, CredibilityVector(values, "propagated"))
+        base = predict(corpus, values)
         for alpha in (0.5, 2.0, 4.0, 1024.0, 3.0, 0.1):
-            scaled = CredibilityVector(values * alpha, "propagated")
+            scaled = values * alpha
             assert np.array_equal(predict(corpus, scaled), base)
 
         # spectral radius of X bounded by 1 (dense eigensolve, q <= 50)

@@ -158,8 +158,8 @@ def test_all_data_credibility_differs_from_train_only():
     c_star = init_credibility(corpus, np.flatnonzero(corpus.occurrences.labels))
     c0 = init_credibility(corpus, (0, 1))  # train_f, train_t
     k = corpus.vocab_index["zz"]
-    assert c_star.values[k] == -1.0
-    assert c0.values[k] == 0.0
+    assert c_star[k] == -1.0
+    assert c0[k] == 0.0
 
 
 # --- convergence trace -------------------------------------------------------------

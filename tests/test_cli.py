@@ -242,15 +242,6 @@ def test_predictions_csv(workdir):
     assert len(lines) > 1
 
 
-def test_thread_cap_applied_before_numpy(workdir):
-    env = dict(os.environ, NEWSTAG_THREADS="2")
-    code = "import os, newstag; print(os.environ['OMP_NUM_THREADS'])"
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert result.stdout.strip() == "2"
-
-
 def test_build_graph_normalized_and_exact(workdir):
     corpus = str(workdir / "corpus.jsonl")
     result = run_cli(
@@ -309,7 +300,6 @@ def test_run_closed_form_labels_do_not_depend_on_operator_storage(workdir, monke
 
 @pytest.mark.parametrize("mode", ["iterative", "closed_form"])
 def test_run_bytes_do_not_depend_on_blas_thread_count(tmp_path, mode):
-    from newstag._threads import _BLAS_VARS
     from newstag.corpus import parse_corpus
     from newstag.harness import ExperimentConfig, build_pipeline
 
@@ -321,8 +311,7 @@ def test_run_bytes_do_not_depend_on_blas_thread_count(tmp_path, mode):
     assert isinstance(build_pipeline(parse_corpus(corpus), ExperimentConfig()).X, np.ndarray)
     outputs = []
     for threads in ("1", "2"):
-        env = {key: value for key, value in os.environ.items() if key not in _BLAS_VARS}
-        env["NEWSTAG_THREADS"] = threads
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         out, predictions = tmp_path / f"run-{threads}.json", tmp_path / f"pred-{threads}.csv"
         result = run_cli(
             "run", "--input", str(corpus), "--mode", mode, "--out", str(out), "--predictions-out", str(predictions),
@@ -440,6 +429,41 @@ def test_non_finite_flag_exits_1(workdir, subcommand, flag, value):
     assert result.stderr.startswith("error:") and flag in result.stderr
     assert result.stderr.count("\n") == 1
     assert not (workdir / "non-finite.out").exists()
+
+
+def test_negative_clock_skew_exits_1(workdir):
+    result = run_cli("validate", "--input", str(workdir / "corpus.jsonl"), "--clock-skew-hours", "-5")
+    assert result.returncode == 1
+    assert result.stderr == "error: clock skew allowance must be >= 0 hours, got -5\n"
+
+
+@pytest.mark.parametrize("name, value", [
+    ("repetitions", float("inf")),
+    ("repetitions", 2.7),
+    ("repetitions", True),
+    ("repetitions", "2.7"),
+    ("repetitions", "1e3"),
+    ("k1", 1e30),
+])
+def test_non_integer_echo_value_exits_1(workdir, capsys, name, value):
+    from newstag.cli import main
+
+    echo = workdir / "non-integer.json"
+    echo.write_text(json.dumps({"subcommand": "run", "parameters": {name: value}}))
+    out = workdir / "non-integer.out"
+    code = main(["run", "--config", str(echo), "--input", str(workdir / "corpus.jsonl"), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --{name} must be an integer, got {value!r}\n"
+    assert not out.exists()
+
+
+def test_non_integer_params_file_value_exits_1(workdir):
+    params = workdir / "float.params"
+    params.write_text("hashtags=30.5\n")
+    result = run_cli("synth", "--params", str(params), "--out", str(workdir / "float.jsonl"))
+    assert result.returncode == 1
+    assert result.stderr == "error: --hashtags must be an integer, got '30.5'\n"
 
 
 def test_run_report_config_holds_mu_once(workdir):

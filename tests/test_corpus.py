@@ -124,6 +124,14 @@ def test_parse_clock_skew_counted(caplog):
     assert stats["clock_skew_violations"] == 0
 
 
+def test_negative_clock_skew_rejected():
+    record = _record()
+    with pytest.raises(ValueError, match="clock skew allowance must be >= 0 hours, got -5"):
+        parse_corpus([record], clock_skew=timedelta(hours=-5))
+    with pytest.raises(ValueError, match="clock skew"):
+        corpus_stats(parse_corpus([record]), clock_skew=timedelta(hours=-5))
+
+
 def test_parse_timestamp_variants():
     z = parse_timestamp("2020-03-01T12:00:00Z")
     offset = parse_timestamp("2020-03-01T12:00:00+00:00")

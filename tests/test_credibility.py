@@ -5,9 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from newstag.credibility import (
-    CredibilityVector,
-    PROVENANCE_INITIAL,
-    PROVENANCE_PROPAGATED,
     PropagationConfig,
     PropagationError,
     cost_evaluate,
@@ -49,9 +46,7 @@ def random_problem(seed, min_degree=0):
     rng = np.random.default_rng(seed)
     W = random_graph_matrix(rng, min_degree=min_degree)
     X, D = symmetric_normalize(W)
-    c0 = CredibilityVector(
-        values=rng.uniform(-1.0, 1.0, size=W.q), provenance=PROVENANCE_INITIAL
-    )
+    c0 = rng.uniform(-1.0, 1.0, size=W.q)
     return W, X, D, c0
 
 
@@ -63,8 +58,7 @@ def test_init_per_post_weighted_average():
         [("t", 1, [["h"], ["h"]]), ("f", -1, [["h"]])]
     )
     c0 = init_credibility(corpus, (0, 1), per_post=True)
-    assert c0.values[0] == pytest.approx(1 / 3, abs=1e-15)
-    assert c0.provenance == PROVENANCE_INITIAL
+    assert c0[0] == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_init_per_news_indicator_form():
@@ -72,7 +66,7 @@ def test_init_per_news_indicator_form():
         [("t", 1, [["h"], ["h"]]), ("f", -1, [["h"]])]
     )
     c0 = init_credibility(corpus, (0, 1), per_post=False)
-    assert c0.values[0] == 0.0
+    assert c0[0] == 0.0
 
 
 def test_init_unseen_hashtag_defaults_to_zero():
@@ -81,8 +75,8 @@ def test_init_unseen_hashtag_defaults_to_zero():
     )
     c0 = init_credibility(corpus, (0,), per_post=True)
     index = corpus.vocab_index
-    assert c0.values[index["a"]] == 1.0
-    assert c0.values[index["b"]] == 0.0
+    assert c0[index["a"]] == 1.0
+    assert c0[index["b"]] == 0.0
 
 
 def test_init_values_always_in_unit_interval():
@@ -95,7 +89,7 @@ def test_init_values_always_in_unit_interval():
     train = range(20)  # every news is labeled
     for per_post in (True, False):
         c0 = init_credibility(corpus, train, per_post=per_post)
-        assert np.all(c0.values >= -1.0) and np.all(c0.values <= 1.0)
+        assert np.all(c0 >= -1.0) and np.all(c0 <= 1.0)
 
 
 def test_init_rejects_unlabeled_train_id():
@@ -153,25 +147,23 @@ def test_isolated_node_anchors_at_one_minus_mu():
         vocab=("a", "b", "iso"),
     )
     X, _ = symmetric_normalize(W)
-    c0 = CredibilityVector(values=np.array([0.0, 0.0, 0.8]), provenance=PROVENANCE_INITIAL)
+    c0 = np.array([0.0, 0.0, 0.8])
     for mu in (0.2, 0.4, 0.7):
         c_hat = propagate_closed_form(X, c0, mu)
-        assert c_hat.values[2] == pytest.approx((1 - mu) * 0.8, abs=1e-12)
+        assert c_hat[2] == pytest.approx((1 - mu) * 0.8, abs=1e-12)
 
 
 # --- propagation ------------------------------------------------------------------
 
 def test_two_node_fixed_point_is_three_sevenths():
     X, _ = symmetric_normalize(two_node_matrix())
-    c0 = CredibilityVector(values=np.array([1.0, -1.0]), provenance=PROVENANCE_INITIAL)
+    c0 = np.array([1.0, -1.0])
     closed = propagate_closed_form(X, c0, mu=0.4)
-    assert np.allclose(closed.values, [3 / 7, -3 / 7], atol=1e-12)
+    assert np.allclose(closed, [3 / 7, -3 / 7], atol=1e-12)
     iterated, _ = propagate_iterative(
         X, c0, 0.4, PropagationConfig(max_iterations=10000, tolerance=1e-13)
     )
-    assert np.allclose(iterated.values, [3 / 7, -3 / 7], atol=1e-9)
-    assert iterated.provenance == PROVENANCE_PROPAGATED
-    assert iterated.mu == 0.4
+    assert np.allclose(iterated, [3 / 7, -3 / 7], atol=1e-9)
 
 
 def test_vanishing_mu_recovers_c0():
@@ -179,7 +171,7 @@ def test_vanishing_mu_recovers_c0():
     result, _ = propagate_iterative(
         X, c0, 1e-9, PropagationConfig(max_iterations=100, tolerance=1e-15)
     )
-    assert np.max(np.abs(result.values - c0.values)) <= 1e-8
+    assert np.max(np.abs(result - c0)) <= 1e-8
 
 
 def test_fixed_iteration_count_protocol():
@@ -224,7 +216,7 @@ def test_iterative_matches_closed_form():
         iterated, _ = propagate_iterative(
             X, c0, mu, PropagationConfig(max_iterations=10000, tolerance=1e-12)
         )
-        assert np.max(np.abs(closed.values - iterated.values)) <= 1e-8
+        assert np.max(np.abs(closed - iterated)) <= 1e-8
 
 
 def test_fixed_point_residual():
@@ -232,22 +224,22 @@ def test_fixed_point_residual():
         _, X, _, c0 = random_problem(seed)
         mu = 0.4
         c_hat = propagate_closed_form(X, c0, mu)
-        residual = c_hat.values - (mu * (X @ c_hat.values) + (1 - mu) * c0.values)
+        residual = c_hat - (mu * (X @ c_hat) + (1 - mu) * c0)
         assert np.max(np.abs(residual)) <= 1e-8
 
 
 def test_propagation_is_antisymmetric_in_c0():
     for seed in range(5):
         _, X, _, c0 = random_problem(seed)
-        neg = CredibilityVector(values=-c0.values, provenance=PROVENANCE_INITIAL)
+        neg = -c0
         for mode in ("closed", "iterative"):
             if mode == "closed":
-                plus = propagate_closed_form(X, c0, 0.4).values
-                minus = propagate_closed_form(X, neg, 0.4).values
+                plus = propagate_closed_form(X, c0, 0.4)
+                minus = propagate_closed_form(X, neg, 0.4)
             else:
                 config = PropagationConfig(max_iterations=50, tolerance=0.0)
-                plus = propagate_iterative(X, c0, 0.4, config)[0].values
-                minus = propagate_iterative(X, neg, 0.4, config)[0].values
+                plus = propagate_iterative(X, c0, 0.4, config)[0]
+                minus = propagate_iterative(X, neg, 0.4, config)[0]
             assert np.max(np.abs(plus + minus)) <= 1e-12
 
 
@@ -255,7 +247,7 @@ def test_propagation_norm_bound():
     for seed in range(5):
         _, X, _, c0 = random_problem(seed)
         c_hat = propagate_closed_form(X, c0, 0.6)
-        assert np.linalg.norm(c_hat.values) <= np.linalg.norm(c0.values) + 1e-12
+        assert np.linalg.norm(c_hat) <= np.linalg.norm(c0) + 1e-12
 
 
 def test_spectral_radius_of_x_at_most_one():
@@ -268,11 +260,11 @@ def test_contraction_rate_toward_solution():
     for seed in range(5):
         _, X, _, c0 = random_problem(seed)
         mu = [0.2, 0.4, 0.6, 0.8, 0.9][seed]
-        c_hat = propagate_closed_form(X, c0, mu).values
-        c = c0.values.copy()
+        c_hat = propagate_closed_form(X, c0, mu)
+        c = c0.copy()
         err_prev = np.linalg.norm(c - c_hat)
         for t in range(1, 60):
-            c = mu * (X @ c) + (1 - mu) * c0.values
+            c = mu * (X @ c) + (1 - mu) * c0
             err = np.linalg.norm(c - c_hat)
             if err_prev > 1e-13:
                 assert err <= (mu + 1e-6) * err_prev
@@ -294,7 +286,7 @@ def test_dense_and_csr_operators_propagate_alike():
         assert spectral_radius_dense(N.values.toarray()) == pytest.approx(1.0, abs=1e-12)
         for W in (N, all_relations_truncated(N, 10)):
             X, _ = symmetric_normalize(W)
-            c0 = CredibilityVector(values=rng.uniform(-1.0, 1.0, size=W.q), provenance=PROVENANCE_INITIAL)
+            c0 = rng.uniform(-1.0, 1.0, size=W.q)
             problems.append((X, c0))
     configs = (
         (0.4, PropagationConfig()),
@@ -307,10 +299,10 @@ def test_dense_and_csr_operators_propagate_alike():
             sparse_c, sparse_res = propagate_iterative(X, c0, mu, config)
             dense_c, dense_res = propagate_iterative(dense, c0, mu, config)
             assert len(dense_res) == len(sparse_res)
-            assert np.max(np.abs(dense_c.values - sparse_c.values)) <= 1e-12
+            assert np.max(np.abs(dense_c - sparse_c)) <= 1e-12
             assert np.max(np.abs(np.subtract(dense_res, sparse_res))) <= 1e-12
-        closed_sparse = propagate_closed_form(X, c0, 0.4).values
-        assert np.max(np.abs(propagate_closed_form(dense, c0, 0.4).values - closed_sparse)) <= 1e-12
+        closed_sparse = propagate_closed_form(X, c0, 0.4)
+        assert np.max(np.abs(propagate_closed_form(dense, c0, 0.4) - closed_sparse)) <= 1e-12
 
 
 @pytest.mark.parametrize("mu", [0.01, 0.1, 0.5, 0.9, 0.99])
@@ -326,20 +318,18 @@ def test_closed_form_matches_dense_solve_oracle(mu):
     for X in operators:
         q = X.shape[0]
         for values in (rng.uniform(-1.0, 1.0, size=q), np.zeros(q)):
-            c0 = CredibilityVector(values=values, provenance=PROVENANCE_INITIAL)
             oracle = closed_form_oracle(X, values, mu)
             for stored in (X, X.toarray()):
-                got = propagate_closed_form(stored, c0, mu)
-                assert got.values.shape == (q,)
-                assert got.provenance == PROVENANCE_PROPAGATED and got.mu == mu
-                assert np.max(np.abs(got.values - oracle), initial=0.0) <= 1e-12
+                got = propagate_closed_form(stored, values, mu)
+                assert got.shape == (q,)
+                assert np.max(np.abs(got - oracle), initial=0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
 def test_closed_form_singular_system_raises(dense):
     # mu * X has eigenvalue 1, so I - mu*X is singular
     X = sp.csr_matrix(np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-    c0 = CredibilityVector(values=np.array([1.0, 0.5, -0.2]), provenance=PROVENANCE_INITIAL)
+    c0 = np.array([1.0, 0.5, -0.2])
     with pytest.raises(PropagationError):
         propagate_closed_form(X.toarray() if dense else X, c0, 0.5)
 
@@ -374,8 +364,8 @@ def test_cost_matches_loop_oracle():
         W, X, D, c0 = random_problem(seed)
         rng = np.random.default_rng(seed + 100)
         c = rng.uniform(-1, 1, size=W.q)
-        ours = cost_evaluate(W, D, c, c0.values, 0.4)
-        oracle = cost_oracle(W.values.toarray(), D, c, c0.values, 0.4)
+        ours = cost_evaluate(W, D, c, c0, 0.4)
+        oracle = cost_oracle(W.values.toarray(), D, c, c0, 0.4)
         assert ours == pytest.approx(oracle, rel=1e-12)
 
 
@@ -395,12 +385,12 @@ def test_minimizer_on_random_connected_instances():
     for seed in range(5):
         W, X, D, c0 = random_problem(seed, min_degree=1)
         mu = 0.4
-        c_hat = propagate_closed_form(X, c0, mu).values
-        base = cost_evaluate(W, D, c_hat, c0.values, mu)
+        c_hat = propagate_closed_form(X, c0, mu)
+        base = cost_evaluate(W, D, c_hat, c0, mu)
         rng = np.random.default_rng(seed + 500)
         for _ in range(200):
             delta = rng.uniform(-0.1, 0.1, size=W.q)
-            assert cost_evaluate(W, D, c_hat + delta, c0.values, mu) >= base
+            assert cost_evaluate(W, D, c_hat + delta, c0, mu) >= base
 
 
 def test_constant_vector_on_regular_graph_has_zero_smoothness():
@@ -418,7 +408,7 @@ def test_constant_vector_on_regular_graph_has_zero_smoothness():
 
 def test_predict_positive_sum():
     corpus = untimed_corpus([("n1", None, [["h1", "h2"]])])
-    c_hat = CredibilityVector(values=np.array([0.5, 0.3]), provenance=PROVENANCE_PROPAGATED)
+    c_hat = np.array([0.5, 0.3])
     scores = score_news(corpus, c_hat)
     assert scores[0] == pytest.approx(0.8)
     assert predict(corpus, c_hat).tolist() == [1]
@@ -426,13 +416,13 @@ def test_predict_positive_sum():
 
 def test_predict_zero_score_is_fake():
     corpus = untimed_corpus([("n1", None, [])])
-    c_hat = CredibilityVector(values=np.zeros(0), provenance=PROVENANCE_PROPAGATED)
+    c_hat = np.zeros(0)
     assert predict(corpus, c_hat).tolist() == [-1]
 
 
 def test_predict_per_post_multiplicity():
     corpus = untimed_corpus([("n1", None, [["h"], ["h"], ["h"]])])
-    c_hat = CredibilityVector(values=np.array([0.2]), provenance=PROVENANCE_PROPAGATED)
+    c_hat = np.array([0.2])
     assert score_news(corpus, c_hat, per_post=True)[0] == pytest.approx(0.6)
     assert score_news(corpus, c_hat, per_post=False)[0] == pytest.approx(0.2)
     assert predict(corpus, c_hat, per_post=True)[0] == 1
@@ -447,32 +437,31 @@ def test_predict_invariant_under_positive_scaling():
     ]
     corpus = untimed_corpus(spec)
     values = rng.uniform(-1, 1, size=len(corpus.vocabulary))
-    base = predict(corpus, CredibilityVector(values, "propagated"))
+    base = predict(corpus, values)
     for alpha in (0.5, 2.0, 1024.0, 3.0, 0.1):
-        scaled = CredibilityVector(values * alpha, "propagated")
+        scaled = values * alpha
         assert np.array_equal(predict(corpus, scaled), base)
 
 
 def test_predict_length_mismatch_rejected():
     corpus = untimed_corpus([("n1", None, [["a", "b"]])])
     with pytest.raises(ValueError, match="vocabulary"):
-        predict(corpus, CredibilityVector(np.zeros(5), "propagated"))
+        predict(corpus, np.zeros(5))
 
 
 # --- rescale -----------------------------------------------------------------------
 
 def test_rescale_maps_to_unit_interval():
-    c = CredibilityVector(values=np.array([0.4286, -0.4286]), provenance=PROVENANCE_PROPAGATED, mu=0.4)
+    c = np.array([0.4286, -0.4286])
     out = rescale_credibility(c)
-    assert np.allclose(out.values, [1.0, -1.0])
-    assert out.mu == 0.4
+    assert np.allclose(out, [1.0, -1.0])
 
 
 def test_rescale_all_zero_warns_and_passes_through(caplog):
-    c = CredibilityVector(values=np.zeros(3), provenance=PROVENANCE_PROPAGATED)
+    c = np.zeros(3)
     with caplog.at_level("WARNING"):
         out = rescale_credibility(c)
-    assert np.all(out.values == 0.0)
+    assert np.all(out == 0.0)
     assert "all-zero" in caplog.text
 
 
@@ -483,7 +472,5 @@ def test_rescale_never_flips_predictions():
         for i in range(10)
     ]
     corpus = untimed_corpus(spec)
-    c = CredibilityVector(
-        values=rng.uniform(-0.5, 0.5, size=len(corpus.vocabulary)), provenance="propagated"
-    )
+    c = rng.uniform(-0.5, 0.5, size=len(corpus.vocabulary))
     assert np.array_equal(predict(corpus, rescale_credibility(c)), predict(corpus, c))

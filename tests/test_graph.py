@@ -6,7 +6,6 @@ import pytest
 import scipy.sparse as sp
 
 from newstag.corpus import Corpus
-from newstag.credibility import CredibilityVector, PROVENANCE_ALL_DATA
 from newstag.graph import (
     EXACT_MAX_Q,
     GraphError,
@@ -459,9 +458,7 @@ def test_load_rejects_bad_vocab_header(tmp_path, vocab):
 def test_export_edge_list_and_color_classes(tmp_path):
     corpus = untimed_corpus([("n1", 1, [["a", "b"], ["b", "c"]])])
     N = normalize(build_direct_graph(corpus))
-    cred = CredibilityVector(
-        values=np.array([0.95, -0.95, 0.0]), provenance=PROVENANCE_ALL_DATA
-    )
+    cred = np.array([0.95, -0.95, 0.0])
     edges, nodes, dot = tmp_path / "e.tsv", tmp_path / "n.tsv", tmp_path / "g.dot"
     export_graph(N, cred, edges_path=edges, nodes_path=nodes, dot_path=dot)
 

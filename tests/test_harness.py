@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +12,6 @@ from newstag.credibility import (
     init_credibility,
     predict,
     score_news,
-    CredibilityVector,
     symmetric_normalize,
 )
 from newstag.harness import (
@@ -22,6 +23,7 @@ from newstag.harness import (
     METHODS,
     build_pipeline,
     compute_f1,
+    confusion_counts,
     grid_search_mu,
     propagate,
     run_experiment,
@@ -83,13 +85,21 @@ def test_f1_total_miss():
     assert compute_f1([-t for t in truths], truths) == (0.0, 0.0)
 
 
+def assert_f1_matches_oracle(preds, truths):
+    expected = brute_force_f1(preds, truths)
+    assert compute_f1(preds, truths) == expected
+    scores = compute_f1(np.array(preds, dtype=np.int64), np.array(truths, dtype=np.int64))
+    assert scores == expected
+    assert all(type(score) is float for score in scores)
+
+
 def test_f1_matches_brute_force_oracle_exactly():
     rng = np.random.default_rng(42)
     for _ in range(1000):
         n = int(rng.integers(1, 30))
         truths = [1 if rng.random() < 0.5 else -1 for _ in range(n)]
         preds = [1 if rng.random() < 0.5 else -1 for _ in range(n)]
-        assert compute_f1(preds, truths) == brute_force_f1(preds, truths)
+        assert_f1_matches_oracle(preds, truths)
     # degenerate single-class corners
     for preds, truths in [
         ([1, 1], [1, 1]),
@@ -98,7 +108,14 @@ def test_f1_matches_brute_force_oracle_exactly():
         ([-1], [1]),
         ([1], [1]),
     ]:
-        assert compute_f1(preds, truths) == brute_force_f1(preds, truths)
+        assert_f1_matches_oracle(preds, truths)
+
+
+def test_confusion_counts_on_arrays_are_python_ints():
+    counts = confusion_counts(np.array([1, 1, -1, -1, 1]), np.array([1, -1, -1, 1, 1], dtype=np.int64))
+    assert counts == {"tp": 2, "fp": 1, "tn": 1, "fn": 1}
+    assert all(type(count) is int for count in counts.values())
+    assert json.dumps(counts, sort_keys=True) == '{"fn": 1, "fp": 1, "tn": 1, "tp": 2}'
 
 
 def test_f1_identities():
@@ -118,8 +135,10 @@ def test_f1_identities():
 def test_f1_validates_input():
     with pytest.raises(ValueError):
         compute_f1([], [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got 2$"):
         compute_f1([1], [2])
+    with pytest.raises(ValueError, match=r"got 2$"):
+        compute_f1(np.array([1, -1]), np.array([-1, 2], dtype=np.int64))
     with pytest.raises(ValueError):
         compute_f1([1, 1], [1])
 
@@ -312,8 +331,8 @@ def test_single_class_training_predictions():
         [("t1", 1, [["a", "b"]]), ("t2", 1, [["b", "c"]]), ("x", None, [["a"], ["d"]])]
     )
     c0 = init_credibility(corpus, (0, 1))  # t1, t2
-    assert set(np.unique(c0.values)) <= {0.0, 1.0}
-    preds = predict(corpus, CredibilityVector(c0.values, "initial_c0"))
+    assert set(np.unique(c0)) <= {0.0, 1.0}
+    preds = predict(corpus, c0)
     assert preds[2] in (1, -1)  # x
 
 

@@ -82,7 +82,7 @@ def test_c0_and_scores_match_loop_oracles(per_post):
         labeled = np.flatnonzero(corpus.occurrences.labels)
         train = labeled[: (len(labeled) + 1) // 2]
         c0 = init_credibility(corpus, train, per_post=per_post)
-        assert_bitwise(c0.values, c0_oracle(corpus, train, per_post))
+        assert_bitwise(c0, c0_oracle(corpus, train, per_post))
 
         c = np.random.default_rng(k).uniform(-1.0, 1.0, size=len(corpus.vocabulary))
         scores = score_news(corpus, c, per_post=per_post)

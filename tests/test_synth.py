@@ -105,3 +105,16 @@ def test_parameter_validation():
         generate_synthetic(SyntheticParams(chain_depth=2, chains=0), seed=0)
     with pytest.raises(ValueError, match="posts_per_news"):
         generate_synthetic(SyntheticParams(posts_per_news=(3, 2)), seed=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("post_window_hours", float("inf")),
+    ("post_window_hours", float("nan")),
+    ("post_window_hours", -5.0),
+    ("publish_step_hours", float("inf")),
+    ("publish_step_hours", float("-inf")),
+    ("publish_step_hours", float("nan")),
+])
+def test_time_parameters_must_be_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        generate_synthetic(SyntheticParams(hashtags=10, news=4, **{field: value}), seed=1)
