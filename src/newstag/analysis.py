@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import FAKE, TRUE, Corpus, normalize_hashtag
+from .corpus import FAKE, NO_TIME, TRUE, Corpus, normalize_hashtag
 from .credibility import init_credibility, propagate_iterative, rescale_credibility
 from .harness import ExperimentConfig, _split_with_retries, build_pipeline, propagate
 
@@ -55,12 +55,12 @@ def purity_analysis(corpus: Corpus) -> PurityReport:
     true = np.bincount(tag[label == TRUE], minlength=q) > 0
     # class column per hashtag: 0 fake only, 1 true only, 2 mixed
     cls = np.where(fake & true, 2, np.where(fake, 0, 1))
-    counts = np.bincount(news * 3 + cls[tag], minlength=3 * len(corpus.news)).reshape(-1, 3)
+    counts = np.bincount(news * 3 + cls[tag], minlength=3 * len(corpus)).reshape(-1, 3)
 
     rows: list[PurityRow] = []
     skipped = 0
-    for item, (n_fake, n_true, n_mixed) in zip(corpus.news, counts.tolist()):
-        if item.label is None:
+    for news_id, label, (n_fake, n_true, n_mixed) in zip(corpus.ids, occ.labels.tolist(), counts.tolist()):
+        if not label:
             continue
         n = n_fake + n_true + n_mixed
         if not n:
@@ -68,8 +68,8 @@ def purity_analysis(corpus: Corpus) -> PurityReport:
             continue
         rows.append(
             PurityRow(
-                news_id=item.id,
-                label=item.label,
+                news_id=news_id,
+                label=label,
                 n_hashtags=n,
                 frac_fake_only=n_fake / n,
                 frac_true_only=n_true / n,
@@ -103,23 +103,26 @@ def popularity_analysis(corpus: Corpus, checkpoints_hours) -> PopularityReport:
     checkpoints = tuple(sorted(float(c) for c in checkpoints_hours))
     if not checkpoints or not all(0 < c < math.inf for c in checkpoints):
         raise ValueError("checkpoints must be positive finite hours")
-    per_news: list[dict] = []
-    excluded = 0
-    dropped_posts = 0
-    for item in corpus.news:
-        if item.label is None:
-            continue
-        if item.published_at is None:
-            excluded += 1
-            continue
-        offsets = []
-        for post in item.posts:
-            if post.created_at is None:
-                dropped_posts += 1
-            else:
-                offsets.append((post.created_at - item.published_at).total_seconds() / 3600.0)
-        counts = [sum(1 for o in offsets if o <= cp) for cp in checkpoints]
-        per_news.append({"news_id": item.id, "label": item.label, "counts": counts})
+    occ = corpus.occurrences
+    labeled = occ.labels != 0
+    timed = corpus.published != NO_TIME
+    rows = np.flatnonzero(labeled & timed)
+    post_row = np.repeat(np.arange(len(corpus)), occ.post_count)
+    of_rows = (labeled & timed)[post_row]
+    posts = np.flatnonzero(of_rows & (corpus.created != NO_TIME))
+    # hours after publish as timedelta.total_seconds() / 3600 computes them
+    gaps = (corpus.created[posts] - corpus.published[post_row[posts]]).tolist()
+    offsets = np.array([gap / 1_000_000 for gap in gaps], dtype=np.float64) / 3600.0
+    counts = np.column_stack(
+        [np.bincount(post_row[posts[offsets <= cp]], minlength=len(corpus))[rows] for cp in checkpoints]
+    )
+    labels = occ.labels[rows].tolist()
+    per_news = [
+        {"news_id": corpus.ids[row], "label": label, "counts": row_counts}
+        for row, label, row_counts in zip(rows.tolist(), labels, counts.tolist())
+    ]
+    excluded = int(np.count_nonzero(labeled & ~timed))
+    dropped_posts = int(np.count_nonzero(of_rows)) - len(posts)
 
     summary: list[dict] = []
     for idx, cp in enumerate(checkpoints):

@@ -7,8 +7,8 @@ artifacts.  Exit codes: 0 success, 1 flag/validation errors, 2 data
 errors (missing or malformed inputs, degenerate experiments).  Errors
 are single machine-parsable lines on stderr.
 
-Numeric modules are imported inside handlers, keeping --help and flag
-validation fast.
+Handlers import the modules they run; the option tables take the
+bounds of numeric flags from the library.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+
+from .corpus import MAX_SPAN_HOURS
+from .graph import MAX_K1
 
 DEFAULT_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
 DEFAULT_FRACTIONS = [0.2, 0.4, 0.6, 0.8]
@@ -47,6 +50,7 @@ class Opt:
     help: str = ""
     required: bool = False
     choices: tuple | None = None
+    limit: float | None = None  # largest magnitude accepted for a number
 
     @property
     def flag(self) -> str:
@@ -89,6 +93,7 @@ def _coerce(opt: Opt, value):
             numbers = _parse_float_list(value) if isinstance(value, str) else [float(v) for v in value]
         if not all(map(math.isfinite, numbers)):
             raise CliUsageError(f"{opt.flag} must be finite, got {value!r}")
+        _check_limit(opt, numbers, value)
         return numbers[0] if opt.kind == "float" else numbers
     if opt.kind == "strs":
         return _parse_str_list(value) if isinstance(value, str) else [str(v) for v in value]
@@ -98,11 +103,19 @@ def _coerce(opt: Opt, value):
         return bool(value)
     if opt.kind == "int":
         if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        if isinstance(value, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", value):
-            return int(value)
-        raise CliUsageError(f"{opt.flag} must be an integer, got {value!r}")
+            number = value
+        elif isinstance(value, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", value):
+            number = int(value)
+        else:
+            raise CliUsageError(f"{opt.flag} must be an integer, got {value!r}")
+        _check_limit(opt, [number], value)
+        return number
     return value
+
+
+def _check_limit(opt: Opt, numbers: list, value) -> None:
+    if opt.limit is not None and not all(abs(n) <= opt.limit for n in numbers):
+        raise CliUsageError(f"{opt.flag} must be at most {opt.limit} in magnitude, got {value!r}")
 
 
 def _resolve(args: argparse.Namespace, opts: list[Opt], extra_sources: list[dict]) -> dict:
@@ -192,6 +205,7 @@ def _read_corpus(path: str, lenient: bool = False):
 # ---------------------------------------------------------------------------
 
 _INPUT = Opt("input", "str", required=True, help="corpus JSONL path")
+_K1 = Opt("k1", "int", 10, help="closure truncation order", limit=MAX_K1)
 _OUT = Opt("out", "str", required=True, help="output artifact path")
 _SEED = Opt("seed", "int", 0, help="base random seed")
 
@@ -200,13 +214,13 @@ RUN_OPTS = [
     Opt("method", "str", "newstag", choices=("newstag", "newstag_no_indirect", "newstag_unweighted"),
         help="pipeline variant"),
     Opt("mu", "float", 0.4, help="regularization weight in (0,1)"),
-    Opt("k1", "int", 10, help="closure truncation order"),
+    _K1,
     Opt("k2", "int", help="fixed propagation iteration count (sets tolerance to 0)"),
     Opt("max_iterations", "int", 100, help="propagation iteration cap"),
     Opt("tolerance", "float", 1e-9, help="propagation stopping tolerance (0 disables)"),
     Opt("mode", "str", "iterative", choices=("iterative", "closed_form"), help="propagation solver"),
     Opt("train_fraction", "float", 0.8, help="labeled fraction used for training"),
-    Opt("horizon_hours", "float", help="optional detection-time filter in hours"),
+    Opt("horizon_hours", "float", help="optional detection-time filter in hours", limit=MAX_SPAN_HOURS),
     Opt("repetitions", "int", 10, help="number of repeated splits"),
     _SEED,
 ]
@@ -223,8 +237,8 @@ SYNTH_OPTS = [
     Opt("purity", "float", 1.0, help="own-pool draw probability, in (0.5, 1]"),
     Opt("chain_depth", "int", 0, help="bridge path length for designated chain news"),
     Opt("chains", "int", 0, help="number of designated chain news"),
-    Opt("post_window_hours", "float", 48.0, help="post timestamp window after publish"),
-    Opt("publish_step_hours", "float", 1.0, help="publish time spacing between news"),
+    Opt("post_window_hours", "float", 48.0, help="post timestamp window after publish", limit=MAX_SPAN_HOURS),
+    Opt("publish_step_hours", "float", 1.0, help="publish time spacing between news", limit=MAX_SPAN_HOURS),
     Opt("params", "str", help="flat key=value parameter file (CLI flags win)"),
     _SEED,
     _OUT,
@@ -233,7 +247,7 @@ SYNTH_OPTS = [
 VALIDATE_OPTS = [
     _INPUT,
     Opt("lenient", "bool", False, help="skip malformed records instead of failing"),
-    Opt("clock_skew_hours", "float", 0.0, help="allowed post-before-publish slack"),
+    Opt("clock_skew_hours", "float", 0.0, help="allowed post-before-publish slack", limit=MAX_SPAN_HOURS),
     Opt("out", "str", help="optional summary JSON path (default: stdout)"),
 ]
 
@@ -242,7 +256,7 @@ BUILD_GRAPH_OPTS = [
     Opt("matrix", "str", "truncated", choices=("normalized", "truncated", "exact"),
         help="which relation matrix to emit"),
     Opt("weighted", "bool", True, help="count co-occurrences vs 0/1 indicator"),
-    Opt("k1", "int", 10, help="closure truncation order"),
+    _K1,
     Opt("drop_tolerance", "float", 0.0, help="closure entry pruning threshold"),
     Opt("rel_tol", "float", help="optional relative-change stopping tolerance for the closure"),
     _OUT,
@@ -259,7 +273,7 @@ SWEEP_VOLUME_OPTS = [o for o in RUN_OPTS if o.name != "train_fraction"] + [
 ]
 
 SWEEP_TIME_OPTS = [o for o in RUN_OPTS if o.name != "horizon_hours"] + [
-    Opt("horizons", "floats", DEFAULT_HORIZONS, help="detection horizons (hours) to sweep"),
+    Opt("horizons", "floats", DEFAULT_HORIZONS, help="detection horizons (hours) to sweep", limit=MAX_SPAN_HOURS),
     _OUT,
 ]
 
@@ -280,7 +294,7 @@ EXPORT_OPTS = [
     Opt("matrix", "str", "truncated", choices=("normalized", "truncated", "exact"),
         help="relation matrix to build from the corpus"),
     Opt("weighted", "bool", True, help="count co-occurrences vs 0/1 indicator"),
-    Opt("k1", "int", 10, help="closure truncation order"),
+    _K1,
     Opt("drop_tolerance", "float", 0.0, help="closure entry pruning threshold"),
     Opt("color_by", "str", "c_star", choices=("c_star", "none"),
         help="node coloring: all-data credibility or none"),
@@ -391,7 +405,7 @@ def _cmd_synth(eff: dict) -> int:
     corpus = generate_synthetic(params, eff["seed"])
     write_corpus(corpus, eff["out"])
     _write_echo("synth", eff, eff["out"])
-    print(f"wrote {len(corpus.news)} news items to {eff['out']}")
+    print(f"wrote {len(corpus)} news items to {eff['out']}")
     return 0
 
 

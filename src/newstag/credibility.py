@@ -75,9 +75,9 @@ def init_credibility(corpus: Corpus, train_rows, per_post: bool = True) -> np.nd
     unlabeled = rows[occ.labels[rows] == 0]
     if unlabeled.size:
         row = unlabeled[0]
-        raise ValueError(f"train row {row} (news {corpus.news[row].id!r}) is unlabeled")
+        raise ValueError(f"train row {row} (news {corpus.ids[row]!r}) is unlabeled")
     q = len(corpus.vocabulary)
-    votes = np.bincount(rows, minlength=len(corpus.news))  # per news row
+    votes = np.bincount(rows, minlength=len(corpus))  # per news row
     news, tag = (occ.news, occ.tag) if per_post else occ.distinct
     num = np.bincount(tag, weights=(occ.labels * votes)[news], minlength=q)
     den = np.bincount(tag, weights=votes[news], minlength=q)
@@ -225,7 +225,7 @@ def score_news(corpus: Corpus, c_hat, per_post: bool = True) -> np.ndarray:
         )
     occ = corpus.occurrences
     news, tag = (occ.news, occ.tag) if per_post else occ.distinct
-    return np.bincount(news, weights=values[tag], minlength=len(corpus.news))
+    return np.bincount(news, weights=values[tag], minlength=len(corpus))
 
 
 def predict(corpus: Corpus, c_hat, per_post: bool = True) -> np.ndarray:

@@ -42,6 +42,12 @@ EXACT_MAX_Q = 3000
 # 25 * q**2 bytes (~1.5 GiB at the cap).
 TRUNCATED_MAX_Q = 8000
 
+# Largest truncation order the truncated closure accepts.  Each order
+# adds one sparse x dense product over the q x q buffer, so the order
+# bounds the running time; a contractive series has converged to float
+# precision long before this many terms.
+MAX_K1 = 1000
+
 
 class GraphError(ValueError):
     """Raised for graph construction or normalization failures."""
@@ -104,7 +110,7 @@ def build_direct_graph(corpus: Corpus, weighted: bool = True) -> HashtagGraph:
     deterministic.  A corpus with no multi-hashtag post yields an
     edgeless graph.
     """
-    if not corpus.news:
+    if not len(corpus):
         raise GraphError("cannot build a graph from an empty corpus")
     occ = corpus.occurrences
     q = len(corpus.vocabulary)
@@ -160,8 +166,8 @@ def all_relations_truncated(
     """
     if N.kind != NORMALIZED_DIRECT:
         raise GraphError(f"closure expects a normalized_direct matrix, got {N.kind!r}")
-    if k1 < 1:
-        raise GraphError(f"k1 must be >= 1, got {k1}")
+    if not 1 <= k1 <= MAX_K1:
+        raise GraphError(f"k1 must be >= 1 and at most {MAX_K1}, got {k1}")
     if drop_tolerance < 0:
         raise GraphError("drop_tolerance must be >= 0")
     q = N.q

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, draw_rows, filter_by_time, split_corpus
+from .corpus import MAX_SPAN_HOURS, Corpus, draw_rows, filter_by_time, split_corpus
 from .credibility import (
     PropagationConfig,
     MODE_CLOSED_FORM,
@@ -26,7 +26,7 @@ from .credibility import (
     score_news,
     symmetric_normalize,
 )
-from .graph import all_relations_truncated, build_direct_graph, normalize
+from .graph import MAX_K1, all_relations_truncated, build_direct_graph, normalize
 
 logger = logging.getLogger(__name__)
 
@@ -63,10 +63,12 @@ class ExperimentConfig:
             raise ValueError("mu must be in (0,1)")
         if self.k1 < 1:
             raise ValueError(f"k1 must be >= 1, got {self.k1}")
+        if self.k1 > MAX_K1:
+            raise ValueError(f"k1 must be at most {MAX_K1}, got {self.k1}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0,1), got {self.train_fraction}")
-        if self.time_horizon_hours is not None and not 0 < self.time_horizon_hours < math.inf:
-            raise ValueError("time_horizon_hours must be positive and finite")
+        if self.time_horizon_hours is not None and not 0 < self.time_horizon_hours <= MAX_SPAN_HOURS:
+            raise ValueError(f"time_horizon_hours must be positive and at most {MAX_SPAN_HOURS} hours")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.repetitions < 1:
@@ -311,7 +313,7 @@ def _run_repetitions(
             total[key] += conf[key]
         predictions = None
         if collect_predictions:
-            ids = (ops.corpus.news[r].id for r in test.tolist())
+            ids = [ops.corpus.ids[r] for r in test.tolist()]
             predictions = dict(zip(ids, zip(predicted[test].tolist(), scores[test].tolist())))
         reps.append(
             RepetitionResult(

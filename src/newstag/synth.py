@@ -16,7 +16,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .corpus import Corpus, NewsItem, Post, TRUE, FAKE
+from .corpus import Corpus, CorpusBuilder, TRUE, FAKE
 
 DEFAULT_PUBLISH_START = datetime(2020, 3, 1, tzinfo=timezone.utc)
 
@@ -76,6 +76,17 @@ class SyntheticParams:
             raise ValueError(f"post_window_hours must be finite and >= 0, got {self.post_window_hours}")
         if not math.isfinite(self.publish_step_hours):
             raise ValueError(f"publish_step_hours must be finite, got {self.publish_step_hours}")
+        # the first and last publish slots, each with the longest post window
+        last_slot = self.news - 1 + (2 * self.chains if self.chain_depth > 0 else 0)
+        try:
+            for slot in (0, last_slot):
+                published = DEFAULT_PUBLISH_START + timedelta(hours=self.publish_step_hours * slot)
+                published + timedelta(hours=self.post_window_hours)
+        except OverflowError:
+            raise ValueError(
+                f"publish_step_hours {self.publish_step_hours:g} and post_window_hours "
+                f"{self.post_window_hours:g} put timestamps outside years 1-9999"
+            ) from None
 
 
 def generate_synthetic(params: SyntheticParams, seed: int) -> Corpus:
@@ -92,7 +103,8 @@ def generate_synthetic(params: SyntheticParams, seed: int) -> Corpus:
     labels += [TRUE] * (params.news - len(labels))
     labels = list(rng.permutation(labels))
 
-    news: list[NewsItem] = []
+    builder = CorpusBuilder()
+    anchors: dict[str, None] = {}  # hashtags of true news, in first-appearance order
     post_lo, post_hi = params.posts_per_news
     tag_lo, tag_hi = params.hashtags_per_post
     for i, label in enumerate(labels):
@@ -106,42 +118,34 @@ def generate_synthetic(params: SyntheticParams, seed: int) -> Corpus:
                 pool = own if rng.random() < params.purity else other
                 tags.setdefault(pool[int(rng.integers(len(pool)))])
             offset = timedelta(hours=float(rng.uniform(0.0, params.post_window_hours)))
-            posts.append(
-                Post(post_id=f"n{i:05d}-p{j:03d}", created_at=published + offset, hashtags=tuple(tags))
-            )
-        news.append(NewsItem(id=f"n{i:05d}", label=label, published_at=published, posts=tuple(posts)))
+            posts.append((f"n{i:05d}-p{j:03d}", published + offset, tags))
+            if label == TRUE:
+                anchors.update(tags)
+        builder.add(f"n{i:05d}", label, published, posts)
 
     if params.chain_depth > 0:
-        news.extend(_build_chains(params, rng, news))
+        _build_chains(params, rng, list(anchors), builder)
 
-    return Corpus.from_news(news)
+    return builder.build()
 
 
 def _build_chains(
-    params: SyntheticParams, rng: np.random.Generator, regular_news: list[NewsItem]
-) -> list[NewsItem]:
-    """Plant designated true news reachable only via bridge paths.
+    params: SyntheticParams, rng: np.random.Generator, anchor_list: list[str], builder: CorpusBuilder
+) -> None:
+    """Append designated true news reachable only via bridge paths.
 
     Each designated news uses a single private hashtag in posts of its
     own.  An unlabeled carrier news holds the bridge posts forming the
     path  private -> bridge_1 -> ... -> bridge_{d-1} -> anchor,  where
-    the anchor is a true-pool hashtag already used by a true news item.
-    Because the carrier is unlabeled it can never enter a train split,
-    so under every split the private hashtag has no direct co-occurrence
-    with any hashtag seen in training posts.
+    the anchor is a true-pool hashtag already used by a true news item
+    (``anchor_list``).  Because the carrier is unlabeled it can never
+    enter a train split, so under every split the private hashtag has
+    no direct co-occurrence with any hashtag seen in training posts.
     """
-    anchors: dict[str, None] = {}
-    for item in regular_news:
-        if item.label == TRUE:
-            for post in item.posts:
-                for h in post.hashtags:
-                    anchors.setdefault(h)
-    anchor_list = list(anchors)
     if not anchor_list:
         raise ValueError("chain construction needs at least one true news with hashtags")
 
-    out: list[NewsItem] = []
-    base_hour = params.publish_step_hours * len(regular_news)
+    base_hour = params.publish_step_hours * params.news
     for c in range(params.chains):
         private = f"chain{c:03d}-tag"
         bridges = [f"chain{c:03d}-b{t}" for t in range(params.chain_depth - 1)]
@@ -149,44 +153,28 @@ def _build_chains(
         path = [private] + bridges + [anchor]
 
         published = DEFAULT_PUBLISH_START + timedelta(hours=base_hour + 2 * c * params.publish_step_hours)
-        designated_posts = tuple(
-            Post(
-                post_id=f"chain-{c:03d}-p{j}",
-                created_at=published + timedelta(hours=float(rng.uniform(0.0, params.post_window_hours))),
-                hashtags=(private,),
+        designated_posts = [
+            (
+                f"chain-{c:03d}-p{j}",
+                published + timedelta(hours=float(rng.uniform(0.0, params.post_window_hours))),
+                (private,),
             )
             for j in range(2)
-        )
-        out.append(
-            NewsItem(
-                id=f"{CHAIN_NEWS_PREFIX}{c:03d}",
-                label=TRUE,
-                published_at=published,
-                posts=designated_posts,
-            )
-        )
+        ]
+        builder.add(f"{CHAIN_NEWS_PREFIX}{c:03d}", TRUE, published, designated_posts)
 
         carrier_published = published + timedelta(hours=params.publish_step_hours)
-        carrier_posts = tuple(
-            Post(
-                post_id=f"carrier-{c:03d}-p{j}",
-                created_at=carrier_published
-                + timedelta(hours=float(rng.uniform(0.0, params.post_window_hours))),
-                hashtags=(path[j], path[j + 1]),
+        carrier_posts = [
+            (
+                f"carrier-{c:03d}-p{j}",
+                carrier_published + timedelta(hours=float(rng.uniform(0.0, params.post_window_hours))),
+                (path[j], path[j + 1]),
             )
             for j in range(len(path) - 1)
-        )
-        out.append(
-            NewsItem(
-                id=f"{CARRIER_NEWS_PREFIX}{c:03d}",
-                label=None,
-                published_at=carrier_published,
-                posts=carrier_posts,
-            )
-        )
-    return out
+        ]
+        builder.add(f"{CARRIER_NEWS_PREFIX}{c:03d}", None, carrier_published, carrier_posts)
 
 
 def designated_chain_ids(corpus: Corpus) -> tuple[str, ...]:
     """Ids of the designated chain news present in a synthetic corpus."""
-    return tuple(item.id for item in corpus.news if item.id.startswith(CHAIN_NEWS_PREFIX))
+    return tuple(news_id for news_id in corpus.ids if news_id.startswith(CHAIN_NEWS_PREFIX))

@@ -284,3 +284,53 @@ def pair_count_oracle(corpus: Corpus) -> dict[tuple[str, str], int]:
                     key = (tags[a], tags[b])
                     counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def filter_by_time_oracle(corpus: Corpus, horizon_hours: float) -> Corpus:
+    """Time-horizon oracle: the object filter, post by post with datetimes.
+
+    News without a publish time is kept whole; other news keeps the
+    posts created at most ``horizon_hours`` after publication; the
+    vocabulary is rebuilt from the kept posts.
+    """
+    horizon = timedelta(hours=horizon_hours)
+    filtered = []
+    for item in corpus.news:
+        if item.published_at is None:
+            filtered.append(item)
+            continue
+        cutoff = item.published_at + horizon
+        kept = tuple(p for p in item.posts if p.created_at is not None and p.created_at <= cutoff)
+        filtered.append(NewsItem(id=item.id, label=item.label, published_at=item.published_at, posts=kept))
+    return Corpus.from_news(filtered)
+
+
+def popularity_oracle(corpus: Corpus, checkpoints) -> tuple[list[dict], int, int]:
+    """Popularity oracle: per-news cumulative post counts, news without a
+    publish time and untimed posts, by loops over datetimes."""
+    per_news, excluded, dropped = [], 0, 0
+    for item in corpus.news:
+        if item.label is None:
+            continue
+        if item.published_at is None:
+            excluded += 1
+            continue
+        offsets = []
+        for post in item.posts:
+            if post.created_at is None:
+                dropped += 1
+            else:
+                offsets.append((post.created_at - item.published_at).total_seconds() / 3600.0)
+        counts = [sum(1 for o in offsets if o <= cp) for cp in checkpoints]
+        per_news.append({"news_id": item.id, "label": item.label, "counts": counts})
+    return per_news, excluded, dropped
+
+
+def skew_oracle(corpus: Corpus, clock_skew: timedelta) -> int:
+    """Clock-skew oracle: posts created before publish time minus the allowance."""
+    count = 0
+    for item in corpus.news:
+        if item.published_at is not None:
+            floor = item.published_at - clock_skew
+            count += sum(1 for p in item.posts if p.created_at is not None and p.created_at < floor)
+    return count

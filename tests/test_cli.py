@@ -431,6 +431,46 @@ def test_non_finite_flag_exits_1(workdir, subcommand, flag, value):
     assert not (workdir / "non-finite.out").exists()
 
 
+@pytest.mark.parametrize("subcommand, flag, value", [
+    ("run", "--horizon-hours", "1e20"),
+    ("sweep-time", "--horizons", "12,1e20"),
+    ("validate", "--clock-skew-hours", "1e20"),
+    ("synth", "--post-window-hours", "1e300"),
+    ("synth", "--publish-step-hours", "1e300"),
+])
+def test_hours_beyond_a_timedelta_exit_1(workdir, subcommand, flag, value):
+    inputs = [] if subcommand == "synth" else ["--input", str(workdir / "corpus.jsonl")]
+    result = run_cli(subcommand, *inputs, flag, value, "--out", str(workdir / "huge-hours.out"))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {flag} must be at most ") and result.stderr.count("\n") == 1
+    assert not (workdir / "huge-hours.out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--post-window-hours", "1e9"), ("--publish-step-hours", "1e7")])
+def test_synth_timestamps_past_year_9999_exit_1(workdir, flag, value):
+    out = workdir / "far-future.jsonl"
+    result = run_cli("synth", "--hashtags", "20", "--news", "10", flag, value, "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and "outside years 1-9999" in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["run", "grid-mu", "build-graph", "export"])
+def test_k1_above_cap_exits_1(workdir, subcommand):
+    from newstag.graph import MAX_K1
+
+    out_flag = "--edges-out" if subcommand == "export" else "--out"
+    extra = ["--repetitions", "1"] if subcommand in ("run", "grid-mu") else []
+    out = workdir / f"k1-huge-{subcommand}.out"
+    result = run_cli(
+        subcommand, "--input", str(workdir / "corpus.jsonl"), "--k1", str(MAX_K1 + 1), *extra, out_flag, str(out),
+    )
+    assert result.returncode == 1
+    assert result.stderr == f"error: --k1 must be at most {MAX_K1} in magnitude, got {MAX_K1 + 1}\n"
+    assert not out.exists()
+
+
 def test_negative_clock_skew_exits_1(workdir):
     result = run_cli("validate", "--input", str(workdir / "corpus.jsonl"), "--clock-skew-hours", "-5")
     assert result.returncode == 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from newstag.corpus import (
+    MAX_SPAN_HOURS,
     Corpus,
     CorpusError,
     corpus_stats,
@@ -132,6 +133,85 @@ def test_negative_clock_skew_rejected():
         corpus_stats(parse_corpus([record]), clock_skew=timedelta(hours=-5))
 
 
+def _time_error(text):
+    """The ValueError text ``parse_timestamp`` gives for ``text`` on this Python."""
+    with pytest.raises(ValueError) as info:
+        parse_timestamp(text)
+    return str(info.value)
+
+
+def _post(**fields):
+    return {"post_id": "p1", "created_at": None, "hashtags": ["#b"], **fields}
+
+
+def _bad(**fields):
+    return json.dumps({"id": "n2", "label": 1, "published_at": None, "posts": [_post()], **fields})
+
+
+# (malformed line, the CorpusError text it gives as line 2 of a stream)
+SKIPPABLE = [
+    ("{broken", "invalid JSON: Expecting property name enclosed in double quotes"),
+    ("[1, 2]", "record must be a JSON object"),
+    ('"n2"', "record must be a JSON object"),
+    (json.dumps({"label": 1}), "id must be a nonempty string"),
+    (_bad(id=""), "id must be a nonempty string"),
+    (_bad(id=7), "id must be a nonempty string"),
+    (_bad(published_at=5), "news 'n2': published_at must be a string or null"),
+    (_bad(published_at="yesterday"), f"news 'n2': bad published_at: {_time_error('yesterday')}"),
+    (_bad(published_at="2020-02-30T00:00:00Z"),
+     f"news 'n2': bad published_at: {_time_error('2020-02-30T00:00:00Z')}"),
+    (_bad(posts={"p": 1}), "news 'n2': posts must be a list"),
+    (_bad(posts=[_post(), 5]), "post must be an object"),
+    (_bad(posts=[_post(post_id="")]), "news 'n2': post_id must be a nonempty string"),
+    (_bad(posts=[{"hashtags": []}]), "news 'n2': post_id must be a nonempty string"),
+    (_bad(posts=[_post(created_at=3)]), "post 'p1': created_at must be a string or null"),
+    (_bad(posts=[_post(created_at="2020-03-01T25:00:00Z")]),
+     f"post 'p1': bad created_at: {_time_error('2020-03-01T25:00:00Z')}"),
+    (_bad(posts=[_post(hashtags="#b")]), "post 'p1': hashtags must be a list"),
+    (_bad(posts=[_post(hashtags=["#b", 5])]), "post 'p1': hashtags must be strings"),
+    (_bad(posts=[_post(hashtags=["#a", ["#b"]])]), "post 'p1': hashtags must be strings"),
+    (_bad(posts=[_post(), _post(post_id="p2", hashtags=[None])]), "post 'p2': hashtags must be strings"),
+]
+
+# (line, the CorpusError text it gives as line 2, even in lenient mode)
+FATAL = [
+    (_bad(label=2), "label must be -1, 1, or null, got 2"),
+    (_bad(label=True), "label must be -1, 1, or null, got True"),
+    (_bad(label="1"), "label must be -1, 1, or null, got '1'"),
+    (_bad(label=1.0, posts=5), "label must be -1, 1, or null, got 1.0"),
+    (_bad(id="n1"), "duplicate news id 'n1'"),
+]
+
+
+def _stream(line):
+    good = [_record(news_id="n1", posts=[_post(hashtags=["#a"])]), _record(news_id="n3", posts=[_post(hashtags=["#c"])])]
+    return [good[0], line, good[1]]
+
+
+@pytest.mark.parametrize("line, message", SKIPPABLE + FATAL)
+def test_corpus_error_messages_when_strict(line, message):
+    with pytest.raises(CorpusError) as info:
+        parse_corpus(_stream(line))
+    assert str(info.value) == f"line 2: {message}"
+
+
+@pytest.mark.parametrize("line, message", SKIPPABLE)
+def test_lenient_mode_skips_malformed_records(line, message):
+    problems = []
+    corpus = parse_corpus(_stream(line), lenient=True, errors=problems)
+    assert problems == [(2, f"line 2: {message}")]
+    assert [item.id for item in corpus.news] == ["n1", "n3"]
+    # the skipped record's hashtags never enter the vocabulary
+    assert corpus.vocabulary == ("a", "c")
+
+
+@pytest.mark.parametrize("line, message", FATAL)
+def test_lenient_mode_keeps_label_and_duplicate_errors_fatal(line, message):
+    with pytest.raises(CorpusError) as info:
+        parse_corpus(_stream(line), lenient=True, errors=[])
+    assert str(info.value) == f"line 2: {message}"
+
+
 def test_parse_timestamp_variants():
     z = parse_timestamp("2020-03-01T12:00:00Z")
     offset = parse_timestamp("2020-03-01T12:00:00+00:00")
@@ -200,6 +280,37 @@ def test_filter_rejects_nonpositive_horizon():
     corpus = untimed_corpus([("n1", 1, [["a"]])])
     with pytest.raises(ValueError):
         filter_by_time(corpus, 0.0)
+
+
+def test_filter_rejects_horizon_beyond_a_timedelta():
+    corpus = untimed_corpus([("n1", 1, [["a"]])])
+    with pytest.raises(ValueError, match="horizon_hours"):
+        filter_by_time(corpus, MAX_SPAN_HOURS * 2)
+    with pytest.raises(ValueError, match="horizon_hours"):
+        filter_by_time(corpus, 1e20)
+
+
+def test_filter_horizon_past_year_9999_keeps_every_timed_post():
+    # publish time + horizon is past datetime's range; the window still closes exactly
+    corpus = Corpus.from_news([timed_news("n1", 1, 0, [(1.0, ["a"]), (None, ["b"]), (1e5, ["c"])])])
+    out = filter_by_time(corpus, MAX_SPAN_HOURS)
+    assert [p.post_id for p in out.news[0].posts] == ["n1-p0", "n1-p2"]
+    assert out.vocabulary == ("a", "c")
+
+
+def test_huge_clock_skew_allowance_counts_no_violation():
+    record = _record(posts=[{"post_id": "p1", "created_at": "2020-02-29T00:00:00Z", "hashtags": ["a"]}])
+    corpus = parse_corpus([record], clock_skew=timedelta.max)
+    assert corpus_stats(corpus, clock_skew=timedelta.max)["clock_skew_violations"] == 0
+    assert corpus_stats(corpus)["clock_skew_violations"] == 1
+
+
+def test_timestamp_outside_datetime_range_is_a_corpus_error():
+    # valid ISO text whose UTC instant falls before year 1
+    record = _record(posts=[{"post_id": "p1", "created_at": "0001-01-01T00:00:00+01:00", "hashtags": ["a"]}])
+    with pytest.raises(CorpusError) as info:
+        parse_corpus([record])
+    assert str(info.value) == "line 1: post 'p1': bad created_at: date value out of range"
 
 
 def test_filter_monotone_in_horizon():

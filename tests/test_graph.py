@@ -10,6 +10,7 @@ from newstag.graph import (
     EXACT_MAX_Q,
     GraphError,
     HashtagGraph,
+    MAX_K1,
     NORMALIZED_DIRECT,
     RelationMatrix,
     TRUNCATED_MAX_Q,
@@ -143,6 +144,13 @@ def test_truncated_k1_equals_n():
     assert np.array_equal(W.values.toarray(), N.values.toarray())
     assert W.kind == "all_relations_truncated"
     assert W.k1 == 1
+
+
+def test_truncated_rejects_k1_outside_its_range():
+    N = path_graph_n()
+    for k1 in (0, MAX_K1 + 1):
+        with pytest.raises(GraphError, match="k1"):
+            all_relations_truncated(N, k1=k1)
 
 
 def test_truncated_k2_path_graph_matches_dense_oracle():

@@ -35,6 +35,7 @@ from newstag.synth import SyntheticParams, generate_synthetic
 from helpers import as_dense, brute_force_f1, dense_pipeline_oracle, timed_news, untimed_corpus
 from newstag.corpus import Corpus, filter_by_time, split_corpus
 from newstag.graph import (
+    MAX_K1,
     NORMALIZED_DIRECT,
     RelationMatrix,
     all_relations_truncated,
@@ -423,6 +424,10 @@ def test_config_validation_errors():
         small_config(repetitions=0).validate()
     with pytest.raises(ValueError, match="k1"):
         small_config(k1=0).validate()
+    with pytest.raises(ValueError, match="k1"):
+        small_config(k1=MAX_K1 + 1).validate()
+    with pytest.raises(ValueError, match="time_horizon_hours"):
+        small_config(time_horizon_hours=1e20).validate()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -118,3 +118,17 @@ def test_parameter_validation():
 def test_time_parameters_must_be_finite(field, value):
     with pytest.raises(ValueError, match=field):
         generate_synthetic(SyntheticParams(hashtags=10, news=4, **{field: value}), seed=1)
+
+
+@pytest.mark.parametrize("fields", [
+    {"post_window_hours": 1e300},
+    {"post_window_hours": 1e9},
+    {"publish_step_hours": 1e7},
+    {"publish_step_hours": -1e7},
+    # the chain news come after the regular ones
+    {"publish_step_hours": 1e6, "chain_depth": 2, "chains": 40},
+])
+def test_timestamps_outside_datetime_range_rejected(fields):
+    with pytest.raises(ValueError, match="outside years 1-9999"):
+        SyntheticParams(hashtags=20, news=10, **fields).validate()
+    SyntheticParams(hashtags=20, news=10, publish_step_hours=1e6).validate()
