@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import unicodedata
+from bisect import bisect_right
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -60,8 +61,11 @@ def normalize_hashtag(raw: str) -> str | None:
     variants of the number sign (e.g. fullwidth) are stripped too.
     The result is a fixed point: normalizing twice changes nothing.
     """
-    s = unicodedata.normalize("NFKC", raw).casefold()
-    s = unicodedata.normalize("NFKC", s)
+    if raw.isascii():
+        s = raw.lower()  # what both normalizations and case-folding give on ASCII
+    else:
+        s = unicodedata.normalize("NFKC", raw).casefold()
+        s = unicodedata.normalize("NFKC", s)
     s = s.strip().lstrip("#").strip()
     return s or None
 
@@ -250,6 +254,16 @@ class _PostsView(_RowsView):
         )
 
 
+def _lengths(strings: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+
+
+def _bounds(lengths: np.ndarray) -> np.ndarray:
+    bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    return bounds
+
+
 class _Strings(Sequence):
     """Read-only sequence of strings held as one concatenated string and
     the boundaries between them.
@@ -263,8 +277,14 @@ class _Strings(Sequence):
 
     def __init__(self, strings: Sequence[str]) -> None:
         self._text = "".join(strings)
-        self._bounds = np.zeros(len(strings) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, strings), dtype=np.int64, count=len(strings)), out=self._bounds[1:])
+        self._bounds = _bounds(_lengths(strings))
+
+    @classmethod
+    def from_lengths(cls, text: str, lengths: np.ndarray) -> "_Strings":
+        """The strings that consecutive ``lengths`` cut ``text`` into."""
+        strings = cls.__new__(cls)
+        strings._text, strings._bounds = text, _bounds(lengths)
+        return strings
 
     def __len__(self) -> int:
         return len(self._bounds) - 1
@@ -281,10 +301,8 @@ class _Strings(Sequence):
 
 
 class CorpusBuilder:
-    """Columns of a corpus under construction, appended in stream order.
-
-    ``parse_corpus`` appends to the lists directly; other producers call
-    :meth:`add`.  :meth:`build` freezes the lists into a :class:`Corpus`.
+    """Columns of a corpus under construction, appended in stream order
+    by :meth:`add`.  :meth:`build` freezes the lists into a :class:`Corpus`.
     """
 
     def __init__(self) -> None:
@@ -326,23 +344,52 @@ class CorpusBuilder:
 
     def build(self) -> Corpus:
         tag_count = np.array(self.tag_count, dtype=np.int64)
-        post_count = np.array(self.post_count, dtype=np.int64)
-        post = np.repeat(np.arange(len(tag_count)), tag_count)
-        return Corpus(
-            ids=tuple(self.ids),
-            published=np.array(self.published, dtype=np.int64),
+        return _from_columns(
+            ids=self.ids,
+            labels=self.labels,
+            published=self.published,
+            post_count=self.post_count,
             post_ids=_Strings(self.post_ids),
-            created=np.array(self.created, dtype=np.int64),
-            vocabulary=tuple(self.vocab),
-            occurrences=Occurrences(
-                news=np.repeat(np.arange(len(post_count)), post_count)[post],
-                post=post,
-                tag=np.array(self.tags, dtype=np.int64),
-                n_posts=len(tag_count),
-                labels=np.array(self.labels, dtype=np.int64),
-                post_count=post_count,
-            ),
+            created=self.created,
+            post=np.repeat(np.arange(len(tag_count)), tag_count),
+            tag=self.tags,
+            vocabulary=self.vocab,
         )
+
+
+def _from_columns(
+    *, ids, labels, published, post_count, post_ids: _Strings, created, post: np.ndarray, tag, vocabulary
+) -> Corpus:
+    """A corpus from its columns: ``ids``, ``labels``, ``published`` and
+    ``post_count`` per news row, ``post_ids`` and ``created`` per post,
+    and the post and vocabulary index of each occurrence."""
+    post_count = np.asarray(post_count, dtype=np.int64)
+    return Corpus(
+        ids=tuple(ids),
+        published=np.asarray(published, dtype=np.int64),
+        post_ids=post_ids,
+        created=np.asarray(created, dtype=np.int64),
+        vocabulary=tuple(vocabulary),
+        occurrences=Occurrences(
+            news=np.repeat(np.arange(len(post_count)), post_count)[post],
+            post=post,
+            tag=np.asarray(tag, dtype=np.int64),
+            n_posts=len(post_ids),
+            labels=np.asarray(labels, dtype=np.int64),
+            post_count=post_count,
+        ),
+    )
+
+
+def _first_appearance(tag: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``tag`` (each below ``size``) in order of
+    first appearance, and ``tag`` renumbered in that order."""
+    first = np.full(size, len(tag))
+    np.minimum.at(first, tag, np.arange(len(tag)))
+    order = np.argsort(first)[: np.count_nonzero(first < len(tag))]
+    new_index = np.zeros(size, dtype=np.int64)
+    new_index[order] = np.arange(len(order))
+    return order, new_index[tag]
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +408,10 @@ def parse_timestamp(value: str) -> datetime:
 
 
 def format_timestamp(dt: datetime) -> str:
-    """Render a UTC timestamp in the canonical form used by writers."""
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """Render a UTC timestamp in the canonical form used by writers, with
+    a four-digit year (``strftime`` may not pad years below 1000)."""
+    dt = dt.astimezone(timezone.utc)
+    return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%SZ}"
 
 
 def _micros(dt: datetime | None) -> int:
@@ -390,73 +439,315 @@ def _read_time(raw, line_no: int, owner: str, owner_id: str, name: str) -> int:
         raise CorpusError(f"line {line_no}: {owner} {owner_id!r}: bad {name}: {exc}") from exc
 
 
-def _intern_tags(raw_tags: list, line_no: int, post_id: str, tag_of: dict, vocab: dict) -> list[int]:
-    """Vocabulary indices of a post's raw tokens, -1 for a token that
-    normalizes to nothing; new tokens enter ``tag_of`` and ``vocab``."""
-    out = []
-    for raw in raw_tags:
-        if not isinstance(raw, str):
-            raise CorpusError(f"line {line_no}: post {post_id!r}: hashtags must be strings")
-        tag = tag_of.get(raw)
-        if tag is None:
-            name = normalize_hashtag(raw)
-            tag = tag_of[raw] = -1 if name is None else vocab.setdefault(name, len(vocab))
-        out.append(tag)
-    return out
+# Records read between two runs of the timestamp kernel.  The kernel
+# works on whole arrays, and the raw values it has not converted yet are
+# all that a parse holds beyond the finished columns.
+CHUNK_LINES = 2048
+
+# Per character of a canonical ``YYYY-MM-DDTHH:MM:SSZ`` stamp: the lowest
+# code point allowed and how far above it a code point may be
+_STAMP = "0000-00-00T00:00:00Z"
+_STAMP_LOW = np.frombuffer(_STAMP.encode("ascii"), dtype=np.uint8)
+_STAMP_SPAN = np.where(_STAMP_LOW == ord("0"), 9, 0).astype(np.uint8)
+_STAMP_DIGITS = np.flatnonzero(_STAMP_SPAN)
+# Proleptic Gregorian calendar: per year 0-9999, whether it is a leap year
+# and its first day counted from 1970-01-01; per month 1-12, its length
+# in a common year and the days before it
+_YEARS = np.arange(10000)
+_LEAP = (_YEARS % 4 == 0) & ((_YEARS % 100 != 0) | (_YEARS % 400 == 0))
+_YEAR_START = np.cumsum(365 + _LEAP) - (365 + _LEAP)
+_YEAR_START -= _YEAR_START[1970]
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_MONTH_START = np.concatenate([[0], np.cumsum(_MONTH_DAYS)[:-1]])
 
 
-def _read_record(obj, line_no: int, cols: CorpusBuilder, tag_of: dict) -> tuple[str, int, int]:
-    """Validate one record and append its posts to ``cols``.
+def _stamp_micros(stamps: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Time column entries of strings 20 characters long read as
+    canonical stamps, and which of them are valid stamps.
 
-    Returns the news id, its publish time and its post count; the
-    caller appends the news columns.  On CorpusError ``cols`` may hold a
-    partial record.
+    A stamp is valid when its separators are in place, its digits are
+    ASCII and its date and time are in range (years 1-9999, seconds
+    0-59); only valid stamps get a meaningful entry.
     """
-    if not isinstance(obj, dict):
-        raise CorpusError(f"line {line_no}: record must be a JSON object")
-    news_id = obj.get("id")
-    if not isinstance(news_id, str) or not news_id:
-        raise CorpusError(f"line {line_no}: id must be a nonempty string")
-    published = obj.get("published_at")
-    if published is not None:
-        published = _read_time(published, line_no, "news", news_id, "published_at")
-    else:
-        published = NO_TIME
-    posts = obj.get("posts", [])
-    if not isinstance(posts, list):
-        raise CorpusError(f"line {line_no}: news {news_id!r}: posts must be a list")
-    vocab, lookup = cols.vocab, tag_of.__getitem__
-    add_post_id, add_created = cols.post_ids.append, cols.created.append
-    add_count, add_tags = cols.tag_count.append, cols.tags.extend
-    for post in posts:
-        if not isinstance(post, dict):
-            raise CorpusError(f"line {line_no}: post must be an object")
-        post_id = post.get("post_id")
-        if not isinstance(post_id, str) or not post_id:
-            raise CorpusError(f"line {line_no}: news {news_id!r}: post_id must be a nonempty string")
-        created = post.get("created_at")
-        if created is not None:
-            created = _read_time(created, line_no, "post", post_id, "created_at")
-        else:
-            created = NO_TIME
-        raw_tags = post.get("hashtags", [])
-        if not isinstance(raw_tags, list):
-            raise CorpusError(f"line {line_no}: post {post_id!r}: hashtags must be a list")
+    # a character outside ASCII becomes "?", which is no digit or separator
+    text = "".join(stamps).encode("ascii", "replace")
+    offset = np.frombuffer(text, dtype=np.uint8).reshape(-1, len(_STAMP)) - _STAMP_LOW  # wraps below
+    valid = (offset <= _STAMP_SPAN).all(axis=1)
+    digits = np.where(valid[:, None], offset[:, _STAMP_DIGITS], 0).astype(np.int64)
+    year = ((digits[:, 0] * 10 + digits[:, 1]) * 10 + digits[:, 2]) * 10 + digits[:, 3]
+    month, day, hour, minute, second = (digits[:, 4::2] * 10 + digits[:, 5::2]).T
+    leap, month_index = _LEAP[year], np.minimum(month, 12)
+    month_days = _MONTH_DAYS[month_index] + (leap & (month == 2))
+    valid &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    valid &= (hour <= 23) & (minute <= 59) & (second <= 59)
+    days = _YEAR_START[year] + _MONTH_START[month_index] + (leap & (month > 2)) + day - 1
+    return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000, valid
+
+
+def _read_times(values: list, where) -> tuple[np.ndarray, dict[int, CorpusError]]:
+    """Time column entries of raw values (strings, or None when absent),
+    and the CorpusError of each value that is no timestamp, by index.
+
+    Canonical ``YYYY-MM-DDTHH:MM:SSZ`` stamps are read as one array;
+    every other value goes through ``_read_time``, with the line, owner
+    kind, owner id and field name that ``where(index)`` gives.
+    """
+    raw = np.array(values, dtype=object)
+    out = np.full(len(raw), NO_TIME, dtype=np.int64)
+    present = raw != None  # noqa: E711 (elementwise)
+    strings = np.flatnonzero(present)
+    widths = np.fromiter(map(len, raw[strings]), dtype=np.int64, count=len(strings))
+    stamped = strings[widths == len(_STAMP)]
+    micros, valid = _stamp_micros(raw[stamped])
+    out[stamped[valid]] = micros[valid]
+    present[stamped[valid]] = False
+    errors: dict[int, CorpusError] = {}
+    for i in np.flatnonzero(present).tolist():
         try:
-            tags = list(map(lookup, raw_tags))
-        except (KeyError, TypeError):  # a token not seen yet, or not a string
-            tags = _intern_tags(raw_tags, line_no, post_id, tag_of, vocab)
-        if -1 in tags:
-            kept = [t for t in tags if t >= 0]
-            logger.debug("post %r: dropped %d empty hashtag token(s)", post_id, len(tags) - len(kept))
-            tags = kept
-        if len(tags) > 1 and len(set(tags)) < len(tags):
-            tags = list(dict.fromkeys(tags))
-        add_post_id(post_id)
-        add_created(created)
-        add_count(len(tags))
-        add_tags(tags)
-    return news_id, published, len(posts)
+            out[i] = _read_time(values[i], *where(i))
+        except CorpusError as exc:
+            errors[i] = exc
+    return out, errors
+
+
+class _TokenIds(dict):
+    """Raw hashtag token -> id, in first-appearance order.  Looking up a
+    token that is not a string raises TypeError."""
+
+    def __missing__(self, token):
+        if not isinstance(token, str):
+            raise TypeError(f"hashtag token {token!r} is not a string")
+        self[token] = n = len(self)
+        return n
+
+
+class _Pending:
+    """Raw columns of the records read since the timestamp kernel last ran.
+
+    A record's news entries are appended once its id and the type of its
+    publish time pass their checks, and a post's id and creation time
+    once they do, so a record that fails a later check is the last one
+    here, read in part.  Its unfinished post, if any, has no tag count.
+    """
+
+    def __init__(self) -> None:
+        self.lines: list[int] = []
+        self.ids: list[str] = []
+        self.labels: list[int] = []  # 0 when unlabeled
+        self.published: list[str | None] = []
+        self.post_start: list[int] = []  # first post of each record
+        self.token_start: list[int] = []  # first token of each record
+        self.post_ids: list[str] = []
+        self.created: list[str | None] = []
+        self.tag_count: list[int] = []  # raw tokens per finished post
+        self.tokens: list[int] = []  # raw-token id per token
+
+
+class _Reader:
+    """One parse: a structural pass over each line into pending raw
+    columns, the timestamp kernel over them every ``CHUNK_LINES``
+    records, and the token kernel over the whole corpus at the end."""
+
+    def __init__(self, lenient: bool, errors: list[tuple[int, str]] | None) -> None:
+        self.lenient, self.errors = lenient, errors
+        self.token_ids = _TokenIds()
+        self.seen: dict[str, int] = {}  # news id -> line of the record holding it
+        self.pending = _Pending()
+        # finished columns, one list, string or array per kernel run; post
+        # ids are joined into one string per run, with their lengths
+        self.ids: list[str] = []
+        self.post_text: list[str] = []
+        self.post_length: list[np.ndarray] = []
+        self.labels: list[np.ndarray] = []
+        self.published: list[np.ndarray] = []
+        self.post_count: list[np.ndarray] = []
+        self.created: list[np.ndarray] = []
+        self.tag_count: list[np.ndarray] = []
+        self.tokens: list[np.ndarray] = []
+
+    def read(self, line_no: int, line: str) -> None:
+        line = line.strip()
+        if not line:
+            return
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            self.convert()
+            self.skip(line_no, CorpusError(f"line {line_no}: invalid JSON: {exc.msg}"))
+            return
+        # Out-of-range labels are always fatal, even in lenient mode: they
+        # would silently corrupt training rather than merely lose a record.
+        label = None
+        if isinstance(obj, dict):
+            label = obj.get("label")
+            if label is not None and (
+                not isinstance(label, int) or isinstance(label, bool) or label not in VALID_LABELS
+            ):
+                self.convert()
+                raise CorpusError(f"line {line_no}: label must be -1, 1, or null, got {label!r}")
+        pending = self.pending
+        try:
+            news_id = self.scan(obj, line_no, label or 0)
+        except CorpusError as exc:
+            # structurally malformed records are the only skippable kind
+            if pending.lines[-1:] == [line_no]:
+                self.convert(exc)
+            else:
+                self.convert()
+                self.skip(line_no, exc)
+            return
+        if self.seen.setdefault(news_id, line_no) != line_no:
+            # a duplicate, unless this record or the first holder fails a time check
+            if line_no not in self.convert() and self.seen.setdefault(news_id, line_no) != line_no:
+                raise CorpusError(f"line {line_no}: duplicate news id {news_id!r}")
+        elif len(pending.lines) >= CHUNK_LINES:
+            self.convert()
+
+    def scan(self, obj, line_no: int, label: int) -> str:
+        """Check one record's structure and append its raw values to the
+        pending columns; return its news id."""
+        if not isinstance(obj, dict):
+            raise CorpusError(f"line {line_no}: record must be a JSON object")
+        news_id = obj.get("id")
+        if not isinstance(news_id, str) or not news_id:
+            raise CorpusError(f"line {line_no}: id must be a nonempty string")
+        published = obj.get("published_at")
+        if published is not None and not isinstance(published, str):
+            raise CorpusError(f"line {line_no}: news {news_id!r}: published_at must be a string or null")
+        p = self.pending
+        p.lines.append(line_no)
+        p.ids.append(news_id)
+        p.labels.append(label)
+        p.published.append(published)
+        p.post_start.append(len(p.post_ids))
+        p.token_start.append(len(p.tokens))
+        posts = obj.get("posts", [])
+        if not isinstance(posts, list):
+            raise CorpusError(f"line {line_no}: news {news_id!r}: posts must be a list")
+        token_id = self.token_ids.__getitem__
+        add_post_id, add_created = p.post_ids.append, p.created.append
+        add_count, add_tokens = p.tag_count.append, p.tokens.extend
+        for post in posts:
+            if not isinstance(post, dict):
+                raise CorpusError(f"line {line_no}: post must be an object")
+            post_id = post.get("post_id")
+            if not isinstance(post_id, str) or not post_id:
+                raise CorpusError(f"line {line_no}: news {news_id!r}: post_id must be a nonempty string")
+            created = post.get("created_at")
+            if created is not None and not isinstance(created, str):
+                raise CorpusError(f"line {line_no}: post {post_id!r}: created_at must be a string or null")
+            add_post_id(post_id)
+            add_created(created)
+            raw_tags = post.get("hashtags", [])
+            if not isinstance(raw_tags, list):
+                raise CorpusError(f"line {line_no}: post {post_id!r}: hashtags must be a list")
+            try:
+                add_tokens(map(token_id, raw_tags))
+            except TypeError:
+                raise CorpusError(f"line {line_no}: post {post_id!r}: hashtags must be strings") from None
+            add_count(len(raw_tags))
+        return news_id
+
+    def skip(self, line_no: int, error: CorpusError) -> None:
+        """Raise ``error``, or in lenient mode report the record it skips."""
+        if not self.lenient:
+            raise error
+        logger.warning("skipping malformed record: %s", error)
+        if self.errors is not None:
+            self.errors.append((line_no, str(error)))
+
+    def convert(self, failure: CorpusError | None = None) -> list[int]:
+        """Run the timestamp kernel over the pending records, skip those
+        with a bad time value in stream order, and append the rest to the
+        finished columns.  Return the lines skipped.
+
+        ``failure`` is the structural error of the last pending record,
+        read in part: it is skipped for the first bad time value it had
+        read, or else for ``failure``.
+        """
+        p, self.pending = self.pending, _Pending()
+        post_start = p.post_start
+
+        def post_record(i: int) -> int:
+            return bisect_right(post_start, i) - 1
+
+        published, bad = _read_times(p.published, lambda r: (p.lines[r], "news", p.ids[r], "published_at"))
+        created, bad_created = _read_times(
+            p.created, lambda i: (p.lines[post_record(i)], "post", p.post_ids[i], "created_at")
+        )
+        for i, exc in bad_created.items():
+            bad.setdefault(post_record(i), exc)
+        if failure is not None:
+            bad.setdefault(len(p.lines) - 1, failure)
+            # the unfinished record keeps its news entries, with no posts
+            del p.post_ids[post_start[-1]:], p.tag_count[post_start[-1]:], p.tokens[p.token_start[-1]:]
+            created = created[: post_start[-1]]
+        skipped = []
+        for r in sorted(bad):
+            line_no, news_id = p.lines[r], p.ids[r]
+            self.skip(line_no, bad[r])
+            skipped.append(line_no)
+            if self.seen.get(news_id) == line_no:
+                del self.seen[news_id]
+        ids, post_ids = p.ids, p.post_ids
+        labels = np.array(p.labels, dtype=np.int64)
+        post_count = np.diff(np.array([*post_start, len(post_ids)], dtype=np.int64))
+        tag_count = np.array(p.tag_count, dtype=np.int64)
+        tokens = np.array(p.tokens, dtype=np.int64)
+        if bad:
+            keep = np.ones(len(ids), dtype=bool)
+            keep[list(bad)] = False
+            post_keep = np.repeat(keep, post_count)
+            ids, post_ids = list(compress(ids, keep.tolist())), list(compress(post_ids, post_keep.tolist()))
+            labels, published, post_count = labels[keep], published[keep], post_count[keep]
+            created, tokens = created[post_keep], tokens[np.repeat(post_keep, tag_count)]
+            tag_count = tag_count[post_keep]
+        self.ids += ids
+        self.post_text.append("".join(post_ids))
+        self.post_length.append(_lengths(post_ids))
+        self.labels.append(labels)
+        self.published.append(published)
+        self.post_count.append(post_count)
+        self.created.append(created)
+        self.tag_count.append(tag_count)
+        self.tokens.append(tokens)
+        return skipped
+
+    def finish(self) -> Corpus:
+        """Convert what is pending, then normalize each distinct raw token
+        once, drop empty ones and de-duplicate hashtags within each post."""
+        self.convert()
+        post_ids = _Strings.from_lengths("".join(self.post_text), np.concatenate(self.post_length))
+        tag_count = np.concatenate(self.tag_count)
+        post = np.repeat(np.arange(len(tag_count)), tag_count)
+        names: dict[str, int] = {}  # normalized hashtag -> its index in raw-token order
+        keys = [
+            -1 if name is None else names.setdefault(name, len(names))
+            for name in map(normalize_hashtag, self.token_ids)
+        ]
+        tag = np.array(keys, dtype=np.int64)[np.concatenate(self.tokens)]
+        empty = tag < 0
+        if logger.isEnabledFor(logging.DEBUG):
+            dropped = np.bincount(post[empty], minlength=len(tag_count))
+            for p in np.flatnonzero(dropped).tolist():
+                logger.debug("post %r: dropped %d empty hashtag token(s)", post_ids[p], dropped[p])
+        post, tag = post[~empty], tag[~empty]
+        # the first occurrence of each hashtag in each post, in stream order
+        _, first = np.unique(post * len(names) + tag, return_index=True)
+        first.sort()
+        order, tag = _first_appearance(tag[first], len(names))
+        vocabulary = list(names)
+        return _from_columns(
+            ids=self.ids,
+            labels=np.concatenate(self.labels),
+            published=np.concatenate(self.published),
+            post_count=np.concatenate(self.post_count),
+            post_ids=post_ids,
+            created=np.concatenate(self.created),
+            post=post[first],
+            tag=tag,
+            vocabulary=[vocabulary[k] for k in order.tolist()],
+        )
 
 
 def parse_corpus(
@@ -476,60 +767,20 @@ def parse_corpus(
     rejected: real streams contain retweet-time anomalies.  A negative
     ``clock_skew`` raises ValueError.
 
-    Records are read straight into the corpus columns; hashtag tokens
-    are normalized once per distinct raw token.
+    Each line gets one structural pass that keeps its raw values.  Every
+    ``CHUNK_LINES`` records, their time values are converted as arrays;
+    at the end each distinct raw hashtag token is normalized once.  The
+    first error in stream order is the one raised or reported first.
     """
     _check_clock_skew(clock_skew)
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return parse_corpus(fh, lenient=lenient, clock_skew=clock_skew, errors=errors)
 
-    cols = CorpusBuilder()
-    tag_of: dict[str, int] = {}  # raw token -> vocabulary index, -1 when empty
-    seen_ids: set[str] = set()
+    reader = _Reader(lenient, errors)
     for line_no, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            msg = f"line {line_no}: invalid JSON: {exc.msg}"
-            if lenient:
-                logger.warning("skipping malformed record: %s", msg)
-                if errors is not None:
-                    errors.append((line_no, msg))
-                continue
-            raise CorpusError(msg) from exc
-        # Out-of-range labels are always fatal, even in lenient mode: they
-        # would silently corrupt training rather than merely lose a record.
-        label = None
-        if isinstance(obj, dict):
-            label = obj.get("label")
-            if label is not None and (
-                not isinstance(label, int) or isinstance(label, bool) or label not in VALID_LABELS
-            ):
-                raise CorpusError(f"line {line_no}: label must be -1, 1, or null, got {label!r}")
-        n_posts, n_tags, n_vocab = len(cols.post_ids), len(cols.tags), len(cols.vocab)
-        try:
-            news_id, published, n_news_posts = _read_record(obj, line_no, cols, tag_of)
-        except CorpusError as exc:
-            # structurally malformed records are the only skippable kind
-            if not lenient:
-                raise
-            _truncate(cols, tag_of, n_posts, n_tags, n_vocab)
-            logger.warning("skipping malformed record: %s", exc)
-            if errors is not None:
-                errors.append((line_no, str(exc)))
-            continue
-        if news_id in seen_ids:
-            raise CorpusError(f"line {line_no}: duplicate news id {news_id!r}")
-        seen_ids.add(news_id)
-        cols.ids.append(news_id)
-        cols.labels.append(label or 0)
-        cols.published.append(published)
-        cols.post_count.append(n_news_posts)
-    corpus = cols.build()
+        reader.read(line_no, line)
+    corpus = reader.finish()
     skew_violations = _skew_violations(corpus, clock_skew)
     if skew_violations:
         logger.warning(
@@ -538,17 +789,6 @@ def parse_corpus(
             clock_skew,
         )
     return corpus
-
-
-def _truncate(cols: CorpusBuilder, tag_of: dict, n_posts: int, n_tags: int, n_vocab: int) -> None:
-    """Drop what a skipped record appended after the given lengths."""
-    del cols.post_ids[n_posts:], cols.created[n_posts:], cols.tag_count[n_posts:]
-    del cols.tags[n_tags:]
-    if len(cols.vocab) > n_vocab:
-        while len(cols.vocab) > n_vocab:
-            cols.vocab.popitem()
-        for raw in [raw for raw, tag in tag_of.items() if tag >= n_vocab]:
-            del tag_of[raw]
 
 
 def _post_published(corpus: Corpus) -> np.ndarray:
@@ -580,8 +820,8 @@ def corpus_to_jsonl(corpus: Corpus) -> Iterator[str]:
     post_start, tag_start = corpus._post_start, corpus._tag_start
     tags = corpus.occurrences.tag.tolist()
     labels = corpus.occurrences.labels.tolist()
-    published = _stamps(corpus.published.tolist())
-    created = _stamps(corpus.created.tolist())
+    published = _stamps(corpus.published)
+    created = _stamps(corpus.created)
     for row in range(len(corpus)):
         record = {
             "id": corpus.ids[row],
@@ -599,25 +839,12 @@ def corpus_to_jsonl(corpus: Corpus) -> Iterator[str]:
         yield _ENCODER.encode(record)
 
 
-_MINUTE_SECOND = [f"{m:02d}:{s:02d}Z" for m in range(60) for s in range(60)]
-
-
-def _stamps(times: list[int]) -> list[str | None]:
-    """``format_timestamp`` of each time column entry (None when absent),
-    rendering the date and hour of each distinct hour once."""
-    hours: dict[int, str] = {}
-    out: list[str | None] = []
-    for micros in times:
-        if micros == NO_TIME:
-            out.append(None)
-            continue
-        hour, second = divmod(micros // 1_000_000, 3600)
-        prefix = hours.get(hour)
-        if prefix is None:
-            # "YYYY-MM-DDTHH:" as strftime renders it, without "00:00Z"
-            prefix = hours[hour] = format_timestamp(EPOCH + timedelta(hours=hour))[:-6]
-        out.append(prefix + _MINUTE_SECOND[second])
-    return out
+def _stamps(times: np.ndarray) -> list[str | None]:
+    """``format_timestamp`` of each time column entry, None when absent."""
+    missing = times == NO_TIME
+    seconds = np.where(missing, 0, times // 1_000_000).astype("M8[s]")  # floored to the second
+    text = np.datetime_as_string(seconds, unit="s").tolist()
+    return [None if absent else stamp + "Z" for stamp, absent in zip(text, missing.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -664,11 +891,7 @@ def _keep_posts(corpus: Corpus, keep: np.ndarray) -> Corpus:
     """
     occ = corpus.occurrences
     kept = keep[occ.post]
-    tag = occ.tag[kept]
-    used, first = np.unique(tag, return_index=True)
-    order = used[np.argsort(first)]  # old vocabulary indices, first appearance first
-    new_index = np.zeros(len(corpus.vocabulary), dtype=np.int64)
-    new_index[order] = np.arange(len(order))
+    order, tag = _first_appearance(occ.tag[kept], len(corpus.vocabulary))
     post_news = np.repeat(np.arange(len(corpus)), occ.post_count)
     return Corpus(
         ids=corpus.ids,
@@ -679,7 +902,7 @@ def _keep_posts(corpus: Corpus, keep: np.ndarray) -> Corpus:
         occurrences=Occurrences(
             news=occ.news[kept],
             post=(np.cumsum(keep) - 1)[occ.post[kept]],
-            tag=new_index[tag],
+            tag=tag,
             n_posts=int(np.count_nonzero(keep)),
             labels=occ.labels,
             post_count=np.bincount(post_news[keep], minlength=len(corpus)),
@@ -712,7 +935,9 @@ def split_corpus(corpus: Corpus, train_fraction: float, seed: int) -> tuple[np.n
     if len(labeled) < 2:
         raise CorpusError("split requires at least 2 labeled news items")
     train, _ = draw_rows(labeled, int(len(labeled) * train_fraction), seed)
-    return train, np.setdiff1d(np.arange(len(labels)), train)
+    test = np.ones(len(labels), dtype=bool)
+    test[train] = False
+    return train, np.flatnonzero(test)
 
 
 def _check_clock_skew(clock_skew: timedelta) -> None:

@@ -4,13 +4,15 @@ used to cross-check the library's sparse implementations."""
 
 from __future__ import annotations
 
+import json
 import math
+import unicodedata
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import scipy.sparse as sp
 
-from newstag.corpus import Corpus, NewsItem, Post
+from newstag.corpus import EPOCH, NO_TIME, VALID_LABELS, Corpus, CorpusBuilder, CorpusError, NewsItem, Post
 from newstag.graph import HashtagGraph, RelationMatrix, normalize
 
 BASE = datetime(2020, 3, 1, tzinfo=timezone.utc)
@@ -42,6 +44,20 @@ def timed_news(news_id, label, publish_offset_h, posts) -> NewsItem:
             Post(post_id=f"{news_id}-p{j}", created_at=created, hashtags=tuple(dict.fromkeys(tags)))
         )
     return NewsItem(id=news_id, label=label, published_at=published, posts=tuple(ps))
+
+
+def assert_same_columns(actual: Corpus, expected: Corpus) -> None:
+    """The two corpora have identical columns, dtypes included."""
+    assert actual.ids == expected.ids
+    assert tuple(actual.post_ids) == tuple(expected.post_ids)
+    assert actual.vocabulary == expected.vocabulary
+    for name in ("published", "created"):
+        a, e = getattr(actual, name), getattr(expected, name)
+        assert a.dtype == e.dtype == np.int64 and np.array_equal(a, e), name
+    for name in ("news", "post", "tag", "labels", "post_count"):
+        a, e = getattr(actual.occurrences, name), getattr(expected.occurrences, name)
+        assert a.dtype == e.dtype == np.int64 and np.array_equal(a, e), name
+    assert actual.occurrences.n_posts == expected.occurrences.n_posts
 
 
 # ---------------------------------------------------------------------------
@@ -334,3 +350,139 @@ def skew_oracle(corpus: Corpus, clock_skew: timedelta) -> int:
             floor = item.published_at - clock_skew
             count += sum(1 for p in item.posts if p.created_at is not None and p.created_at < floor)
     return count
+
+
+# ---------------------------------------------------------------------------
+# Record-by-record reader, the oracle of parse_corpus
+# ---------------------------------------------------------------------------
+
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _normalize_oracle(raw: str) -> str | None:
+    """normalize_hashtag by its definition: NFKC, case-folding, NFKC, then
+    strip whitespace and leading '#'."""
+    s = unicodedata.normalize("NFKC", unicodedata.normalize("NFKC", raw).casefold())
+    return s.strip().lstrip("#").strip() or None
+
+
+def _timestamp_oracle(value: str) -> datetime:
+    text = value.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    dt = datetime.fromisoformat(text)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.astimezone(timezone.utc)
+
+
+def _read_time_oracle(raw, line_no: int, owner: str, owner_id: str, name: str) -> int:
+    if not isinstance(raw, str):
+        raise CorpusError(f"line {line_no}: {owner} {owner_id!r}: {name} must be a string or null")
+    try:
+        return (_timestamp_oracle(raw) - EPOCH) // _MICROSECOND
+    except (ValueError, OverflowError) as exc:
+        raise CorpusError(f"line {line_no}: {owner} {owner_id!r}: bad {name}: {exc}") from exc
+
+
+def _intern_tags_oracle(raw_tags: list, line_no: int, post_id: str, tag_of: dict, vocab: dict) -> list[int]:
+    out = []
+    for raw in raw_tags:
+        if not isinstance(raw, str):
+            raise CorpusError(f"line {line_no}: post {post_id!r}: hashtags must be strings")
+        tag = tag_of.get(raw)
+        if tag is None:
+            name = _normalize_oracle(raw)
+            tag = tag_of[raw] = -1 if name is None else vocab.setdefault(name, len(vocab))
+        out.append(tag)
+    return out
+
+
+def _read_record_oracle(obj, line_no: int, cols: CorpusBuilder, tag_of: dict) -> tuple[str, int, int]:
+    if not isinstance(obj, dict):
+        raise CorpusError(f"line {line_no}: record must be a JSON object")
+    news_id = obj.get("id")
+    if not isinstance(news_id, str) or not news_id:
+        raise CorpusError(f"line {line_no}: id must be a nonempty string")
+    published = obj.get("published_at")
+    if published is not None:
+        published = _read_time_oracle(published, line_no, "news", news_id, "published_at")
+    else:
+        published = NO_TIME
+    posts = obj.get("posts", [])
+    if not isinstance(posts, list):
+        raise CorpusError(f"line {line_no}: news {news_id!r}: posts must be a list")
+    for post in posts:
+        if not isinstance(post, dict):
+            raise CorpusError(f"line {line_no}: post must be an object")
+        post_id = post.get("post_id")
+        if not isinstance(post_id, str) or not post_id:
+            raise CorpusError(f"line {line_no}: news {news_id!r}: post_id must be a nonempty string")
+        created = post.get("created_at")
+        if created is not None:
+            created = _read_time_oracle(created, line_no, "post", post_id, "created_at")
+        else:
+            created = NO_TIME
+        raw_tags = post.get("hashtags", [])
+        if not isinstance(raw_tags, list):
+            raise CorpusError(f"line {line_no}: post {post_id!r}: hashtags must be a list")
+        tags = _intern_tags_oracle(raw_tags, line_no, post_id, tag_of, cols.vocab)
+        tags = list(dict.fromkeys(t for t in tags if t >= 0))
+        cols.post_ids.append(post_id)
+        cols.created.append(created)
+        cols.tag_count.append(len(tags))
+        cols.tags.extend(tags)
+    return news_id, published, len(posts)
+
+
+def parse_corpus_oracle(lines, *, lenient: bool = False, errors: list | None = None) -> Corpus:
+    """parse_corpus one record at a time: each record is checked, its
+    times parsed and its hashtags normalized before the next line is
+    read, and a skipped record's columns and vocabulary entries are
+    truncated away.  Logs nothing."""
+    cols = CorpusBuilder()
+    tag_of: dict[str, int] = {}  # raw token -> vocabulary index, -1 when empty
+    seen_ids: set[str] = set()
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            msg = f"line {line_no}: invalid JSON: {exc.msg}"
+            if not lenient:
+                raise CorpusError(msg) from exc
+            if errors is not None:
+                errors.append((line_no, msg))
+            continue
+        label = None
+        if isinstance(obj, dict):
+            label = obj.get("label")
+            if label is not None and (
+                not isinstance(label, int) or isinstance(label, bool) or label not in VALID_LABELS
+            ):
+                raise CorpusError(f"line {line_no}: label must be -1, 1, or null, got {label!r}")
+        n_posts, n_tags, n_vocab = len(cols.post_ids), len(cols.tags), len(cols.vocab)
+        try:
+            news_id, published, n_news_posts = _read_record_oracle(obj, line_no, cols, tag_of)
+        except CorpusError as exc:
+            if not lenient:
+                raise
+            del cols.post_ids[n_posts:], cols.created[n_posts:], cols.tag_count[n_posts:]
+            del cols.tags[n_tags:]
+            while len(cols.vocab) > n_vocab:
+                cols.vocab.popitem()
+            for raw in [raw for raw, tag in tag_of.items() if tag >= n_vocab]:
+                del tag_of[raw]
+            if errors is not None:
+                errors.append((line_no, str(exc)))
+            continue
+        if news_id in seen_ids:
+            raise CorpusError(f"line {line_no}: duplicate news id {news_id!r}")
+        seen_ids.add(news_id)
+        cols.ids.append(news_id)
+        cols.labels.append(label or 0)
+        cols.published.append(published)
+        cols.post_count.append(n_news_posts)
+    return cols.build()

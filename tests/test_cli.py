@@ -456,6 +456,17 @@ def test_synth_timestamps_past_year_9999_exit_1(workdir, flag, value):
     assert not out.exists()
 
 
+def test_synth_years_below_1000_validate(workdir):
+    out = workdir / "ancient.jsonl"
+    args = ["--hashtags", "20", "--news", "1000", "--publish-step-hours", "-10000", "--seed", "1"]
+    result = run_cli("synth", *args, "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert '"published_at": "0999-02-25T08:00:00Z"' in out.read_text()
+    result = run_cli("validate", "--input", str(out))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["news"] == 1000
+
+
 @pytest.mark.parametrize("subcommand", ["run", "grid-mu", "build-graph", "export"])
 def test_k1_above_cap_exits_1(workdir, subcommand):
     from newstag.graph import MAX_K1

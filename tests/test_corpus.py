@@ -1,10 +1,15 @@
 import json
+import subprocess
+import sys
 from datetime import timedelta, timezone
 
 import numpy as np
 import pytest
 
+import newstag
+import newstag.corpus
 from newstag.corpus import (
+    EPOCH,
     MAX_SPAN_HOURS,
     Corpus,
     CorpusError,
@@ -17,7 +22,7 @@ from newstag.corpus import (
     write_corpus,
 )
 
-from helpers import timed_news, untimed_corpus
+from helpers import assert_same_columns, parse_corpus_oracle, timed_news, untimed_corpus
 
 
 # --- normalize_hashtag -----------------------------------------------------
@@ -212,6 +217,197 @@ def test_lenient_mode_keeps_label_and_duplicate_errors_fatal(line, message):
     assert str(info.value) == f"line 2: {message}"
 
 
+# --- parse_corpus against the record-by-record oracle ------------------------
+
+GOOD_TIMES = [
+    None,
+    "2020-03-01T00:00:00Z",
+    "2020-02-29T12:30:00Z",
+    "0999-02-25T08:00:00Z",
+    "2020-03-01T05:30:00+02:00",
+    " 2020-03-01T23:59:59z",
+    "2020-03-01T06:00:00.250000Z",
+]
+BAD_TIMES = [
+    "yesterday",
+    "",
+    "2021-02-29T00:00:00Z",
+    "0000-01-01T00:00:00Z",
+    "2020-03-01T24:00:00Z",
+    "2020-03-01T00:00:60Z",
+    "0001-01-01T00:00:00+01:00",
+]
+TOKENS = ["#A", "a", "＃a", "B", "#b", "c", "#", "  ", "#D", "e", "Straße", "İ"]
+NOT_STRINGS = [5, None, ["#b"], 1.5, True]
+
+
+def random_lines(seed: int) -> list[str]:
+    """JSONL lines that mix good records with every skippable and fatal
+    kind of line, bad time values, non-string tokens, blank lines and
+    repeated news ids, at random positions."""
+    rng = np.random.default_rng(seed)
+
+    def pick(values):
+        return values[int(rng.integers(len(values)))]
+
+    def time():
+        return pick(BAD_TIMES) if rng.random() < 0.04 else pick(GOOD_TIMES)
+
+    lines = []
+    for i in range(int(rng.integers(0, 16))):
+        roll = rng.random()
+        if roll < 0.06:
+            lines.append("")
+        elif roll < 0.16:
+            lines.append(pick(SKIPPABLE)[0])
+        elif roll < 0.19:
+            lines.append(pick(FATAL)[0])
+        else:
+            posts = []
+            for j in range(int(rng.integers(0, 4))):
+                tags = [pick(TOKENS) for _ in range(int(rng.integers(0, 5)))]
+                if tags and rng.random() < 0.03:
+                    tags[int(rng.integers(len(tags)))] = pick(NOT_STRINGS)
+                posts.append({"post_id": f"n{i}-p{j}", "created_at": time(), "hashtags": tags})
+            news_id = f"n{int(rng.integers(i))}" if i and rng.random() < 0.05 else f"n{i}"
+            record = {"id": news_id, "label": pick([-1, 1, None]), "published_at": time(), "posts": posts}
+            lines.append(json.dumps(record))
+    return lines
+
+
+def _outcome(parse, lines, lenient):
+    errors = []
+    try:
+        corpus = parse(lines, lenient=lenient, errors=errors)
+    except CorpusError as exc:
+        return str(exc), errors
+    return corpus, errors
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, newstag.corpus.CHUNK_LINES])
+def test_parse_matches_record_by_record_oracle(monkeypatch, chunk):
+    monkeypatch.setattr(newstag.corpus, "CHUNK_LINES", chunk)
+    for seed in range(150):
+        lines = random_lines(seed)
+        for lenient in (False, True):
+            got, got_errors = _outcome(parse_corpus, lines, lenient)
+            expected, expected_errors = _outcome(parse_corpus_oracle, lines, lenient)
+            assert got_errors == expected_errors, (seed, lenient)
+            if isinstance(expected, str):
+                assert got == expected, (seed, lenient)
+            else:
+                assert_same_columns(got, expected)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, newstag.corpus.CHUNK_LINES])
+def test_duplicate_of_a_skipped_record_is_kept(monkeypatch, chunk):
+    monkeypatch.setattr(newstag.corpus, "CHUNK_LINES", chunk)
+    stale = _post(created_at="2020-03-01T25:00:00Z")
+    lines = [
+        _record(news_id="n1", posts=[stale]),
+        _record(news_id="n2"),
+        _record(news_id="n1", posts=[_post(hashtags=["#c"])]),
+    ]
+    message = f"line 1: post 'p1': bad created_at: {_time_error('2020-03-01T25:00:00Z')}"
+    problems = []
+    corpus = parse_corpus(lines, lenient=True, errors=problems)
+    assert problems == [(1, message)]
+    assert [item.id for item in corpus.news] == ["n2", "n1"]
+    assert corpus.vocabulary == ("a", "c")
+    with pytest.raises(CorpusError) as info:
+        parse_corpus(lines)
+    assert str(info.value) == message
+    # a duplicate of a kept record stays fatal after the kernel has run over both
+    with pytest.raises(CorpusError, match="line 3: duplicate news id 'n2'"):
+        parse_corpus([*lines[1:], lines[1]], lenient=True)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, newstag.corpus.CHUNK_LINES])
+def test_first_error_in_stream_order_wins(monkeypatch, chunk):
+    monkeypatch.setattr(newstag.corpus, "CHUNK_LINES", chunk)
+    late = _record(news_id="n1", published="2020-02-30T00:00:00Z")
+    message = f"line 1: news 'n1': bad published_at: {_time_error('2020-02-30T00:00:00Z')}"
+    for later in ("{broken", _bad(label=2), _bad(posts=5), _record(news_id="n1"), _bad(published_at="soon")):
+        with pytest.raises(CorpusError) as info:
+            parse_corpus([late, later])
+        assert str(info.value) == message
+    # within a record, a bad time read before a structural error is the error
+    record = _bad(published_at="2020-02-30T00:00:00Z", posts=5)
+    with pytest.raises(CorpusError) as info:
+        parse_corpus([record])
+    assert str(info.value) == message.replace("'n1'", "'n2'")
+
+
+STAMP_EDGES = [
+    "2020-02-29T00:00:00Z",
+    "2021-02-29T00:00:00Z",
+    "1900-02-29T00:00:00Z",
+    "2000-02-29T23:59:59Z",
+    "0000-01-01T00:00:00Z",
+    "0001-01-01T00:00:00Z",
+    "9999-12-31T23:59:59Z",
+    "1969-12-31T23:59:59Z",
+    "2020-01-01T24:00:00Z",
+    "2020-01-01T23:59:60Z",
+    "2020-01-01T23:60:00Z",
+    "2020-13-01T00:00:00Z",
+    "2020-00-10T00:00:00Z",
+    "2020-04-31T00:00:00Z",
+    "2020-01-00T00:00:00Z",
+    "２０２０-01-01T00:00:00Z",
+    "2020-01-01T00:00:0９Z",
+    "2020-01-01T00:00:0\ud800Z",
+    "2020-01-01T00:00:00z",
+    "2020-01-01 00:00:00Z",
+    "2020/01/01T00:00:00Z",
+    "2020-01-01T00:00:00+00:00",
+    "2020-01-01T00:00:00",
+    " 2020-01-01T00:00:00Z",
+    "2020-01-01T00:00:00Z ",
+    "2020-01-01T00:00:00ZZ",
+    "2020-01-01T00:00Z",
+]
+
+
+def _expected_micros(text):
+    """(time column entry, None) as parse_timestamp reads ``text``, or (None, its error)."""
+    try:
+        return (parse_timestamp(text) - EPOCH) // timedelta(microseconds=1), None
+    except (ValueError, OverflowError) as exc:
+        return None, str(exc)
+
+
+def test_timestamp_kernel_matches_parse_timestamp():
+    values = [*STAMP_EDGES, None]
+    micros, errors = newstag.corpus._read_times(values, lambda i: (7, "post", f"p{i}", "created_at"))
+    for i, text in enumerate(STAMP_EDGES):
+        expected, error = _expected_micros(text)
+        if error is None:
+            assert i not in errors and micros[i] == expected, text
+        else:
+            assert str(errors[i]) == f"line 7: post 'p{i}': bad created_at: {error}", text
+    assert micros[-1] == newstag.corpus.NO_TIME and len(values) - 1 not in errors
+
+
+def test_timestamp_kernel_reads_canonical_stamps_itself():
+    # every canonical-shaped stamp, in range or not: the array path accepts
+    # exactly those parse_timestamp accepts, with the same entry
+    rng = np.random.default_rng(5)
+    fields = np.column_stack(
+        [rng.integers(0, 10000, 3000)] + [rng.integers(0, hi, 3000) for hi in (14, 33, 26, 62, 62)]
+    )
+    stamps = ["%04d-%02d-%02dT%02d:%02d:%02dZ" % tuple(row) for row in fields.tolist()]
+    # leap days and the days around them, across the four-century cycle
+    for year in [*range(0, 10000, 7), 1600, 1700, 1900, 2000, 2100, 2400]:
+        stamps += [f"{year:04d}-{date}" for date in ("02-28T23:59:59Z", "02-29T12:00:00Z", "03-01T00:00:00Z")]
+    micros, valid = newstag.corpus._stamp_micros(stamps)
+    for text, entry, ok in zip(stamps, micros.tolist(), valid.tolist()):
+        expected, error = _expected_micros(text)
+        assert ok == (error is None), text
+        if ok:
+            assert entry == expected, text
+
+
 def test_parse_timestamp_variants():
     z = parse_timestamp("2020-03-01T12:00:00Z")
     offset = parse_timestamp("2020-03-01T12:00:00+00:00")
@@ -380,3 +576,33 @@ def test_split_validates_fraction_and_labels():
         split_corpus(corpus, 0.0, seed=0)
     with pytest.raises(CorpusError):
         split_corpus(_labeled_corpus(1), 0.5, seed=0)
+
+
+def test_split_test_side_is_the_sorted_complement_of_train():
+    rng = np.random.default_rng(3)
+    for seed in range(30):
+        spec = [(f"n{i}", (-1, 1, None)[int(rng.integers(3))], [["a"]]) for i in range(int(rng.integers(4, 40)))]
+        corpus = untimed_corpus(spec)
+        if np.count_nonzero(corpus.occurrences.labels) < 2:
+            continue
+        train, test = split_corpus(corpus, 0.7, seed=seed)
+        expected = np.setdiff1d(np.arange(len(corpus)), train)
+        assert test.dtype == expected.dtype and np.array_equal(test, expected)
+
+
+# --- the package -------------------------------------------------------------------
+
+def test_reading_and_generating_corpora_loads_no_scipy():
+    code = "import sys, newstag.corpus, newstag.synth; sys.exit('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
+def test_package_exports_resolve_on_access():
+    for name in newstag.__all__:
+        value = getattr(newstag, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    assert newstag.parse_corpus is parse_corpus
+    assert set(newstag.__all__) <= set(dir(newstag))
+    with pytest.raises(AttributeError, match="no attribute 'parse'"):
+        newstag.parse

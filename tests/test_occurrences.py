@@ -27,6 +27,7 @@ from newstag.credibility import init_credibility, score_news
 from newstag.graph import build_direct_graph
 
 from helpers import (
+    assert_same_columns,
     c0_oracle,
     filter_by_time_oracle,
     pair_count_oracle,
@@ -192,19 +193,6 @@ def random_stream(seed: int) -> tuple[list[str], list[NewsItem], int]:
             )
         )
     return lines, kept, skipped
-
-
-def assert_same_columns(actual: Corpus, expected: Corpus) -> None:
-    assert actual.ids == expected.ids
-    assert tuple(actual.post_ids) == tuple(expected.post_ids)
-    assert actual.vocabulary == expected.vocabulary
-    for name in ("published", "created"):
-        a, e = getattr(actual, name), getattr(expected, name)
-        assert a.dtype == e.dtype == np.int64 and np.array_equal(a, e), name
-    for name in ("news", "post", "tag", "labels", "post_count"):
-        a, e = getattr(actual.occurrences, name), getattr(expected.occurrences, name)
-        assert a.dtype == e.dtype == np.int64 and np.array_equal(a, e), name
-    assert actual.occurrences.n_posts == expected.occurrences.n_posts
 
 
 def test_parse_fills_the_columns_from_news_builds():
