@@ -18,6 +18,7 @@ import logging
 import unicodedata
 from bisect import bisect_right
 from collections.abc import Collection, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
@@ -384,9 +385,8 @@ def _from_columns(
 def _first_appearance(tag: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of ``tag`` (each below ``size``) in order of
     first appearance, and ``tag`` renumbered in that order."""
-    first = np.full(size, len(tag))
-    np.minimum.at(first, tag, np.arange(len(tag)))
-    order = np.argsort(first)[: np.count_nonzero(first < len(tag))]
+    used, first = np.unique(tag, return_index=True)
+    order = used[np.argsort(first)]
     new_index = np.zeros(size, dtype=np.int64)
     new_index[order] = np.arange(len(order))
     return order, new_index[tag]
@@ -421,22 +421,6 @@ def _micros(dt: datetime | None) -> int:
 
 def _datetime(micros: int) -> datetime | None:
     return None if micros == NO_TIME else EPOCH + timedelta(microseconds=micros)
-
-
-def _read_time(raw, line_no: int, owner: str, owner_id: str, name: str) -> int:
-    """Time column entry of a record's ``name`` field (not None)."""
-    if not isinstance(raw, str):
-        raise CorpusError(f"line {line_no}: {owner} {owner_id!r}: {name} must be a string or null")
-    if raw[-1:] == "Z":
-        # the canonical form, read without parse_timestamp's stripping
-        try:
-            return (datetime.fromisoformat(raw[:-1] + "+00:00") - EPOCH) // _MICROSECOND
-        except ValueError:
-            pass
-    try:
-        return (parse_timestamp(raw) - EPOCH) // _MICROSECOND
-    except (ValueError, OverflowError) as exc:
-        raise CorpusError(f"line {line_no}: {owner} {owner_id!r}: bad {name}: {exc}") from exc
 
 
 # Records read between two runs of the timestamp kernel.  The kernel
@@ -489,8 +473,9 @@ def _read_times(values: list, where) -> tuple[np.ndarray, dict[int, CorpusError]
     and the CorpusError of each value that is no timestamp, by index.
 
     Canonical ``YYYY-MM-DDTHH:MM:SSZ`` stamps are read as one array;
-    every other value goes through ``_read_time``, with the line, owner
-    kind, owner id and field name that ``where(index)`` gives.
+    every other value goes through ``parse_timestamp``.  An error names
+    the line, owner kind, owner id and field name that ``where(index)``
+    gives.
     """
     raw = np.array(values, dtype=object)
     out = np.full(len(raw), NO_TIME, dtype=np.int64)
@@ -504,9 +489,10 @@ def _read_times(values: list, where) -> tuple[np.ndarray, dict[int, CorpusError]
     errors: dict[int, CorpusError] = {}
     for i in np.flatnonzero(present).tolist():
         try:
-            out[i] = _read_time(values[i], *where(i))
-        except CorpusError as exc:
-            errors[i] = exc
+            out[i] = (parse_timestamp(values[i]) - EPOCH) // _MICROSECOND
+        except (ValueError, OverflowError) as exc:
+            line_no, owner, owner_id, name = where(i)
+            errors[i] = CorpusError(f"line {line_no}: {owner} {owner_id!r}: bad {name}: {exc}")
     return out, errors
 
 
@@ -550,8 +536,9 @@ class _Reader:
 
     def __init__(self, lenient: bool, errors: list[tuple[int, str]] | None) -> None:
         self.lenient, self.errors = lenient, errors
+        self.skipped = False  # whether a record was skipped (lenient mode only)
         self.token_ids = _TokenIds()
-        self.seen: dict[str, int] = {}  # news id -> line of the record holding it
+        self.seen: set[str] = set()  # news ids of the records kept so far
         self.pending = _Pending()
         # finished columns, one list, string or array per kernel run; post
         # ids are joined into one string per run, with their lengths
@@ -587,7 +574,7 @@ class _Reader:
                 raise CorpusError(f"line {line_no}: label must be -1, 1, or null, got {label!r}")
         pending = self.pending
         try:
-            news_id = self.scan(obj, line_no, label or 0)
+            self.scan(obj, line_no, label or 0)
         except CorpusError as exc:
             # structurally malformed records are the only skippable kind
             if pending.lines[-1:] == [line_no]:
@@ -596,16 +583,12 @@ class _Reader:
                 self.convert()
                 self.skip(line_no, exc)
             return
-        if self.seen.setdefault(news_id, line_no) != line_no:
-            # a duplicate, unless this record or the first holder fails a time check
-            if line_no not in self.convert() and self.seen.setdefault(news_id, line_no) != line_no:
-                raise CorpusError(f"line {line_no}: duplicate news id {news_id!r}")
-        elif len(pending.lines) >= CHUNK_LINES:
+        if len(pending.lines) >= CHUNK_LINES:
             self.convert()
 
-    def scan(self, obj, line_no: int, label: int) -> str:
+    def scan(self, obj, line_no: int, label: int) -> None:
         """Check one record's structure and append its raw values to the
-        pending columns; return its news id."""
+        pending columns."""
         if not isinstance(obj, dict):
             raise CorpusError(f"line {line_no}: record must be a JSON object")
         news_id = obj.get("id")
@@ -646,7 +629,6 @@ class _Reader:
             except TypeError:
                 raise CorpusError(f"line {line_no}: post {post_id!r}: hashtags must be strings") from None
             add_count(len(raw_tags))
-        return news_id
 
     def skip(self, line_no: int, error: CorpusError) -> None:
         """Raise ``error``, or in lenient mode report the record it skips."""
@@ -655,11 +637,13 @@ class _Reader:
         logger.warning("skipping malformed record: %s", error)
         if self.errors is not None:
             self.errors.append((line_no, str(error)))
+        self.skipped = True
 
-    def convert(self, failure: CorpusError | None = None) -> list[int]:
-        """Run the timestamp kernel over the pending records, skip those
-        with a bad time value in stream order, and append the rest to the
-        finished columns.  Return the lines skipped.
+    def convert(self, failure: CorpusError | None = None) -> None:
+        """Run the timestamp kernel over the pending records, and in
+        stream order skip those with a bad time value and check the ids
+        of the rest for duplicates; append the kept records to the
+        finished columns.
 
         ``failure`` is the structural error of the last pending record,
         read in part: it is skipped for the first bad time value it had
@@ -682,13 +666,14 @@ class _Reader:
             # the unfinished record keeps its news entries, with no posts
             del p.post_ids[post_start[-1]:], p.tag_count[post_start[-1]:], p.tokens[p.token_start[-1]:]
             created = created[: post_start[-1]]
-        skipped = []
-        for r in sorted(bad):
-            line_no, news_id = p.lines[r], p.ids[r]
-            self.skip(line_no, bad[r])
-            skipped.append(line_no)
-            if self.seen.get(news_id) == line_no:
-                del self.seen[news_id]
+        seen = self.seen
+        for r, (line_no, news_id) in enumerate(zip(p.lines, p.ids)):
+            if r in bad:
+                self.skip(line_no, bad[r])
+            elif news_id in seen:
+                raise CorpusError(f"line {line_no}: duplicate news id {news_id!r}")
+            else:
+                seen.add(news_id)
         ids, post_ids = p.ids, p.post_ids
         labels = np.array(p.labels, dtype=np.int64)
         post_count = np.diff(np.array([*post_start, len(post_ids)], dtype=np.int64))
@@ -711,7 +696,6 @@ class _Reader:
         self.created.append(created)
         self.tag_count.append(tag_count)
         self.tokens.append(tokens)
-        return skipped
 
     def finish(self) -> Corpus:
         """Convert what is pending, then normalize each distinct raw token
@@ -720,7 +704,9 @@ class _Reader:
         post_ids = _Strings.from_lengths("".join(self.post_text), np.concatenate(self.post_length))
         tag_count = np.concatenate(self.tag_count)
         post = np.repeat(np.arange(len(tag_count)), tag_count)
-        names: dict[str, int] = {}  # normalized hashtag -> its index in raw-token order
+        # normalized hashtag -> its index in raw-token order, which is its
+        # order of first appearance unless a skipped record's tokens were read
+        names: dict[str, int] = {}
         keys = [
             -1 if name is None else names.setdefault(name, len(names))
             for name in map(normalize_hashtag, self.token_ids)
@@ -735,8 +721,10 @@ class _Reader:
         # the first occurrence of each hashtag in each post, in stream order
         _, first = np.unique(post * len(names) + tag, return_index=True)
         first.sort()
-        order, tag = _first_appearance(tag[first], len(names))
-        vocabulary = list(names)
+        tag, vocabulary = tag[first], list(names)
+        if self.skipped:
+            order, tag = _first_appearance(tag, len(names))
+            vocabulary = [vocabulary[k] for k in order.tolist()]
         return _from_columns(
             ids=self.ids,
             labels=np.concatenate(self.labels),
@@ -746,7 +734,7 @@ class _Reader:
             created=np.concatenate(self.created),
             post=post[first],
             tag=tag,
-            vocabulary=[vocabulary[k] for k in order.tolist()],
+            vocabulary=vocabulary,
         )
 
 
@@ -773,13 +761,11 @@ def parse_corpus(
     first error in stream order is the one raised or reported first.
     """
     _check_clock_skew(clock_skew)
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return parse_corpus(fh, lenient=lenient, clock_skew=clock_skew, errors=errors)
-
     reader = _Reader(lenient, errors)
-    for line_no, line in enumerate(source, start=1):
-        reader.read(line_no, line)
+    opened = isinstance(source, (str, Path))
+    with open(source, "r", encoding="utf-8") if opened else nullcontext(source) as lines:
+        for line_no, line in enumerate(lines, start=1):
+            reader.read(line_no, line)
     corpus = reader.finish()
     skew_violations = _skew_violations(corpus, clock_skew)
     if skew_violations:

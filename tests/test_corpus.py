@@ -92,6 +92,22 @@ def test_parse_empty_stream():
     assert corpus.vocabulary == ()
 
 
+def test_parse_reads_a_path_in_one_call(tmp_path, monkeypatch):
+    # a wrapper installed on the module attribute sees one call per parse
+    path = tmp_path / "c.jsonl"
+    path.write_text(_record() + "\n", encoding="utf-8")
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return parse_unwrapped(*args, **kwargs)
+
+    parse_unwrapped = newstag.corpus.parse_corpus
+    monkeypatch.setattr(newstag.corpus, "parse_corpus", counting)
+    corpus = newstag.corpus.parse_corpus(str(path))
+    assert calls == [str(path)] and corpus.ids == ("n1",)
+
+
 def test_parse_bad_label_fatal():
     with pytest.raises(CorpusError, match="label"):
         parse_corpus([_record(label=2)])
