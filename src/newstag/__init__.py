@@ -26,7 +26,6 @@ _EXPORTS = {
     ),
     "credibility": (
         "PropagationConfig",
-        "cost_evaluate",
         "init_credibility",
         "predict",
         "propagate_closed_form",

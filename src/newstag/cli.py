@@ -192,12 +192,13 @@ def _write_echo(subcommand: str, effective: dict, out: str) -> None:
     write_config_echo(subcommand, effective, _echo_path(out))
 
 
-def _read_corpus(path: str, lenient: bool = False):
+def _read_corpus(path: str, **options):
+    """The corpus at ``path``; ``options`` go to ``parse_corpus``."""
     from .corpus import parse_corpus
 
     if not Path(path).is_file():
         raise FileNotFoundError(f"input file not found: {path}")
-    return parse_corpus(path, lenient=lenient)
+    return parse_corpus(path, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +375,12 @@ def _synthetic_params(eff: dict):
 def _cmd_validate(eff: dict) -> int:
     from datetime import timedelta
 
-    from .corpus import corpus_stats, parse_corpus
+    from .corpus import corpus_stats
     from .reports import write_json
 
-    path = eff["input"]
-    if not Path(path).is_file():
-        raise FileNotFoundError(f"input file not found: {path}")
     problems: list[tuple[int, str]] = []
     skew = timedelta(hours=eff["clock_skew_hours"])
-    corpus = parse_corpus(path, lenient=eff["lenient"], clock_skew=skew, errors=problems)
+    corpus = _read_corpus(eff["input"], lenient=eff["lenient"], clock_skew=skew, errors=problems)
     summary = corpus_stats(corpus, clock_skew=skew)
     summary["skipped_records"] = len(problems)
     if eff["out"]:

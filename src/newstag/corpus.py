@@ -16,13 +16,12 @@ from __future__ import annotations
 import json
 import logging
 import unicodedata
-from bisect import bisect_right
 from collections.abc import Collection, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -423,9 +422,9 @@ def _datetime(micros: int) -> datetime | None:
     return None if micros == NO_TIME else EPOCH + timedelta(microseconds=micros)
 
 
-# Records read between two runs of the timestamp kernel.  The kernel
-# works on whole arrays, and the raw values it has not converted yet are
-# all that a parse holds beyond the finished columns.
+# Nonblank lines read between two runs of the timestamp kernel.  The
+# kernel works on whole arrays, and a chunk's lines and raw values are all
+# that a parse holds beyond the finished columns.
 CHUNK_LINES = 2048
 
 # Per character of a canonical ``YYYY-MM-DDTHH:MM:SSZ`` stamp: the lowest
@@ -468,14 +467,12 @@ def _stamp_micros(stamps: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000, valid
 
 
-def _read_times(values: list, where) -> tuple[np.ndarray, dict[int, CorpusError]]:
+def _read_times(values: list) -> tuple[np.ndarray, np.ndarray]:
     """Time column entries of raw values (strings, or None when absent),
-    and the CorpusError of each value that is no timestamp, by index.
+    and which of the values are no timestamp.
 
     Canonical ``YYYY-MM-DDTHH:MM:SSZ`` stamps are read as one array;
-    every other value goes through ``parse_timestamp``.  An error names
-    the line, owner kind, owner id and field name that ``where(index)``
-    gives.
+    every other value goes through ``parse_timestamp``.
     """
     raw = np.array(values, dtype=object)
     out = np.full(len(raw), NO_TIME, dtype=np.int64)
@@ -486,14 +483,13 @@ def _read_times(values: list, where) -> tuple[np.ndarray, dict[int, CorpusError]
     micros, valid = _stamp_micros(raw[stamped])
     out[stamped[valid]] = micros[valid]
     present[stamped[valid]] = False
-    errors: dict[int, CorpusError] = {}
+    bad = np.zeros(len(raw), dtype=bool)
     for i in np.flatnonzero(present).tolist():
         try:
             out[i] = (parse_timestamp(values[i]) - EPOCH) // _MICROSECOND
-        except (ValueError, OverflowError) as exc:
-            line_no, owner, owner_id, name = where(i)
-            errors[i] = CorpusError(f"line {line_no}: {owner} {owner_id!r}: bad {name}: {exc}")
-    return out, errors
+        except (ValueError, OverflowError):
+            bad[i] = True
+    return out, bad
 
 
 class _TokenIds(dict):
@@ -508,41 +504,60 @@ class _TokenIds(dict):
 
 
 class _Pending:
-    """Raw columns of the records read since the timestamp kernel last ran.
-
-    A record's news entries are appended once its id and the type of its
-    publish time pass their checks, and a post's id and creation time
-    once they do, so a record that fails a later check is the last one
-    here, read in part.  Its unfinished post, if any, has no tag count.
-    """
+    """Raw columns of records whose time values are not converted yet.  A
+    record that fails a structural check leaves what it read before it."""
 
     def __init__(self) -> None:
-        self.lines: list[int] = []
         self.ids: list[str] = []
         self.labels: list[int] = []  # 0 when unlabeled
         self.published: list[str | None] = []
-        self.post_start: list[int] = []  # first post of each record
-        self.token_start: list[int] = []  # first token of each record
+        self.post_count: list[int] = []
         self.post_ids: list[str] = []
         self.created: list[str | None] = []
-        self.tag_count: list[int] = []  # raw tokens per finished post
+        self.tag_count: list[int] = []  # raw tokens per post
         self.tokens: list[int] = []  # raw-token id per token
+
+    def extend(self, other: "_Pending") -> None:
+        for name, column in vars(self).items():
+            column.extend(getattr(other, name))
+
+    def time_error(self, line_no: int) -> CorpusError | None:
+        """The error of the first time value here that is no timestamp."""
+        owners = [("news", i, "published_at") for i in self.ids]
+        owners += [("post", i, "created_at") for i in self.post_ids]
+        for (owner, owner_id, name), value in zip(owners, self.published + self.created):
+            if value is not None:
+                try:
+                    parse_timestamp(value)
+                except (ValueError, OverflowError) as exc:
+                    return CorpusError(f"line {line_no}: {owner} {owner_id!r}: bad {name}: {exc}")
+        return None
+
+
+def _label(obj, line_no: int) -> int:
+    """A decoded record's label, 0 when absent.  Out-of-range labels are
+    fatal even in lenient mode: they would silently corrupt training."""
+    label = obj.get("label") if isinstance(obj, dict) else None
+    if label is not None and (
+        not isinstance(label, int) or isinstance(label, bool) or label not in VALID_LABELS
+    ):
+        raise CorpusError(f"line {line_no}: label must be -1, 1, or null, got {label!r}")
+    return label or 0
 
 
 class _Reader:
-    """One parse: a structural pass over each line into pending raw
-    columns, the timestamp kernel over them every ``CHUNK_LINES``
-    records, and the token kernel over the whole corpus at the end."""
+    """One parse: each chunk of lines read in one pass and its time values
+    converted as arrays, or, when something in the chunk is wrong, read
+    again record by record; the token kernel over the whole corpus at
+    the end."""
 
     def __init__(self, lenient: bool, errors: list[tuple[int, str]] | None) -> None:
         self.lenient, self.errors = lenient, errors
         self.skipped = False  # whether a record was skipped (lenient mode only)
         self.token_ids = _TokenIds()
-        self.seen: set[str] = set()  # news ids of the records kept so far
-        self.pending = _Pending()
-        # finished columns, one list, string or array per kernel run; post
-        # ids are joined into one string per run, with their lengths
-        self.ids: list[str] = []
+        self.ids: dict[str, None] = {}  # news ids of the records kept so far, in order
+        # finished columns, one list, string or array per kept chunk; post
+        # ids are joined into one string per chunk, with their lengths
         self.post_text: list[str] = []
         self.post_length: list[np.ndarray] = []
         self.labels: list[np.ndarray] = []
@@ -552,43 +567,51 @@ class _Reader:
         self.tag_count: list[np.ndarray] = []
         self.tokens: list[np.ndarray] = []
 
-    def read(self, line_no: int, line: str) -> None:
-        line = line.strip()
-        if not line:
-            return
+    def read(self, lines: list[tuple[int, str]]) -> None:
+        """Read a chunk of numbered, stripped, nonblank lines.  The fast
+        pass only notices that something in it is wrong; the re-read then
+        finds the first error in stream order."""
+        chunk = _Pending()
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            self.convert()
-            self.skip(line_no, CorpusError(f"line {line_no}: invalid JSON: {exc.msg}"))
-            return
-        # Out-of-range labels are always fatal, even in lenient mode: they
-        # would silently corrupt training rather than merely lose a record.
-        label = None
-        if isinstance(obj, dict):
-            label = obj.get("label")
-            if label is not None and (
-                not isinstance(label, int) or isinstance(label, bool) or label not in VALID_LABELS
-            ):
-                self.convert()
-                raise CorpusError(f"line {line_no}: label must be -1, 1, or null, got {label!r}")
-        pending = self.pending
-        try:
-            self.scan(obj, line_no, label or 0)
-        except CorpusError as exc:
-            # structurally malformed records are the only skippable kind
-            if pending.lines[-1:] == [line_no]:
-                self.convert(exc)
-            else:
-                self.convert()
-                self.skip(line_no, exc)
-            return
-        if len(pending.lines) >= CHUNK_LINES:
-            self.convert()
+            for line_no, line in lines:
+                obj = json.loads(line)
+                self.scan(chunk, obj, line_no, _label(obj, line_no))
+        except Exception:  # the re-read raises or reports it, or an earlier error
+            chunk = None
+        if chunk is None or not self.keep(chunk):
+            self.reread(lines)
 
-    def scan(self, obj, line_no: int, label: int) -> None:
-        """Check one record's structure and append its raw values to the
-        pending columns."""
+    def reread(self, lines: list[tuple[int, str]]) -> None:
+        """Read a chunk one record at a time: skip each malformed record, or
+        raise its error; duplicate ids and labels are always fatal."""
+        kept, kept_ids = _Pending(), set()
+        for line_no, line in lines:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                self.skip(line_no, CorpusError(f"line {line_no}: invalid JSON: {exc.msg}"))
+                continue
+            label = _label(obj, line_no)
+            record, failure = _Pending(), None
+            try:
+                self.scan(record, obj, line_no, label)
+            except CorpusError as exc:
+                failure = exc
+            # a bad time value read before a structural error comes first
+            error = record.time_error(line_no) or failure
+            if error is not None:
+                self.skip(line_no, error)
+                continue
+            news_id = record.ids[0]
+            if news_id in self.ids or news_id in kept_ids:
+                raise CorpusError(f"line {line_no}: duplicate news id {news_id!r}")
+            kept_ids.add(news_id)
+            kept.extend(record)
+        if not self.keep(kept):
+            raise AssertionError("records read one by one were refused")
+
+    def scan(self, p: _Pending, obj, line_no: int, label: int) -> None:
+        """Check one record's structure and append its raw values to ``p``."""
         if not isinstance(obj, dict):
             raise CorpusError(f"line {line_no}: record must be a JSON object")
         news_id = obj.get("id")
@@ -597,13 +620,9 @@ class _Reader:
         published = obj.get("published_at")
         if published is not None and not isinstance(published, str):
             raise CorpusError(f"line {line_no}: news {news_id!r}: published_at must be a string or null")
-        p = self.pending
-        p.lines.append(line_no)
         p.ids.append(news_id)
         p.labels.append(label)
         p.published.append(published)
-        p.post_start.append(len(p.post_ids))
-        p.token_start.append(len(p.tokens))
         posts = obj.get("posts", [])
         if not isinstance(posts, list):
             raise CorpusError(f"line {line_no}: news {news_id!r}: posts must be a list")
@@ -629,6 +648,7 @@ class _Reader:
             except TypeError:
                 raise CorpusError(f"line {line_no}: post {post_id!r}: hashtags must be strings") from None
             add_count(len(raw_tags))
+        p.post_count.append(len(posts))
 
     def skip(self, line_no: int, error: CorpusError) -> None:
         """Raise ``error``, or in lenient mode report the record it skips."""
@@ -639,68 +659,29 @@ class _Reader:
             self.errors.append((line_no, str(error)))
         self.skipped = True
 
-    def convert(self, failure: CorpusError | None = None) -> None:
-        """Run the timestamp kernel over the pending records, and in
-        stream order skip those with a bad time value and check the ids
-        of the rest for duplicates; append the kept records to the
-        finished columns.
-
-        ``failure`` is the structural error of the last pending record,
-        read in part: it is skipped for the first bad time value it had
-        read, or else for ``failure``.
-        """
-        p, self.pending = self.pending, _Pending()
-        post_start = p.post_start
-
-        def post_record(i: int) -> int:
-            return bisect_right(post_start, i) - 1
-
-        published, bad = _read_times(p.published, lambda r: (p.lines[r], "news", p.ids[r], "published_at"))
-        created, bad_created = _read_times(
-            p.created, lambda i: (p.lines[post_record(i)], "post", p.post_ids[i], "created_at")
-        )
-        for i, exc in bad_created.items():
-            bad.setdefault(post_record(i), exc)
-        if failure is not None:
-            bad.setdefault(len(p.lines) - 1, failure)
-            # the unfinished record keeps its news entries, with no posts
-            del p.post_ids[post_start[-1]:], p.tag_count[post_start[-1]:], p.tokens[p.token_start[-1]:]
-            created = created[: post_start[-1]]
-        seen = self.seen
-        for r, (line_no, news_id) in enumerate(zip(p.lines, p.ids)):
-            if r in bad:
-                self.skip(line_no, bad[r])
-            elif news_id in seen:
-                raise CorpusError(f"line {line_no}: duplicate news id {news_id!r}")
-            else:
-                seen.add(news_id)
-        ids, post_ids = p.ids, p.post_ids
-        labels = np.array(p.labels, dtype=np.int64)
-        post_count = np.diff(np.array([*post_start, len(post_ids)], dtype=np.int64))
-        tag_count = np.array(p.tag_count, dtype=np.int64)
-        tokens = np.array(p.tokens, dtype=np.int64)
-        if bad:
-            keep = np.ones(len(ids), dtype=bool)
-            keep[list(bad)] = False
-            post_keep = np.repeat(keep, post_count)
-            ids, post_ids = list(compress(ids, keep.tolist())), list(compress(post_ids, post_keep.tolist()))
-            labels, published, post_count = labels[keep], published[keep], post_count[keep]
-            created, tokens = created[post_keep], tokens[np.repeat(post_keep, tag_count)]
-            tag_count = tag_count[post_keep]
-        self.ids += ids
-        self.post_text.append("".join(post_ids))
-        self.post_length.append(_lengths(post_ids))
-        self.labels.append(labels)
-        self.published.append(published)
-        self.post_count.append(post_count)
-        self.created.append(created)
-        self.tag_count.append(tag_count)
-        self.tokens.append(tokens)
+    def keep(self, p: _Pending) -> bool:
+        """Run the timestamp kernel over a chunk and append it to the
+        finished columns, unless one of its time values is bad or one of
+        its ids repeats or was kept before; return whether it was kept."""
+        times, bad = _read_times(p.published + p.created)
+        ids = dict.fromkeys(p.ids)
+        if bad.any() or len(ids) < len(p.ids) or not self.ids.keys().isdisjoint(ids):
+            return False
+        self.ids.update(ids)
+        self.post_text.append("".join(p.post_ids))
+        self.post_length.append(_lengths(p.post_ids))
+        self.labels.append(np.array(p.labels, dtype=np.int64))
+        self.published.append(times[: len(p.ids)])
+        self.post_count.append(np.array(p.post_count, dtype=np.int64))
+        self.created.append(times[len(p.ids) :])
+        self.tag_count.append(np.array(p.tag_count, dtype=np.int64))
+        self.tokens.append(np.array(p.tokens, dtype=np.int64))
+        return True
 
     def finish(self) -> Corpus:
-        """Convert what is pending, then normalize each distinct raw token
-        once, drop empty ones and de-duplicate hashtags within each post."""
-        self.convert()
+        """Normalize each distinct raw token once, drop empty ones and
+        de-duplicate hashtags within each post."""
+        self.keep(_Pending())  # so that every column has a chunk, even with no records
         post_ids = _Strings.from_lengths("".join(self.post_text), np.concatenate(self.post_length))
         tag_count = np.concatenate(self.tag_count)
         post = np.repeat(np.arange(len(tag_count)), tag_count)
@@ -755,17 +736,20 @@ def parse_corpus(
     rejected: real streams contain retweet-time anomalies.  A negative
     ``clock_skew`` raises ValueError.
 
-    Each line gets one structural pass that keeps its raw values.  Every
-    ``CHUNK_LINES`` records, their time values are converted as arrays;
-    at the end each distinct raw hashtag token is normalized once.  The
-    first error in stream order is the one raised or reported first.
+    Lines are read ``CHUNK_LINES`` nonblank lines at a time.  Each line
+    of a chunk gets one structural pass that keeps its raw values, then
+    the chunk's time values are converted as arrays; a chunk in which
+    anything is wrong is read again one record at a time.  At the end
+    each distinct raw hashtag token is normalized once.  The first error
+    in stream order is the one raised or reported first.
     """
     _check_clock_skew(clock_skew)
     reader = _Reader(lenient, errors)
     opened = isinstance(source, (str, Path))
     with open(source, "r", encoding="utf-8") if opened else nullcontext(source) as lines:
-        for line_no, line in enumerate(lines, start=1):
-            reader.read(line_no, line)
+        numbered = ((line_no, text) for line_no, line in enumerate(lines, start=1) if (text := line.strip()))
+        while chunk := list(islice(numbered, CHUNK_LINES)):
+            reader.read(chunk)
     corpus = reader.finish()
     skew_violations = _skew_violations(corpus, clock_skew)
     if skew_violations:

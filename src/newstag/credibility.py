@@ -190,26 +190,6 @@ def propagate_closed_form(X: sp.spmatrix | np.ndarray, c0, mu: float) -> np.ndar
     return solution
 
 
-def cost_evaluate(W: RelationMatrix, D: np.ndarray, c, c0, mu: float) -> float:
-    """Regularized cost whose minimizer is the propagated vector.
-
-    Smoothness sums W_kl * (c_k/sqrt(D_k) - c_l/sqrt(D_l))^2 over each
-    unordered pair once, plus (1-mu)-weighted anchoring to c0.
-    Zero-degree coordinates use c_k/sqrt(D_k) := 0, consistent with
-    :func:`symmetric_normalize`.
-    """
-    _check_mu(mu)
-    cv = np.asarray(c, dtype=np.float64)
-    c0v = np.asarray(c0, dtype=np.float64)
-    inv_sqrt = np.where(D > 0, 1.0 / np.sqrt(np.maximum(D, 1e-300)), 0.0)
-    scaled = cv * inv_sqrt
-    upper = sp.triu(W.values, k=1).tocoo()
-    diff = scaled[upper.row] - scaled[upper.col]
-    smooth = float(np.sum(upper.data * diff * diff))
-    anchor = float(np.sum((cv - c0v) ** 2))
-    return mu * smooth + (1.0 - mu) * anchor
-
-
 def score_news(corpus: Corpus, c_hat, per_post: bool = True) -> np.ndarray:
     """Sum propagated hashtag credibility over each news row's posts.
 

@@ -126,15 +126,14 @@ def normalize(graph: HashtagGraph) -> RelationMatrix:
 
     The result has maximum row sum exactly 1 and is invariant under any
     positive scaling of the counts (each entry is the IEEE rounding of
-    the same exact ratio of integers).
+    the same exact ratio of integers).  An edgeless graph relates no
+    hashtags: its relation is all zeros.
     """
     W = graph.full()
-    if W.nnz == 0:
-        raise GraphError("cannot normalize edgeless graph")
-    row_sums = np.asarray(W.sum(axis=1)).ravel()
-    max_row = int(row_sums.max())
     N = W.astype(np.float64)
-    N.data = N.data / float(max_row)
+    if W.nnz:
+        max_row = int(np.asarray(W.sum(axis=1)).max())
+        N.data = N.data / float(max_row)
     return RelationMatrix(kind=NORMALIZED_DIRECT, values=N, vocab=graph.vocab)
 
 

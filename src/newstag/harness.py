@@ -209,9 +209,9 @@ def build_pipeline(corpus: Corpus, config: ExperimentConfig) -> PipelineOperator
 
     The optional time horizon filters the whole corpus (train and test
     alike) before graph construction.  An edgeless graph (or an empty
-    vocabulary) gets an all-zero operator: propagation then anchors
-    every hashtag at (1 - mu) * c0, and hashtag-free corpora stay
-    predictable.
+    vocabulary) gets an all-zero operator and no closure: propagation
+    then anchors every hashtag at (1 - mu) * c0, and hashtag-free
+    corpora stay predictable.
 
     The operator is kept as a dense array whenever that takes no more
     bytes than its CSR form, as the closure of a connected graph does:
@@ -226,17 +226,14 @@ def build_pipeline(corpus: Corpus, config: ExperimentConfig) -> PipelineOperator
     graph = build_direct_graph(corpus, weighted=weighted)
     q = len(graph.vocab)
     closure_trace: tuple[float, ...] = ()
-    if graph.n_edges == 0:
-        X = sp.csr_matrix((q, q))
-    else:
-        relation = normalize(graph)
-        if config.method != METHOD_NO_INDIRECT:
-            relation = all_relations_truncated(relation, config.k1)
-            closure_trace = relation.trace
-        X, _ = symmetric_normalize(relation)
-        del relation
-        if q * q * X.dtype.itemsize <= X.data.nbytes + X.indices.nbytes + X.indptr.nbytes:
-            X = X.toarray()
+    relation = normalize(graph)
+    if config.method != METHOD_NO_INDIRECT and graph.n_edges:
+        relation = all_relations_truncated(relation, config.k1)
+        closure_trace = relation.trace
+    X, _ = symmetric_normalize(relation)
+    del relation
+    if q * q * X.dtype.itemsize <= X.data.nbytes + X.indices.nbytes + X.indptr.nbytes:
+        X = X.toarray()
     return PipelineOperators(corpus=corpus, X=X, closure_trace=closure_trace, per_post=per_post)
 
 

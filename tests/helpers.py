@@ -155,11 +155,12 @@ def cost_oracle(w_dense: np.ndarray, degrees, c, c0, mu: float) -> float:
     """Loop-based evaluation of the regularized cost (pairwise smoothness)."""
     q = len(c)
     scaled = [c[k] / math.sqrt(degrees[k]) if degrees[k] > 0 else 0.0 for k in range(q)]
+    w = np.asarray(w_dense).tolist()  # plain floats: element access stays cheap in the double loop
     smooth = 0.0
     for k in range(q):
         for l in range(k + 1, q):
-            if w_dense[k, l] != 0.0:
-                smooth += w_dense[k, l] * (scaled[k] - scaled[l]) ** 2
+            if w[k][l] != 0.0:
+                smooth += w[k][l] * (scaled[k] - scaled[l]) ** 2
     anchor = sum((c[k] - c0[k]) ** 2 for k in range(q))
     return mu * smooth + (1 - mu) * anchor
 

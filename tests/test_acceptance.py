@@ -15,7 +15,6 @@ import pytest
 from newstag.corpus import split_corpus
 from newstag.credibility import (
     PropagationConfig,
-    cost_evaluate,
     init_credibility,
     predict,
     propagate_closed_form,
@@ -38,6 +37,7 @@ from newstag.synth import SyntheticParams, designated_chain_ids, generate_synthe
 
 from helpers import (
     brute_force_f1,
+    cost_oracle,
     random_contractive_n,
     random_graph_matrix,
     spectral_radius_dense,
@@ -140,11 +140,12 @@ def test_criterion_05_minimizer_property():
             W, X, D, c0 = random_instance(seed + 300, min_degree=1)
             mu = MU_GRID[seed % 9]
             c_hat = propagate_closed_form(X, c0, mu)
-            base = cost_evaluate(W, D, c_hat, c0, mu)
+            w = W.values.toarray()
+            base = cost_oracle(w, D, c_hat, c0, mu)
             rng = np.random.default_rng(seed + 9000)
             for _ in range(1000):
                 delta = rng.uniform(-0.1, 0.1, size=W.q)
-                if cost_evaluate(W, D, c_hat + delta, c0, mu) < base:
+                if cost_oracle(w, D, c_hat + delta, c0, mu) < base:
                     violations += 1
         assert violations == 0
 

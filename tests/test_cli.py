@@ -555,3 +555,53 @@ def test_k1_zero_exits_1(workdir, subcommand):
     )
     assert result.returncode == 1
     assert "k1 must be >= 1" in result.stderr
+
+
+# --- degenerate corpora ---------------------------------------------------------------
+
+# 20-news corpora: (label of news i, hashtags of its post j)
+DEGENERATE = {
+    "hashtag-free": (lambda i: 1 if i % 2 else -1, lambda i, j: []),
+    "edgeless": (lambda i: 1 if i % 2 else -1, lambda i, j: [f"h{(i + j) % 5}"]),
+    "single-class": (lambda i: 1, lambda i, j: [f"h{i % 5}", f"h{(i + 1) % 5}"]),
+}
+# each subcommand that reads a corpus, and whether it needs a train/test split
+READERS = [
+    (["validate"], False),
+    (["build-graph", "--out", "{out}.matrix"], False),
+    (["export", "--matrix-file", "{out}.matrix", "--edges-out", "{out}.cached.tsv"], False),
+    (["export", "--edges-out", "{out}.tsv", "--nodes-out", "{out}.nodes.tsv", "--dot-out", "{out}.dot"], False),
+    (["analyze", "--kind", "purity", "--out", "{out}.purity.csv"], False),
+    (["analyze", "--kind", "popularity", "--out", "{out}.popularity.csv"], False),
+    (["run", "--repetitions", "2", "--out", "{out}.json"], True),
+    (["grid-mu", "--grid", "0.2,0.4", "--repetitions", "2", "--out", "{out}.grid.csv"], True),
+    (["sweep-volume", "--fractions", "0.5,0.8", "--repetitions", "2", "--out", "{out}.volume.csv"], True),
+    (["sweep-time", "--horizons", "12", "--repetitions", "2", "--out", "{out}.time.csv"], True),
+    (["ablate", "--repetitions", "2", "--out", "{out}.ablate.json"], True),
+    (["analyze", "--kind", "convergence", "--out", "{out}.convergence.csv"], True),
+    (["analyze", "--kind", "case-study", "--watchlist", "h0,h1", "--out", "{out}.case.csv"], True),
+]
+
+
+@pytest.mark.parametrize("kind", DEGENERATE)
+def test_degenerate_corpora_give_one_outcome_in_every_subcommand(tmp_path, capsys, kind):
+    from newstag.cli import main
+
+    label, tags = DEGENERATE[kind]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"n{i}", "label": label(i), "published_at": "2020-03-01T00:00:00Z",
+                    "posts": [{"post_id": f"p{i}-{j}", "created_at": "2020-03-01T01:00:00Z",
+                               "hashtags": tags(i, j)} for j in range(2)]}) + "\n"
+        for i in range(20)
+    ))
+    for args, splits in READERS:
+        argv = [arg.format(out=tmp_path / "out") for arg in args]
+        # a traceback fails the test here, as an uncaught exception
+        status = main([*argv, "--input", str(corpus)])
+        err = capsys.readouterr().err
+        if kind == "single-class" and splits:
+            assert status == 2, argv
+            assert err.startswith("error: no usable split") and err.count("\n") == 1, argv
+        else:
+            assert status == 0, (argv, err)

@@ -354,6 +354,14 @@ def test_first_error_in_stream_order_wins(monkeypatch, chunk):
     assert str(info.value) == message.replace("'n1'", "'n2'")
 
 
+def test_records_refused_after_the_reread_fail_loudly(monkeypatch):
+    # the re-read hands on only records it found sound; were they refused
+    # anyway, the parse must fail rather than drop them
+    monkeypatch.setattr(newstag.corpus._Reader, "keep", lambda self, chunk: False)
+    with pytest.raises(AssertionError, match="refused"):
+        parse_corpus([_record()])
+
+
 STAMP_EDGES = [
     "2020-02-29T00:00:00Z",
     "2021-02-29T00:00:00Z",
@@ -395,14 +403,13 @@ def _expected_micros(text):
 
 def test_timestamp_kernel_matches_parse_timestamp():
     values = [*STAMP_EDGES, None]
-    micros, errors = newstag.corpus._read_times(values, lambda i: (7, "post", f"p{i}", "created_at"))
+    micros, bad = newstag.corpus._read_times(values)
     for i, text in enumerate(STAMP_EDGES):
         expected, error = _expected_micros(text)
+        assert bad[i] == (error is not None), text
         if error is None:
-            assert i not in errors and micros[i] == expected, text
-        else:
-            assert str(errors[i]) == f"line 7: post 'p{i}': bad created_at: {error}", text
-    assert micros[-1] == newstag.corpus.NO_TIME and len(values) - 1 not in errors
+            assert micros[i] == expected, text
+    assert micros[-1] == newstag.corpus.NO_TIME and not bad[-1]
 
 
 def test_timestamp_kernel_reads_canonical_stamps_itself():

@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from newstag.credibility import (
     PropagationConfig,
     PropagationError,
-    cost_evaluate,
     init_credibility,
     predict,
     propagate_closed_form,
@@ -356,41 +355,33 @@ def test_cost_zero_on_edgeless_graph_at_anchor():
     )
     _, D = symmetric_normalize(W)
     c = np.array([0.3, -0.2, 0.9])
-    assert cost_evaluate(W, D, c, c, 0.4) == 0.0
-
-
-def test_cost_matches_loop_oracle():
-    for seed in range(5):
-        W, X, D, c0 = random_problem(seed)
-        rng = np.random.default_rng(seed + 100)
-        c = rng.uniform(-1, 1, size=W.q)
-        ours = cost_evaluate(W, D, c, c0, 0.4)
-        oracle = cost_oracle(W.values.toarray(), D, c, c0, 0.4)
-        assert ours == pytest.approx(oracle, rel=1e-12)
+    assert cost_oracle(W.values.toarray(), D, c, c, 0.4) == 0.0
 
 
 def test_two_node_solution_minimizes_cost():
     W = two_node_matrix()
     X, D = symmetric_normalize(W)
+    w = W.values.toarray()
     c0 = np.array([1.0, -1.0])
     c_hat = np.array([3 / 7, -3 / 7])
-    base = cost_evaluate(W, D, c_hat, c0, 0.4)
+    base = cost_oracle(w, D, c_hat, c0, 0.4)
     rng = np.random.default_rng(0)
     for _ in range(1000):
         delta = rng.uniform(-0.1, 0.1, size=2)
-        assert cost_evaluate(W, D, c_hat + delta, c0, 0.4) >= base
+        assert cost_oracle(w, D, c_hat + delta, c0, 0.4) >= base
 
 
 def test_minimizer_on_random_connected_instances():
     for seed in range(5):
         W, X, D, c0 = random_problem(seed, min_degree=1)
+        w = W.values.toarray()
         mu = 0.4
         c_hat = propagate_closed_form(X, c0, mu)
-        base = cost_evaluate(W, D, c_hat, c0, mu)
+        base = cost_oracle(w, D, c_hat, c0, mu)
         rng = np.random.default_rng(seed + 500)
         for _ in range(200):
             delta = rng.uniform(-0.1, 0.1, size=W.q)
-            assert cost_evaluate(W, D, c_hat + delta, c0, mu) >= base
+            assert cost_oracle(w, D, c_hat + delta, c0, mu) >= base
 
 
 def test_constant_vector_on_regular_graph_has_zero_smoothness():
@@ -401,7 +392,7 @@ def test_constant_vector_on_regular_graph_has_zero_smoothness():
     W = normalize(build_direct_graph(corpus))
     _, D = symmetric_normalize(W)
     c = np.full(4, 0.7)
-    assert cost_evaluate(W, D, c, c, 0.4) == pytest.approx(0.0, abs=1e-15)
+    assert cost_oracle(W.values.toarray(), D, c, c, 0.4) == pytest.approx(0.0, abs=1e-15)
 
 
 # --- prediction -------------------------------------------------------------------

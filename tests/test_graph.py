@@ -130,10 +130,11 @@ def test_normalize_single_edge():
     assert np.array_equal(N.values.toarray(), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def test_normalize_edgeless_rejected():
+def test_normalize_edgeless_is_all_zero():
     corpus = untimed_corpus([("n1", 1, [["a"], ["b"]])])
-    with pytest.raises(GraphError, match="edgeless"):
-        normalize(build_direct_graph(corpus))
+    N = normalize(build_direct_graph(corpus))
+    assert N.kind == NORMALIZED_DIRECT and N.vocab == ("a", "b")
+    assert N.values.shape == (2, 2) and N.values.nnz == 0
 
 
 # --- truncated closure ---------------------------------------------------------

@@ -36,7 +36,6 @@ from helpers import as_dense, brute_force_f1, dense_pipeline_oracle, timed_news,
 from newstag.corpus import Corpus, filter_by_time, split_corpus
 from newstag.graph import (
     MAX_K1,
-    NORMALIZED_DIRECT,
     RelationMatrix,
     all_relations_truncated,
     build_direct_graph,
@@ -47,11 +46,7 @@ from newstag.graph import (
 def relation_of(corpus: Corpus, method: str, k1: int = 10) -> RelationMatrix:
     """The relation ``build_pipeline`` derives its operator from, rebuilt
     here (all zeros for an edgeless graph)."""
-    graph = build_direct_graph(corpus, weighted=method != METHOD_UNWEIGHTED)
-    if graph.n_edges == 0:
-        q = len(graph.vocab)
-        return RelationMatrix(kind=NORMALIZED_DIRECT, values=sp.csr_matrix((q, q)), vocab=graph.vocab)
-    N = normalize(graph)
+    N = normalize(build_direct_graph(corpus, weighted=method != METHOD_UNWEIGHTED))
     return N if method == METHOD_NO_INDIRECT else all_relations_truncated(N, k1)
 
 
