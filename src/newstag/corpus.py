@@ -588,8 +588,8 @@ class _Reader:
         for line_no, line in lines:
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                self.skip(line_no, CorpusError(f"line {line_no}: invalid JSON: {exc.msg}"))
+            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep to decode
+                self.skip(line_no, CorpusError(f"line {line_no}: invalid JSON: {getattr(exc, 'msg', exc)}"))
                 continue
             label = _label(obj, line_no)
             record, failure = _Pending(), None

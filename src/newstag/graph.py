@@ -393,8 +393,13 @@ def export_graph(
     The node table colors hashtags by credibility: "high" for scores at
     or above 0.9, "low" at or below -0.9, "mid" otherwise (or when no
     credibility vector is supplied).  Self-relations (diagonal entries
-    of closure matrices) are omitted from the edge list.
+    of closure matrices) are omitted from the edge list.  A hashtag
+    holding a tab, CR or LF cannot be written as one TSV field and is
+    refused before any file is opened.
     """
+    for name in matrix.vocab:
+        if "\t" in name or "\r" in name or "\n" in name:
+            raise GraphError(f"hashtag {name!r} holds a tab or line break and cannot be exported as TSV")
     scores = None
     if credibility is not None:
         scores = np.asarray(credibility, dtype=float)

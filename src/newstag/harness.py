@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -104,31 +104,19 @@ class MetricsReport:
     confusion_total: dict[str, int]
 
     def to_dict(self) -> dict:
-        reps = [
-            {
-                "repetition": rep.repetition,
-                "split_seed": rep.split_seed,
-                "n_train": rep.n_train,
-                "n_test_labeled": rep.n_test_labeled,
-                "n_test_empty": rep.n_test_empty,
-                "macro_f1": rep.macro_f1,
-                "micro_f1": rep.micro_f1,
-                "confusion": rep.confusion,
-            }
-            for rep in self.repetitions
-        ]
+        """The report as JSON: each repetition without its predictions,
+        then the aggregate fields."""
+        head = ("method", "config", "repetitions")
         return {
             "method": self.method,
             "config": self.config,
-            "aggregate": {
-                "macro_f1_mean": self.macro_f1_mean,
-                "macro_f1_std": self.macro_f1_std,
-                "micro_f1_mean": self.micro_f1_mean,
-                "micro_f1_std": self.micro_f1_std,
-                "confusion_total": self.confusion_total,
-            },
-            "repetitions": reps,
+            "aggregate": _fields(self, skip=head),
+            "repetitions": [_fields(rep, skip=("predictions",)) for rep in self.repetitions],
         }
+
+
+def _fields(record, skip: tuple[str, ...]) -> dict:
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +249,9 @@ def _split_with_retries(
 
 
 def _run_single(
-    ops: PipelineOperators, config: ExperimentConfig, train: np.ndarray
+    ops: PipelineOperators, config: ExperimentConfig, c0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Train on the ``train`` rows; return the predicted label and score of every news row."""
-    c0 = init_credibility(ops.corpus, train, per_post=ops.per_post)
+    """Propagate ``c0``; return the predicted label and score of every news row."""
     c_hat = propagate(ops, c0, config)
     scores = score_news(ops.corpus, c_hat, per_post=ops.per_post)
     return np.where(scores > 0.0, 1, -1), scores
@@ -300,7 +287,8 @@ def _run_repetitions(
         train, test, split_seed = _split_with_retries(
             ops.corpus, config.train_fraction, config.seed ^ rep
         )
-        predicted, scores = _run_single(ops, config, train)
+        c0 = init_credibility(ops.corpus, train, per_post=ops.per_post)
+        predicted, scores = _run_single(ops, config, c0)
         labeled_test = test[occ.labels[test] != 0]
         preds = predicted[labeled_test]
         truths = occ.labels[labeled_test]
@@ -381,7 +369,8 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
     ops = build_pipeline(corpus, config)
     labels = ops.corpus.occurrences.labels
 
-    # Inner splits are shared across grid values so scores are comparable.
+    # Inner splits, and the c0 each trains, are shared across grid values
+    # so scores are comparable; c0 does not depend on mu.
     folds: list[tuple[np.ndarray, np.ndarray]] = []
     for rep in range(config.repetitions):
         train, _, split_seed = _split_with_retries(
@@ -390,7 +379,7 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
         if len(train) < 2:
             raise HarnessError("training side too small for an inner validation split")
         val, inner_train = draw_rows(train, max(1, int(0.1 * len(train))), split_seed + 104729)
-        folds.append((inner_train, val))
+        folds.append((init_credibility(ops.corpus, inner_train, per_post=ops.per_post), val))
 
     rows = []
     best_mu = None
@@ -398,8 +387,8 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
     for mu in usable:
         candidate = replace(config, mu=mu)
         macros, micros = [], []
-        for inner_train, val in folds:
-            predicted, _ = _run_single(ops, candidate, inner_train)
+        for c0, val in folds:
+            predicted, _ = _run_single(ops, candidate, c0)
             macro, micro = compute_f1(predicted[val], labels[val])
             macros.append(macro)
             micros.append(micro)

@@ -388,6 +388,17 @@ def test_export_bad_matrix_entry_exits_2(workdir):
     assert f"{bad}:5:" in result.stderr
 
 
+def test_export_hashtag_with_tab_exits_2(workdir):
+    corpus = workdir / "tab.jsonl"
+    posts = [{"post_id": "p1", "created_at": None, "hashtags": ["x\ty", "z"]}]
+    corpus.write_text(json.dumps({"id": "n1", "label": 1, "published_at": None, "posts": posts}) + "\n")
+    edges = workdir / "tab-edges.tsv"
+    result = run_cli("export", "--input", str(corpus), "--color-by", "none", "--edges-out", str(edges))
+    assert result.returncode == 2
+    assert "'x\\ty'" in result.stderr
+    assert not edges.exists()
+
+
 @pytest.mark.parametrize("kind, extra", [
     ("convergence", []),
     ("case-study", ["--watchlist", "f0001,t0001,f0002,t0002,missing"]),

@@ -134,6 +134,18 @@ def test_parse_lenient_skips_and_reports():
     assert problems and problems[0][0] == 2
 
 
+def test_parse_too_deeply_nested_line_is_invalid_json():
+    # deeper than the decoder's recursion limit: RecursionError, not JSONDecodeError
+    deep = "[" * 100_000 + "]" * 100_000
+    lines = [_record(), deep, _record(news_id="n2")]
+    with pytest.raises(CorpusError, match="^line 2: invalid JSON: "):
+        parse_corpus(lines)
+    problems = []
+    corpus = parse_corpus(lines, lenient=True, errors=problems)
+    assert list(corpus.ids) == ["n1", "n2"]
+    assert [line_no for line_no, _ in problems] == [2]
+
+
 def test_parse_clock_skew_counted(caplog):
     record = _record(
         posts=[{"post_id": "p1", "created_at": "2020-02-29T00:00:00Z", "hashtags": ["a"]}]

@@ -487,6 +487,15 @@ def test_export_edge_list_and_color_classes(tmp_path):
     assert '"c" [color=gray];' in dot_text
 
 
+@pytest.mark.parametrize("bad", ["x\ty", "x\ry", "x\ny"], ids=["tab", "cr", "lf"])
+def test_export_refuses_hashtag_that_breaks_tsv(tmp_path, bad):
+    N = normalize(build_direct_graph(untimed_corpus([("n1", 1, [[bad, "z"], ["z", "w"]])])))
+    paths = {"edges_path": tmp_path / "e.tsv", "nodes_path": tmp_path / "n.tsv", "dot_path": tmp_path / "g.dot"}
+    with pytest.raises(GraphError, match=re.escape(repr(bad))):
+        export_graph(N, None, **paths)
+    assert not any(path.exists() for path in paths.values())
+
+
 def test_export_without_credibility(tmp_path):
     N = path_graph_n()
     nodes = tmp_path / "n.tsv"

@@ -461,6 +461,29 @@ def test_grid_drops_endpoints_and_requires_nonempty():
         grid_search_mu(corpus, small_config(repetitions=1), [0.0, 1.0])
 
 
+def test_grid_builds_c0_once_per_fold_and_propagates_mu_major(monkeypatch):
+    corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.8), seed=9)
+    config = small_config(repetitions=3)
+    grid = [0.2, 0.4, 0.6, 0.8]
+    expected = grid_search_mu(corpus, config, grid)
+    c0_calls, mus = [], []
+    real_init, real_propagate = newstag.harness.init_credibility, newstag.harness.propagate_iterative
+
+    def counting_init(*args, **kwargs):
+        c0_calls.append(args)
+        return real_init(*args, **kwargs)
+
+    def recording_propagate(X, c0, mu, propagation):
+        mus.append(mu)
+        return real_propagate(X, c0, mu, propagation)
+
+    monkeypatch.setattr(newstag.harness, "init_credibility", counting_init)
+    monkeypatch.setattr(newstag.harness, "propagate_iterative", recording_propagate)
+    assert grid_search_mu(corpus, config, grid) == expected
+    assert len(c0_calls) == config.repetitions  # c0 does not depend on mu
+    assert mus == [mu for mu in grid for _ in range(config.repetitions)]
+
+
 # --- sweeps ---------------------------------------------------------------------------
 
 def test_sweep_training_fraction_runs_all_points():
