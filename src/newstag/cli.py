@@ -24,6 +24,14 @@ from pathlib import Path
 
 from .corpus import MAX_SPAN_HOURS
 from .graph import MAX_K1
+from .synth import (
+    MAX_CHAIN_DEPTH,
+    MAX_CHAINS,
+    MAX_HASHTAGS,
+    MAX_HASHTAGS_PER_POST,
+    MAX_NEWS,
+    MAX_POSTS_PER_NEWS,
+)
 
 DEFAULT_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
 DEFAULT_FRACTIONS = [0.2, 0.4, 0.6, 0.8]
@@ -145,6 +153,8 @@ def _load_config_echo(path: str, subcommand: str, opts: list[Opt]) -> dict:
         raise FileNotFoundError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise CliUsageError(f"config file {path}: invalid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise CliUsageError(f"config file {path}: invalid JSON: nested too deeply") from None
     if payload.get("subcommand") != subcommand:
         raise CliUsageError(
             f"config file {path} was written by subcommand "
@@ -227,17 +237,17 @@ RUN_OPTS = [
 ]
 
 SYNTH_OPTS = [
-    Opt("hashtags", "int", 800, help="pool hashtag count"),
-    Opt("news", "int", 500, help="news item count"),
+    Opt("hashtags", "int", 800, help="pool hashtag count", limit=MAX_HASHTAGS),
+    Opt("news", "int", 500, help="news item count", limit=MAX_NEWS),
     Opt("fake_ratio", "float", 0.5, help="fraction of fake news"),
     Opt("fake_pool_fraction", "float", 0.5, help="fraction of hashtags in the fake pool"),
     Opt("posts_min", "int", 3, help="minimum posts per news"),
-    Opt("posts_max", "int", 10, help="maximum posts per news"),
+    Opt("posts_max", "int", 10, help="maximum posts per news", limit=MAX_POSTS_PER_NEWS),
     Opt("tags_min", "int", 1, help="minimum hashtags per post"),
-    Opt("tags_max", "int", 4, help="maximum hashtags per post"),
+    Opt("tags_max", "int", 4, help="maximum hashtags per post", limit=MAX_HASHTAGS_PER_POST),
     Opt("purity", "float", 1.0, help="own-pool draw probability, in (0.5, 1]"),
-    Opt("chain_depth", "int", 0, help="bridge path length for designated chain news"),
-    Opt("chains", "int", 0, help="number of designated chain news"),
+    Opt("chain_depth", "int", 0, help="bridge path length for designated chain news", limit=MAX_CHAIN_DEPTH),
+    Opt("chains", "int", 0, help="number of designated chain news", limit=MAX_CHAINS),
     Opt("post_window_hours", "float", 48.0, help="post timestamp window after publish", limit=MAX_SPAN_HOURS),
     Opt("publish_step_hours", "float", 1.0, help="publish time spacing between news", limit=MAX_SPAN_HOURS),
     Opt("params", "str", help="flat key=value parameter file (CLI flags win)"),

@@ -112,9 +112,7 @@ class Occurrences:
     def distinct(self) -> tuple[np.ndarray, np.ndarray]:
         """(news, tag) arrays holding each hashtag once per news item,
         in first-appearance order."""
-        width = int(self.tag.max(initial=-1)) + 1
-        _, first = np.unique(self.news * width + self.tag, return_index=True)
-        first.sort()
+        first = _first_per_group(self.news, self.tag, int(self.tag.max(initial=-1)) + 1)
         return self.news[first], self.tag[first]
 
 
@@ -379,6 +377,14 @@ def _from_columns(
             post_count=post_count,
         ),
     )
+
+
+def _first_per_group(group: np.ndarray, tag: np.ndarray, size: int) -> np.ndarray:
+    """Sorted positions of the first occurrence of each ``tag`` (each
+    below ``size``) within each ``group``."""
+    _, first = np.unique(group * size + tag, return_index=True)
+    first.sort()
+    return first
 
 
 def _first_appearance(tag: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -700,8 +706,7 @@ class _Reader:
                 logger.debug("post %r: dropped %d empty hashtag token(s)", post_ids[p], dropped[p])
         post, tag = post[~empty], tag[~empty]
         # the first occurrence of each hashtag in each post, in stream order
-        _, first = np.unique(post * len(names) + tag, return_index=True)
-        first.sort()
+        first = _first_per_group(post, tag, len(names))
         tag, vocabulary = tag[first], list(names)
         if self.skipped:
             order, tag = _first_appearance(tag, len(names))
@@ -782,39 +787,37 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
             fh.write("\n")
 
 
-_ENCODER = json.JSONEncoder(ensure_ascii=True, separators=(", ", ": "))
+_LABEL_TEXT = {FAKE: "-1", TRUE: "1", 0: "null"}
 
 
 def corpus_to_jsonl(corpus: Corpus) -> Iterator[str]:
-    vocab, post_ids = corpus.vocabulary, list(corpus.post_ids)
-    post_start, tag_start = corpus._post_start, corpus._tag_start
-    tags = corpus.occurrences.tag.tolist()
-    labels = corpus.occurrences.labels.tolist()
-    published = _stamps(corpus.published)
-    created = _stamps(corpus.created)
-    for row in range(len(corpus)):
-        record = {
-            "id": corpus.ids[row],
-            "label": labels[row] or None,
-            "published_at": published[row],
-            "posts": [
-                {
-                    "post_id": post_ids[p],
-                    "created_at": created[p],
-                    "hashtags": [vocab[t] for t in tags[tag_start[p] : tag_start[p + 1]]],
-                }
-                for p in range(post_start[row], post_start[row + 1])
-            ],
-        }
-        yield _ENCODER.encode(record)
+    """One JSON line per news item: the text ``json.dumps`` gives the
+    record with ``separators=(", ", ": ")`` and ASCII escapes, assembled
+    from strings each escaped once."""
+    quote = json.encoder.encode_basestring_ascii
+    names = list(map(quote, corpus.vocabulary))
+    hashtags = [names[t] for t in corpus.occurrences.tag.tolist()]
+    tag_start, post_start = corpus._tag_start, corpus._post_start
+    posts = [
+        f'{{"post_id": {post_id}, "created_at": {created}, "hashtags": [{", ".join(hashtags[a:b])}]}}'
+        for post_id, created, a, b in zip(
+            map(quote, corpus.post_ids), _stamps(corpus.created), tag_start, tag_start[1:]
+        )
+    ]
+    labels = [_LABEL_TEXT[label] for label in corpus.occurrences.labels.tolist()]
+    for news_id, label, published, a, b in zip(
+        map(quote, corpus.ids), labels, _stamps(corpus.published), post_start, post_start[1:]
+    ):
+        yield f'{{"id": {news_id}, "label": {label}, "published_at": {published}, "posts": [{", ".join(posts[a:b])}]}}'
 
 
-def _stamps(times: np.ndarray) -> list[str | None]:
-    """``format_timestamp`` of each time column entry, None when absent."""
+def _stamps(times: np.ndarray) -> list[str]:
+    """``format_timestamp`` of each time column entry as a JSON string,
+    ``null`` when absent."""
     missing = times == NO_TIME
     seconds = np.where(missing, 0, times // 1_000_000).astype("M8[s]")  # floored to the second
     text = np.datetime_as_string(seconds, unit="s").tolist()
-    return [None if absent else stamp + "Z" for stamp, absent in zip(text, missing.tolist())]
+    return ["null" if absent else f'"{stamp}Z"' for stamp, absent in zip(text, missing.tolist())]
 
 
 # ---------------------------------------------------------------------------

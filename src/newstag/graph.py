@@ -299,8 +299,9 @@ def save_matrix(matrix: RelationMatrix, path: str | Path) -> None:
 def _parse_field(path, line_no: int, parse, text: str, what: str):
     try:
         return parse(text)
-    except ValueError:
-        raise GraphError(f"{path}:{line_no}: bad {what} {text!r}") from None
+    except (ValueError, RecursionError):  # or JSON nested too deep to decode
+        shown = text if len(text) <= 80 else text[:80] + "..."
+        raise GraphError(f"{path}:{line_no}: bad {what} {shown!r}") from None
 
 
 def load_matrix(path: str | Path) -> RelationMatrix:

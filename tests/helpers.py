@@ -487,3 +487,100 @@ def parse_corpus_oracle(lines, *, lenient: bool = False, errors: list | None = N
         cols.published.append(published)
         cols.post_count.append(n_news_posts)
     return cols.build()
+
+
+# ---------------------------------------------------------------------------
+# Synthetic corpus oracle
+# ---------------------------------------------------------------------------
+
+def generate_synthetic_oracle(params, seed: int) -> Corpus:
+    """generate_synthetic through the ``Generator`` methods, one scalar
+    draw per call, and ``timedelta`` arithmetic for every time."""
+    from newstag.corpus import FAKE, TRUE
+    from newstag.synth import CARRIER_NEWS_PREFIX, CHAIN_NEWS_PREFIX, DEFAULT_PUBLISH_START
+
+    params.validate()
+    rng = np.random.default_rng(seed)
+
+    n_fake_pool = int(round(params.hashtags * params.fake_pool_fraction))
+    fake_pool = [f"f{k:04d}" for k in range(n_fake_pool)]
+    true_pool = [f"t{k:04d}" for k in range(params.hashtags - n_fake_pool)]
+    pools = {FAKE: fake_pool, TRUE: true_pool}
+
+    labels = [FAKE] * int(round(params.news * params.fake_ratio))
+    labels += [TRUE] * (params.news - len(labels))
+    labels = list(rng.permutation(labels))
+
+    builder = CorpusBuilder()
+    anchors: dict[str, None] = {}  # hashtags of true news, in first-appearance order
+    post_lo, post_hi = params.posts_per_news
+    tag_lo, tag_hi = params.hashtags_per_post
+    for i, label in enumerate(labels):
+        label = int(label)
+        published = DEFAULT_PUBLISH_START + timedelta(hours=params.publish_step_hours * i)
+        own, other = pools[label], pools[-label]
+        posts = []
+        for j in range(int(rng.integers(post_lo, post_hi + 1))):
+            tags: dict[str, None] = {}
+            for _ in range(int(rng.integers(tag_lo, tag_hi + 1))):
+                pool = own if rng.random() < params.purity else other
+                tags.setdefault(pool[int(rng.integers(len(pool)))])
+            offset = timedelta(hours=float(rng.uniform(0.0, params.post_window_hours)))
+            posts.append((f"n{i:05d}-p{j:03d}", published + offset, tags))
+            if label == TRUE:
+                anchors.update(tags)
+        builder.add(f"n{i:05d}", label, published, posts)
+
+    if params.chain_depth > 0:
+        anchor_list = list(anchors)
+        if not anchor_list:
+            raise ValueError("chain construction needs at least one true news with hashtags")
+        base_hour = params.publish_step_hours * params.news
+        for c in range(params.chains):
+            private = f"chain{c:03d}-tag"
+            bridges = [f"chain{c:03d}-b{t}" for t in range(params.chain_depth - 1)]
+            anchor = anchor_list[int(rng.integers(len(anchor_list)))]
+            path = [private] + bridges + [anchor]
+            published = DEFAULT_PUBLISH_START + timedelta(hours=base_hour + 2 * c * params.publish_step_hours)
+            designated_posts = [
+                (
+                    f"chain-{c:03d}-p{j}",
+                    published + timedelta(hours=float(rng.uniform(0.0, params.post_window_hours))),
+                    (private,),
+                )
+                for j in range(2)
+            ]
+            builder.add(f"{CHAIN_NEWS_PREFIX}{c:03d}", TRUE, published, designated_posts)
+            carrier_published = published + timedelta(hours=params.publish_step_hours)
+            carrier_posts = [
+                (
+                    f"carrier-{c:03d}-p{j}",
+                    carrier_published + timedelta(hours=float(rng.uniform(0.0, params.post_window_hours))),
+                    (path[j], path[j + 1]),
+                )
+                for j in range(len(path) - 1)
+            ]
+            builder.add(f"{CARRIER_NEWS_PREFIX}{c:03d}", None, carrier_published, carrier_posts)
+
+    return builder.build()
+
+
+def corpus_to_jsonl_oracle(corpus: Corpus) -> list[str]:
+    """corpus_to_jsonl through ``JSONEncoder`` on one dict per record."""
+    encoder = json.JSONEncoder(ensure_ascii=True, separators=(", ", ": "))
+
+    def stamp(dt):
+        return None if dt is None else f"{dt.year:04d}-{dt:%m-%dT%H:%M:%SZ}"
+
+    return [
+        encoder.encode({
+            "id": item.id,
+            "label": item.label,
+            "published_at": stamp(item.published_at),
+            "posts": [
+                {"post_id": post.post_id, "created_at": stamp(post.created_at), "hashtags": list(post.hashtags)}
+                for post in item.posts
+            ],
+        })
+        for item in corpus.news
+    ]

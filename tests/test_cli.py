@@ -616,3 +616,55 @@ def test_degenerate_corpora_give_one_outcome_in_every_subcommand(tmp_path, capsy
             assert err.startswith("error: no usable split") and err.count("\n") == 1, argv
         else:
             assert status == 0, (argv, err)
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--hashtags", "10", "--news", "1", "--posts-max", "100000000000"], "--posts-max"),
+    (["--hashtags", "100000000000", "--news", "1"], "--hashtags"),
+    (["--news", "100000000000"], "--news"),
+    (["--tags-max", "100000"], "--tags-max"),
+    (["--chains", "1000000", "--chain-depth", "2"], "--chains"),
+    (["--chains", "1", "--chain-depth", "1000000"], "--chain-depth"),
+])
+def test_synth_size_above_cap_exits_1(workdir, flags, flag):
+    out = workdir / "huge.jsonl"
+    result = run_cli("synth", *flags, "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {flag} must be at most ")
+    assert result.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_synth_occurrence_cap_exits_1(workdir):
+    from newstag.synth import MAX_OCCURRENCES
+
+    out = workdir / "many.jsonl"
+    result = run_cli("synth", "--news", "1000000", "--posts-max", "100", "--tags-max", "10", "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr == (
+        "error: news * posts_per_news maximum * hashtags_per_post maximum = 1,000,000,000 "
+        f"hashtag occurrences; the cap is {MAX_OCCURRENCES:,}\n"
+    )
+    assert not out.exists()
+
+
+def test_config_echo_nested_too_deep_exits_1(workdir):
+    echo = workdir / "deep.config.json"
+    echo.write_text('{"subcommand": "run", "parameters": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    result = run_cli("run", "--config", str(echo), "--out", str(workdir / "deep.json"))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: config file {echo}: invalid JSON")
+    assert result.stderr.count("\n") == 1
+    assert not (workdir / "deep.json").exists()
+
+
+def test_matrix_vocab_nested_too_deep_exits_2(workdir):
+    deep = workdir / "deep.matrix"
+    deep.write_text("# newstag-matrix v1\n# kind: normalized_direct\n# q: 2\n# vocab: "
+                    + "[" * 100_000 + "]" * 100_000 + "\n0\t1\t0.5\n")
+    result = run_cli("export", "--matrix-file", str(deep), "--color-by", "none",
+                     "--edges-out", str(workdir / "deep-edges.tsv"))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {deep}:4: bad vocab '[[[[")
+    assert result.stderr.count("\n") == 1 and len(result.stderr) < 300
+    assert not (workdir / "deep-edges.tsv").exists()

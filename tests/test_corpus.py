@@ -22,7 +22,7 @@ from newstag.corpus import (
     write_corpus,
 )
 
-from helpers import assert_same_columns, parse_corpus_oracle, timed_news, untimed_corpus
+from helpers import assert_same_columns, corpus_to_jsonl_oracle, parse_corpus_oracle, timed_news, untimed_corpus
 
 
 # --- normalize_hashtag -----------------------------------------------------
@@ -478,6 +478,19 @@ def test_write_corpus_roundtrip(tmp_path):
     path2 = tmp_path / "c2.jsonl"
     write_corpus(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_writer_matches_json_encoder_on_awkward_strings():
+    awkward = ['q"uote', "back\\slash", "ctl\x00\x01\x1f\x7f", "nl\nr\rt\t", "\u00e9t\u00e9",
+               "\u2028sep", "\U0001d518\U0001f600", "/slash", ""]
+    news = [
+        timed_news(f"n{k}-{text}", [1, -1, None][k % 3], k, [(0.5, [text, f"x{text}"]), (None, [])])
+        for k, text in enumerate(awkward)
+    ]
+    news.append(untimed_corpus([("untimed\u0085", None, [["a", "\ud83d"]])]).news[0])
+    news.append(untimed_corpus([("no-posts", 1, [])]).news[0])
+    corpus = Corpus.from_news(news)
+    assert list(newstag.corpus.corpus_to_jsonl(corpus)) == corpus_to_jsonl_oracle(corpus)
 
 
 # --- filter_by_time ----------------------------------------------------------
