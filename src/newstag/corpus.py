@@ -6,8 +6,10 @@ credibility label (-1 fake, +1 true), an optional publish time, and the
 posts that shared it; each post carries a set of normalized hashtags.
 
 A :class:`Corpus` is held as flat columns in stream order (news, posts,
-and one entry per hashtag occurrence), which :func:`parse_corpus` fills
-while it reads.  ``Corpus.news`` is a read-only view that builds
+and one entry per hashtag occurrence).  A corpus comes only from
+:func:`parse_corpus`, which checks and normalizes every record it reads,
+from ``newstag.synth.generate_synthetic``, or from :func:`filter_by_time`
+cutting another corpus.  ``Corpus.news`` is a read-only view that builds
 :class:`NewsItem` and :class:`Post` objects from the columns on demand.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import unicodedata
-from collections.abc import Collection, Sequence
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -86,7 +88,7 @@ class NewsItem:
     id: str
     label: int | None  # -1 fake, +1 true, None unknown
     published_at: datetime | None
-    posts: Sequence[Post]  # a tuple, or a corpus's read-only view of its posts
+    posts: Sequence[Post]  # the corpus's read-only view of this item's posts
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,8 @@ class Corpus:
     The per-news labels and post counts, and the per-occurrence rows,
     posts and vocabulary indices, live in ``occurrences``.  Times are
     int64 microseconds since the Unix epoch, ``NO_TIME`` when absent.
-    The vocabulary is in first-appearance order.  Two corpora are equal
-    when their news items are.
+    The vocabulary is in first-appearance order.  Corpora compare by
+    identity.
     """
 
     ids: tuple[str, ...]  # news id per row
@@ -134,30 +136,6 @@ class Corpus:
     created: np.ndarray  # int64 creation time per post
     vocabulary: tuple[str, ...]
     occurrences: Occurrences
-
-    @classmethod
-    def from_news(cls, news: Iterable[NewsItem]) -> "Corpus":
-        """Build a corpus from news objects, deriving the vocabulary in
-        first-appearance order.  Post hashtags are taken as given."""
-        builder = CorpusBuilder()
-        ids: set[str] = set()
-        for item in news:
-            if not item.id:
-                raise CorpusError("news id must be nonempty")
-            if item.id in ids:
-                raise CorpusError(f"duplicate news id {item.id!r}")
-            ids.add(item.id)
-            if item.label is not None and item.label not in VALID_LABELS:
-                raise CorpusError(
-                    f"news {item.id!r}: label must be -1, 1, or absent, got {item.label!r}"
-                )
-            builder.add(
-                item.id,
-                item.label,
-                item.published_at,
-                [(post.post_id, post.created_at, post.hashtags) for post in item.posts],
-            )
-        return builder.build()
 
     @property
     def news(self) -> Sequence[NewsItem]:
@@ -178,13 +156,6 @@ class Corpus:
         """First occurrence of each post, and the occurrence count at the end."""
         occ = self.occurrences
         return [0, *np.cumsum(np.bincount(occ.post, minlength=occ.n_posts)).tolist()]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return self.vocabulary == other.vocabulary and self.news == other.news
-
-    __hash__ = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -298,63 +269,6 @@ class _Strings(Sequence):
         return (text[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
-class CorpusBuilder:
-    """Columns of a corpus under construction, appended in stream order
-    by :meth:`add`.  :meth:`build` freezes the lists into a :class:`Corpus`.
-    """
-
-    def __init__(self) -> None:
-        self.ids: list[str] = []
-        self.labels: list[int] = []  # 0 when unlabeled
-        self.published: list[int] = []
-        self.post_count: list[int] = []
-        self.post_ids: list[str] = []
-        self.created: list[int] = []
-        self.tag_count: list[int] = []  # occurrences per post
-        self.tags: list[int] = []  # vocabulary index per occurrence
-        self.vocab: dict[str, int] = {}
-
-    def add(
-        self,
-        news_id: str,
-        label: int | None,
-        published_at: datetime | None,
-        posts: Iterable[tuple[str, datetime | None, Collection[str]]],
-    ) -> None:
-        """Append one news item; ``posts`` holds (post id, creation time,
-        normalized hashtags) triples."""
-        vocab = self.vocab
-        n_posts = 0
-        for post_id, created_at, hashtags in posts:
-            try:
-                tags = list(map(vocab.__getitem__, hashtags))
-            except KeyError:
-                tags = [vocab.setdefault(h, len(vocab)) for h in hashtags]
-            self.post_ids.append(post_id)
-            self.created.append(_micros(created_at))
-            self.tag_count.append(len(tags))
-            self.tags.extend(tags)
-            n_posts += 1
-        self.ids.append(news_id)
-        self.labels.append(label or 0)
-        self.published.append(_micros(published_at))
-        self.post_count.append(n_posts)
-
-    def build(self) -> Corpus:
-        tag_count = np.array(self.tag_count, dtype=np.int64)
-        return _from_columns(
-            ids=self.ids,
-            labels=self.labels,
-            published=self.published,
-            post_count=self.post_count,
-            post_ids=_Strings(self.post_ids),
-            created=self.created,
-            post=np.repeat(np.arange(len(tag_count)), tag_count),
-            tag=self.tags,
-            vocabulary=self.vocab,
-        )
-
-
 def _from_columns(
     *, ids, labels, published, post_count, post_ids: _Strings, created, post: np.ndarray, tag, vocabulary
 ) -> Corpus:
@@ -410,18 +324,6 @@ def parse_timestamp(value: str) -> datetime:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc)
-
-
-def format_timestamp(dt: datetime) -> str:
-    """Render a UTC timestamp in the canonical form used by writers, with
-    a four-digit year (``strftime`` may not pad years below 1000)."""
-    dt = dt.astimezone(timezone.utc)
-    return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%SZ}"
-
-
-def _micros(dt: datetime | None) -> int:
-    """Time column entry of an aware datetime (or None)."""
-    return NO_TIME if dt is None else (dt - EPOCH) // _MICROSECOND
 
 
 def _datetime(micros: int) -> datetime | None:
@@ -573,10 +475,11 @@ class _Reader:
         self.tag_count: list[np.ndarray] = []
         self.tokens: list[np.ndarray] = []
 
-    def read(self, lines: list[tuple[int, str]]) -> None:
-        """Read a chunk of numbered, stripped, nonblank lines.  The fast
-        pass only notices that something in it is wrong; the re-read then
-        finds the first error in stream order."""
+    def read(self, lines: list[tuple[int, str | CorpusError]]) -> None:
+        """Read a chunk of numbered, stripped, nonblank lines, or the error
+        of a line that is not UTF-8.  The fast pass only notices that
+        something in it is wrong; the re-read then finds the first error
+        in stream order."""
         chunk = _Pending()
         try:
             for line_no, line in lines:
@@ -587,11 +490,14 @@ class _Reader:
         if chunk is None or not self.keep(chunk):
             self.reread(lines)
 
-    def reread(self, lines: list[tuple[int, str]]) -> None:
+    def reread(self, lines: list[tuple[int, str | CorpusError]]) -> None:
         """Read a chunk one record at a time: skip each malformed record, or
         raise its error; duplicate ids and labels are always fatal."""
         kept, kept_ids = _Pending(), set()
         for line_no, line in lines:
+            if isinstance(line, CorpusError):  # the line is not UTF-8
+                self.skip(line_no, line)
+                continue
             try:
                 obj = json.loads(line)
             except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep to decode
@@ -733,13 +639,14 @@ def parse_corpus(
 ) -> Corpus:
     """Parse a line-delimited JSON corpus stream into a validated Corpus.
 
-    ``source`` may be a path or any iterable of lines.  Malformed records
-    are fatal unless ``lenient`` is set, in which case they are skipped and
-    reported (appended to ``errors`` when given, and logged).  Duplicate
-    news ids and out-of-range labels are always fatal.  Posts created
-    earlier than ``published_at - clock_skew`` are warned about, not
-    rejected: real streams contain retweet-time anomalies.  A negative
-    ``clock_skew`` raises ValueError.
+    ``source`` may be a path or any iterable of lines.  A file is read as
+    UTF-8, line by line: a line that is not UTF-8 is a malformed record.
+    Malformed records are fatal unless ``lenient`` is set, in which case
+    they are skipped and reported (appended to ``errors`` when given, and
+    logged).  Duplicate news ids and out-of-range labels are always
+    fatal.  Posts created earlier than ``published_at - clock_skew`` are
+    warned about, not rejected: real streams contain retweet-time
+    anomalies.  A negative ``clock_skew`` raises ValueError.
 
     Lines are read ``CHUNK_LINES`` nonblank lines at a time.  Each line
     of a chunk gets one structural pass that keeps its raw values, then
@@ -751,8 +658,8 @@ def parse_corpus(
     _check_clock_skew(clock_skew)
     reader = _Reader(lenient, errors)
     opened = isinstance(source, (str, Path))
-    with open(source, "r", encoding="utf-8") if opened else nullcontext(source) as lines:
-        numbered = ((line_no, text) for line_no, line in enumerate(lines, start=1) if (text := line.strip()))
+    with open(source, "r", encoding="utf-8", errors="surrogateescape") if opened else nullcontext(source) as lines:
+        numbered = _numbered(lines, check_utf8=opened)
         while chunk := list(islice(numbered, CHUNK_LINES)):
             reader.read(chunk)
     corpus = reader.finish()
@@ -764,6 +671,26 @@ def parse_corpus(
             clock_skew,
         )
     return corpus
+
+
+def _utf8_error(line: str) -> str | None:
+    """Why the bytes ``line`` was read from with ``errors="surrogateescape"``
+    are not UTF-8, or None when they are."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return f"invalid UTF-8: {exc}"
+    return None
+
+
+def _numbered(lines: Iterable[str], check_utf8: bool) -> Iterator[tuple[int, str | CorpusError]]:
+    """Each nonblank line, stripped, with its number counted from 1; with
+    ``check_utf8``, the error of a line that is not UTF-8 in its place."""
+    for line_no, line in enumerate(lines, start=1):
+        if text := line.strip():
+            error = check_utf8 and _utf8_error(line)
+            yield line_no, CorpusError(f"line {line_no}: {error}") if error else text
 
 
 def _post_published(corpus: Corpus) -> np.ndarray:
@@ -793,27 +720,37 @@ _LABEL_TEXT = {FAKE: "-1", TRUE: "1", 0: "null"}
 def corpus_to_jsonl(corpus: Corpus) -> Iterator[str]:
     """One JSON line per news item: the text ``json.dumps`` gives the
     record with ``separators=(", ", ": ")`` and ASCII escapes, assembled
-    from strings each escaped once."""
+    from strings each escaped once, ``CHUNK_LINES`` news rows at a time."""
     quote = json.encoder.encode_basestring_ascii
     names = list(map(quote, corpus.vocabulary))
-    hashtags = [names[t] for t in corpus.occurrences.tag.tolist()]
-    tag_start, post_start = corpus._tag_start, corpus._post_start
-    posts = [
-        f'{{"post_id": {post_id}, "created_at": {created}, "hashtags": [{", ".join(hashtags[a:b])}]}}'
-        for post_id, created, a, b in zip(
-            map(quote, corpus.post_ids), _stamps(corpus.created), tag_start, tag_start[1:]
-        )
-    ]
-    labels = [_LABEL_TEXT[label] for label in corpus.occurrences.labels.tolist()]
-    for news_id, label, published, a, b in zip(
-        map(quote, corpus.ids), labels, _stamps(corpus.published), post_start, post_start[1:]
-    ):
-        yield f'{{"id": {news_id}, "label": {label}, "published_at": {published}, "posts": [{", ".join(posts[a:b])}]}}'
+    occ = corpus.occurrences
+    post_start = _bounds(occ.post_count)
+    tag_start = _bounds(np.bincount(occ.post, minlength=occ.n_posts))
+    news_ids, post_ids = map(quote, corpus.ids), map(quote, corpus.post_ids)
+    for a in range(0, len(corpus), CHUNK_LINES):
+        b = min(a + CHUNK_LINES, len(corpus))
+        first, last = post_start[a], post_start[b]
+        t0, t1 = tag_start[first], tag_start[last]
+        hashtags = [names[t] for t in occ.tag[t0:t1].tolist()]
+        tags = (tag_start[first : last + 1] - t0).tolist()
+        posts = [
+            f'{{"post_id": {post_id}, "created_at": {created}, "hashtags": [{", ".join(hashtags[i:j])}]}}'
+            for post_id, created, i, j in zip(
+                islice(post_ids, last - first), _stamps(corpus.created[first:last]), tags, tags[1:]
+            )
+        ]
+        rows = (post_start[a : b + 1] - first).tolist()
+        labels = [_LABEL_TEXT[label] for label in occ.labels[a:b].tolist()]
+        for news_id, label, published, i, j in zip(
+            islice(news_ids, b - a), labels, _stamps(corpus.published[a:b]), rows, rows[1:]
+        ):
+            yield f'{{"id": {news_id}, "label": {label}, "published_at": {published}, "posts": [{", ".join(posts[i:j])}]}}'
 
 
 def _stamps(times: np.ndarray) -> list[str]:
-    """``format_timestamp`` of each time column entry as a JSON string,
-    ``null`` when absent."""
+    """Each time column entry as a JSON string holding its canonical
+    ``YYYY-MM-DDTHH:MM:SSZ`` stamp (a four-digit year, floored to the
+    second), ``null`` when absent."""
     missing = times == NO_TIME
     seconds = np.where(missing, 0, times // 1_000_000).astype("M8[s]")  # floored to the second
     text = np.datetime_as_string(seconds, unit="s").tolist()
@@ -866,20 +803,16 @@ def _keep_posts(corpus: Corpus, keep: np.ndarray) -> Corpus:
     kept = keep[occ.post]
     order, tag = _first_appearance(occ.tag[kept], len(corpus.vocabulary))
     post_news = np.repeat(np.arange(len(corpus)), occ.post_count)
-    return Corpus(
+    return _from_columns(
         ids=corpus.ids,
+        labels=occ.labels,
         published=corpus.published,
+        post_count=np.bincount(post_news[keep], minlength=len(corpus)),
         post_ids=_Strings(list(compress(corpus.post_ids, keep.tolist()))),
         created=corpus.created[keep],
-        vocabulary=tuple(corpus.vocabulary[k] for k in order.tolist()),
-        occurrences=Occurrences(
-            news=occ.news[kept],
-            post=(np.cumsum(keep) - 1)[occ.post[kept]],
-            tag=tag,
-            n_posts=int(np.count_nonzero(keep)),
-            labels=occ.labels,
-            post_count=np.bincount(post_news[keep], minlength=len(corpus)),
-        ),
+        post=(np.cumsum(keep) - 1)[occ.post[kept]],
+        tag=tag,
+        vocabulary=[corpus.vocabulary[k] for k in order.tolist()],
     )
 
 

@@ -22,7 +22,7 @@ from typing import Iterable, TextIO
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus
+from .corpus import Corpus, _utf8_error
 
 logger = logging.getLogger(__name__)
 
@@ -307,9 +307,10 @@ def _parse_field(path, line_no: int, parse, text: str, what: str):
 def load_matrix(path: str | Path) -> RelationMatrix:
     """Read a relation matrix written by :func:`save_matrix`.
 
-    Every entry line must follow the ``# q:`` header and hold a finite
-    value at integer indices ``0 <= row <= col < q``, once per index
-    pair; any other line raises :class:`GraphError` naming ``path:line``.
+    Every line must be UTF-8, and every entry line must follow the
+    ``# q:`` header and hold a finite value at integer indices
+    ``0 <= row <= col < q``, once per index pair; any other line raises
+    :class:`GraphError` naming ``path:line``.
     """
     kind = None
     k1 = None
@@ -319,11 +320,13 @@ def load_matrix(path: str | Path) -> RelationMatrix:
     cols: list[int] = []
     vals: list[float] = []
     seen: set[tuple[int, int]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         first = fh.readline().rstrip("\n")
         if first != MATRIX_FORMAT_HEADER:
             raise GraphError(f"{path}: not a newstag matrix file")
         for line_no, line in enumerate(fh, start=2):
+            if error := _utf8_error(line):
+                raise GraphError(f"{path}:{line_no}: {error}")
             line = line.rstrip("\n")
             if not line:
                 continue

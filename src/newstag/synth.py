@@ -33,11 +33,13 @@ CHAIN_NEWS_PREFIX = "chain-"
 CARRIER_NEWS_PREFIX = "carrier-"
 
 # Largest sizes a synthetic corpus may ask for.  Every range a draw
-# takes must stay below 2**32.  Generating and writing a corpus peaks at
-# about 520 bytes per post (one hashtag each), so the worst-case
-# occurrence count ``news * posts_per_news[1] * hashtags_per_post[1]``
-# is capped to keep that peak near 1.6 GB; the benchmark's largest
-# corpus (30,000 hashtags, 18,750 news) reaches at most 750,000.
+# takes must stay below 2**32.  Generating a corpus peaks at about 320
+# bytes per post (one hashtag each), and writing it, a block of news
+# rows at a time, stays below that peak; so the worst-case occurrence
+# count ``news * posts_per_news[1] * hashtags_per_post[1]`` is capped to
+# keep the peak near 0.9 GiB (903 MiB measured at the cap); the
+# benchmark's largest corpus (30,000 hashtags, 18,750 news) reaches at
+# most 750,000.
 MAX_HASHTAGS = 1_000_000
 MAX_NEWS = 1_000_000
 MAX_POSTS_PER_NEWS = 10_000

@@ -1,6 +1,9 @@
 """Shared test fixtures-in-code: corpus builders, random instances, and
 independent oracles (dense power sums, loop-based cost, brute-force F1)
-used to cross-check the library's sparse implementations."""
+used to cross-check the library's sparse implementations.
+
+Test corpora are built the way users build them: as JSON records read
+by ``parse_corpus``."""
 
 from __future__ import annotations
 
@@ -8,11 +11,12 @@ import json
 import math
 import unicodedata
 from datetime import datetime, timedelta, timezone
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 
-from newstag.corpus import EPOCH, NO_TIME, VALID_LABELS, Corpus, CorpusBuilder, CorpusError, NewsItem, Post
+from newstag.corpus import EPOCH, NO_TIME, VALID_LABELS, Corpus, CorpusError, _from_columns, _Strings, parse_corpus
 from newstag.graph import HashtagGraph, RelationMatrix, normalize
 
 BASE = datetime(2020, 3, 1, tzinfo=timezone.utc)
@@ -22,28 +26,57 @@ BASE = datetime(2020, 3, 1, tzinfo=timezone.utc)
 # Corpus builders
 # ---------------------------------------------------------------------------
 
+def corpus_of(records) -> Corpus:
+    """The corpus ``parse_corpus`` reads from JSON records, one per line."""
+    return parse_corpus(json.dumps(r) for r in records)
+
+
+def news_record(news_id, label, published, posts) -> dict:
+    """A JSON record; posts: [(post_id, created datetime or None, hashtags), ...].
+    Times are written with ``isoformat``, so they keep their microseconds."""
+    return {
+        "id": news_id,
+        "label": label,
+        "published_at": None if published is None else published.isoformat(),
+        "posts": [
+            {"post_id": post_id, "created_at": None if created is None else created.isoformat(), "hashtags": list(tags)}
+            for post_id, created, tags in posts
+        ],
+    }
+
+
+def untimed_news(news_id, label, posts) -> dict:
+    """A record without timestamps; posts: [hashtag_list, ...]."""
+    return news_record(news_id, label, None, [(f"{news_id}-p{j}", None, tags) for j, tags in enumerate(posts)])
+
+
 def untimed_corpus(spec) -> Corpus:
     """spec: [(news_id, label, [post_hashtag_list, ...]), ...] without timestamps."""
-    news = []
-    for news_id, label, posts in spec:
-        ps = tuple(
-            Post(post_id=f"{news_id}-p{j}", created_at=None, hashtags=tuple(dict.fromkeys(tags)))
-            for j, tags in enumerate(posts)
-        )
-        news.append(NewsItem(id=news_id, label=label, published_at=None, posts=ps))
-    return Corpus.from_news(news)
+    return corpus_of(untimed_news(*item) for item in spec)
 
 
-def timed_news(news_id, label, publish_offset_h, posts) -> NewsItem:
-    """posts: [(created_offset_hours_from_publish or None, hashtag_list), ...]."""
+def timed_news(news_id, label, publish_offset_h, posts) -> dict:
+    """A record published ``publish_offset_h`` hours after ``BASE``;
+    posts: [(created_offset_hours_from_publish or None, hashtag_list), ...]."""
     published = BASE + timedelta(hours=publish_offset_h)
-    ps = []
-    for j, (offset, tags) in enumerate(posts):
-        created = None if offset is None else published + timedelta(hours=offset)
-        ps.append(
-            Post(post_id=f"{news_id}-p{j}", created_at=created, hashtags=tuple(dict.fromkeys(tags)))
-        )
-    return NewsItem(id=news_id, label=label, published_at=published, posts=tuple(ps))
+    return news_record(
+        news_id,
+        label,
+        published,
+        [
+            (f"{news_id}-p{j}", None if offset is None else published + timedelta(hours=offset), tags)
+            for j, (offset, tags) in enumerate(posts)
+        ],
+    )
+
+
+def item_record(item, posts=None) -> dict:
+    """The record of a corpus's news item, with ``posts`` (post objects)
+    in place of its own when given."""
+    posts = item.posts if posts is None else posts
+    return news_record(
+        item.id, item.label, item.published_at, [(p.post_id, p.created_at, p.hashtags) for p in posts]
+    )
 
 
 def assert_same_columns(actual: Corpus, expected: Corpus) -> None:
@@ -63,6 +96,47 @@ def assert_same_columns(actual: Corpus, expected: Corpus) -> None:
 # ---------------------------------------------------------------------------
 # Random instances
 # ---------------------------------------------------------------------------
+
+STREAM_TOKENS = ["#A", "a", "＃a", "B", "#b", "c", "#", "  ", "#D", "e"]
+STREAM_TIMES = [
+    None,
+    "2020-03-01T00:00:00Z",
+    "2020-03-01T05:30:00+02:00",
+    "2020-03-02T12:00:00",
+    " 2020-03-01T23:59:59z",
+    "2020-03-01T06:00:00.250000Z",
+]
+
+
+def random_stream(seed: int) -> tuple[list[str], int]:
+    """JSONL lines with unlabeled news, null and non-canonical times,
+    duplicate and empty hashtag tokens, blank lines and malformed
+    records, and the number of records lenient parsing skips."""
+    rng = np.random.default_rng(seed)
+    lines, skipped = [], 0
+    for i in range(int(rng.integers(0, 12))):
+        kind = int(rng.integers(10))
+        if kind == 0:
+            lines.append("")
+            continue
+        if kind == 1:
+            lines.append("{broken")
+            skipped += 1
+            continue
+        label = (-1, 1, None)[int(rng.integers(3))]
+        published = STREAM_TIMES[int(rng.integers(len(STREAM_TIMES)))]
+        posts = []
+        for j in range(int(rng.integers(0, 4))):
+            tags = [STREAM_TOKENS[int(k)] for k in rng.integers(len(STREAM_TOKENS), size=int(rng.integers(0, 5)))]
+            created = STREAM_TIMES[int(rng.integers(len(STREAM_TIMES)))]
+            posts.append({"post_id": f"n{i}-p{j}", "created_at": created, "hashtags": tags})
+        if kind == 2 and posts:
+            # skipped at its last post, after the hashtags before the bad token were read
+            posts[-1]["hashtags"] = [f"fresh{i}", 5]
+            skipped += 1
+        lines.append(json.dumps({"id": f"n{i}", "label": label, "published_at": published, "posts": posts}))
+    return lines, skipped
+
 
 def random_graph_matrix(rng, q_range=(8, 50), density=0.25, min_degree=0) -> RelationMatrix:
     """Random symmetric integer-weighted graph, normalized to N.
@@ -311,15 +385,14 @@ def filter_by_time_oracle(corpus: Corpus, horizon_hours: float) -> Corpus:
     vocabulary is rebuilt from the kept posts.
     """
     horizon = timedelta(hours=horizon_hours)
-    filtered = []
+    records = []
     for item in corpus.news:
-        if item.published_at is None:
-            filtered.append(item)
-            continue
-        cutoff = item.published_at + horizon
-        kept = tuple(p for p in item.posts if p.created_at is not None and p.created_at <= cutoff)
-        filtered.append(NewsItem(id=item.id, label=item.label, published_at=item.published_at, posts=kept))
-    return Corpus.from_news(filtered)
+        kept = item.posts
+        if item.published_at is not None:
+            cutoff = item.published_at + horizon
+            kept = [p for p in item.posts if p.created_at is not None and p.created_at <= cutoff]
+        records.append(item_record(item, kept))
+    return corpus_of(records)
 
 
 def popularity_oracle(corpus: Corpus, checkpoints) -> tuple[list[dict], int, int]:
@@ -399,7 +472,7 @@ def _intern_tags_oracle(raw_tags: list, line_no: int, post_id: str, tag_of: dict
     return out
 
 
-def _read_record_oracle(obj, line_no: int, cols: CorpusBuilder, tag_of: dict) -> tuple[str, int, int]:
+def _read_record_oracle(obj, line_no: int, cols: SimpleNamespace, tag_of: dict) -> tuple[str, int, int]:
     if not isinstance(obj, dict):
         raise CorpusError(f"line {line_no}: record must be a JSON object")
     news_id = obj.get("id")
@@ -441,7 +514,12 @@ def parse_corpus_oracle(lines, *, lenient: bool = False, errors: list | None = N
     times parsed and its hashtags normalized before the next line is
     read, and a skipped record's columns and vocabulary entries are
     truncated away.  Logs nothing."""
-    cols = CorpusBuilder()
+    cols = SimpleNamespace(
+        ids=[], labels=[], published=[], post_count=[],  # per news
+        post_ids=[], created=[], tag_count=[],  # per post
+        tags=[],  # vocabulary index per occurrence
+        vocab={},
+    )
     tag_of: dict[str, int] = {}  # raw token -> vocabulary index, -1 when empty
     seen_ids: set[str] = set()
     for line_no, line in enumerate(lines, start=1):
@@ -486,7 +564,18 @@ def parse_corpus_oracle(lines, *, lenient: bool = False, errors: list | None = N
         cols.labels.append(label or 0)
         cols.published.append(published)
         cols.post_count.append(n_news_posts)
-    return cols.build()
+    tag_count = np.array(cols.tag_count, dtype=np.int64)
+    return _from_columns(
+        ids=cols.ids,
+        labels=cols.labels,
+        published=cols.published,
+        post_count=cols.post_count,
+        post_ids=_Strings(cols.post_ids),
+        created=cols.created,
+        post=np.repeat(np.arange(len(tag_count)), tag_count),
+        tag=cols.tags,
+        vocabulary=cols.vocab,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +600,7 @@ def generate_synthetic_oracle(params, seed: int) -> Corpus:
     labels += [TRUE] * (params.news - len(labels))
     labels = list(rng.permutation(labels))
 
-    builder = CorpusBuilder()
+    records = []
     anchors: dict[str, None] = {}  # hashtags of true news, in first-appearance order
     post_lo, post_hi = params.posts_per_news
     tag_lo, tag_hi = params.hashtags_per_post
@@ -529,7 +618,7 @@ def generate_synthetic_oracle(params, seed: int) -> Corpus:
             posts.append((f"n{i:05d}-p{j:03d}", published + offset, tags))
             if label == TRUE:
                 anchors.update(tags)
-        builder.add(f"n{i:05d}", label, published, posts)
+        records.append(news_record(f"n{i:05d}", label, published, posts))
 
     if params.chain_depth > 0:
         anchor_list = list(anchors)
@@ -550,7 +639,7 @@ def generate_synthetic_oracle(params, seed: int) -> Corpus:
                 )
                 for j in range(2)
             ]
-            builder.add(f"{CHAIN_NEWS_PREFIX}{c:03d}", TRUE, published, designated_posts)
+            records.append(news_record(f"{CHAIN_NEWS_PREFIX}{c:03d}", TRUE, published, designated_posts))
             carrier_published = published + timedelta(hours=params.publish_step_hours)
             carrier_posts = [
                 (
@@ -560,25 +649,30 @@ def generate_synthetic_oracle(params, seed: int) -> Corpus:
                 )
                 for j in range(len(path) - 1)
             ]
-            builder.add(f"{CARRIER_NEWS_PREFIX}{c:03d}", None, carrier_published, carrier_posts)
+            records.append(news_record(f"{CARRIER_NEWS_PREFIX}{c:03d}", None, carrier_published, carrier_posts))
 
-    return builder.build()
+    return corpus_of(records)
+
+
+def canonical_stamp(dt: datetime | None) -> str | None:
+    """The ``YYYY-MM-DDTHH:MM:SSZ`` text writers give a datetime in UTC, with a
+    four-digit year (``strftime`` may not pad years below 1000)."""
+    if dt is None:
+        return None
+    dt = dt.astimezone(timezone.utc)
+    return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%SZ}"
 
 
 def corpus_to_jsonl_oracle(corpus: Corpus) -> list[str]:
     """corpus_to_jsonl through ``JSONEncoder`` on one dict per record."""
     encoder = json.JSONEncoder(ensure_ascii=True, separators=(", ", ": "))
-
-    def stamp(dt):
-        return None if dt is None else f"{dt.year:04d}-{dt:%m-%dT%H:%M:%SZ}"
-
     return [
         encoder.encode({
             "id": item.id,
             "label": item.label,
-            "published_at": stamp(item.published_at),
+            "published_at": canonical_stamp(item.published_at),
             "posts": [
-                {"post_id": post.post_id, "created_at": stamp(post.created_at), "hashtags": list(post.hashtags)}
+                {"post_id": post.post_id, "created_at": canonical_stamp(post.created_at), "hashtags": list(post.hashtags)}
                 for post in item.posts
             ],
         })

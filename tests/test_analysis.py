@@ -7,12 +7,11 @@ from newstag.analysis import (
     popularity_analysis,
     purity_analysis,
 )
-from newstag.corpus import Corpus
 from newstag.credibility import PropagationConfig, init_credibility, propagate_iterative, symmetric_normalize
 from newstag.harness import ExperimentConfig, _split_with_retries
 from newstag.synth import SyntheticParams, generate_synthetic
 
-from helpers import spectral_radius_dense, timed_news, untimed_corpus
+from helpers import corpus_of, spectral_radius_dense, timed_news, untimed_corpus, untimed_news
 from newstag.graph import build_direct_graph, normalize
 
 
@@ -70,7 +69,7 @@ def test_purity_zero_hashtag_news_counted_separately():
 # --- popularity ------------------------------------------------------------------
 
 def test_popularity_cumulative_counts():
-    corpus = Corpus.from_news(
+    corpus = corpus_of(
         [timed_news("n1", 1, 0, [(1.0, ["a"]), (3.0, ["b"])])]
     )
     report = popularity_analysis(corpus, [2.0, 4.0])
@@ -78,7 +77,7 @@ def test_popularity_cumulative_counts():
 
 
 def test_popularity_zero_posts():
-    corpus = Corpus.from_news([timed_news("n1", -1, 0, [])])
+    corpus = corpus_of([timed_news("n1", -1, 0, [])])
     report = popularity_analysis(corpus, [2.0])
     assert report.per_news[0]["counts"] == [0]
 
@@ -89,7 +88,7 @@ def test_popularity_summary_covers_both_classes():
         timed_news("t2", 1, 0, [(1.5, ["a"])]),
         timed_news("f1", -1, 0, [(0.5, ["b"])]),
     ]
-    corpus = Corpus.from_news(news)
+    corpus = corpus_of(news)
     report = popularity_analysis(corpus, [2.0, 6.0])
     keys = {(row["checkpoint_hours"], row["label"]) for row in report.summary}
     assert keys == {(2.0, 1), (2.0, -1), (6.0, 1), (6.0, -1)}
@@ -101,16 +100,16 @@ def test_popularity_summary_covers_both_classes():
 def test_popularity_exclusions_counted():
     news = [
         timed_news("ok", 1, 0, [(1.0, ["a"]), (None, ["b"])]),
-        untimed_corpus([("noclock", -1, [["c"]])]).news[0],
+        untimed_news("noclock", -1, [["c"]]),
     ]
-    corpus = Corpus.from_news(news)
+    corpus = corpus_of(news)
     report = popularity_analysis(corpus, [2.0])
     assert report.excluded_no_publish_time == 1
     assert report.dropped_untimed_posts == 1
 
 
 def test_popularity_validates_checkpoints():
-    corpus = Corpus.from_news([timed_news("n", 1, 0, [(1.0, ["a"])])])
+    corpus = corpus_of([timed_news("n", 1, 0, [(1.0, ["a"])])])
     with pytest.raises(ValueError):
         popularity_analysis(corpus, [])
     with pytest.raises(ValueError):

@@ -93,6 +93,20 @@ def test_validate_lenient_skips(workdir):
     assert json.loads(lenient.stdout)["skipped_records"] == 1
 
 
+def test_validate_line_that_is_not_utf8_exits_2_or_is_skipped(workdir):
+    mixed = workdir / "not-utf8.jsonl"
+    good = (workdir / "corpus.jsonl").read_bytes().splitlines()
+    mixed.write_bytes(good[0] + b"\n" + good[1].replace(b'"t', b'"\xfft', 1) + b"\n" + good[2] + b"\n")
+    strict = run_cli("validate", "--input", str(mixed))
+    assert strict.returncode == 2
+    assert strict.stderr.startswith("error: line 2: invalid UTF-8: 'utf-8' codec can't decode byte 0xff")
+    assert strict.stderr.count("\n") == 1
+    lenient = run_cli("validate", "--input", str(mixed), "--lenient")
+    assert lenient.returncode == 0
+    summary = json.loads(lenient.stdout)
+    assert summary["skipped_records"] == 1 and summary["news"] == 2
+
+
 # --- determinism and config echo -----------------------------------------------------
 
 def test_synth_byte_identical(workdir):
@@ -386,6 +400,18 @@ def test_export_bad_matrix_entry_exits_2(workdir):
     )
     assert result.returncode == 2
     assert f"{bad}:5:" in result.stderr
+
+
+def test_export_matrix_that_is_not_utf8_exits_2(workdir):
+    bad = workdir / "not-utf8.matrix"
+    bad.write_bytes(b'# newstag-matrix v1\n# kind: normalized_direct\n# q: 2\n# vocab: ["a", "\xe9"]\n0\t1\t0.5\n')
+    result = run_cli(
+        "export", "--matrix-file", str(bad), "--color-by", "none",
+        "--edges-out", str(workdir / "not-utf8-edges.tsv"),
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {bad}:4: invalid UTF-8: ")
+    assert not (workdir / "not-utf8-edges.tsv").exists()
 
 
 def test_export_hashtag_with_tab_exits_2(workdir):

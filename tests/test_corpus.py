@@ -11,7 +11,6 @@ import newstag.corpus
 from newstag.corpus import (
     EPOCH,
     MAX_SPAN_HOURS,
-    Corpus,
     CorpusError,
     corpus_stats,
     filter_by_time,
@@ -22,7 +21,16 @@ from newstag.corpus import (
     write_corpus,
 )
 
-from helpers import assert_same_columns, corpus_to_jsonl_oracle, parse_corpus_oracle, timed_news, untimed_corpus
+from helpers import (
+    assert_same_columns,
+    corpus_of,
+    corpus_to_jsonl_oracle,
+    parse_corpus_oracle,
+    random_stream,
+    timed_news,
+    untimed_corpus,
+    untimed_news,
+)
 
 
 # --- normalize_hashtag -----------------------------------------------------
@@ -245,6 +253,68 @@ def test_lenient_mode_keeps_label_and_duplicate_errors_fatal(line, message):
     assert str(info.value) == f"line 2: {message}"
 
 
+# --- input that is not UTF-8 ----------------------------------------------------
+
+# bytes that are no UTF-8, one of them a surrogate's encoding, which a
+# decoder that lets surrogates through would accept
+NOT_UTF8 = [b"\xff", b"caf\xe9", b"\xc3(", b"\xed\xa0\x80", b"\xf0\x9f\x98"]
+
+
+def _bytes_stream(tmp_path, middle: bytes):
+    """A corpus file whose line 2 holds ``middle`` in a hashtag, between
+    two good records, and the error its line gives as line 2."""
+    good = [_record(news_id="n1", posts=[_post(hashtags=["#a"])]), _record(news_id="n3", posts=[_post(hashtags=["#c"])])]
+    line = _bad().encode("ascii").replace(b"#b", b"#b" + middle)
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"\n".join([good[0].encode("ascii"), line, good[1].encode("ascii")]) + b"\n")
+    with pytest.raises(UnicodeDecodeError) as info:
+        line.decode("utf-8")
+    return path, f"line 2: invalid UTF-8: {info.value}"
+
+
+@pytest.mark.parametrize("middle", NOT_UTF8)
+def test_line_that_is_not_utf8_is_a_corpus_error(tmp_path, middle):
+    path, message = _bytes_stream(tmp_path, middle)
+    with pytest.raises(CorpusError) as info:
+        parse_corpus(path)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("middle", NOT_UTF8)
+def test_lenient_mode_skips_a_line_that_is_not_utf8(tmp_path, middle):
+    path, message = _bytes_stream(tmp_path, middle)
+    problems = []
+    corpus = parse_corpus(path, lenient=True, errors=problems)
+    assert problems == [(2, message)]
+    assert corpus.ids == ("n1", "n3") and corpus.vocabulary == ("a", "c")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, newstag.corpus.CHUNK_LINES])
+def test_utf8_errors_come_in_stream_order(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(newstag.corpus, "CHUNK_LINES", chunk)
+    path = tmp_path / "c.jsonl"
+    lines = [_record(news_id="n1").encode("ascii"), b"{broken", b'{"id": "n\xff"}', _record(news_id="n4").encode("ascii")]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    problems = []
+    assert parse_corpus(path, lenient=True, errors=problems).ids == ("n1", "n4")
+    assert [line_no for line_no, _ in problems] == [2, 3]
+    assert problems[1][1].startswith("line 3: invalid UTF-8: 'utf-8' codec can't decode byte 0xff in position 9")
+    with pytest.raises(CorpusError, match="^line 2: invalid JSON"):
+        parse_corpus(path)
+    path.write_bytes(b"\n".join([lines[0], lines[2], lines[1]]) + b"\n")
+    with pytest.raises(CorpusError, match="^line 2: invalid UTF-8"):
+        parse_corpus(path)
+
+
+def test_utf8_text_outside_ascii_is_read(tmp_path):
+    path = tmp_path / "c.jsonl"
+    record = {"id": "n\u00e9", "label": 1, "posts": [{"post_id": "p\U0001f600", "hashtags": ["Stra\u00dfe", "\U0001f600"]}]}
+    path.write_text(json.dumps(record, ensure_ascii=False) + "\r\n", encoding="utf-8")
+    corpus = parse_corpus(path)
+    assert corpus.ids == ("n\u00e9",) and tuple(corpus.post_ids) == ("p\U0001f600",)
+    assert corpus.vocabulary == ("strasse", "\U0001f600")
+
+
 # --- parse_corpus against the record-by-record oracle ------------------------
 
 GOOD_TIMES = [
@@ -315,16 +385,19 @@ def _outcome(parse, lines, lenient):
 @pytest.mark.parametrize("chunk", [1, 2, 3, newstag.corpus.CHUNK_LINES])
 def test_parse_matches_record_by_record_oracle(monkeypatch, chunk):
     monkeypatch.setattr(newstag.corpus, "CHUNK_LINES", chunk)
-    for seed in range(150):
-        lines = random_lines(seed)
+    streams = [(random_lines(seed), None) for seed in range(150)]
+    streams += [random_stream(seed) for seed in range(60)]
+    for k, (lines, skipped) in enumerate(streams):
         for lenient in (False, True):
             got, got_errors = _outcome(parse_corpus, lines, lenient)
             expected, expected_errors = _outcome(parse_corpus_oracle, lines, lenient)
-            assert got_errors == expected_errors, (seed, lenient)
+            assert got_errors == expected_errors, (k, lenient)
             if isinstance(expected, str):
-                assert got == expected, (seed, lenient)
+                assert got == expected, (k, lenient)
             else:
                 assert_same_columns(got, expected)
+        if skipped is not None:
+            assert len(got_errors) == skipped, k
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, newstag.corpus.CHUNK_LINES])
@@ -468,42 +541,45 @@ def test_write_corpus_roundtrip(tmp_path):
         timed_news("n1", 1, 0, [(1.0, ["a", "b"]), (None, ["c"])]),
         timed_news("n2", -1, 5, [(0.5, ["b"])]),
     ]
-    news.append(untimed_corpus([("n3", None, [["d"]])]).news[0])
-    corpus = Corpus.from_news(news)
+    news.append(untimed_news("n3", None, [["d"]]))
+    corpus = corpus_of(news)
     path = tmp_path / "c.jsonl"
     write_corpus(corpus, path)
     back = parse_corpus(path)
-    assert back == corpus
+    assert_same_columns(back, corpus)
     # serialization is stable byte-for-byte
     path2 = tmp_path / "c2.jsonl"
     write_corpus(back, path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_writer_matches_json_encoder_on_awkward_strings():
+@pytest.mark.parametrize("chunk", [1, 2, 3, newstag.corpus.CHUNK_LINES])
+def test_writer_matches_json_encoder_on_awkward_strings(monkeypatch, chunk):
+    monkeypatch.setattr(newstag.corpus, "CHUNK_LINES", chunk)
     awkward = ['q"uote', "back\\slash", "ctl\x00\x01\x1f\x7f", "nl\nr\rt\t", "\u00e9t\u00e9",
                "\u2028sep", "\U0001d518\U0001f600", "/slash", ""]
     news = [
         timed_news(f"n{k}-{text}", [1, -1, None][k % 3], k, [(0.5, [text, f"x{text}"]), (None, [])])
         for k, text in enumerate(awkward)
     ]
-    news.append(untimed_corpus([("untimed\u0085", None, [["a", "\ud83d"]])]).news[0])
-    news.append(untimed_corpus([("no-posts", 1, [])]).news[0])
-    corpus = Corpus.from_news(news)
+    news.append(untimed_news("untimed\u0085", None, [["a", "\ud83d"]]))
+    news.append(untimed_news("no-posts", 1, []))
+    news.insert(0, untimed_news("no-posts-first", -1, []))
+    corpus = corpus_of(news)
     assert list(newstag.corpus.corpus_to_jsonl(corpus)) == corpus_to_jsonl_oracle(corpus)
 
 
 # --- filter_by_time ----------------------------------------------------------
 
 def test_filter_keeps_only_posts_within_horizon():
-    corpus = Corpus.from_news([timed_news("n1", 1, 0, [(1.0, ["a"]), (20.0, ["b"])])])
+    corpus = corpus_of([timed_news("n1", 1, 0, [(1.0, ["a"]), (20.0, ["b"])])])
     out = filter_by_time(corpus, 12.0)
     assert [p.post_id for p in out.news[0].posts] == ["n1-p0"]
     assert out.vocabulary == ("a",)
 
 
 def test_filter_boundary_is_closed():
-    corpus = Corpus.from_news([timed_news("n1", 1, 0, [(12.0, ["a"])])])
+    corpus = corpus_of([timed_news("n1", 1, 0, [(12.0, ["a"])])])
     out = filter_by_time(corpus, 12.0)
     assert len(out.news[0].posts) == 1
 
@@ -511,11 +587,11 @@ def test_filter_boundary_is_closed():
 def test_filter_without_timestamps_is_identity():
     corpus = untimed_corpus([("n1", 1, [["a"], ["b"]])])
     out = filter_by_time(corpus, 1.0)
-    assert out == corpus
+    assert_same_columns(out, corpus)
 
 
 def test_filter_drops_untimed_posts_of_timed_news():
-    corpus = Corpus.from_news([timed_news("n1", 1, 0, [(None, ["a"]), (1.0, ["b"])])])
+    corpus = corpus_of([timed_news("n1", 1, 0, [(None, ["a"]), (1.0, ["b"])])])
     out = filter_by_time(corpus, 12.0)
     assert [p.post_id for p in out.news[0].posts] == ["n1-p1"]
 
@@ -536,7 +612,7 @@ def test_filter_rejects_horizon_beyond_a_timedelta():
 
 def test_filter_horizon_past_year_9999_keeps_every_timed_post():
     # publish time + horizon is past datetime's range; the window still closes exactly
-    corpus = Corpus.from_news([timed_news("n1", 1, 0, [(1.0, ["a"]), (None, ["b"]), (1e5, ["c"])])])
+    corpus = corpus_of([timed_news("n1", 1, 0, [(1.0, ["a"]), (None, ["b"]), (1e5, ["c"])])])
     out = filter_by_time(corpus, MAX_SPAN_HOURS)
     assert [p.post_id for p in out.news[0].posts] == ["n1-p0", "n1-p2"]
     assert out.vocabulary == ("a", "c")
@@ -568,7 +644,7 @@ def test_filter_monotone_in_horizon():
         )
         for i in range(8)
     ]
-    corpus = Corpus.from_news(news)
+    corpus = corpus_of(news)
     for h1, h2 in [(6.0, 12.0), (12.0, 48.0), (1.0, 71.9)]:
         small = filter_by_time(corpus, h1)
         large = filter_by_time(corpus, h2)

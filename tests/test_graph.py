@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from newstag.corpus import Corpus
 from newstag.graph import (
     EXACT_MAX_Q,
     GraphError,
@@ -26,6 +25,7 @@ from newstag.graph import (
 )
 
 from helpers import (
+    corpus_of,
     dense_power_sum,
     pair_count_oracle,
     random_contractive_n,
@@ -93,7 +93,7 @@ def test_zero_diagonal_and_symmetry():
 
 def test_empty_corpus_rejected():
     with pytest.raises(GraphError):
-        build_direct_graph(Corpus.from_news([]))
+        build_direct_graph(corpus_of([]))
 
 
 # --- normalize ---------------------------------------------------------------
@@ -461,6 +461,18 @@ def test_load_rejects_bad_vocab_header(tmp_path, vocab):
     lines[at] = f"# vocab: {vocab}\n"
     path.write_text("".join(lines))
     with pytest.raises(GraphError, match=f"^{re.escape(str(path))}:{at + 1}: .*vocab"):
+        load_matrix(path)
+
+
+def test_load_rejects_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.matrix"
+    save_matrix(path_graph_n(), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    at = next(k for k, line in enumerate(lines) if line.startswith(b"# vocab: "))
+    lines[at] = b'# vocab: ["a", "\xff", "c"]\n'
+    path.write_bytes(b"".join(lines))
+    message = "invalid UTF-8: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"
+    with pytest.raises(GraphError, match=f"^{re.escape(str(path))}:{at + 1}: {re.escape(message)}$"):
         load_matrix(path)
 
 

@@ -32,7 +32,16 @@ from newstag.harness import (
 )
 from newstag.synth import SyntheticParams, generate_synthetic
 
-from helpers import as_dense, brute_force_f1, dense_pipeline_oracle, timed_news, untimed_corpus
+from helpers import (
+    as_dense,
+    assert_same_columns,
+    brute_force_f1,
+    corpus_of,
+    dense_pipeline_oracle,
+    item_record,
+    timed_news,
+    untimed_corpus,
+)
 from newstag.corpus import Corpus, filter_by_time, split_corpus
 from newstag.graph import (
     MAX_K1,
@@ -204,22 +213,9 @@ def test_post_replication_leaves_predictions_unchanged():
     # normalization, so the whole downstream pipeline is unaffected
     params = SyntheticParams(hashtags=40, news=30, purity=0.8, posts_per_news=(2, 4))
     corpus = generate_synthetic(params, seed=15)
-    from newstag.corpus import Corpus, NewsItem, Post
-
-    replicated = Corpus.from_news(
-        [
-            NewsItem(
-                id=item.id,
-                label=item.label,
-                published_at=item.published_at,
-                posts=tuple(
-                    Post(post_id=f"{p.post_id}-r{r}", created_at=p.created_at, hashtags=p.hashtags)
-                    for p in item.posts
-                    for r in range(3)
-                ),
-            )
-            for item in corpus.news
-        ]
+    replicated = corpus_of(
+        item_record(item, [replace(p, post_id=f"{p.post_id}-r{r}") for p in item.posts for r in range(3)])
+        for item in corpus.news
     )
     ops_a = build_pipeline(corpus, small_config())
     ops_b = build_pipeline(replicated, small_config())
@@ -239,27 +235,12 @@ def test_hashtag_order_in_posts_is_irrelevant():
     # permuting vocab indices (via hashtag listing order) must not change labels
     params = SyntheticParams(hashtags=40, news=30, purity=0.8, posts_per_news=(2, 4))
     corpus = generate_synthetic(params, seed=16)
-    from newstag.corpus import Corpus, NewsItem, Post
 
     # news order stays fixed (it seeds the splits); only the hashtag
     # listing order changes, which permutes the vocabulary indices
-    flipped = Corpus.from_news(
-        [
-            NewsItem(
-                id=item.id,
-                label=item.label,
-                published_at=item.published_at,
-                posts=tuple(
-                    Post(
-                        post_id=p.post_id,
-                        created_at=p.created_at,
-                        hashtags=tuple(reversed(p.hashtags)),
-                    )
-                    for p in item.posts
-                ),
-            )
-            for item in corpus.news
-        ]
+    flipped = corpus_of(
+        item_record(item, [replace(p, hashtags=tuple(reversed(p.hashtags))) for p in item.posts])
+        for item in corpus.news
     )
     assert flipped.vocabulary != corpus.vocabulary
     assert set(flipped.vocabulary) == set(corpus.vocabulary)
@@ -280,10 +261,8 @@ def test_scores_equivariant_under_news_and_hashtag_permutation(method, mode):
     # held fixed by id
     corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.8), seed=12)
     rng = np.random.default_rng(12)
-    shuffled = Corpus.from_news(
-        replace(item, posts=tuple(
-            replace(post, hashtags=tuple(rng.permutation(post.hashtags).tolist())) for post in item.posts
-        ))
+    shuffled = corpus_of(
+        item_record(item, [replace(post, hashtags=rng.permutation(post.hashtags).tolist()) for post in item.posts])
         for item in (corpus.news[r] for r in rng.permutation(len(corpus.news)))
     )
     assert [item.id for item in shuffled.news] != [item.id for item in corpus.news]
@@ -350,7 +329,7 @@ def test_time_horizon_filters_before_graph():
         timed_news("f2", -1, 0, [(4.0, ["c", "d"])]),
         timed_news("f3", -1, 0, [(5.0, ["c", "d"])]),
     ]
-    corpus = Corpus.from_news(news)
+    corpus = corpus_of(news)
     config = small_config(repetitions=2, train_fraction=0.5, time_horizon_hours=0.001)
     report = run_experiment(corpus, config, collect_predictions=True)
     for rep in report.repetitions:
@@ -363,7 +342,7 @@ def test_build_pipeline_applies_time_horizon():
     cut = filter_by_time(corpus, 6.0)
     ops = build_pipeline(corpus, small_config(time_horizon_hours=6.0))
     plain = build_pipeline(cut, small_config())
-    assert ops.corpus.news == cut.news
+    assert_same_columns(ops.corpus, cut)
     assert ops.corpus.vocabulary == cut.vocabulary != corpus.vocabulary
     assert np.array_equal(as_dense(ops.X), as_dense(plain.X))
     assert build_pipeline(corpus, small_config()).corpus is corpus

@@ -1,7 +1,7 @@
-"""Property tests of the columnar corpus: the columns ``parse_corpus``
-fills equal those built from news objects, the horizon mask equals the
-object filter, and the occurrence-table reductions (graph, c0, scores,
-purity) agree bitwise with the loop oracles on random corpora."""
+"""Property tests of the columnar corpus: every producer keeps the
+parser's invariants, the horizon mask equals the object filter, and the
+occurrence-table reductions (graph, c0, scores, purity) agree bitwise
+with the loop oracles on random corpora."""
 
 import json
 from datetime import datetime, timedelta, timezone
@@ -18,21 +18,24 @@ from newstag.corpus import (
     corpus_stats,
     corpus_to_jsonl,
     filter_by_time,
-    format_timestamp,
     normalize_hashtag,
     parse_corpus,
-    parse_timestamp,
 )
 from newstag.credibility import init_credibility, score_news
 from newstag.graph import build_direct_graph
+from newstag.synth import SyntheticParams, generate_synthetic
 
 from helpers import (
     assert_same_columns,
     c0_oracle,
+    canonical_stamp,
+    corpus_of,
     filter_by_time_oracle,
+    news_record,
     pair_count_oracle,
     popularity_oracle,
     purity_oracle,
+    random_stream,
     score_oracle,
     skew_oracle,
     timed_news,
@@ -55,7 +58,7 @@ def random_corpus(seed: int) -> Corpus:
             offset = None if rng.random() < 0.2 else float(rng.uniform(0.0, 48.0))
             posts.append((offset, tags))
         news.append(timed_news(f"n{i}", label, i, posts))
-    return Corpus.from_news(news)
+    return corpus_of(news)
 
 
 FIXED = untimed_corpus(
@@ -133,77 +136,36 @@ def test_occurrence_table_built_once_per_corpus():
     assert filter_by_time(corpus, 24.0).occurrences is not table
 
 
-# --- columns built while parsing -------------------------------------------
+# --- what every producer keeps ---------------------------------------------
 
-TOKENS = ["#A", "a", "＃a", "B", "#b", "c", "#", "  ", "#D", "e"]
-TIMES = [
-    None,
-    "2020-03-01T00:00:00Z",
-    "2020-03-01T05:30:00+02:00",
-    "2020-03-02T12:00:00",
-    " 2020-03-01T23:59:59z",
-    "2020-03-01T06:00:00.250000Z",
-]
-
-
-def random_stream(seed: int) -> tuple[list[str], list[NewsItem], int]:
-    """JSONL lines with unlabeled news, null and non-canonical times,
-    duplicate and empty hashtag tokens, blank lines and malformed
-    records; the news objects of the records lenient parsing keeps,
-    built post by post with ``parse_timestamp`` and ``normalize_hashtag``;
-    and the number of records it skips."""
-    rng = np.random.default_rng(seed)
-    lines, kept, skipped = [], [], 0
-    for i in range(int(rng.integers(0, 12))):
-        kind = int(rng.integers(10))
-        if kind == 0:
-            lines.append("")
-            continue
-        if kind == 1:
-            lines.append("{broken")
-            skipped += 1
-            continue
-        label = (-1, 1, None)[int(rng.integers(3))]
-        published = TIMES[int(rng.integers(len(TIMES)))]
-        posts = []
-        for j in range(int(rng.integers(0, 4))):
-            tags = [TOKENS[int(k)] for k in rng.integers(len(TOKENS), size=int(rng.integers(0, 5)))]
-            created = TIMES[int(rng.integers(len(TIMES)))]
-            posts.append({"post_id": f"n{i}-p{j}", "created_at": created, "hashtags": tags})
-        if kind == 2 and posts:
-            # skipped at its last post, after the hashtags before the bad token were read
-            posts[-1]["hashtags"] = [f"fresh{i}", 5]
-        lines.append(json.dumps({"id": f"n{i}", "label": label, "published_at": published, "posts": posts}))
-        if kind == 2 and posts:
-            skipped += 1
-            continue
-        kept.append(
-            NewsItem(
-                id=f"n{i}",
-                label=label,
-                published_at=None if published is None else parse_timestamp(published),
-                posts=tuple(
-                    Post(
-                        post_id=post["post_id"],
-                        created_at=None if post["created_at"] is None else parse_timestamp(post["created_at"]),
-                        hashtags=tuple(dict.fromkeys(filter(None, map(normalize_hashtag, post["hashtags"])))),
-                    )
-                    for post in posts
-                ),
-            )
-        )
-    return lines, kept, skipped
+def produced_corpora():
+    """Corpora from every producer: strict and lenient parses, the
+    generator with and without chains, and horizon cuts of both."""
+    parsed = [untimed_corpus([("n1", 1, [["a", "a", "#B"], ["#b", "B", "  "]]), ("n2", None, [["＃A", "c"]])])]
+    for seed in range(30):
+        lines, _ = random_stream(seed)
+        errors = []
+        parsed.append(parse_corpus(lines, lenient=True, errors=errors))
+        bad = {line_no for line_no, _ in errors}
+        parsed.append(parse_corpus([line for n, line in enumerate(lines, start=1) if n not in bad]))
+    generated = [
+        generate_synthetic(SyntheticParams(hashtags=40, news=30, purity=0.8, **chains), seed=seed)
+        for chains in ({}, {"chain_depth": 3, "chains": 4}, {"chain_depth": 1, "chains": 2})
+        for seed in (0, 1)
+    ]
+    for corpus in (*parsed, *generated):
+        yield corpus
+        for horizon in (0.5, 6.0, 30.0):
+            yield filter_by_time(corpus, horizon)
 
 
-def test_parse_fills_the_columns_from_news_builds():
-    for seed in range(60):
-        lines, kept, skipped = random_stream(seed)
-        problems = []
-        parsed = parse_corpus(lines, lenient=True, errors=problems)
-        assert len(problems) == skipped
-        expected = Corpus.from_news(kept)
-        assert_same_columns(parsed, expected)
-        assert parsed == expected
+def test_every_producer_keeps_the_parser_invariants():
+    for corpus in produced_corpora():
+        occ, q = corpus.occurrences, len(corpus.vocabulary)
+        pairs = occ.post * q + occ.tag
+        assert len(np.unique(pairs)) == len(pairs)  # each (post, hashtag) pair at most once
+        assert all(normalize_hashtag(h) == h for h in corpus.vocabulary)
+        assert np.array_equal(np.unique(occ.tag), np.arange(q))  # every entry occurs
 
 
 def test_horizon_mask_matches_object_filter():
@@ -212,7 +174,7 @@ def test_horizon_mask_matches_object_filter():
             assert_same_columns(filter_by_time(corpus, horizon), filter_by_time_oracle(corpus, horizon))
     # posts exactly at the rounded boundary, and one microsecond-scale step past it
     for horizon in (1 / 3, 0.1, 47.9):
-        corpus = Corpus.from_news([timed_news("b", 1, 0.7, [(horizon, ["a"]), (horizon + 1e-9, ["b"])])])
+        corpus = corpus_of([timed_news("b", 1, 0.7, [(horizon, ["a"]), (horizon + 1e-9, ["b"])])])
         cut = filter_by_time(corpus, horizon)
         assert_same_columns(cut, filter_by_time_oracle(corpus, horizon))
         assert cut.vocabulary == ("a",)
@@ -255,7 +217,7 @@ def test_news_view_reads_like_a_tuple():
         assert hash(item) == hash(NewsItem(item.id, item.label, item.published_at, tuple(item.posts)))
 
 
-def test_writer_renders_times_as_format_timestamp():
+def test_writer_renders_times_as_canonical_stamps():
     instants = [
         datetime(1, 1, 1, tzinfo=timezone.utc),
         datetime(999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc),
@@ -264,11 +226,13 @@ def test_writer_renders_times_as_format_timestamp():
         datetime(2020, 2, 29, 13, 7, 5, 500000, tzinfo=timezone(timedelta(hours=-3))),
         datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc),
     ]
-    posts = tuple(Post(post_id=f"p{k}", created_at=t, hashtags=("a",)) for k, t in enumerate(instants))
-    news = [NewsItem(id=f"n{k}", label=None, published_at=t, posts=posts[k:k + 1]) for k, t in enumerate(instants)]
-    records = [json.loads(line) for line in corpus_to_jsonl(Corpus.from_news(news))]
-    assert [r["published_at"] for r in records] == [format_timestamp(t) for t in instants]
-    assert [r["posts"][0]["created_at"] for r in records] == [format_timestamp(t) for t in instants]
+    corpus = corpus_of(news_record(f"n{k}", None, t, [(f"p{k}", t, ["a"])]) for k, t in enumerate(instants))
+    records = [json.loads(line) for line in corpus_to_jsonl(corpus)]
+    stamps = [canonical_stamp(t) for t in instants]
+    assert stamps[:2] == ["0001-01-01T00:00:00Z", "0999-12-31T23:59:59Z"]
+    assert stamps[4] == "2020-02-29T16:07:05Z"
+    assert [r["published_at"] for r in records] == stamps
+    assert [r["posts"][0]["created_at"] for r in records] == stamps
 
 
 def test_popularity_and_skew_count_match_loop_oracles():
