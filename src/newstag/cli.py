@@ -90,34 +90,49 @@ def _add_opts(parser: argparse.ArgumentParser, opts: list[Opt]) -> None:
             )
 
 
-def _coerce(opt: Opt, value):
-    """Normalize a value from CLI text, an echo file, or a params file."""
-    if value is None:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what a value of each kind must be once a list flag's text is split
+_KIND_CHECKS = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a number", _is_number),
+    "floats": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "strs": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
+}
+
+
+def _coerce(opt: Opt, raw):
+    """Check and normalize a value parsed from a flag or decoded from an echo."""
+    if raw is None:
         return None
-    if opt.kind in ("float", "floats"):
-        if opt.kind == "float":
-            numbers = [float(value)]
-        else:
-            numbers = _parse_float_list(value) if isinstance(value, str) else [float(v) for v in value]
-        if not all(map(math.isfinite, numbers)):
-            raise CliUsageError(f"{opt.flag} must be finite, got {value!r}")
-        _check_limit(opt, numbers, value)
-        return numbers[0] if opt.kind == "float" else numbers
-    if opt.kind == "strs":
-        return _parse_str_list(value) if isinstance(value, str) else [str(v) for v in value]
-    if opt.kind == "bool":
-        if isinstance(value, str):
-            return value.strip().lower() in ("1", "true", "yes", "on")
-        return bool(value)
+    value = raw
+    if isinstance(raw, str):
+        if opt.kind == "floats":
+            value = _parse_float_list(raw)
+        elif opt.kind == "strs":
+            value = _parse_str_list(raw)
+        elif opt.kind == "int" and re.fullmatch(r"\s*[+-]?[0-9]+\s*", raw):
+            value = int(raw)
+    what, check = _KIND_CHECKS[opt.kind]
+    if not check(value):
+        raise CliUsageError(f"{opt.flag} must be {what}, got {raw!r}")
+    if opt.choices is not None and value not in opt.choices:
+        raise CliUsageError(f"{opt.flag} must be one of {', '.join(opt.choices)}, got {raw!r}")
     if opt.kind == "int":
-        if isinstance(value, int) and not isinstance(value, bool):
-            number = value
-        elif isinstance(value, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", value):
-            number = int(value)
-        else:
-            raise CliUsageError(f"{opt.flag} must be an integer, got {value!r}")
-        _check_limit(opt, [number], value)
-        return number
+        _check_limit(opt, [value], raw)
+    elif opt.kind in ("float", "floats"):
+        try:
+            numbers = [float(n) for n in (value if opt.kind == "floats" else [value])]
+        except OverflowError:  # an echo integer beyond the float range
+            numbers = [math.inf]
+        if not all(map(math.isfinite, numbers)):
+            raise CliUsageError(f"{opt.flag} must be finite, got {raw!r}")
+        _check_limit(opt, numbers, raw)
+        value = numbers if opt.kind == "floats" else numbers[0]
     return value
 
 
@@ -126,16 +141,13 @@ def _check_limit(opt: Opt, numbers: list, value) -> None:
         raise CliUsageError(f"{opt.flag} must be at most {opt.limit} in magnitude, got {value!r}")
 
 
-def _resolve(args: argparse.Namespace, opts: list[Opt], extra_sources: list[dict]) -> dict:
-    """Effective parameters: CLI > extra sources (in order) > defaults."""
+def _resolve(args: argparse.Namespace, opts: list[Opt], echo: dict) -> dict:
+    """Effective parameters: CLI > config echo > defaults."""
     effective = {}
     for opt in opts:
         value = getattr(args, opt.name)
         if value is None:
-            for source in extra_sources:
-                if opt.name in source and source[opt.name] is not None:
-                    value = source[opt.name]
-                    break
+            value = echo.get(opt.name)
         value = _coerce(opt, value)
         if value is None:
             value = opt.default
@@ -151,10 +163,14 @@ def _load_config_echo(path: str, subcommand: str, opts: list[Opt]) -> dict:
             payload = json.load(fh)
     except FileNotFoundError:
         raise FileNotFoundError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise CliUsageError(f"config file {path}: invalid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliUsageError(f"config file {path}: invalid JSON: {exc.msg}") from exc
     except RecursionError:
         raise CliUsageError(f"config file {path}: invalid JSON: nested too deeply") from None
+    if not isinstance(payload, dict):
+        raise CliUsageError(f"config file {path}: expected a JSON object, got {type(payload).__name__}")
     if payload.get("subcommand") != subcommand:
         raise CliUsageError(
             f"config file {path} was written by subcommand "
@@ -163,33 +179,10 @@ def _load_config_echo(path: str, subcommand: str, opts: list[Opt]) -> dict:
     params = payload.get("parameters")
     if not isinstance(params, dict):
         raise CliUsageError(f"config file {path}: missing parameters object")
-    return _known(params, opts, f"config file {path}", subcommand)
-
-
-def _known(params: dict, opts: list[Opt], source: str, subcommand: str) -> dict:
-    """``params`` if every key names an option of ``subcommand``."""
     unknown = sorted(set(params) - {opt.name for opt in opts})
     if unknown:
-        raise CliUsageError(f"{source}: {subcommand} takes no parameter {unknown[0]!r}")
+        raise CliUsageError(f"config file {path}: {subcommand} takes no parameter {unknown[0]!r}")
     return params
-
-
-def _load_params_file(path: str, opts: list[Opt]) -> dict:
-    """Flat key=value file (synthetic-corpus parameters)."""
-    values: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise CliUsageError(f"params file {path} line {line_no}: expected key=value")
-                key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
-    except FileNotFoundError:
-        raise FileNotFoundError(f"params file not found: {path}") from None
-    return _known(values, opts, f"params file {path}", "synth")
 
 
 def _echo_path(out: str) -> str:
@@ -250,7 +243,6 @@ SYNTH_OPTS = [
     Opt("chains", "int", 0, help="number of designated chain news", limit=MAX_CHAINS),
     Opt("post_window_hours", "float", 48.0, help="post timestamp window after publish", limit=MAX_SPAN_HOURS),
     Opt("publish_step_hours", "float", 1.0, help="publish time spacing between news", limit=MAX_SPAN_HOURS),
-    Opt("params", "str", help="flat key=value parameter file (CLI flags win)"),
     _SEED,
     _OUT,
 ]
@@ -268,8 +260,6 @@ BUILD_GRAPH_OPTS = [
         help="which relation matrix to emit"),
     Opt("weighted", "bool", True, help="count co-occurrences vs 0/1 indicator"),
     _K1,
-    Opt("drop_tolerance", "float", 0.0, help="closure entry pruning threshold"),
-    Opt("rel_tol", "float", help="optional relative-change stopping tolerance for the closure"),
     _OUT,
 ]
 
@@ -306,7 +296,6 @@ EXPORT_OPTS = [
         help="relation matrix to build from the corpus"),
     Opt("weighted", "bool", True, help="count co-occurrences vs 0/1 indicator"),
     _K1,
-    Opt("drop_tolerance", "float", 0.0, help="closure entry pruning threshold"),
     Opt("color_by", "str", "c_star", choices=("c_star", "none"),
         help="node coloring: all-data credibility or none"),
     Opt("edges_out", "str", required=True, help="TSV edge list path"),
@@ -357,7 +346,7 @@ def _relation_matrix(corpus, eff: dict):
         return N
     if eff["matrix"] == "exact":
         return all_relations_exact(N)
-    return all_relations_truncated(N, eff["k1"], eff["drop_tolerance"], eff.get("rel_tol"))
+    return all_relations_truncated(N, eff["k1"])
 
 
 def _synthetic_params(eff: dict):
@@ -625,17 +614,8 @@ def main(argv=None) -> int:
 
         opts, handler, _ = SUBCOMMANDS[args.subcommand]
         try:
-            sources = []
-            if args.config:
-                sources.append(_load_config_echo(args.config, args.subcommand, opts))
-            effective = _resolve(args, opts, sources)
-            if args.subcommand == "synth" and effective.get("params"):
-                # The echo (when present) outranks the params file so that
-                # replaying a config reproduces the original artifacts even
-                # if the params file changed since.
-                sources.append(_load_params_file(effective["params"], opts))
-                effective = _resolve(args, opts, sources)
-            return handler(effective)
+            echo = _load_config_echo(args.config, args.subcommand, opts) if args.config else {}
+            return handler(_resolve(args, opts, echo))
         except (CorpusError, GraphError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -141,21 +141,13 @@ def _frobenius(M: np.ndarray) -> float:
     return math.sqrt(np.einsum("ij,ij->", M, M))
 
 
-def all_relations_truncated(
-    N: RelationMatrix,
-    k1: int,
-    drop_tolerance: float = 0.0,
-    rel_tol: float | None = None,
-) -> RelationMatrix:
+def all_relations_truncated(N: RelationMatrix, k1: int) -> RelationMatrix:
     """Partial power sum N + N^2 + ... + N^k1, with its accumulation trace.
 
-    The result's ``trace`` holds, for each accumulated term, the
-    Frobenius norm of the term relative to the accumulated sum; it is
-    1.0 for the first term and decays geometrically whenever the series
-    converges.  With ``rel_tol`` set, accumulation stops early once the
-    relative change drops below it (k1 then acts as a cap).  Entries smaller than
-    ``drop_tolerance`` in magnitude are pruned after each accumulation;
-    the default 0 keeps everything.
+    The result's ``trace`` holds, for each of the k1 accumulated terms,
+    the Frobenius norm of the term relative to the accumulated sum; it
+    is 1.0 for the first term and decays geometrically whenever the
+    series converges.  Every nonzero entry of the sum is kept.
 
     On a connected graph the sum fills in to a dense matrix, so it is
     accumulated in one dense q x q buffer by sparse x dense products
@@ -167,8 +159,6 @@ def all_relations_truncated(
         raise GraphError(f"closure expects a normalized_direct matrix, got {N.kind!r}")
     if not 1 <= k1 <= MAX_K1:
         raise GraphError(f"k1 must be >= 1 and at most {MAX_K1}, got {k1}")
-    if drop_tolerance < 0:
-        raise GraphError("drop_tolerance must be >= 0")
     q = N.q
     if q > TRUNCATED_MAX_Q:
         raise GraphError(
@@ -178,14 +168,10 @@ def all_relations_truncated(
     base = N.values
     power = base.toarray()
     total = power.copy()
-    _prune(total, drop_tolerance)
     trace: list[float] = [1.0 if base.nnz else 0.0]
     for _ in range(2, k1 + 1):
-        if rel_tol is not None and trace[-1] < rel_tol:
-            break
         power = base @ power
         total += power
-        _prune(total, drop_tolerance)
         denom = _frobenius(total)
         trace.append(_frobenius(power) / denom if denom else 0.0)
     del power
@@ -197,17 +183,9 @@ def all_relations_truncated(
     indices = np.remainder(flat, q, out=flat).astype(np.int32)
     del flat
     values = sp.csr_matrix((total[mask], indices, indptr), shape=(q, q))
-    # k1 records the number of terms actually accumulated (rel_tol may
-    # have stopped the loop before the cap)
     return RelationMatrix(
-        kind=ALL_RELATIONS_TRUNCATED, values=values, vocab=N.vocab, k1=len(trace), trace=tuple(trace)
+        kind=ALL_RELATIONS_TRUNCATED, values=values, vocab=N.vocab, k1=k1, trace=tuple(trace)
     )
-
-
-def _prune(total: np.ndarray, drop_tolerance: float) -> None:
-    """Zero the entries of ``total`` smaller than ``drop_tolerance`` in magnitude."""
-    if drop_tolerance > 0.0:
-        total[np.abs(total) < drop_tolerance] = 0.0
 
 
 def estimate_spectral_radius(M: sp.spmatrix, max_iter: int = 500, rtol: float = 1e-12) -> float:

@@ -336,27 +336,22 @@ def test_run_bytes_do_not_depend_on_blas_thread_count(tmp_path, mode):
     assert outputs[0] == outputs[1]
 
 
-def test_synth_params_file(workdir):
-    params = workdir / "synth.params"
-    params.write_text("hashtags=30\nnews=20\npurity=0.8\n")
-    out1 = workdir / "pf1.jsonl"
-    result = run_cli("synth", "--params", str(params), "--seed", "2", "--out", str(out1))
+def test_synth_echo_replay_and_flag_override(workdir):
+    out1 = workdir / "se1.jsonl"
+    result = run_cli("synth", "--hashtags", "30", "--news", "20", "--purity", "0.8", "--seed", "2", "--out", str(out1))
     assert result.returncode == 0, result.stderr
-    # CLI flags override the params file
-    out2 = workdir / "pf2.jsonl"
-    run_cli("synth", "--params", str(params), "--news", "10", "--seed", "2", "--out", str(out2))
-    assert len(out1.read_text().splitlines()) == 20
-    assert len(out2.read_text().splitlines()) == 10
-
-
-def test_synth_params_file_with_unknown_key_exits_1(workdir):
-    params = workdir / "typo.params"
-    params.write_text("hashtag=30\nnews=20\n")
-    out = workdir / "typo.jsonl"
-    result = run_cli("synth", "--params", str(params), "--seed", "2", "--out", str(out))
-    assert result.returncode == 1
-    assert "'hashtag'" in result.stderr
-    assert not out.exists()
+    echo = workdir / "se1.jsonl.config.json"
+    out2 = workdir / "se2.jsonl"
+    result = run_cli("synth", "--config", str(echo), "--out", str(out2))
+    assert result.returncode == 0, result.stderr
+    assert out2.read_bytes() == out1.read_bytes()
+    # a flag overrides the echo; every other parameter comes from it
+    out3 = workdir / "se3.jsonl"
+    result = run_cli("synth", "--config", str(echo), "--news", "10", "--out", str(out3))
+    assert result.returncode == 0, result.stderr
+    assert len(out3.read_text().splitlines()) == 10
+    replayed = json.loads((workdir / "se3.jsonl.config.json").read_text())["parameters"]
+    assert replayed == {**json.loads(echo.read_text())["parameters"], "news": 10, "out": str(out3)}
 
 
 def test_run_above_truncated_cap_exits_2(workdir, monkeypatch, capsys):
@@ -525,6 +520,21 @@ def test_negative_clock_skew_exits_1(workdir):
     assert result.stderr == "error: clock skew allowance must be >= 0 hours, got -5\n"
 
 
+# the subcommand each echo parameter below is given to, and what the
+# error says its value must be
+ECHO_PARAMETERS = {
+    "repetitions": ("run", "an integer"),
+    "k1": ("run", "an integer"),
+    "mu": ("run", "a number"),
+    "tolerance": ("run", "a number"),
+    "horizon_hours": ("run", "finite"),
+    "grid": ("grid-mu", "a list of numbers"),
+    "watchlist": ("analyze", "a list of strings"),
+    "weighted": ("build-graph", "true or false"),
+    "matrix": ("build-graph", "one of normalized, truncated, exact"),
+}
+
+
 @pytest.mark.parametrize("name, value", [
     ("repetitions", float("inf")),
     ("repetitions", 2.7),
@@ -532,26 +542,27 @@ def test_negative_clock_skew_exits_1(workdir):
     ("repetitions", "2.7"),
     ("repetitions", "1e3"),
     ("k1", 1e30),
+    ("mu", [0.4]),
+    ("tolerance", True),
+    ("horizon_hours", 10**400),
+    ("grid", 0.4),
+    ("watchlist", 5),
+    ("weighted", "flase"),
+    ("matrix", "bogus"),
 ])
 def test_non_integer_echo_value_exits_1(workdir, capsys, name, value):
     from newstag.cli import main
 
+    subcommand, must = ECHO_PARAMETERS[name]
     echo = workdir / "non-integer.json"
-    echo.write_text(json.dumps({"subcommand": "run", "parameters": {name: value}}))
+    echo.write_text(json.dumps({"subcommand": subcommand, "parameters": {name: value}}))
     out = workdir / "non-integer.out"
-    code = main(["run", "--config", str(echo), "--input", str(workdir / "corpus.jsonl"), "--out", str(out)])
+    kind = ["--kind", "case-study"] if subcommand == "analyze" else []
+    code = main([subcommand, "--config", str(echo), "--input", str(workdir / "corpus.jsonl"), *kind, "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err == f"error: --{name} must be an integer, got {value!r}\n"
+    assert err == f"error: --{name.replace('_', '-')} must be {must}, got {value!r}\n"
     assert not out.exists()
-
-
-def test_non_integer_params_file_value_exits_1(workdir):
-    params = workdir / "float.params"
-    params.write_text("hashtags=30.5\n")
-    result = run_cli("synth", "--params", str(params), "--out", str(workdir / "float.jsonl"))
-    assert result.returncode == 1
-    assert result.stderr == "error: --hashtags must be an integer, got '30.5'\n"
 
 
 def test_run_report_config_holds_mu_once(workdir):
@@ -567,20 +578,29 @@ def test_run_report_config_holds_mu_once(workdir):
     assert "drop_tolerance" not in config
 
 
-def test_config_echo_with_unknown_parameter_exits_1(workdir):
-    out = workdir / "echo-extra.json"
-    result = run_cli(
-        "run", "--input", str(workdir / "corpus.jsonl"), "--repetitions", "1", "--out", str(out),
-    )
+# an echo written before its subcommand lost the parameter
+@pytest.mark.parametrize("subcommand, key, value", [
+    ("run", "drop_tolerance", 0.0),
+    ("build-graph", "rel_tol", 1e-3),
+    ("export", "drop_tolerance", 0.0),
+    ("synth", "params", "synth.params"),
+])
+def test_config_echo_with_unknown_parameter_exits_1(workdir, subcommand, key, value):
+    corpus = str(workdir / "corpus.jsonl")
+    args = {"run": ["--input", corpus, "--repetitions", "1"], "synth": ["--hashtags", "30", "--news", "20"]}
+    out_flag = "--edges-out" if subcommand == "export" else "--out"
+    out = workdir / f"echo-extra-{subcommand}.out"
+    result = run_cli(subcommand, *args.get(subcommand, ["--input", corpus]), out_flag, str(out))
     assert result.returncode == 0, result.stderr
-    echo = workdir / "echo-extra.json.config.json"
+    echo = workdir / f"echo-extra-{subcommand}.out.config.json"
     payload = json.loads(echo.read_text())
-    payload["parameters"]["drop_tolerance"] = 0.0
+    payload["parameters"][key] = value
     echo.write_text(json.dumps(payload))
-    result = run_cli("run", "--config", str(echo), "--out", str(workdir / "echo-extra2.json"))
+    replay = workdir / f"echo-extra-{subcommand}.replay"
+    result = run_cli(subcommand, "--config", str(echo), out_flag, str(replay))
     assert result.returncode == 1
-    assert "drop_tolerance" in result.stderr
-    assert not (workdir / "echo-extra2.json").exists()
+    assert result.stderr == f"error: config file {echo}: {subcommand} takes no parameter {key!r}\n"
+    assert not replay.exists()
 
 
 @pytest.mark.parametrize("subcommand", ["build-graph", "export"])
@@ -682,6 +702,22 @@ def test_config_echo_nested_too_deep_exits_1(workdir):
     assert result.stderr.startswith(f"error: config file {echo}: invalid JSON")
     assert result.stderr.count("\n") == 1
     assert not (workdir / "deep.json").exists()
+
+
+@pytest.mark.parametrize("content, error", [
+    (b'{"subcommand": "run", "parameters": {"seed": "\xff"}}',
+     "invalid UTF-8: 'utf-8' codec can't decode byte 0xff in position 46: invalid start byte"),
+    (b'[{"subcommand": "run", "parameters": {}}]', "expected a JSON object, got list"),
+], ids=["not-utf8", "not-an-object"])
+def test_unreadable_config_echo_exits_1(workdir, capsys, content, error):
+    from newstag.cli import main
+
+    echo = workdir / "unreadable.config.json"
+    echo.write_bytes(content)
+    out = workdir / "unreadable.json"
+    assert main(["run", "--config", str(echo), "--input", str(workdir / "corpus.jsonl"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: config file {echo}: {error}\n"
+    assert not out.exists()
 
 
 def test_matrix_vocab_nested_too_deep_exits_2(workdir):
