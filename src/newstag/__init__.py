@@ -38,12 +38,9 @@ _EXPORTS = {
         "GraphError",
         "HashtagGraph",
         "RelationMatrix",
-        "SeriesDivergentError",
-        "all_relations_exact",
         "all_relations_truncated",
         "build_direct_graph",
         "export_graph",
-        "load_matrix",
         "normalize",
         "save_matrix",
     ),

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import MAX_SPAN_HOURS
+from .credibility import MAX_ITERATIONS
 from .graph import MAX_K1
+from .harness import MAX_REPETITIONS
 from .synth import (
     MAX_CHAIN_DEPTH,
     MAX_CHAINS,
@@ -219,13 +221,13 @@ RUN_OPTS = [
         help="pipeline variant"),
     Opt("mu", "float", 0.4, help="regularization weight in (0,1)"),
     _K1,
-    Opt("k2", "int", help="fixed propagation iteration count (sets tolerance to 0)"),
-    Opt("max_iterations", "int", 100, help="propagation iteration cap"),
+    Opt("k2", "int", help="fixed propagation iteration count (sets tolerance to 0)", limit=MAX_ITERATIONS),
+    Opt("max_iterations", "int", 100, help="propagation iteration cap", limit=MAX_ITERATIONS),
     Opt("tolerance", "float", 1e-9, help="propagation stopping tolerance (0 disables)"),
     Opt("mode", "str", "iterative", choices=("iterative", "closed_form"), help="propagation solver"),
     Opt("train_fraction", "float", 0.8, help="labeled fraction used for training"),
     Opt("horizon_hours", "float", help="optional detection-time filter in hours", limit=MAX_SPAN_HOURS),
-    Opt("repetitions", "int", 10, help="number of repeated splits"),
+    Opt("repetitions", "int", 10, help="number of repeated splits", limit=MAX_REPETITIONS),
     _SEED,
 ]
 
@@ -234,9 +236,9 @@ SYNTH_OPTS = [
     Opt("news", "int", 500, help="news item count", limit=MAX_NEWS),
     Opt("fake_ratio", "float", 0.5, help="fraction of fake news"),
     Opt("fake_pool_fraction", "float", 0.5, help="fraction of hashtags in the fake pool"),
-    Opt("posts_min", "int", 3, help="minimum posts per news"),
+    Opt("posts_min", "int", 3, help="minimum posts per news", limit=MAX_POSTS_PER_NEWS),
     Opt("posts_max", "int", 10, help="maximum posts per news", limit=MAX_POSTS_PER_NEWS),
-    Opt("tags_min", "int", 1, help="minimum hashtags per post"),
+    Opt("tags_min", "int", 1, help="minimum hashtags per post", limit=MAX_HASHTAGS_PER_POST),
     Opt("tags_max", "int", 4, help="maximum hashtags per post", limit=MAX_HASHTAGS_PER_POST),
     Opt("purity", "float", 1.0, help="own-pool draw probability, in (0.5, 1]"),
     Opt("chain_depth", "int", 0, help="bridge path length for designated chain news", limit=MAX_CHAIN_DEPTH),
@@ -256,7 +258,7 @@ VALIDATE_OPTS = [
 
 BUILD_GRAPH_OPTS = [
     _INPUT,
-    Opt("matrix", "str", "truncated", choices=("normalized", "truncated", "exact"),
+    Opt("matrix", "str", "truncated", choices=("normalized", "truncated"),
         help="which relation matrix to emit"),
     Opt("weighted", "bool", True, help="count co-occurrences vs 0/1 indicator"),
     _K1,
@@ -290,9 +292,8 @@ ANALYZE_OPTS = RUN_OPTS + [
 ]
 
 EXPORT_OPTS = [
-    Opt("input", "str", help="corpus JSONL path (required unless --matrix-file)"),
-    Opt("matrix_file", "str", help="cached relation-matrix file to export directly"),
-    Opt("matrix", "str", "truncated", choices=("normalized", "truncated", "exact"),
+    _INPUT,
+    Opt("matrix", "str", "truncated", choices=("normalized", "truncated"),
         help="relation matrix to build from the corpus"),
     Opt("weighted", "bool", True, help="count co-occurrences vs 0/1 indicator"),
     _K1,
@@ -337,15 +338,13 @@ def _experiment_config(eff: dict):
 
 def _relation_matrix(corpus, eff: dict):
     """The relation matrix ``--matrix`` selects, built from the corpus."""
-    from .graph import all_relations_exact, all_relations_truncated, build_direct_graph, normalize
+    from .graph import all_relations_truncated, build_direct_graph, normalize
 
     if eff["k1"] < 1:
         raise CliUsageError(f"k1 must be >= 1, got {eff['k1']}")
     N = normalize(build_direct_graph(corpus, weighted=eff["weighted"]))
     if eff["matrix"] == "normalized":
         return N
-    if eff["matrix"] == "exact":
-        return all_relations_exact(N)
     return all_relations_truncated(N, eff["k1"])
 
 
@@ -532,30 +531,17 @@ def _cmd_analyze(eff: dict) -> int:
 
 def _cmd_export(eff: dict) -> int:
     from .credibility import init_credibility
-    from .graph import export_graph, load_matrix
+    from .graph import export_graph
 
-    corpus = None
-    if eff["matrix_file"]:
-        if not Path(eff["matrix_file"]).is_file():
-            raise FileNotFoundError(f"matrix file not found: {eff['matrix_file']}")
-        matrix = load_matrix(eff["matrix_file"])
-        if eff["input"]:
-            corpus = _read_corpus(eff["input"])
-    elif eff["input"]:
-        corpus = _read_corpus(eff["input"])
-        matrix = _relation_matrix(corpus, eff)
-    else:
-        raise CliUsageError("export requires --input or --matrix-file")
-
+    corpus = _read_corpus(eff["input"])
+    matrix = _relation_matrix(corpus, eff)
     credibility = None
     if eff["color_by"] == "c_star":
-        if corpus is None or not corpus.occurrences.labels.any():
+        if not corpus.occurrences.labels.any():
             raise CliUsageError(
                 "coloring by all-data credibility needs a labeled --input corpus; "
                 "use --color-by none otherwise"
             )
-        if corpus.vocabulary != matrix.vocab:
-            raise CliUsageError("corpus vocabulary does not match the cached matrix")
         credibility = init_credibility(corpus, corpus.occurrences.labels.nonzero()[0], per_post=True)
 
     export_graph(

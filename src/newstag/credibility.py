@@ -30,6 +30,11 @@ MODE_CLOSED_FORM = "closed_form"
 # Relative residual at which the closed form's conjugate gradient stops.
 CLOSED_FORM_TOLERANCE = 1e-14
 
+# Most propagation steps one propagation may run (``max_iterations``, or
+# ``k2`` on the CLI).  A step at 30,000 hashtags costs about 1 ms, so the
+# cap bounds one propagation near 100 s there.
+MAX_ITERATIONS = 100_000
+
 
 class PropagationError(RuntimeError):
     """Raised when the closed-form solve fails; indicates a defect, not bad data."""
@@ -47,8 +52,8 @@ class PropagationConfig:
     mode: str = MODE_ITERATIVE
 
     def validate(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not 1 <= self.max_iterations <= MAX_ITERATIONS:
+            raise ValueError(f"max_iterations must be >= 1 and at most {MAX_ITERATIONS}, got {self.max_iterations}")
         if not 0.0 <= self.tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
         if self.mode not in (MODE_ITERATIVE, MODE_CLOSED_FORM):

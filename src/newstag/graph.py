@@ -3,11 +3,12 @@
 The direct graph counts, for every unordered hashtag pair, the number of
 posts whose hashtag set contains both.  Dividing by the maximum row sum
 yields the normalized relation matrix ``N``; summing its powers
-``N + N**2 + ... + N**k1`` adds indirect (multi-hop) relations.  The
-infinite series has the closed form ``N (I - N)^{-1}`` but only
-converges when the spectral radius of ``N`` is strictly below one, so
-the truncated sum is the production path and the exact form is a
-guarded oracle.
+``N + N**2 + ... + N**k1`` adds indirect (multi-hop) relations.  That
+truncated sum is the relation matrix: the infinite series converges only
+when the spectral radius of ``N`` is below one, and the row-max
+normalization gives radius one to any weight-regular component.  The
+writers at the end store a matrix as a text cache and export it as edge
+lists for visualization; nothing reads them back.
 """
 
 from __future__ import annotations
@@ -16,26 +17,20 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, TextIO
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, _utf8_error
+from .corpus import Corpus
 
 logger = logging.getLogger(__name__)
 
 NORMALIZED_DIRECT = "normalized_direct"
 ALL_RELATIONS_TRUNCATED = "all_relations_truncated"
-ALL_RELATIONS_EXACT = "all_relations_exact"
 
 MATRIX_FORMAT_HEADER = "# newstag-matrix v1"
-
-# Largest vocabulary the exact closure accepts.  Its dense solve holds a
-# handful of q x q float64 arrays at once: at q = 3000 one call peaks at
-# about 480 MiB RSS.
-EXACT_MAX_Q = 3000
 
 # Largest vocabulary the truncated closure accepts.  It is built in
 # dense q x q float64 buffers and raises the peak RSS by about
@@ -51,10 +46,6 @@ MAX_K1 = 1000
 
 class GraphError(ValueError):
     """Raised for graph construction or normalization failures."""
-
-
-class SeriesDivergentError(GraphError):
-    """Raised when the closure series cannot converge (spectral radius ~ 1)."""
 
 
 @dataclass(frozen=True)
@@ -188,69 +179,29 @@ def all_relations_truncated(N: RelationMatrix, k1: int) -> RelationMatrix:
     )
 
 
-def estimate_spectral_radius(M: sp.spmatrix, max_iter: int = 500, rtol: float = 1e-12) -> float:
-    """Power-iteration estimate of the spectral radius of a symmetric matrix.
-
-    Uses norm growth of M @ v, which for symmetric M converges to the
-    largest eigenvalue magnitude from below.  The start vector is a
-    slightly tilted all-ones vector: for nonnegative matrices it always
-    overlaps the dominant (Perron) eigenvector.
-    """
-    q = M.shape[0]
-    if q == 0 or M.nnz == 0:
-        return 0.0
-    v = np.ones(q) + np.arange(q) / (10.0 * q)
-    v /= np.linalg.norm(v)
-    ratio = 0.0
-    for _ in range(max_iter):
-        w = M @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        prev, ratio = ratio, norm
-        v = w / norm
-        if abs(ratio - prev) <= rtol * max(ratio, 1e-30):
-            break
-    return ratio
-
-
-def all_relations_exact(N: RelationMatrix) -> RelationMatrix:
-    """Exact series limit N (I - N)^{-1}, refused for divergent inputs.
-
-    The closure is dense, so it is one dense multi-column solve, and
-    vocabularies above ``EXACT_MAX_Q`` hashtags are refused before
-    anything of size q x q is allocated.  The spectral radius of N is
-    estimated by power iteration; anything not safely below 1 raises
-    :class:`SeriesDivergentError` (this can genuinely happen, e.g. for
-    weight-regular components where every row sum equals the maximum).
-    A residual check guards against a misleading radius estimate.
-    """
-    if N.kind != NORMALIZED_DIRECT:
-        raise GraphError(f"exact closure expects a normalized_direct matrix, got {N.kind!r}")
-    q = N.q
-    if q > EXACT_MAX_Q:
-        raise GraphError(
-            f"exact closure refused: q={q} hashtags exceeds the dense-solve cap of {EXACT_MAX_Q}"
-        )
-    radius = estimate_spectral_radius(N.values)
-    if radius > 1.0 - 1e-6:
-        raise SeriesDivergentError(
-            f"series divergent: spectral radius estimate {radius:.9f} is not below 1"
-        )
-    dense_n = N.values.toarray()
-    solved = np.linalg.solve(np.eye(q) - dense_n, dense_n)
-    solved = (solved + solved.T) / 2.0
-    residual = float(np.max(np.abs((np.eye(q) - dense_n) @ solved - dense_n)))
-    result = sp.csr_matrix(solved)
-    if not np.isfinite(residual) or residual > 1e-6:
-        raise GraphError(f"exact closure solve failed (residual {residual:.3e})")
-    result.eliminate_zeros()
-    return RelationMatrix(kind=ALL_RELATIONS_EXACT, values=result, vocab=N.vocab)
-
-
 # ---------------------------------------------------------------------------
 # Persistence and export
 # ---------------------------------------------------------------------------
+
+# Lines the writers join into one write: enough that per-line write calls
+# do not dominate, few enough that one block's text stays a few MiB.
+_BLOCK_LINES = 65536
+
+
+def _sorted_upper(values: sp.spmatrix, k: int) -> tuple[list[int], list[int], list[float]]:
+    """Rows, columns and values of the entries on or above diagonal ``k``,
+    row-major, as Python lists (formatted once per entry, no NumPy scalars)."""
+    upper = sp.triu(values, k=k).tocoo()
+    order = np.lexsort((upper.col, upper.row))
+    return upper.row[order].tolist(), upper.col[order].tolist(), upper.data[order].tolist()
+
+
+def _write_lines(fh, lines) -> None:
+    """Write newline-terminated ``lines`` in blocks of ``_BLOCK_LINES``."""
+    lines = iter(lines)
+    while block := list(islice(lines, _BLOCK_LINES)):
+        fh.write("".join(block))
+
 
 def save_matrix(matrix: RelationMatrix, path: str | Path) -> None:
     """Write a relation matrix in the triplet text cache format.
@@ -258,11 +209,10 @@ def save_matrix(matrix: RelationMatrix, path: str | Path) -> None:
     Layout: a versioned comment header carrying kind, k1, q and the
     vocabulary (JSON-encoded), followed by one ``row<TAB>col<TAB>value``
     line per stored entry of the upper triangle (row <= col, row-major).
-    Values use shortest round-trip float formatting, so save/load is
-    bit-exact and byte-deterministic.
+    Values use shortest round-trip float formatting, so every stored
+    value reads back bit-exactly and the file is byte-deterministic.
     """
-    upper = sp.triu(matrix.values, k=0).tocoo()
-    order = np.lexsort((upper.col, upper.row))
+    rows, cols, values = _sorted_upper(matrix.values, k=0)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{MATRIX_FORMAT_HEADER}\n")
         fh.write(f"# kind: {matrix.kind}\n")
@@ -270,84 +220,7 @@ def save_matrix(matrix: RelationMatrix, path: str | Path) -> None:
             fh.write(f"# k1: {matrix.k1}\n")
         fh.write(f"# q: {matrix.q}\n")
         fh.write(f"# vocab: {json.dumps(list(matrix.vocab), ensure_ascii=True)}\n")
-        for i in order:
-            fh.write(f"{upper.row[i]}\t{upper.col[i]}\t{float(upper.data[i])!r}\n")
-
-
-def _parse_field(path, line_no: int, parse, text: str, what: str):
-    try:
-        return parse(text)
-    except (ValueError, RecursionError):  # or JSON nested too deep to decode
-        shown = text if len(text) <= 80 else text[:80] + "..."
-        raise GraphError(f"{path}:{line_no}: bad {what} {shown!r}") from None
-
-
-def load_matrix(path: str | Path) -> RelationMatrix:
-    """Read a relation matrix written by :func:`save_matrix`.
-
-    Every line must be UTF-8, and every entry line must follow the
-    ``# q:`` header and hold a finite value at integer indices
-    ``0 <= row <= col < q``, once per index pair; any other line raises
-    :class:`GraphError` naming ``path:line``.
-    """
-    kind = None
-    k1 = None
-    q = None
-    vocab: tuple[str, ...] | None = None
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    seen: set[tuple[int, int]] = set()
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != MATRIX_FORMAT_HEADER:
-            raise GraphError(f"{path}: not a newstag matrix file")
-        for line_no, line in enumerate(fh, start=2):
-            if error := _utf8_error(line):
-                raise GraphError(f"{path}:{line_no}: {error}")
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# "):
-                key, _, value = line[2:].partition(": ")
-                if key == "kind":
-                    kind = value
-                elif key == "k1":
-                    k1 = _parse_field(path, line_no, int, value, "k1")
-                elif key == "q":
-                    q = _parse_field(path, line_no, int, value, "q")
-                elif key == "vocab":
-                    names = _parse_field(path, line_no, json.loads, value, "vocab")
-                    if not isinstance(names, list) or not all(isinstance(h, str) for h in names):
-                        raise GraphError(f"{path}:{line_no}: vocab must be a JSON list of strings")
-                    vocab = tuple(names)
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise GraphError(f"{path}:{line_no}: expected row, col, value; got {len(fields)} field(s)")
-            if q is None:
-                raise GraphError(f"{path}:{line_no}: entry before the q header")
-            row = _parse_field(path, line_no, int, fields[0], "row index")
-            col = _parse_field(path, line_no, int, fields[1], "column index")
-            value = _parse_field(path, line_no, float, fields[2], "value")
-            if not 0 <= row <= col < q:
-                raise GraphError(f"{path}:{line_no}: entry ({row}, {col}) outside 0 <= row <= col < q={q}")
-            if not math.isfinite(value):
-                raise GraphError(f"{path}:{line_no}: non-finite value {fields[2]!r}")
-            if (row, col) in seen:
-                raise GraphError(f"{path}:{line_no}: duplicate entry ({row}, {col})")
-            seen.add((row, col))
-            rows.append(row)
-            cols.append(col)
-            vals.append(value)
-    if kind is None or q is None or vocab is None:
-        raise GraphError(f"{path}: missing matrix header fields")
-    if len(vocab) != q:
-        raise GraphError(f"{path}: vocab length {len(vocab)} does not match q={q}")
-    upper = sp.coo_matrix((vals, (rows, cols)), shape=(q, q)).tocsr()
-    strict = sp.triu(upper, k=1)
-    full = (upper + strict.T).tocsr()
-    return RelationMatrix(kind=kind, values=full, vocab=vocab, k1=k1)
+        _write_lines(fh, (f"{a}\t{b}\t{v!r}\n" for a, b, v in zip(rows, cols, values)))
 
 
 def _color_class(score: float) -> str:
@@ -379,7 +252,8 @@ def export_graph(
     holding a tab, CR or LF cannot be written as one TSV field and is
     refused before any file is opened.
     """
-    for name in matrix.vocab:
+    vocab = matrix.vocab
+    for name in vocab:
         if "\t" in name or "\r" in name or "\n" in name:
             raise GraphError(f"hashtag {name!r} holds a tab or line break and cannot be exported as TSV")
     scores = None
@@ -388,35 +262,29 @@ def export_graph(
         if scores.shape[0] != matrix.q:
             raise GraphError("credibility vector does not match matrix vocabulary")
 
-    upper = sp.triu(matrix.values, k=1).tocoo()
-    order = np.lexsort((upper.col, upper.row))
+    rows, cols, weights = _sorted_upper(matrix.values, k=1)
     with open(edges_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("hashtag_a\thashtag_b\tweight\n")
-        for i in order:
-            a, b = matrix.vocab[upper.row[i]], matrix.vocab[upper.col[i]]
-            fh.write(f"{a}\t{b}\t{float(upper.data[i])!r}\n")
+        _write_lines(fh, (f"{vocab[a]}\t{vocab[b]}\t{w!r}\n" for a, b, w in zip(rows, cols, weights)))
 
     if nodes_path is not None:
         with open(nodes_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("hashtag\tcredibility\tcolor_class\n")
-            for k, name in enumerate(matrix.vocab):
+            for k, name in enumerate(vocab):
                 if scores is None:
                     fh.write(f"{name}\t\tmid\n")
                 else:
                     fh.write(f"{name}\t{float(scores[k])!r}\t{_color_class(float(scores[k]))}\n")
 
     if dot_path is not None:
+        palette = {"high": "blue", "low": "red", "mid": "gray"}
+        quoted = [_dot_quote(name) for name in vocab]
         with open(dot_path, "w", encoding="utf-8", newline="\n") as fh:
-            _write_dot(fh, matrix, scores, upper, order)
-
-
-def _write_dot(fh: TextIO, matrix: RelationMatrix, scores, upper, order: Iterable[int]) -> None:
-    palette = {"high": "blue", "low": "red", "mid": "gray"}
-    fh.write("graph hashtags {\n")
-    for k, name in enumerate(matrix.vocab):
-        color = palette["mid" if scores is None else _color_class(float(scores[k]))]
-        fh.write(f"  {_dot_quote(name)} [color={color}];\n")
-    for i in order:
-        a, b = matrix.vocab[upper.row[i]], matrix.vocab[upper.col[i]]
-        fh.write(f"  {_dot_quote(a)} -- {_dot_quote(b)} [weight={float(upper.data[i])!r}];\n")
-    fh.write("}\n")
+            fh.write("graph hashtags {\n")
+            for k, name in enumerate(quoted):
+                color = palette["mid" if scores is None else _color_class(float(scores[k]))]
+                fh.write(f"  {name} [color={color}];\n")
+            _write_lines(fh, (
+                f"  {quoted[a]} -- {quoted[b]} [weight={w!r}];\n" for a, b, w in zip(rows, cols, weights)
+            ))
+            fh.write("}\n")

@@ -38,6 +38,10 @@ METHODS = (METHOD_NEWSTAG, METHOD_NO_INDIRECT, METHOD_UNWEIGHTED)
 MAX_SPLIT_ATTEMPTS = 100
 _RESAMPLE_STRIDE = 7919  # deterministic seed offset between split attempts
 
+# Most repeated splits one experiment may run; each repetition is one
+# propagation of at most ``MAX_ITERATIONS`` steps.
+MAX_REPETITIONS = 1_000
+
 
 class HarnessError(RuntimeError):
     """Raised for unrecoverable experiment conditions (degenerate splits)."""
@@ -71,8 +75,8 @@ class ExperimentConfig:
             raise ValueError(f"time_horizon_hours must be positive and at most {MAX_SPAN_HOURS} hours")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        if not 1 <= self.repetitions <= MAX_REPETITIONS:
+            raise ValueError(f"repetitions must be >= 1 and at most {MAX_REPETITIONS}, got {self.repetitions}")
         self.propagation.validate()
 
     def to_dict(self) -> dict:

@@ -1,12 +1,14 @@
 """Shared test fixtures-in-code: corpus builders, random instances, and
-independent oracles (dense power sums, loop-based cost, brute-force F1)
-used to cross-check the library's sparse implementations.
+independent oracles (dense power sums, the exact closure, loop-based
+cost, brute-force F1) used to cross-check the library's sparse
+implementations.
 
 Test corpora are built the way users build them: as JSON records read
 by ``parse_corpus``."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import unicodedata
@@ -17,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from newstag.corpus import EPOCH, NO_TIME, VALID_LABELS, Corpus, CorpusError, _from_columns, _Strings, parse_corpus
-from newstag.graph import HashtagGraph, RelationMatrix, normalize
+from newstag.graph import MATRIX_FORMAT_HEADER, HashtagGraph, RelationMatrix, normalize
 
 BASE = datetime(2020, 3, 1, tzinfo=timezone.utc)
 
@@ -223,6 +225,87 @@ def dense_power_sum(n_dense: np.ndarray, k1: int) -> np.ndarray:
         power = power @ n_dense
         total = total + power
     return total
+
+
+def exact_closure_oracle(n_dense: np.ndarray) -> np.ndarray:
+    """Closure oracle: the series limit N + N^2 + ... = (I - N)^{-1} N, as
+    one dense solve.  The series converges only for a contractive N, so
+    callers check ``spectral_radius_dense(n_dense) < 1`` first."""
+    return np.linalg.solve(np.eye(n_dense.shape[0]) - n_dense, n_dense)
+
+
+def read_matrix(path) -> RelationMatrix:
+    """The matrix in a file ``save_matrix`` wrote: its header fields and
+    its upper triangle, mirrored into the lower one."""
+    header: dict[str, str] = {}
+    rows, cols, values = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        assert fh.readline() == MATRIX_FORMAT_HEADER + "\n"
+        for line in fh:
+            if line.startswith("# "):
+                key, _, value = line[2:].rstrip("\n").partition(": ")
+                header[key] = value
+            else:
+                row, col, value = line.split("\t")
+                rows.append(int(row))
+                cols.append(int(col))
+                values.append(float(value))
+    q = int(header["q"])
+    upper = sp.csr_matrix((values, (rows, cols)), shape=(q, q))
+    assert upper.nnz == len(values) and sp.tril(upper, k=-1).nnz == 0  # no duplicate or lower entry
+    return RelationMatrix(
+        kind=header["kind"],
+        values=(upper + sp.triu(upper, k=1).T).tocsr(),
+        vocab=tuple(json.loads(header["vocab"])),
+        k1=int(header["k1"]) if "k1" in header else None,
+    )
+
+
+def _upper_entries_oracle(matrix: RelationMatrix, k: int) -> list[tuple[int, int, float]]:
+    """Nonzero entries on or above diagonal ``k``, row-major, from the dense matrix."""
+    dense = matrix.values.toarray()
+    return [(i, j, float(dense[i, j])) for i in range(matrix.q) for j in range(i + k, matrix.q) if dense[i, j]]
+
+
+def save_matrix_oracle(matrix: RelationMatrix) -> str:
+    """The text ``save_matrix`` writes, one ``write`` per entry."""
+    out = io.StringIO()
+    out.write(f"{MATRIX_FORMAT_HEADER}\n# kind: {matrix.kind}\n")
+    if matrix.k1 is not None:
+        out.write(f"# k1: {matrix.k1}\n")
+    out.write(f"# q: {matrix.q}\n# vocab: {json.dumps(list(matrix.vocab), ensure_ascii=True)}\n")
+    for i, j, value in _upper_entries_oracle(matrix, 0):
+        out.write(f"{i}\t{j}\t{value!r}\n")
+    return out.getvalue()
+
+
+def export_graph_oracle(matrix: RelationMatrix, scores=None) -> tuple[str, str, str]:
+    """The edge list, node table and DOT text ``export_graph`` writes, one
+    ``write`` per line."""
+    def color(k: int) -> str:
+        if scores is None:
+            return "mid"
+        return "high" if scores[k] >= 0.9 else "low" if scores[k] <= -0.9 else "mid"
+
+    def quote(name: str) -> str:
+        return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    vocab = matrix.vocab
+    entries = _upper_entries_oracle(matrix, 1)
+    edges, nodes, dot = io.StringIO(), io.StringIO(), io.StringIO()
+    edges.write("hashtag_a\thashtag_b\tweight\n")
+    for i, j, value in entries:
+        edges.write(f"{vocab[i]}\t{vocab[j]}\t{value!r}\n")
+    nodes.write("hashtag\tcredibility\tcolor_class\n")
+    for k, name in enumerate(vocab):
+        nodes.write(f"{name}\t\tmid\n" if scores is None else f"{name}\t{float(scores[k])!r}\t{color(k)}\n")
+    dot.write("graph hashtags {\n")
+    for k, name in enumerate(vocab):
+        dot.write(f"  {quote(name)} [color={ {'high': 'blue', 'low': 'red', 'mid': 'gray'}[color(k)] }];\n")
+    for i, j, value in entries:
+        dot.write(f"  {quote(vocab[i])} -- {quote(vocab[j])} [weight={value!r}];\n")
+    dot.write("}\n")
+    return edges.getvalue(), nodes.getvalue(), dot.getvalue()
 
 
 def cost_oracle(w_dense: np.ndarray, degrees, c, c0, mu: float) -> float:

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from helpers import read_matrix
+
 CMD = [sys.executable, "-m", "newstag"]
 
 
@@ -167,13 +169,21 @@ def test_build_graph_and_export_from_cache(workdir):
     assert matrix.read_text().startswith("# newstag-matrix v1")
 
     result = run_cli(
-        "export", "--matrix-file", str(matrix), "--input", corpus,
+        "export", "--input", corpus, "--k1", "5",
         "--edges-out", str(workdir / "edges.tsv"),
         "--nodes-out", str(workdir / "nodes.tsv"),
         "--dot-out", str(workdir / "g.dot"),
     )
     assert result.returncode == 0, result.stderr
-    assert (workdir / "edges.tsv").read_text().splitlines()[0] == "hashtag_a\thashtag_b\tweight"
+    # the edge list holds the strict upper entries of the cached matrix, row-major
+    cached = read_matrix(matrix)
+    upper = sp.triu(cached.values, k=1).tocsr()
+    expected = [
+        f"{cached.vocab[i]}\t{cached.vocab[j]}\t{float(upper[i, j])!r}"
+        for i in range(cached.q) for j in upper.indices[upper.indptr[i]:upper.indptr[i + 1]]
+    ]
+    assert upper.has_sorted_indices
+    assert (workdir / "edges.tsv").read_text().splitlines() == ["hashtag_a\thashtag_b\tweight", *expected]
     nodes = (workdir / "nodes.tsv").read_text().splitlines()
     assert nodes[0] == "hashtag\tcredibility\tcolor_class"
     assert (workdir / "g.dot").read_text().startswith("graph hashtags {")
@@ -264,15 +274,15 @@ def test_build_graph_normalized_and_exact(workdir):
     )
     assert result.returncode == 0, result.stderr
     assert "# kind: normalized_direct" in (workdir / "n.matrix").read_text()
-    # the exact closure either succeeds or refuses with a data error,
-    # depending on the corpus spectrum; never a crash
+    # the exact closure is no choice: the matrix is the truncated sum
     result = run_cli(
         "build-graph", "--input", corpus, "--matrix", "exact",
         "--out", str(workdir / "e.matrix"),
     )
-    assert result.returncode in (0, 2), result.stderr
-    if result.returncode == 2:
-        assert "divergent" in result.stderr
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: argument --matrix: invalid choice: 'exact'")
+    assert result.stderr.count("\n") == 1
+    assert not (workdir / "e.matrix").exists()
 
 
 def test_run_closed_form_mode(workdir):
@@ -386,29 +396,6 @@ def test_analyze_convergence_without_closure_writes_no_closure_rows(workdir):
         assert {line.split(",")[0] for line in out.read_text().splitlines()[1:]} == {"propagation"}
 
 
-def test_export_bad_matrix_entry_exits_2(workdir):
-    bad = workdir / "bad.matrix"
-    bad.write_text('# newstag-matrix v1\n# kind: normalized_direct\n# q: 2\n# vocab: ["a", "b"]\n0\t1\n')
-    result = run_cli(
-        "export", "--matrix-file", str(bad), "--color-by", "none",
-        "--edges-out", str(workdir / "bad-edges.tsv"),
-    )
-    assert result.returncode == 2
-    assert f"{bad}:5:" in result.stderr
-
-
-def test_export_matrix_that_is_not_utf8_exits_2(workdir):
-    bad = workdir / "not-utf8.matrix"
-    bad.write_bytes(b'# newstag-matrix v1\n# kind: normalized_direct\n# q: 2\n# vocab: ["a", "\xe9"]\n0\t1\t0.5\n')
-    result = run_cli(
-        "export", "--matrix-file", str(bad), "--color-by", "none",
-        "--edges-out", str(workdir / "not-utf8-edges.tsv"),
-    )
-    assert result.returncode == 2
-    assert result.stderr.startswith(f"error: {bad}:4: invalid UTF-8: ")
-    assert not (workdir / "not-utf8-edges.tsv").exists()
-
-
 def test_export_hashtag_with_tab_exits_2(workdir):
     corpus = workdir / "tab.jsonl"
     posts = [{"post_id": "p1", "created_at": None, "hashtags": ["x\ty", "z"]}]
@@ -514,6 +501,30 @@ def test_k1_above_cap_exits_1(workdir, subcommand):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--k2", "--max-iterations", "--repetitions"])
+def test_propagation_loop_flag_above_cap_exits_1(workdir, capsys, flag):
+    from newstag.cli import RUN_OPTS, main
+
+    cap = next(opt.limit for opt in RUN_OPTS if opt.flag == flag)
+    out = workdir / "loop-cap.json"
+    for value in (cap + 1, 1_000_000_000):
+        assert main(["run", "--input", str(workdir / "corpus.jsonl"), flag, str(value), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be at most {cap} in magnitude, got {value}\n"
+    assert not out.exists()
+
+
+def test_every_integer_option_but_seed_has_a_limit():
+    from newstag.cli import SUBCOMMANDS
+
+    unbounded = sorted(
+        f"{subcommand} {opt.flag}"
+        for subcommand, (opts, _, _) in SUBCOMMANDS.items()
+        for opt in opts
+        if opt.kind == "int" and opt.name != "seed" and opt.limit is None
+    )
+    assert unbounded == []
+
+
 def test_negative_clock_skew_exits_1(workdir):
     result = run_cli("validate", "--input", str(workdir / "corpus.jsonl"), "--clock-skew-hours", "-5")
     assert result.returncode == 1
@@ -531,7 +542,7 @@ ECHO_PARAMETERS = {
     "grid": ("grid-mu", "a list of numbers"),
     "watchlist": ("analyze", "a list of strings"),
     "weighted": ("build-graph", "true or false"),
-    "matrix": ("build-graph", "one of normalized, truncated, exact"),
+    "matrix": ("build-graph", "one of normalized, truncated"),
 }
 
 
@@ -549,6 +560,7 @@ ECHO_PARAMETERS = {
     ("watchlist", 5),
     ("weighted", "flase"),
     ("matrix", "bogus"),
+    ("matrix", "exact"),
 ])
 def test_non_integer_echo_value_exits_1(workdir, capsys, name, value):
     from newstag.cli import main
@@ -583,6 +595,7 @@ def test_run_report_config_holds_mu_once(workdir):
     ("run", "drop_tolerance", 0.0),
     ("build-graph", "rel_tol", 1e-3),
     ("export", "drop_tolerance", 0.0),
+    ("export", "matrix_file", "w.matrix"),
     ("synth", "params", "synth.params"),
 ])
 def test_config_echo_with_unknown_parameter_exits_1(workdir, subcommand, key, value):
@@ -626,7 +639,6 @@ DEGENERATE = {
 READERS = [
     (["validate"], False),
     (["build-graph", "--out", "{out}.matrix"], False),
-    (["export", "--matrix-file", "{out}.matrix", "--edges-out", "{out}.cached.tsv"], False),
     (["export", "--edges-out", "{out}.tsv", "--nodes-out", "{out}.nodes.tsv", "--dot-out", "{out}.dot"], False),
     (["analyze", "--kind", "purity", "--out", "{out}.purity.csv"], False),
     (["analyze", "--kind", "popularity", "--out", "{out}.popularity.csv"], False),
@@ -669,6 +681,8 @@ def test_degenerate_corpora_give_one_outcome_in_every_subcommand(tmp_path, capsy
     (["--hashtags", "100000000000", "--news", "1"], "--hashtags"),
     (["--news", "100000000000"], "--news"),
     (["--tags-max", "100000"], "--tags-max"),
+    (["--posts-min", "100000000000"], "--posts-min"),
+    (["--tags-min", "100000"], "--tags-min"),
     (["--chains", "1000000", "--chain-depth", "2"], "--chains"),
     (["--chains", "1", "--chain-depth", "1000000"], "--chain-depth"),
 ])
@@ -718,15 +732,3 @@ def test_unreadable_config_echo_exits_1(workdir, capsys, content, error):
     assert main(["run", "--config", str(echo), "--input", str(workdir / "corpus.jsonl"), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: config file {echo}: {error}\n"
     assert not out.exists()
-
-
-def test_matrix_vocab_nested_too_deep_exits_2(workdir):
-    deep = workdir / "deep.matrix"
-    deep.write_text("# newstag-matrix v1\n# kind: normalized_direct\n# q: 2\n# vocab: "
-                    + "[" * 100_000 + "]" * 100_000 + "\n0\t1\t0.5\n")
-    result = run_cli("export", "--matrix-file", str(deep), "--color-by", "none",
-                     "--edges-out", str(workdir / "deep-edges.tsv"))
-    assert result.returncode == 2
-    assert result.stderr.startswith(f"error: {deep}:4: bad vocab '[[[[")
-    assert result.stderr.count("\n") == 1 and len(result.stderr) < 300
-    assert not (workdir / "deep-edges.tsv").exists()

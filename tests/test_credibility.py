@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from newstag.credibility import (
+    MAX_ITERATIONS,
     PropagationConfig,
     PropagationError,
     init_credibility,
@@ -341,6 +342,9 @@ def test_propagation_config_validation():
         propagate_iterative(X, c0, 1.0, PropagationConfig())
     with pytest.raises(ValueError, match="max_iterations"):
         PropagationConfig(max_iterations=0).validate()
+    PropagationConfig(max_iterations=MAX_ITERATIONS).validate()
+    with pytest.raises(ValueError, match=f"max_iterations must be >= 1 and at most {MAX_ITERATIONS}"):
+        PropagationConfig(max_iterations=MAX_ITERATIONS + 1).validate()
     with pytest.raises(ValueError, match="tolerance"):
         PropagationConfig(tolerance=-1e-9).validate()
     with pytest.raises(ValueError, match="mode"):

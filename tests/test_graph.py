@@ -5,21 +5,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from newstag import graph as graph_module
 from newstag.graph import (
-    EXACT_MAX_Q,
     GraphError,
     HashtagGraph,
     MAX_K1,
     NORMALIZED_DIRECT,
     RelationMatrix,
     TRUNCATED_MAX_Q,
-    SeriesDivergentError,
-    all_relations_exact,
     all_relations_truncated,
     build_direct_graph,
-    estimate_spectral_radius,
     export_graph,
-    load_matrix,
     normalize,
     save_matrix,
 )
@@ -27,9 +23,13 @@ from newstag.graph import (
 from helpers import (
     corpus_of,
     dense_power_sum,
+    exact_closure_oracle,
+    export_graph_oracle,
     pair_count_oracle,
     random_contractive_n,
     random_graph_matrix,
+    read_matrix,
+    save_matrix_oracle,
     spectral_radius_dense,
     untimed_corpus,
 )
@@ -278,35 +278,16 @@ def test_truncated_validates_inputs():
         all_relations_truncated(W, k1=2)
 
 
-# --- exact closure -------------------------------------------------------------
+# --- exact closure oracle ------------------------------------------------------
 
 def test_exact_two_node_half_weight():
     # N = [[0,.5],[.5,0]] has radius 0.5; N(I-N)^{-1} = [[1/3,2/3],[2/3,1/3]]
-    N = RelationMatrix(
-        kind=NORMALIZED_DIRECT,
-        values=sp.csr_matrix(np.array([[0.0, 0.5], [0.5, 0.0]])),
-        vocab=("a", "b"),
-    )
-    W = all_relations_exact(N)
-    assert np.allclose(W.values.toarray(), np.array([[1 / 3, 2 / 3], [2 / 3, 1 / 3]]), atol=1e-12)
-
-
-def test_exact_single_edge_divergent():
-    corpus = untimed_corpus([("n1", 1, [["a", "b"]])])
-    N = normalize(build_direct_graph(corpus))  # [[0,1],[1,0]], radius 1
-    with pytest.raises(SeriesDivergentError, match="divergent"):
-        all_relations_exact(N)
-
-
-def test_exact_refuses_vocabulary_above_cap():
-    q = EXACT_MAX_Q + 1
-    N = RelationMatrix(
-        kind=NORMALIZED_DIRECT,
-        values=sp.csr_matrix((q, q)),  # no stored entries: nothing q x q is allocated
-        vocab=tuple(f"h{k}" for k in range(q)),
-    )
-    with pytest.raises(GraphError, match=f"q={q} .* {EXACT_MAX_Q}"):
-        all_relations_exact(N)
+    n = np.array([[0.0, 0.5], [0.5, 0.0]])
+    assert spectral_radius_dense(n) < 1
+    expected = np.array([[1 / 3, 2 / 3], [2 / 3, 1 / 3]])
+    assert np.allclose(exact_closure_oracle(n), expected, atol=1e-12)
+    N = RelationMatrix(kind=NORMALIZED_DIRECT, values=sp.csr_matrix(n), vocab=("a", "b"))
+    assert np.allclose(all_relations_truncated(N, k1=60).values.toarray(), expected, atol=1e-12)
 
 
 def test_truncated_refuses_vocabulary_above_cap():
@@ -329,20 +310,12 @@ def test_truncated_refuses_vocabulary_above_cap():
 def test_exact_matches_truncated_on_contractive_instances():
     for seed in range(6):
         N = random_contractive_n(seed)
-        exact = all_relations_exact(N).values.toarray()
+        assert spectral_radius_dense(N.values.toarray()) < 1
+        exact = exact_closure_oracle(N.values.toarray())
         truncated = all_relations_truncated(N, k1=40).values.toarray()
         assert np.max(np.abs(exact - truncated)) <= 1e-8
         oracle = dense_power_sum(N.values.toarray(), 40)
         assert np.max(np.abs(oracle - truncated)) <= 1e-12
-
-
-def test_spectral_radius_estimate_close_to_dense_oracle():
-    for seed in range(6):
-        N = random_graph_matrix(np.random.default_rng(seed))
-        est = estimate_spectral_radius(N.values)
-        oracle = spectral_radius_dense(N.values.toarray())
-        assert est <= oracle + 1e-9
-        assert est >= oracle - 1e-6
 
 
 # --- permutation equivariance ----------------------------------------------------
@@ -371,7 +344,7 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     W = all_relations_truncated(N, k1=5)
     path = tmp_path / "w.matrix"
     save_matrix(W, path)
-    back = load_matrix(path)
+    back = read_matrix(path)
     assert back.kind == W.kind
     assert back.k1 == 5
     assert back.vocab == W.vocab
@@ -385,62 +358,6 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     path2 = tmp_path / "w2.matrix"
     save_matrix(back, path2)
     assert path.read_bytes() == path2.read_bytes()
-
-
-def test_load_rejects_foreign_file(tmp_path):
-    path = tmp_path / "junk.txt"
-    path.write_text("hello\n")
-    with pytest.raises(GraphError):
-        load_matrix(path)
-
-
-@pytest.mark.parametrize(
-    "entry, reason",
-    [
-        ("0\t1", "got 2 field"),
-        ("0\t1\t0.5\t0.5", "got 4 field"),
-        ("0\t1.5\t0.5", "bad column index"),
-        ("x\t1\t0.5", "bad row index"),
-        ("0\t1\tabc", "bad value"),
-        ("2\t1\t0.5", "outside"),  # below the diagonal
-        ("0\t3\t0.5", "outside"),  # column >= q
-        ("-1\t1\t0.5", "outside"),
-        ("0\t1\tnan", "non-finite"),
-        ("0\t1\t-inf", "non-finite"),
-        ("0\t1\t0.25", "duplicate entry"),  # (0, 1) is already stored
-    ],
-)
-def test_load_rejects_bad_entry_with_location(tmp_path, entry, reason):
-    path = tmp_path / "bad.matrix"
-    save_matrix(path_graph_n(), path)  # q = 3
-    text = path.read_text() + entry + "\n"
-    path.write_text(text)
-    with pytest.raises(GraphError, match=f"^{re.escape(str(path))}:{text.count(chr(10))}: .*{reason}"):
-        load_matrix(path)
-
-
-@pytest.mark.parametrize("vocab", ["5", '{"a": 1, "b": 2, "c": 3}', '["a", "b", 3]', "[oops"])
-def test_load_rejects_bad_vocab_header(tmp_path, vocab):
-    path = tmp_path / "bad.matrix"
-    save_matrix(path_graph_n(), path)
-    lines = path.read_text().splitlines(keepends=True)
-    at = next(k for k, line in enumerate(lines) if line.startswith("# vocab: "))
-    lines[at] = f"# vocab: {vocab}\n"
-    path.write_text("".join(lines))
-    with pytest.raises(GraphError, match=f"^{re.escape(str(path))}:{at + 1}: .*vocab"):
-        load_matrix(path)
-
-
-def test_load_rejects_a_line_that_is_not_utf8(tmp_path):
-    path = tmp_path / "bad.matrix"
-    save_matrix(path_graph_n(), path)
-    lines = path.read_bytes().splitlines(keepends=True)
-    at = next(k for k, line in enumerate(lines) if line.startswith(b"# vocab: "))
-    lines[at] = b'# vocab: ["a", "\xff", "c"]\n'
-    path.write_bytes(b"".join(lines))
-    message = "invalid UTF-8: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"
-    with pytest.raises(GraphError, match=f"^{re.escape(str(path))}:{at + 1}: {re.escape(message)}$"):
-        load_matrix(path)
 
 
 def test_export_edge_list_and_color_classes(tmp_path):
@@ -481,3 +398,75 @@ def test_export_without_credibility(tmp_path):
     export_graph(N, None, edges_path=tmp_path / "e.tsv", nodes_path=nodes)
     for line in nodes.read_text().splitlines()[1:]:
         assert line.endswith("\t\tmid")
+
+
+# --- sorted-entry writer ---------------------------------------------------------
+
+def writer_matrices() -> list[RelationMatrix]:
+    """Normalized and truncated matrices of random graphs, the path graph,
+    a one-hashtag and an edgeless matrix, and names DOT has to quote."""
+    matrices = [path_graph_n()]
+    for seed in range(4):
+        N = random_graph_matrix(np.random.default_rng(seed))
+        matrices += [N, all_relations_truncated(N, k1=1 + seed)]
+    matrices.append(RelationMatrix(kind=NORMALIZED_DIRECT, values=sp.csr_matrix((1, 1)), vocab=("solo",)))
+    matrices.append(RelationMatrix(kind=NORMALIZED_DIRECT, values=sp.csr_matrix((3, 3)), vocab=("a", "b", "c")))
+    awkward = ('q"uote', "back\\slash", "caf\u00e9")
+    matrices.append(all_relations_truncated(
+        RelationMatrix(kind=NORMALIZED_DIRECT, values=path_graph_n().values, vocab=awkward), k1=3
+    ))
+    return matrices
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_sorted_upper_is_the_row_major_triangle(k):
+    for matrix in writer_matrices():
+        rows, cols, values = graph_module._sorted_upper(matrix.values, k)
+        dense = matrix.values.toarray()
+        expected = [(i, j, float(dense[i, j])) for i in range(matrix.q) for j in range(i + k, matrix.q) if dense[i, j]]
+        assert list(zip(rows, cols, values)) == expected
+        # plain Python numbers, so each entry formats as an int or float repr
+        assert all(type(a) is int and type(b) is int and type(v) is float for a, b, v in zip(rows, cols, values))
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 9])
+def test_write_lines_joins_full_blocks(monkeypatch, n):
+    monkeypatch.setattr(graph_module, "_BLOCK_LINES", 3)
+    lines = [f"line {k}\n" for k in range(n)]
+
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    out = Recorder()
+    graph_module._write_lines(out, iter(lines))
+    assert "".join(out.writes) == "".join(lines)
+    assert out.writes == ["".join(lines[k:k + 3]) for k in range(0, n, 3)]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 65536])
+def test_save_matrix_matches_entrywise_oracle(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(graph_module, "_BLOCK_LINES", block)
+    for k, matrix in enumerate(writer_matrices()):
+        path = tmp_path / f"m{k}.matrix"
+        save_matrix(matrix, path)
+        assert path.read_bytes() == save_matrix_oracle(matrix).encode("utf-8")
+
+
+@pytest.mark.parametrize("scored", [False, True], ids=["no-credibility", "credibility"])
+@pytest.mark.parametrize("block", [1, 3, 65536])
+def test_export_matches_entrywise_oracle(tmp_path, monkeypatch, block, scored):
+    monkeypatch.setattr(graph_module, "_BLOCK_LINES", block)
+    rng = np.random.default_rng(block)
+    for k, matrix in enumerate(writer_matrices()):
+        scores = None
+        if scored:
+            # every color class, both boundaries included
+            scores = np.concatenate([[0.9, -0.9, 0.0], rng.uniform(-1.0, 1.0, size=matrix.q)])[:matrix.q]
+        paths = [tmp_path / f"{k}.edges.tsv", tmp_path / f"{k}.nodes.tsv", tmp_path / f"{k}.dot"]
+        export_graph(matrix, scores, edges_path=paths[0], nodes_path=paths[1], dot_path=paths[2])
+        expected = export_graph_oracle(matrix, scores)
+        assert [path.read_bytes() for path in paths] == [text.encode("utf-8") for text in expected]

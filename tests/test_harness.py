@@ -21,6 +21,7 @@ from newstag.harness import (
     METHOD_NO_INDIRECT,
     METHOD_UNWEIGHTED,
     METHODS,
+    MAX_REPETITIONS,
     build_pipeline,
     compute_f1,
     confusion_counts,
@@ -396,6 +397,9 @@ def test_config_validation_errors():
         small_config(method="nope").validate()
     with pytest.raises(ValueError, match="repetitions"):
         small_config(repetitions=0).validate()
+    small_config(repetitions=MAX_REPETITIONS).validate()
+    with pytest.raises(ValueError, match=f"repetitions must be >= 1 and at most {MAX_REPETITIONS}"):
+        small_config(repetitions=MAX_REPETITIONS + 1).validate()
     with pytest.raises(ValueError, match="k1"):
         small_config(k1=0).validate()
     with pytest.raises(ValueError, match="k1"):

@@ -1,15 +1,19 @@
-"""Every ``python`` block of README.md runs as written."""
+"""Every ``python`` block of README.md runs as written, and so does
+every command of its CLI example."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from newstag.cli import main
 from newstag.corpus import write_corpus
 from newstag.synth import SyntheticParams, generate_synthetic
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
 
 
 def test_readme_has_python_blocks():
@@ -22,3 +26,16 @@ def test_readme_python_block_runs(block, tmp_path, monkeypatch):
     write_corpus(corpus, tmp_path / "corpus.jsonl")
     monkeypatch.chdir(tmp_path)
     exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_readme_cli_example_runs(tmp_path, monkeypatch):
+    # the sh block holding "newstag synth", read as CI's README step reads it
+    block = next(b for b in re.findall(r"^```sh\n(.*?)^```", TEXT, re.M | re.S) if "newstag synth" in b)
+    commands = [
+        shlex.split(line) for line in map(str.strip, block.replace("\\\n", " ").splitlines())
+        if line and not line.startswith("#")
+    ]
+    assert [words[0] for words in commands] == ["newstag"] * len(commands)
+    monkeypatch.chdir(tmp_path)
+    for words in commands:
+        assert main(words[1:]) == 0, words
