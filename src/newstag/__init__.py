@@ -36,7 +36,6 @@ _EXPORTS = {
     ),
     "graph": (
         "GraphError",
-        "HashtagGraph",
         "RelationMatrix",
         "all_relations_truncated",
         "build_direct_graph",

@@ -40,6 +40,15 @@ DEFAULT_FRACTIONS = [0.2, 0.4, 0.6, 0.8]
 DEFAULT_HORIZONS = [12.0, 24.0, 36.0, 48.0, 60.0]
 DEFAULT_CHECKPOINTS = [12.0, 24.0, 36.0, 48.0, 60.0]
 
+# Most values each list flag accepts.  On a 2-core x86 host one --grid or
+# --fractions value costs 20-40 ms at q=800, one --horizons value a pipeline
+# build (~2.6 s at q=3k), and one --checkpoints value ~13 ms at q=30k.
+MAX_GRID = 100
+MAX_FRACTIONS = 100
+MAX_HORIZONS = 24
+MAX_CHECKPOINTS = 100
+MAX_WATCHLIST = 10_000
+
 
 class CliUsageError(Exception):
     """Flag or validation problem; maps to exit status 1."""
@@ -61,6 +70,7 @@ class Opt:
     required: bool = False
     choices: tuple | None = None
     limit: float | None = None  # largest magnitude accepted for a number
+    max_len: int | None = None  # most values accepted for a list
 
     @property
     def flag(self) -> str:
@@ -124,6 +134,8 @@ def _coerce(opt: Opt, raw):
         raise CliUsageError(f"{opt.flag} must be {what}, got {raw!r}")
     if opt.choices is not None and value not in opt.choices:
         raise CliUsageError(f"{opt.flag} must be one of {', '.join(opt.choices)}, got {raw!r}")
+    if opt.max_len is not None and len(value) > opt.max_len:
+        raise CliUsageError(f"{opt.flag} takes at most {opt.max_len} values, got {len(value)}")
     if opt.kind == "int":
         _check_limit(opt, [value], raw)
     elif opt.kind in ("float", "floats"):
@@ -266,17 +278,18 @@ BUILD_GRAPH_OPTS = [
 ]
 
 GRID_OPTS = [o for o in RUN_OPTS if o.name != "mu"] + [
-    Opt("grid", "floats", DEFAULT_GRID, help="comma-separated mu grid"),
+    Opt("grid", "floats", DEFAULT_GRID, help="comma-separated mu grid", max_len=MAX_GRID),
     _OUT,
 ]
 
 SWEEP_VOLUME_OPTS = [o for o in RUN_OPTS if o.name != "train_fraction"] + [
-    Opt("fractions", "floats", DEFAULT_FRACTIONS, help="training fractions to sweep"),
+    Opt("fractions", "floats", DEFAULT_FRACTIONS, help="training fractions to sweep", max_len=MAX_FRACTIONS),
     _OUT,
 ]
 
 SWEEP_TIME_OPTS = [o for o in RUN_OPTS if o.name != "horizon_hours"] + [
-    Opt("horizons", "floats", DEFAULT_HORIZONS, help="detection horizons (hours) to sweep", limit=MAX_SPAN_HOURS),
+    Opt("horizons", "floats", DEFAULT_HORIZONS, help="detection horizons (hours) to sweep", limit=MAX_SPAN_HOURS,
+        max_len=MAX_HORIZONS),
     _OUT,
 ]
 
@@ -285,8 +298,9 @@ ABLATE_OPTS = [o for o in RUN_OPTS if o.name != "method"] + [_OUT]
 ANALYZE_OPTS = RUN_OPTS + [
     Opt("kind", "str", required=True,
         choices=("purity", "popularity", "convergence", "case-study"), help="analysis to run"),
-    Opt("checkpoints", "floats", DEFAULT_CHECKPOINTS, help="popularity checkpoints (hours)"),
-    Opt("watchlist", "strs", [], help="comma-separated hashtags for the case study"),
+    Opt("checkpoints", "floats", DEFAULT_CHECKPOINTS, help="popularity checkpoints (hours)",
+        max_len=MAX_CHECKPOINTS),
+    Opt("watchlist", "strs", [], help="comma-separated hashtags for the case study", max_len=MAX_WATCHLIST),
     Opt("per_news_out", "str", help="optional per-news popularity CSV"),
     _OUT,
 ]

@@ -1,14 +1,14 @@
 """Hashtag relation graphs: direct co-occurrence and multi-hop closure.
 
-The direct graph counts, for every unordered hashtag pair, the number of
-posts whose hashtag set contains both.  Dividing by the maximum row sum
-yields the normalized relation matrix ``N``; summing its powers
-``N + N**2 + ... + N**k1`` adds indirect (multi-hop) relations.  That
-truncated sum is the relation matrix: the infinite series converges only
-when the spectral radius of ``N`` is below one, and the row-max
-normalization gives radius one to any weight-regular component.  The
-writers at the end store a matrix as a text cache and export it as edge
-lists for visualization; nothing reads them back.
+Every stage is a :class:`RelationMatrix`, so any homogeneous graph can
+enter as a ``direct`` matrix.  The direct matrix counts, for every
+unordered hashtag pair, the posts whose hashtag set contains both.
+Dividing by the maximum row sum yields ``N``; summing its powers
+``N + N**2 + ... + N**k1`` adds indirect (multi-hop) relations.  The
+infinite series converges only when the spectral radius of ``N`` is
+below one, and the row-max normalization gives radius one to any
+weight-regular component.  The writers at the end store a matrix as a
+text cache and export it as edge lists; nothing reads them back.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .corpus import Corpus
 
 logger = logging.getLogger(__name__)
 
+DIRECT = "direct"
 NORMALIZED_DIRECT = "normalized_direct"
 ALL_RELATIONS_TRUNCATED = "all_relations_truncated"
 
@@ -49,36 +50,15 @@ class GraphError(ValueError):
 
 
 @dataclass(frozen=True)
-class HashtagGraph:
-    """Interned vocabulary plus sparse symmetric co-occurrence counts.
+class RelationMatrix:
+    """Sparse symmetric nonnegative relation matrix over a vocabulary.
 
-    Only the strict upper triangle is stored; :meth:`full` mirrors it.
-    Weights are positive integers (post co-occurrence counts), and the
-    diagonal is zero: a hashtag has no relation with itself.
+    A ``direct`` matrix holds co-occurrence counts (int64) or other
+    nonnegative weights, with a zero diagonal; the others are float64.
     """
 
-    vocab: tuple[str, ...]
-    upper: sp.csr_matrix  # strict upper triangle, int64
-
-    @property
-    def q(self) -> int:
-        return len(self.vocab)
-
-    @property
-    def n_edges(self) -> int:
-        return self.upper.nnz
-
-    def full(self) -> sp.csr_matrix:
-        """Symmetric adjacency with both triangles materialized."""
-        return (self.upper + self.upper.T).tocsr()
-
-
-@dataclass(frozen=True)
-class RelationMatrix:
-    """Sparse symmetric nonnegative relation matrix over a hashtag vocab."""
-
     kind: str
-    values: sp.csr_matrix  # full symmetric, float64
+    values: sp.csr_matrix
     vocab: tuple[str, ...]
     k1: int | None = None
     # truncated closure only: each accumulated term's Frobenius norm
@@ -89,43 +69,50 @@ class RelationMatrix:
     def q(self) -> int:
         return len(self.vocab)
 
+    @property
+    def n_edges(self) -> int:
+        """Related hashtag pairs: nonzero entries off the diagonal, halved."""
+        return int(self.values.count_nonzero() - np.count_nonzero(self.values.diagonal())) // 2
 
-def build_direct_graph(corpus: Corpus, weighted: bool = True) -> HashtagGraph:
+
+def build_direct_graph(corpus: Corpus, weighted: bool = True) -> RelationMatrix:
     """Count per-post hashtag co-occurrences over all news (transductive).
 
     Weighted mode counts one unit per post containing both hashtags;
-    unweighted mode keeps only the 0/1 indicator.  The counts are the
-    strict upper triangle of ``B^T B`` for the post x hashtag incidence
-    ``B`` of the corpus occurrence table.  Vocabulary indices follow
-    first appearance in the corpus stream, so construction is
-    deterministic.  A corpus with no multi-hashtag post yields an
-    edgeless graph.
+    unweighted mode keeps only the 0/1 indicator.  The counts are
+    ``B^T B`` without its diagonal, for the post x hashtag incidence
+    ``B`` of the corpus occurrence table, as an int64 ``direct`` matrix
+    with sorted indices.  Vocabulary indices follow first appearance in
+    the corpus stream, so construction is deterministic.  A corpus with
+    no multi-hashtag post yields an edgeless graph.
     """
     if not len(corpus):
         raise GraphError("cannot build a graph from an empty corpus")
     occ = corpus.occurrences
     q = len(corpus.vocabulary)
     B = sp.csr_matrix((np.ones(occ.tag.size, dtype=np.int64), (occ.post, occ.tag)), shape=(occ.n_posts, q))
-    upper = sp.triu(B.T @ B, k=1, format="csr")
+    W = (B.T @ B).tocsr()
+    W.setdiag(0)  # in place: every vocabulary entry occurs, so the diagonal is stored
+    W.eliminate_zeros()
     if not weighted:
-        upper.data[:] = 1
-    return HashtagGraph(vocab=corpus.vocabulary, upper=upper)
+        W.data[:] = 1
+    return RelationMatrix(kind=DIRECT, values=W, vocab=corpus.vocabulary)
 
 
-def normalize(graph: HashtagGraph) -> RelationMatrix:
-    """Divide the co-occurrence matrix by its maximum row sum.
+def normalize(W: RelationMatrix) -> RelationMatrix:
+    """Divide a ``direct`` matrix by its largest row sum, as a float.
 
-    The result has maximum row sum exactly 1 and is invariant under any
-    positive scaling of the counts (each entry is the IEEE rounding of
-    the same exact ratio of integers).  An edgeless graph relates no
-    hashtags: its relation is all zeros.
+    For integer counts that float is exact: each entry is the IEEE
+    rounding of an exact ratio of integers, so the result is invariant
+    under any positive scaling of the counts.  An edgeless graph relates
+    no hashtags: its relation is all zeros.
     """
-    W = graph.full()
-    N = W.astype(np.float64)
-    if W.nnz:
-        max_row = int(np.asarray(W.sum(axis=1)).max())
-        N.data = N.data / float(max_row)
-    return RelationMatrix(kind=NORMALIZED_DIRECT, values=N, vocab=graph.vocab)
+    if W.kind != DIRECT:
+        raise GraphError(f"normalize expects a direct matrix, got {W.kind!r}")
+    N = W.values.astype(np.float64)
+    if N.nnz:
+        N.data = N.data / float(W.values.sum(axis=1).max())
+    return RelationMatrix(kind=NORMALIZED_DIRECT, values=N, vocab=W.vocab)
 
 
 def _frobenius(M: np.ndarray) -> float:

@@ -215,16 +215,14 @@ def build_pipeline(corpus: Corpus, config: ExperimentConfig) -> PipelineOperator
         corpus = filter_by_time(corpus, config.time_horizon_hours)
     weighted = config.method != METHOD_UNWEIGHTED
     per_post = config.method != METHOD_UNWEIGHTED
-    graph = build_direct_graph(corpus, weighted=weighted)
-    q = len(graph.vocab)
     closure_trace: tuple[float, ...] = ()
-    relation = normalize(graph)
-    if config.method != METHOD_NO_INDIRECT and graph.n_edges:
+    relation = normalize(build_direct_graph(corpus, weighted=weighted))
+    if config.method != METHOD_NO_INDIRECT and relation.n_edges:
         relation = all_relations_truncated(relation, config.k1)
         closure_trace = relation.trace
     X, _ = symmetric_normalize(relation)
     del relation
-    if q * q * X.dtype.itemsize <= X.data.nbytes + X.indices.nbytes + X.indptr.nbytes:
+    if X.shape[0] ** 2 * X.dtype.itemsize <= X.data.nbytes + X.indices.nbytes + X.indptr.nbytes:
         X = X.toarray()
     return PipelineOperators(corpus=corpus, X=X, closure_trace=closure_trace, per_post=per_post)
 

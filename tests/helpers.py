@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from newstag.corpus import EPOCH, NO_TIME, VALID_LABELS, Corpus, CorpusError, _from_columns, _Strings, parse_corpus
-from newstag.graph import MATRIX_FORMAT_HEADER, HashtagGraph, RelationMatrix, normalize
+from newstag.graph import DIRECT, MATRIX_FORMAT_HEADER, RelationMatrix, normalize
 
 BASE = datetime(2020, 3, 1, tzinfo=timezone.utc)
 
@@ -140,6 +140,12 @@ def random_stream(seed: int) -> tuple[list[str], int]:
     return lines, skipped
 
 
+def direct_matrix(weights) -> RelationMatrix:
+    """The ``direct`` relation of a dense symmetric weight matrix over h0, h1, ..."""
+    values = sp.csr_matrix(np.asarray(weights))
+    return RelationMatrix(kind=DIRECT, values=values, vocab=tuple(f"h{k}" for k in range(values.shape[0])))
+
+
 def random_graph_matrix(rng, q_range=(8, 50), density=0.25, min_degree=0) -> RelationMatrix:
     """Random symmetric integer-weighted graph, normalized to N.
 
@@ -158,11 +164,7 @@ def random_graph_matrix(rng, q_range=(8, 50), density=0.25, min_degree=0) -> Rel
             dense[min(k, (k + 1) % q), max(k, (k + 1) % q)] = 1
     if dense.sum() == 0:
         dense[0, 1] = 1
-    graph = HashtagGraph(
-        vocab=tuple(f"h{k}" for k in range(q)),
-        upper=sp.csr_matrix(dense),
-    )
-    return normalize(graph)
+    return normalize(direct_matrix(dense + dense.T))
 
 
 def random_contractive_n(seed: int, q_range=(10, 50), density=0.2) -> RelationMatrix:
@@ -185,11 +187,7 @@ def random_contractive_n(seed: int, q_range=(10, 50), density=0.2) -> RelationMa
         hub_weight = int(rng.integers(8, 15))
         for l in range(1, q):
             dense[0, l] = hub_weight
-        graph = HashtagGraph(
-            vocab=tuple(f"h{k}" for k in range(q)),
-            upper=sp.csr_matrix(dense),
-        )
-        N = normalize(graph)
+        N = normalize(direct_matrix(dense + dense.T))
         if spectral_radius_dense(N.values.toarray()) <= 0.6:
             return N
     raise AssertionError("could not sample a contractive instance")

@@ -9,6 +9,7 @@ real CLI records the counters the independent reference expects.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -67,4 +68,5 @@ def test_counters_match_reference(bench, monkeypatch, tmp_path, subcommand, prop
     expected = {"posts": ref_corpus.n_posts, **recompute(ref_corpus, protocol)["counters"]}
     assert ("closure_nnz" in expected) == (method == "newstag")
     assert recorder.counters == expected
+    assert json.loads(json.dumps(recorder.counters)) == expected  # the worker sends counters as JSON
     assert len(recorder.counters["propagate_iters"]) == propagations

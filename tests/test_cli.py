@@ -521,8 +521,43 @@ def test_every_integer_option_but_seed_has_a_limit():
         for subcommand, (opts, _, _) in SUBCOMMANDS.items()
         for opt in opts
         if opt.kind == "int" and opt.name != "seed" and opt.limit is None
+        or opt.kind in ("floats", "strs") and opt.max_len is None
     )
     assert unbounded == []
+
+
+# each list option: its subcommand and one value in range
+LIST_OPTIONS = {
+    "grid": ("grid-mu", 0.5),
+    "fractions": ("sweep-volume", 0.5),
+    "horizons": ("sweep-time", 12.0),
+    "checkpoints": ("analyze", 12.0),
+    "watchlist": ("analyze", "tag"),
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "echo"])
+@pytest.mark.parametrize("name", sorted(LIST_OPTIONS))
+def test_list_one_value_over_its_cap_exits_1(workdir, capsys, monkeypatch, name, source):
+    from newstag import cli
+
+    subcommand, value = LIST_OPTIONS[name]
+    opt = next(opt for opt in cli.SUBCOMMANDS[subcommand][0] if opt.name == name)
+    flag = opt.flag
+    values = [value] * (opt.max_len + 1)
+    assert cli._coerce(opt, values[1:]) == values[1:]  # at the cap
+    if source == "flag":
+        given = [flag, ",".join(map(str, values))]
+    else:
+        echo = workdir / f"too-long-{name}.json"
+        echo.write_text(json.dumps({"subcommand": subcommand, "parameters": {name: values}}))
+        given = ["--config", str(echo)]
+    monkeypatch.setattr(cli, "_read_corpus", lambda *a, **k: pytest.fail("read the corpus"))
+    kind = ["--kind", "case-study"] if subcommand == "analyze" else []
+    out = workdir / f"too-long-{name}.out"
+    assert cli.main([subcommand, "--input", str(workdir / "corpus.jsonl"), *kind, *given, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {flag} takes at most {opt.max_len} values, got {opt.max_len + 1}\n"
+    assert not out.exists()
 
 
 def test_negative_clock_skew_exits_1(workdir):

@@ -142,9 +142,15 @@ def test_parse_lenient_skips_and_reports():
     assert problems and problems[0][0] == 2
 
 
-def test_parse_too_deeply_nested_line_is_invalid_json():
-    # deeper than the decoder's recursion limit: RecursionError, not JSONDecodeError
-    deep = "[" * 100_000 + "]" * 100_000
+@pytest.mark.parametrize("where", ["bare", "unknown-field"])
+@pytest.mark.parametrize("depth", [100_000, 1_000_000])
+def test_parse_too_deeply_nested_line_is_invalid_json(tmp_path, depth, where):
+    # deeper than the decoder's recursion limit: RecursionError, not
+    # JSONDecodeError, and never a crashed interpreter (the validate
+    # subprocess below would exit by signal)
+    deep = "[" * depth + "]" * depth
+    if where == "unknown-field":
+        deep = _record(news_id="deep")[:-1] + ', "extra": ' + deep + "}"
     lines = [_record(), deep, _record(news_id="n2")]
     with pytest.raises(CorpusError, match="^line 2: invalid JSON: "):
         parse_corpus(lines)
@@ -152,6 +158,17 @@ def test_parse_too_deeply_nested_line_is_invalid_json():
     corpus = parse_corpus(lines, lenient=True, errors=problems)
     assert list(corpus.ids) == ["n1", "n2"]
     assert [line_no for line_no, _ in problems] == [2]
+
+    path = tmp_path / "deep.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    validate = [sys.executable, "-m", "newstag", "validate", "--input", str(path)]
+    strict = subprocess.run(validate, capture_output=True, text=True, timeout=120)
+    assert strict.returncode == 2
+    assert strict.stderr.startswith("error: line 2: invalid JSON: ") and strict.stderr.count("\n") == 1
+    lenient = subprocess.run([*validate, "--lenient"], capture_output=True, text=True, timeout=120)
+    assert lenient.returncode == 0, lenient.stderr
+    summary = json.loads(lenient.stdout)
+    assert summary["news"] == 2 and summary["skipped_records"] == 1
 
 
 def test_parse_clock_skew_counted(caplog):
@@ -717,9 +734,17 @@ def test_split_test_side_is_the_sorted_complement_of_train():
 # --- the package -------------------------------------------------------------------
 
 def test_reading_and_generating_corpora_loads_no_scipy():
-    code = "import sys, newstag.corpus, newstag.synth; sys.exit('scipy' in sys.modules)"
+    # every top-level module the import adds to a fresh interpreter is part
+    # of the standard library, numpy or newstag: nothing else (SciPy above
+    # all) is paid for by a reader or the generator
+    code = (
+        "import sys; before = set(sys.modules); import newstag.corpus, newstag.synth; "
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+        "print(sorted(added - set(sys.stdlib_module_names) - {'numpy', 'newstag'}))"
+    )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_package_exports_resolve_on_access():

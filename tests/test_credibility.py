@@ -18,7 +18,6 @@ from newstag.credibility import (
 )
 from newstag.graph import (
     NORMALIZED_DIRECT,
-    HashtagGraph,
     RelationMatrix,
     all_relations_truncated,
     build_direct_graph,
@@ -28,6 +27,7 @@ from newstag.graph import (
 from helpers import (
     closed_form_oracle,
     cost_oracle,
+    direct_matrix,
     random_graph_matrix,
     spectral_radius_dense,
     untimed_corpus,
@@ -274,9 +274,9 @@ def test_contraction_rate_toward_solution():
 def cycle_relation(q: int) -> RelationMatrix:
     """Weight-regular cycle: every row sum is the maximum, so rho(N) = 1."""
     k = np.arange(q)
-    lo, hi = np.minimum(k, (k + 1) % q), np.maximum(k, (k + 1) % q)
-    upper = sp.csr_matrix((np.full(q, 3, dtype=np.int64), (lo, hi)), shape=(q, q))
-    return normalize(HashtagGraph(vocab=tuple(f"h{i}" for i in range(q)), upper=upper))
+    W = np.zeros((q, q), dtype=np.int64)
+    W[k, (k + 1) % q] = W[(k + 1) % q, k] = 3
+    return normalize(direct_matrix(W))
 
 
 def test_dense_and_csr_operators_propagate_alike():

@@ -7,8 +7,8 @@ import scipy.sparse as sp
 
 from newstag import graph as graph_module
 from newstag.graph import (
+    DIRECT,
     GraphError,
-    HashtagGraph,
     MAX_K1,
     NORMALIZED_DIRECT,
     RelationMatrix,
@@ -23,6 +23,7 @@ from newstag.graph import (
 from helpers import (
     corpus_of,
     dense_power_sum,
+    direct_matrix,
     exact_closure_oracle,
     export_graph_oracle,
     pair_count_oracle,
@@ -46,8 +47,9 @@ def path_graph_n() -> RelationMatrix:
 def test_weighted_counts_match_pair_oracle():
     corpus = untimed_corpus([("n1", 1, [["a", "b", "c"], ["b", "c"]])])
     graph = build_direct_graph(corpus, weighted=True)
+    assert graph.kind == DIRECT
     index = {h: k for k, h in enumerate(graph.vocab)}
-    dense = graph.full().toarray()
+    dense = graph.values.toarray()
     assert dense[index["a"], index["b"]] == 1
     assert dense[index["a"], index["c"]] == 1
     assert dense[index["b"], index["c"]] == 2
@@ -59,7 +61,7 @@ def test_weighted_counts_match_pair_oracle():
 
 def test_unweighted_is_indicator():
     corpus = untimed_corpus([("n1", 1, [["a", "b", "c"], ["b", "c"]])])
-    dense = build_direct_graph(corpus, weighted=False).full().toarray()
+    dense = build_direct_graph(corpus, weighted=False).values.toarray()
     index = {h: k for k, h in enumerate(corpus.vocabulary)}
     assert dense[index["b"], index["c"]] == 1
     assert dense.max() == 1
@@ -74,7 +76,7 @@ def test_single_hashtag_posts_make_edgeless_graph():
 
 def test_same_pair_in_several_posts_of_one_news_counts_per_post():
     corpus = untimed_corpus([("n1", 1, [["a", "b"], ["a", "b"], ["a", "b"]])])
-    dense = build_direct_graph(corpus).full().toarray()
+    dense = build_direct_graph(corpus).values.toarray()
     assert dense[0, 1] == 3
 
 
@@ -86,7 +88,7 @@ def test_zero_diagonal_and_symmetry():
             for i in range(10)
         ]
     )
-    dense = build_direct_graph(corpus).full().toarray()
+    dense = build_direct_graph(corpus).values.toarray()
     assert np.all(np.diag(dense) == 0)
     assert np.array_equal(dense, dense.T)
 
@@ -135,6 +137,28 @@ def test_normalize_edgeless_is_all_zero():
     N = normalize(build_direct_graph(corpus))
     assert N.kind == NORMALIZED_DIRECT and N.vocab == ("a", "b")
     assert N.values.shape == (2, 2) and N.values.nnz == 0
+
+
+def test_normalize_accepts_only_direct_counts():
+    N = path_graph_n()
+    for matrix in (N, all_relations_truncated(N, k1=2)):
+        with pytest.raises(GraphError, match=f"direct matrix, got {matrix.kind!r}"):
+            normalize(matrix)
+
+
+def test_normalize_divides_real_weights_by_their_row_sum():
+    # row sums 2.7, 0.95, 0.85 and 1.0: an integer divisor would be 2, and 0
+    # (all inf) once every weight is scaled by 1/6
+    weights = np.array([[0.0, 0.9, 0.8, 1.0], [0.9, 0.0, 0.05, 0.0], [0.8, 0.05, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    for scale in (1.0, 1 / 6):
+        N = normalize(direct_matrix(weights * scale))
+        assert np.allclose(N.values.toarray(), weights / 2.7, rtol=0, atol=1e-15)
+
+
+def test_n_edges_counts_pairs_off_the_diagonal():
+    N = path_graph_n()
+    assert N.n_edges == 2 and type(N.n_edges) is int  # a plain int, as counters are written to JSON
+    assert all_relations_truncated(N, k1=2).n_edges == 3  # a-c joins; the diagonal is not an edge
 
 
 # --- truncated closure ---------------------------------------------------------
@@ -238,9 +262,7 @@ def closure_graph(rng, shape: str) -> RelationMatrix:
                     dense[k, l] = 1
     dense[0, 1] = max(dense[0, 1], 1)  # never edgeless
     perm = rng.permutation(q)
-    full = (dense + dense.T)[np.ix_(perm, perm)]
-    upper = sp.csr_matrix(np.triu(full, 1))
-    return normalize(HashtagGraph(vocab=tuple(f"h{k}" for k in range(q)), upper=upper))
+    return normalize(direct_matrix((dense + dense.T)[np.ix_(perm, perm)]))
 
 
 @pytest.mark.parametrize("shape", ["disconnected", "blocks", "regular"])
@@ -332,8 +354,8 @@ def test_permutation_equivariance():
     graph2 = build_direct_graph(flipped)
     assert set(graph.vocab) == set(graph2.vocab)
     perm = [graph2.vocab.index(h) for h in graph.vocab]
-    dense1 = graph.full().toarray()
-    dense2 = graph2.full().toarray()
+    dense1 = graph.values.toarray()
+    dense2 = graph2.values.toarray()
     assert np.array_equal(dense1, dense2[np.ix_(perm, perm)])
 
 

@@ -1,0 +1,90 @@
+"""The relation layer on any homogeneous graph: seeded random symmetric,
+nonnegative, zero-diagonal adjacency matrices, checked stage by stage
+against dense numpy oracles."""
+
+import numpy as np
+import pytest
+
+from newstag.credibility import PropagationConfig, propagate_closed_form, propagate_iterative, symmetric_normalize
+from newstag.graph import ALL_RELATIONS_TRUNCATED, NORMALIZED_DIRECT, all_relations_truncated, normalize
+
+from helpers import closed_form_oracle, dense_power_sum, direct_matrix, spectral_radius_dense
+
+TOL = 1e-12
+
+
+def random_adjacency(seed: int, kind: str) -> np.ndarray:
+    """Symmetric nonnegative weights with a zero diagonal.
+
+    ``integer``: counts 1..9; ``real``: uniform weights in (0, 3);
+    ``small``: real weights whose largest row sum is below one;
+    ``isolated``: integer counts with a third of the nodes left
+    unconnected; ``edgeless``: no edges at all; ``cycle``: one
+    equal-weight cycle, so every row sum is the maximum and rho(N) = 1.
+    """
+    rng = np.random.default_rng((seed, len(kind)))
+    q = int(rng.integers(6, 30))
+    if kind == "cycle":
+        k = np.arange(q)
+        W = np.zeros((q, q))
+        W[k, (k + 1) % q] = W[(k + 1) % q, k] = 2.5
+        return W
+    mask = np.triu(rng.random((q, q)) < 0.3, 1)
+    if kind == "edgeless":
+        mask[:] = False
+    if kind == "isolated":
+        lonely = rng.choice(q, size=q // 3, replace=False)
+        mask[lonely, :] = mask[:, lonely] = False
+    if kind in ("integer", "isolated"):
+        upper = np.where(mask, rng.integers(1, 10, size=(q, q)), 0)
+    else:
+        upper = np.where(mask, rng.uniform(0.0, 3.0, size=(q, q)), 0.0)
+        if kind == "small":
+            upper *= 0.9 / max((upper + upper.T).sum(axis=1).max(), 1e-300)
+    return upper + upper.T
+
+
+KINDS = ["integer", "real", "small", "isolated", "edgeless", "cycle"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_relation_layer_matches_dense_oracles(kind):
+    for seed in range(4):
+        weights = random_adjacency(seed, kind)
+        q = weights.shape[0]
+        W = direct_matrix(weights)
+        assert W.n_edges == np.count_nonzero(np.triu(weights, 1))
+
+        N = normalize(W)
+        assert N.kind == NORMALIZED_DIRECT
+        row_max = weights.sum(axis=1).max()
+        n = weights / row_max if row_max else np.zeros((q, q))
+        assert np.max(np.abs(N.values.toarray() - n), initial=0.0) <= TOL
+        if row_max:
+            assert abs(N.values.sum(axis=1).max() - 1.0) <= TOL
+        if kind == "cycle":
+            assert spectral_radius_dense(n) == pytest.approx(1.0, abs=TOL)
+
+        c0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=q)
+        for relation in (N, all_relations_truncated(N, 1), all_relations_truncated(N, 4)):
+            r = n if relation is N else dense_power_sum(n, relation.k1)
+            if relation is not N:
+                assert relation.kind == ALL_RELATIONS_TRUNCATED
+                assert np.max(np.abs(relation.values.toarray() - r), initial=0.0) <= TOL
+
+            X, degrees = symmetric_normalize(relation)
+            d = r.sum(axis=1)
+            inv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
+            x = inv_sqrt[:, None] * r * inv_sqrt[None, :]
+            assert np.max(np.abs(degrees - d), initial=0.0) <= TOL
+            assert np.max(np.abs(X.toarray() - x), initial=0.0) <= TOL
+
+            for mu in (0.3, 0.9):
+                c, residuals = propagate_iterative(X, c0, mu, PropagationConfig(max_iterations=40, tolerance=0.0))
+                expected = c0.copy()
+                for _ in range(40):
+                    expected = mu * (x @ expected) + (1.0 - mu) * c0
+                assert len(residuals) == 40
+                assert np.max(np.abs(c - expected)) <= TOL
+                closed = propagate_closed_form(X, c0, mu)
+                assert np.max(np.abs(closed - closed_form_oracle(x, c0, mu))) <= TOL

@@ -93,11 +93,12 @@ def test_graph_matches_pair_count_oracle(weighted):
         q = len(corpus.vocabulary)
         expected = np.zeros((q, q), dtype=np.int64)
         for (a, b), count in pair_count_oracle(corpus).items():
-            i, j = sorted((corpus.vocab_index[a], corpus.vocab_index[b]))
-            expected[i, j] = count if weighted else 1
-        assert graph.upper.dtype == np.int64
-        assert graph.upper.has_canonical_format
-        assert np.array_equal(graph.upper.toarray(), expected)
+            i, j = corpus.vocab_index[a], corpus.vocab_index[b]
+            expected[i, j] = expected[j, i] = count if weighted else 1
+        assert graph.values.dtype == np.int64
+        assert graph.values.has_canonical_format
+        assert np.array_equal(graph.values.toarray(), expected)
+        assert graph.n_edges == len(pair_count_oracle(corpus))
 
 
 @pytest.mark.parametrize("per_post", [True, False])

@@ -53,7 +53,7 @@ def test_purity_one_no_cross_class_cooccurrence():
             for h in post.hashtags:
                 label_of[h] = item.label
     graph = build_direct_graph(corpus)
-    coo = graph.upper.tocoo()
+    coo = graph.values.tocoo()
     for r, c in zip(coo.row, coo.col):
         assert label_of[graph.vocab[r]] == label_of[graph.vocab[c]]
 
@@ -87,7 +87,7 @@ def test_chain_depth_two_gives_two_hop_path_but_no_direct_edge():
     corpus = generate_synthetic(params, seed=6)
     graph = build_direct_graph(corpus)
     index = {h: k for k, h in enumerate(graph.vocab)}
-    full = graph.full().toarray()
+    full = graph.values.toarray()
 
     labeled_hashtags = set()
     for item in corpus.news:
