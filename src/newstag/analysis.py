@@ -11,7 +11,9 @@ import numpy as np
 
 from .corpus import FAKE, NO_TIME, TRUE, Corpus, normalize_hashtag
 from .credibility import init_credibility, propagate_iterative, rescale_credibility
-from .harness import ExperimentConfig, _split_with_retries, build_pipeline, propagate
+from .graph import RelationMatrix
+from .harness import METHOD_NO_INDIRECT, ExperimentConfig, _split_with_retries, build_pipeline
+from .harness import direct_relation, propagate
 
 logger = logging.getLogger(__name__)
 
@@ -116,10 +118,10 @@ def popularity_analysis(corpus: Corpus, checkpoints_hours) -> PopularityReport:
     counts = np.column_stack(
         [np.bincount(post_row[posts[offsets <= cp]], minlength=len(corpus))[rows] for cp in checkpoints]
     )
-    labels = occ.labels[rows].tolist()
+    labels = occ.labels[rows]
     per_news = [
         {"news_id": corpus.ids[row], "label": label, "counts": row_counts}
-        for row, label, row_counts in zip(rows.tolist(), labels, counts.tolist())
+        for row, label, row_counts in zip(rows.tolist(), labels.tolist(), counts.tolist())
     ]
     excluded = int(np.count_nonzero(labeled & ~timed))
     dropped_posts = int(np.count_nonzero(of_rows)) - len(posts)
@@ -127,20 +129,11 @@ def popularity_analysis(corpus: Corpus, checkpoints_hours) -> PopularityReport:
     summary: list[dict] = []
     for idx, cp in enumerate(checkpoints):
         for label in (-1, 1):
-            values = [row["counts"][idx] for row in per_news if row["label"] == label]
-            if values:
-                arr = np.asarray(values, dtype=float)
-                stats = {
-                    "n": len(values),
-                    "min": float(arr.min()),
-                    "q1": float(np.percentile(arr, 25)),
-                    "median": float(np.percentile(arr, 50)),
-                    "q3": float(np.percentile(arr, 75)),
-                    "max": float(arr.max()),
-                    "mean": float(arr.mean()),
-                }
-            else:
-                stats = {"n": 0, "min": 0.0, "q1": 0.0, "median": 0.0, "q3": 0.0, "max": 0.0, "mean": 0.0}
+            values = counts[labels == label, idx].astype(np.float64)  # summed as a float list would be
+            stats = {"n": values.size, "min": 0.0, "q1": 0.0, "median": 0.0, "q3": 0.0, "max": 0.0, "mean": 0.0}
+            if values.size:
+                stats["q1"], stats["median"], stats["q3"] = np.percentile(values, [25, 50, 75]).tolist()
+                stats.update(min=float(values.min()), max=float(values.max()), mean=float(values.mean()))
             summary.append({"checkpoint_hours": cp, "label": label, **stats})
     return PopularityReport(
         checkpoints=checkpoints,
@@ -204,15 +197,33 @@ class ConvergenceTrace:
     propagation_residuals: tuple[float, ...]  # per fixed-point iteration
 
 
+def _frobenius(M: np.ndarray) -> float:
+    return math.sqrt(np.einsum("ij,ij->", M, M))
+
+
+def _closure_residuals(N: RelationMatrix, k1: int) -> tuple[float, ...]:
+    """Frobenius norm of each term of ``N + ... + N^k1`` relative to the
+    partial sum that ends with it (nonzero: N has an edge, all terms >= 0)."""
+    power = N.values.toarray()
+    total = power.copy()
+    residuals = [1.0]
+    for _ in range(2, k1 + 1):
+        power = N.values @ power
+        total += power
+        residuals.append(_frobenius(power) / _frobenius(total))
+    return tuple(residuals)
+
+
 def convergence_trace(corpus: Corpus, config: ExperimentConfig) -> ConvergenceTrace:
     """Residual series for both loops of the pipeline ``config`` selects.
 
-    The closure loop reports the Frobenius norm of each added power term
-    relative to the accumulated sum; the propagation loop reports the
-    max-norm change per iteration.  With tolerance 0 both series have
-    exactly as many rows as their iteration caps.  Methods without a
-    closure (``newstag_no_indirect``, or any edgeless corpus) report no
-    closure rows.  The config's time horizon, if any, applies as in
+    The closure loop, summed here a second time as a plain power series,
+    reports the Frobenius norm of each added power term relative to the
+    accumulated sum; the propagation loop reports the max-norm change
+    per iteration.  With tolerance 0 both series have exactly as many
+    rows as their iteration caps.  Methods without a closure
+    (``newstag_no_indirect``, or any edgeless corpus) report no closure
+    rows.  The config's time horizon, if any, applies as in
     :func:`newstag.harness.run_experiment`, and propagation runs over the
     operator :func:`newstag.harness.build_pipeline` returns (a dense
     array or CSR; the residuals do not depend on which beyond rounding).
@@ -222,7 +233,6 @@ def convergence_trace(corpus: Corpus, config: ExperimentConfig) -> ConvergenceTr
     train, _, _ = _split_with_retries(ops.corpus, config.train_fraction, config.seed)
     c0 = init_credibility(ops.corpus, train, per_post=ops.per_post)
     _, residuals = propagate_iterative(ops.X, c0, config.mu, config.propagation)
-    return ConvergenceTrace(
-        closure_residuals=ops.closure_trace,
-        propagation_residuals=tuple(residuals),
-    )
+    N = direct_relation(ops.corpus, config.method)
+    closure = _closure_residuals(N, config.k1) if config.method != METHOD_NO_INDIRECT and N.n_edges else ()
+    return ConvergenceTrace(closure_residuals=closure, propagation_residuals=tuple(residuals))

@@ -26,7 +26,7 @@ from .credibility import (
     score_news,
     symmetric_normalize,
 )
-from .graph import MAX_K1, all_relations_truncated, build_direct_graph, normalize
+from .graph import MAX_K1, RelationMatrix, all_relations_truncated, build_direct_graph, normalize
 
 logger = logging.getLogger(__name__)
 
@@ -185,15 +185,17 @@ class PipelineOperators:
     ``corpus`` is the working corpus: the input cut at the config's time
     horizon, if any.  Splits, ``c0`` and scores read it, and its
     vocabulary indexes ``X``.  ``X`` is the propagation operator, a
-    dense q x q array when that is no larger than its CSR form, else
-    CSR.  ``closure_trace`` is the closure's accumulation trace (empty
-    when no closure is built).
+    dense q x q array when that is no larger than its CSR form, else CSR.
     """
 
     corpus: Corpus
     X: sp.csr_matrix | np.ndarray
-    closure_trace: tuple[float, ...]
     per_post: bool
+
+
+def direct_relation(corpus: Corpus, method: str) -> RelationMatrix:
+    """Normalized co-occurrence counts, or 0/1 indicators for ``newstag_unweighted``."""
+    return normalize(build_direct_graph(corpus, weighted=method != METHOD_UNWEIGHTED))
 
 
 def build_pipeline(corpus: Corpus, config: ExperimentConfig) -> PipelineOperators:
@@ -209,22 +211,18 @@ def build_pipeline(corpus: Corpus, config: ExperimentConfig) -> PipelineOperator
     bytes than its CSR form, as the closure of a connected graph does:
     each propagation step is then one BLAS matrix-vector product
     instead of a walk over CSR indices.  The relation it is built from
-    is released first; only the closure's trace is kept.
+    is released first.
     """
     if config.time_horizon_hours is not None:
         corpus = filter_by_time(corpus, config.time_horizon_hours)
-    weighted = config.method != METHOD_UNWEIGHTED
-    per_post = config.method != METHOD_UNWEIGHTED
-    closure_trace: tuple[float, ...] = ()
-    relation = normalize(build_direct_graph(corpus, weighted=weighted))
+    relation = direct_relation(corpus, config.method)
     if config.method != METHOD_NO_INDIRECT and relation.n_edges:
         relation = all_relations_truncated(relation, config.k1)
-        closure_trace = relation.trace
     X, _ = symmetric_normalize(relation)
     del relation
     if X.shape[0] ** 2 * X.dtype.itemsize <= X.data.nbytes + X.indices.nbytes + X.indptr.nbytes:
         X = X.toarray()
-    return PipelineOperators(corpus=corpus, X=X, closure_trace=closure_trace, per_post=per_post)
+    return PipelineOperators(corpus=corpus, X=X, per_post=config.method != METHOD_UNWEIGHTED)
 
 
 def propagate(ops: PipelineOperators, c0: np.ndarray, config: ExperimentConfig) -> np.ndarray:

@@ -193,6 +193,42 @@ def random_contractive_n(seed: int, q_range=(10, 50), density=0.2) -> RelationMa
     raise AssertionError("could not sample a contractive instance")
 
 
+def closure_graph(rng, shape: str) -> RelationMatrix:
+    """Normalized N over a random graph of the given shape.
+
+    ``disconnected``: sparse random weights with isolated hashtags;
+    ``blocks``: block-diagonal components under a random relabelling;
+    ``regular``: a weight-regular cycle whose row sums equal the
+    maximum (so rho(N) = 1) beside a lighter random component.
+    """
+    q = int(rng.integers(12, 40))
+    dense = np.zeros((q, q), dtype=np.int64)
+    if shape == "disconnected":
+        for k in range(q):
+            for l in range(k + 1, q):
+                if rng.random() < 0.06:
+                    dense[k, l] = int(rng.integers(1, 10))
+    elif shape == "blocks":
+        cuts = np.sort(rng.choice(np.arange(2, q - 1), size=int(rng.integers(1, 4)), replace=False))
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, q]):
+            for k in range(lo, hi):
+                for l in range(k + 1, hi):
+                    if rng.random() < 0.5:
+                        dense[k, l] = int(rng.integers(1, 10))
+    else:
+        m = int(rng.integers(3, q - 3))
+        weight = q  # above any row sum of the unit-weight rest: the cycle rows hold the maximum
+        for k in range(m):
+            dense[min(k, (k + 1) % m), max(k, (k + 1) % m)] = weight
+        for k in range(m, q):
+            for l in range(k + 1, q):
+                if rng.random() < 0.2:
+                    dense[k, l] = 1
+    dense[0, 1] = max(dense[0, 1], 1)  # never edgeless
+    perm = rng.permutation(q)
+    return normalize(direct_matrix((dense + dense.T)[np.ix_(perm, perm)]))
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
@@ -495,6 +531,29 @@ def popularity_oracle(corpus: Corpus, checkpoints) -> tuple[list[dict], int, int
         counts = [sum(1 for o in offsets if o <= cp) for cp in checkpoints]
         per_news.append({"news_id": item.id, "label": item.label, "counts": counts})
     return per_news, excluded, dropped
+
+
+def popularity_summary_oracle(per_news: list[dict], checkpoints) -> list[dict]:
+    """Popularity summary oracle: per checkpoint and class, quartile
+    statistics of a float list gathered from the per-news rows."""
+    summary = []
+    for idx, cp in enumerate(checkpoints):
+        for label in (-1, 1):
+            values = [row["counts"][idx] for row in per_news if row["label"] == label]
+            stats = {"n": 0, "min": 0.0, "q1": 0.0, "median": 0.0, "q3": 0.0, "max": 0.0, "mean": 0.0}
+            if values:
+                arr = np.asarray(values, dtype=float)
+                stats = {
+                    "n": len(values),
+                    "min": float(arr.min()),
+                    "q1": float(np.percentile(arr, 25)),
+                    "median": float(np.percentile(arr, 50)),
+                    "q3": float(np.percentile(arr, 75)),
+                    "max": float(arr.max()),
+                    "mean": float(arr.mean()),
+                }
+            summary.append({"checkpoint_hours": cp, "label": label, **stats})
+    return summary
 
 
 def skew_oracle(corpus: Corpus, clock_skew: timedelta) -> int:

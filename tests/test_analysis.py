@@ -2,16 +2,26 @@ import numpy as np
 import pytest
 
 from newstag.analysis import (
+    _closure_residuals,
     case_study,
     convergence_trace,
     popularity_analysis,
     purity_analysis,
 )
+from newstag.corpus import filter_by_time
 from newstag.credibility import PropagationConfig, init_credibility, propagate_iterative, symmetric_normalize
 from newstag.harness import ExperimentConfig, _split_with_retries
 from newstag.synth import SyntheticParams, generate_synthetic
 
-from helpers import corpus_of, spectral_radius_dense, timed_news, untimed_corpus, untimed_news
+from helpers import (
+    closure_graph,
+    corpus_of,
+    dense_power_sum,
+    spectral_radius_dense,
+    timed_news,
+    untimed_corpus,
+    untimed_news,
+)
 from newstag.graph import build_direct_graph, normalize
 
 
@@ -163,6 +173,12 @@ def test_all_data_credibility_differs_from_train_only():
 
 # --- convergence trace -------------------------------------------------------------
 
+def partial_sum_residuals(n: np.ndarray, k1: int) -> list[float]:
+    """||S_k - S_{k-1}|| / ||S_k|| for the partial sums S_k of N + ... + N^k1."""
+    partial = [dense_power_sum(n, k) for k in range(1, k1 + 1)]
+    return [1.0] + [np.linalg.norm(b - a) / np.linalg.norm(b) for a, b in zip(partial, partial[1:])]
+
+
 def test_trace_row_counts_match_iteration_caps():
     corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.9), seed=3)
     config = config_for(
@@ -170,7 +186,33 @@ def test_trace_row_counts_match_iteration_caps():
     )
     trace = convergence_trace(corpus, config)
     assert len(trace.closure_residuals) == 7
+    assert trace.closure_residuals[0] == 1.0
     assert len(trace.propagation_residuals) == 5
+    n = normalize(build_direct_graph(corpus)).values.toarray()
+    assert np.allclose(trace.closure_residuals, partial_sum_residuals(n, 7), rtol=0, atol=1e-12)
+
+
+def test_trace_closure_rows_follow_method_weighting_and_horizon():
+    corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.9), seed=3)
+    config = config_for(3, k1=6, method="newstag_unweighted", time_horizon_hours=24.0)
+    trace = convergence_trace(corpus, config)
+    working = filter_by_time(corpus, 24.0)
+    n = normalize(build_direct_graph(working, weighted=False)).values.toarray()
+    assert np.allclose(trace.closure_residuals, partial_sum_residuals(n, 6), rtol=0, atol=1e-12)
+    weighted = normalize(build_direct_graph(working)).values.toarray()
+    assert not np.allclose(trace.closure_residuals, partial_sum_residuals(weighted, 6), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", ["disconnected", "blocks", "regular"])
+@pytest.mark.parametrize("k1", [1, 2, 6, 10])
+def test_closure_residuals_match_partial_sums_on_random_graphs(shape, k1):
+    for seed in range(6):
+        N = closure_graph(np.random.default_rng((seed, k1)), shape)
+        n = N.values.toarray()
+        if shape == "regular":
+            assert spectral_radius_dense(n) == pytest.approx(1.0, abs=1e-12)
+        residuals = _closure_residuals(N, k1)
+        assert np.allclose(residuals, partial_sum_residuals(n, k1), rtol=0, atol=1e-12)
 
 
 def test_trace_closure_residuals_decay_when_contractive():

@@ -4,8 +4,10 @@ The benchmark (``benchmarks/``) records spans and counters by replacing
 module attributes of newstag; ``tracing.install`` skips an attribute
 that no longer exists, so a rename would silently drop a span or a
 counter.  These tests import the benchmark's modules unchanged and check
-that every wrapped name still exists and that a small job through the
-real CLI records the counters the independent reference expects.
+that every wrapped name still exists, that a small job through the
+real CLI records the counters the independent reference expects, and
+that the separately timed graph layers (``probe_layers``, run only in
+traced benchmark runs) record them too.
 """
 
 import importlib
@@ -70,3 +72,28 @@ def test_counters_match_reference(bench, monkeypatch, tmp_path, subcommand, prop
     assert recorder.counters == expected
     assert json.loads(json.dumps(recorder.counters)) == expected  # the worker sends counters as JSON
     assert len(recorder.counters["propagate_iters"]) == propagations
+
+
+@pytest.mark.parametrize("method", ["newstag", "newstag_no_indirect"])
+def test_probe_layers_match_reference(bench, monkeypatch, tmp_path, method):
+    tracing, reference, run = bench["tracing"], bench["reference"], bench["run"]
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(generate_synthetic(SyntheticParams(hashtags=60, news=37, purity=0.9), seed=1), corpus)
+    for mod, attr in wrapped_names(tracing):
+        monkeypatch.setattr(MODULES[mod], attr, getattr(MODULES[mod], attr))
+    recorder = tracing.Recorder()
+    tracing.install(recorder)
+    recorder.tracing = True
+    recorder.start_job("probe")
+    tracing.probe_layers(recorder, str(corpus), method, run.PROTOCOL["k1"])
+
+    ref_corpus = reference.Corpus(str(corpus))
+    protocol = {**run.PROTOCOL, "method": method, "seed": 1}
+    expected = {"posts": ref_corpus.n_posts, **reference.reference_run(ref_corpus, protocol)["counters"]}
+    # the check run.py applies to the probe: every reference counter but the iterations
+    keys = [key for key in expected if key != "propagate_iters"]
+    assert run.counter_mismatches(recorder.counters, expected, keys) == []
+    # the probe's parse is spanned like a job's; the graph layers get PROBE_SPANS
+    layers = [name for name in tracing.PROBE_SPANS if method == "newstag" or name != "graph.closure"]
+    assert [span["name"] for span in recorder.spans] == ["corpus.parse", *layers]
+    assert all(span["job"] == "probe" and span["end"] is not None for span in recorder.spans)

@@ -21,6 +21,7 @@ from newstag.graph import (
 )
 
 from helpers import (
+    closure_graph,
     corpus_of,
     dense_power_sum,
     direct_matrix,
@@ -222,49 +223,6 @@ def test_truncated_symmetry_preserved():
         assert np.max(np.abs(dense - dense.T)) <= 1e-12
 
 
-def test_truncated_trace_shape_and_tolerance_mode():
-    N = path_graph_n()
-    trace = all_relations_truncated(N, k1=7).trace
-    assert len(trace) == 7
-    assert trace[0] == 1.0
-
-
-def closure_graph(rng, shape: str) -> RelationMatrix:
-    """Normalized N over a random graph of the given shape.
-
-    ``disconnected``: sparse random weights with isolated hashtags;
-    ``blocks``: block-diagonal components under a random relabelling;
-    ``regular``: a weight-regular cycle whose row sums equal the
-    maximum (so rho(N) = 1) beside a lighter random component.
-    """
-    q = int(rng.integers(12, 40))
-    dense = np.zeros((q, q), dtype=np.int64)
-    if shape == "disconnected":
-        for k in range(q):
-            for l in range(k + 1, q):
-                if rng.random() < 0.06:
-                    dense[k, l] = int(rng.integers(1, 10))
-    elif shape == "blocks":
-        cuts = np.sort(rng.choice(np.arange(2, q - 1), size=int(rng.integers(1, 4)), replace=False))
-        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, q]):
-            for k in range(lo, hi):
-                for l in range(k + 1, hi):
-                    if rng.random() < 0.5:
-                        dense[k, l] = int(rng.integers(1, 10))
-    else:
-        m = int(rng.integers(3, q - 3))
-        weight = q  # above any row sum of the unit-weight rest: the cycle rows hold the maximum
-        for k in range(m):
-            dense[min(k, (k + 1) % m), max(k, (k + 1) % m)] = weight
-        for k in range(m, q):
-            for l in range(k + 1, q):
-                if rng.random() < 0.2:
-                    dense[k, l] = 1
-    dense[0, 1] = max(dense[0, 1], 1)  # never edgeless
-    perm = rng.permutation(q)
-    return normalize(direct_matrix((dense + dense.T)[np.ix_(perm, perm)]))
-
-
 @pytest.mark.parametrize("shape", ["disconnected", "blocks", "regular"])
 @pytest.mark.parametrize("k1", [1, 2, 6, 10])
 def test_truncated_closure_contract_on_random_graphs(shape, k1):
@@ -284,11 +242,6 @@ def test_truncated_closure_contract_on_random_graphs(shape, k1):
             reach = reach | hop
         assert W.values.nnz == np.count_nonzero(reach)
         assert np.max(np.abs(W.values.toarray() - dense_power_sum(n, k1))) <= 1e-12
-        partial = [dense_power_sum(n, k) for k in range(1, k1 + 1)]
-        expected_trace = [1.0] + [
-            np.linalg.norm(b - a) / np.linalg.norm(b) for a, b in zip(partial, partial[1:])
-        ]
-        assert np.allclose(W.trace, expected_trace, rtol=0, atol=1e-12)
 
 
 def test_truncated_validates_inputs():
@@ -327,6 +280,29 @@ def test_truncated_refuses_vocabulary_above_cap():
     finally:
         tracemalloc.stop()
     assert peak < q * q  # refused before even a q x q boolean mask
+
+
+def test_truncated_peak_memory_on_connected_graph():
+    # Horner's rule holds the sum and the product being formed (2 x 8q^2
+    # bytes); the CSR conversion then peaks at about 2.63 x 8q^2.  A
+    # separate power buffer would raise the loop to 3 x 8q^2.
+    q = 1000
+    rng = np.random.default_rng(0)
+    ring = np.arange(q)
+    rows = np.r_[ring, rng.integers(0, q, 2 * q)]
+    cols = np.r_[(ring + 1) % q, rng.integers(0, q, 2 * q)]
+    keep = rows != cols
+    upper = sp.coo_matrix((np.ones(int(keep.sum()), dtype=np.int64), (rows[keep], cols[keep])), shape=(q, q))
+    direct = RelationMatrix(kind=DIRECT, values=(upper + upper.T).tocsr(), vocab=tuple(f"h{k}" for k in range(q)))
+    N = normalize(direct)
+    tracemalloc.start()
+    try:
+        W = all_relations_truncated(N, k1=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W.values.nnz == q * q  # connected: the closure is dense
+    assert peak < 2.75 * 8 * q * q
 
 
 def test_exact_matches_truncated_on_contractive_instances():

@@ -34,6 +34,7 @@ from helpers import (
     news_record,
     pair_count_oracle,
     popularity_oracle,
+    popularity_summary_oracle,
     purity_oracle,
     random_stream,
     score_oracle,
@@ -243,6 +244,7 @@ def test_popularity_and_skew_count_match_loop_oracles():
         report = popularity_analysis(corpus, checkpoints)
         per_news, excluded, dropped = popularity_oracle(corpus, sorted(checkpoints))
         assert list(report.per_news) == per_news
+        assert list(report.summary) == popularity_summary_oracle(per_news, sorted(checkpoints))
         assert (report.excluded_no_publish_time, report.dropped_untimed_posts) == (excluded, dropped)
         for hours in (0.0, 1.5, 30.0):
             skew = timedelta(hours=hours)
