@@ -25,6 +25,7 @@ _EXPORTS = {
         "write_corpus",
     ),
     "credibility": (
+        "PowerSeries",
         "PropagationConfig",
         "init_credibility",
         "predict",

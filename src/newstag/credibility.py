@@ -6,7 +6,10 @@ balances smoothness over the relation graph against anchoring to those
 initial scores, controlled by ``mu`` in (0, 1): the minimizer solves
 ``(I - mu * X) c = (1 - mu) * c0`` with X the symmetrically normalized
 relation matrix, and the fixed-point iteration
-``c <- mu * X c + (1 - mu) * c0`` contracts to it at rate mu.
+``c <- mu * X c + (1 - mu) * c0`` contracts to it at rate mu.  Its k-th
+iterate is the power series ``c0 + sum_{j<=k} mu^j (X^j c0 - X^(j-1) c0)``,
+so a :class:`PowerSeries` computes each product ``X^j c0`` once and
+serves every ``mu`` of one ``c0`` from it.
 Credibility vectors are float64 arrays indexed by vocabulary position.
 """
 
@@ -89,19 +92,101 @@ def init_credibility(corpus: Corpus, train_rows, per_post: bool = True) -> np.nd
     return np.where(den > 0, num / np.maximum(den, 1), 0.0)
 
 
+# Stored entries scaled per block by :func:`symmetric_normalize`; its two
+# float64 scale temporaries then take 16 bytes per block entry, not per entry.
+_NORMALIZE_BLOCK_ENTRIES = 1 << 16
+
+
 def symmetric_normalize(W: RelationMatrix) -> tuple[sp.csr_matrix, np.ndarray]:
     """Return X = D^{-1/2} W D^{-1/2} and the degree vector D.
 
     Rows and columns of zero-degree hashtags are left all-zero, which
     keeps I - mu*X well posed and pins isolated hashtags to
-    (1 - mu) * c0 at the fixed point.
+    (1 - mu) * c0 at the fixed point.  ``X`` shares the index arrays of
+    ``W.values`` and gets new values only, scaled a block of rows at a
+    time (row scale, then column scale), so a dense closure is not
+    copied whole; ``W`` is left unchanged.
     """
-    degrees = np.asarray(W.values.sum(axis=1)).ravel()
+    values = W.values
+    degrees = np.asarray(values.sum(axis=1)).ravel()
     inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.maximum(degrees, 1e-300)), 0.0)
-    X = W.values.tocsr(copy=True)
-    X.data *= np.repeat(inv_sqrt, np.diff(X.indptr))  # row scale
-    X.data *= inv_sqrt[X.indices]  # column scale
+    indptr, indices = values.indptr, values.indices
+    data = np.empty(values.data.shape, dtype=np.float64)
+    row = 0
+    while row < len(inv_sqrt):
+        # the rows from ``row`` that hold at most a block's entries, and at least one row
+        end = int(np.searchsorted(indptr, indptr[row] + _NORMALIZE_BLOCK_ENTRIES, side="right")) - 1
+        end = max(end, row + 1)
+        lo, hi = indptr[row], indptr[end]
+        block = data[lo:hi]
+        np.multiply(values.data[lo:hi], np.repeat(inv_sqrt[row:end], np.diff(indptr[row:end + 1])), out=block)
+        block *= inv_sqrt[indices[lo:hi]]
+        row = end
+    X = sp.csr_matrix((data, indices, indptr), shape=values.shape, copy=False)
     return X, degrees
+
+
+class PowerSeries:
+    """The fixed-point iterates of several ``mu`` over one ``X`` and ``c0``.
+
+    Iterate k of ``c <- mu*X c + (1-mu)*c0`` from c0 is
+    ``c0 + sum_{j<=k} mu^j delta_j`` with ``delta_j = X^j c0 - X^(j-1) c0``,
+    so step k changes it by exactly ``mu^k delta_k``.  Step k takes the
+    product ``X^k c0 = X @ X^(k-1) c0``, ``delta_k`` and ``r_k =
+    max|delta_k|`` once, and adds ``mu^k delta_k`` to the iterate of
+    every ``mu`` still running, with residual ``mu^k r_k``.  A series
+    therefore takes as many products as its slowest ``mu`` needs, and
+    each ``mu``'s iterate and residuals are bitwise the same whichever
+    other values share the series.  :meth:`pop` reads one ``mu``.
+    """
+
+    def __init__(self, X: sp.spmatrix | np.ndarray, c0, mus, config: PropagationConfig) -> None:
+        config.validate()
+        for mu in mus:
+            _check_mu(mu)
+        self.X, self.c0, self.config = X, c0, config
+        self._power = np.array(c0, dtype=np.float64)  # X^k c0
+        self._steps = 0
+        # iterate and residual trace of every mu not yet read
+        self._pending = {float(mu): (self._power.copy(), []) for mu in mus}
+        self._running = list(self._pending)
+
+    def pop(self, mu: float) -> tuple[np.ndarray, list[float]]:
+        """Step until ``mu`` stops, then hand over and forget its iterate and residuals.
+
+        ``mu`` stops once its residual drops below a positive tolerance,
+        or after ``max_iterations`` steps; stopping at the cap with a
+        positive tolerance logs a warning.
+        """
+        mu = float(mu)
+        if mu not in self._pending:
+            raise ValueError(f"mu={mu!r} is not pending in this series")
+        while mu in self._running:
+            self._step()
+        c, residuals = self._pending.pop(mu)
+        tolerance = self.config.tolerance
+        if tolerance > 0.0 and not residuals[-1] < tolerance:
+            logger.warning(
+                "propagation stopped at the iteration cap: mu=%r, %d iterations, "
+                "last residual %.3e >= tolerance %r",
+                mu, len(residuals), residuals[-1], tolerance,
+            )
+        return c, residuals
+
+    def _step(self) -> None:
+        power = self.X @ self._power
+        delta = power - self._power
+        change = float(np.max(np.abs(delta))) if delta.size else 0.0
+        self._power = power
+        self._steps += 1
+        tolerance = self.config.tolerance
+        for mu in list(self._running):
+            c, residuals = self._pending[mu]
+            scale = mu**self._steps
+            c += scale * delta
+            residuals.append(scale * change)
+            if self._steps == self.config.max_iterations or (tolerance > 0.0 and residuals[-1] < tolerance):
+                self._running.remove(mu)
 
 
 def propagate_iterative(
@@ -109,35 +194,29 @@ def propagate_iterative(
     c0,
     mu: float,
     config: PropagationConfig,
+    series: PowerSeries | None = None,
 ) -> tuple[np.ndarray, list[float]]:
-    """Fixed-point iteration c <- mu*X c + (1-mu)*c0 starting from c0.
+    """The fixed-point iteration c <- mu*X c + (1-mu)*c0 starting from c0.
 
-    ``X`` is sparse or a dense q x q array; each step is one ``X @ c``.
-    Stops when the max-norm change drops below ``tolerance`` (if
-    positive) or after ``max_iterations`` steps; stopping at the cap
-    with a positive tolerance logs a warning.  Returns the final vector
-    and the per-iteration residual trace.
+    ``X`` is sparse or a dense q x q array.  The iterates come from a
+    :class:`PowerSeries`: ``series``, built over this ``X``, ``c0`` and
+    ``config`` with ``mu`` among its values and shared with other
+    ``mu``, or else a series of ``mu`` alone, which takes one ``X @ v``
+    per step.  Each step's residual is the max-norm of the change it
+    makes, ``mu^k max|X^k c0 - X^(k-1) c0|``; the iteration stops when
+    it drops below ``tolerance`` (if positive) or after
+    ``max_iterations`` steps, and stopping at the cap with a positive
+    tolerance logs a warning.  Because the residual is exactly that
+    product, it keeps shrinking below float resolution instead of
+    levelling off, so a tolerance under about 1e-16 * max|c| stops
+    early rather than at the cap.  Returns the final vector and the
+    per-iteration residual trace.
     """
-    _check_mu(mu)
-    config.validate()
-    c = np.array(c0, dtype=np.float64)
-    anchor = (1.0 - mu) * c
-    residuals: list[float] = []
-    for _ in range(config.max_iterations):
-        c_next = mu * (X @ c) + anchor
-        delta = float(np.max(np.abs(c_next - c))) if c.size else 0.0
-        residuals.append(delta)
-        c = c_next
-        if config.tolerance > 0.0 and delta < config.tolerance:
-            break
-    else:
-        if config.tolerance > 0.0:
-            logger.warning(
-                "propagation stopped at the iteration cap: mu=%r, %d iterations, "
-                "last residual %.3e >= tolerance %r",
-                mu, config.max_iterations, residuals[-1], config.tolerance,
-            )
-    return c, residuals
+    if series is None:
+        series = PowerSeries(X, c0, (mu,), config)
+    elif series.X is not X or series.c0 is not c0 or series.config != config:
+        raise ValueError("the series was built for another operator, c0 or config")
+    return series.pop(mu)
 
 
 def _closed_form_iteration_cap(mu: float) -> int:

@@ -18,6 +18,7 @@ import scipy.sparse as sp
 
 from .corpus import MAX_SPAN_HOURS, Corpus, draw_rows, filter_by_time, split_corpus
 from .credibility import (
+    PowerSeries,
     PropagationConfig,
     MODE_CLOSED_FORM,
     init_credibility,
@@ -41,6 +42,13 @@ _RESAMPLE_STRIDE = 7919  # deterministic seed offset between split attempts
 # Most repeated splits one experiment may run; each repetition is one
 # propagation of at most ``MAX_ITERATIONS`` steps.
 MAX_REPETITIONS = 1_000
+
+# Most bytes of iterates that ``grid_search_mu`` keeps in the power series
+# its folds share across the grid: folds x grid values x q float64.  A fold
+# past the budget propagates each mu alone, with bitwise equal results, so
+# the flag caps (MAX_REPETITIONS folds, the CLI's MAX_GRID values) cannot exhaust
+# memory.
+SHARED_SERIES_BYTES = 64 << 20
 
 
 class HarnessError(RuntimeError):
@@ -225,10 +233,13 @@ def build_pipeline(corpus: Corpus, config: ExperimentConfig) -> PipelineOperator
     return PipelineOperators(corpus=corpus, X=X, per_post=config.method != METHOD_UNWEIGHTED)
 
 
-def propagate(ops: PipelineOperators, c0: np.ndarray, config: ExperimentConfig) -> np.ndarray:
+def propagate(
+    ops: PipelineOperators, c0: np.ndarray, config: ExperimentConfig, series: PowerSeries | None = None
+) -> np.ndarray:
+    """Propagate ``c0`` at ``config.mu``; an iterative ``series`` shares its products across mu."""
     if config.propagation.mode == MODE_CLOSED_FORM:
         return propagate_closed_form(ops.X, c0, config.mu)
-    c_hat, _ = propagate_iterative(ops.X, c0, config.mu, config.propagation)
+    c_hat, _ = propagate_iterative(ops.X, c0, config.mu, config.propagation, series=series)
     return c_hat
 
 
@@ -249,10 +260,10 @@ def _split_with_retries(
 
 
 def _run_single(
-    ops: PipelineOperators, config: ExperimentConfig, c0: np.ndarray
+    ops: PipelineOperators, config: ExperimentConfig, c0: np.ndarray, series: PowerSeries | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagate ``c0``; return the predicted label and score of every news row."""
-    c_hat = propagate(ops, c0, config)
+    c_hat = propagate(ops, c0, config, series)
     scores = score_news(ops.corpus, c_hat, per_post=ops.per_post)
     return np.where(scores > 0.0, 1, -1), scores
 
@@ -355,7 +366,10 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
 
     Grid values outside (0, 1) are dropped with a warning since the
     regularizer is only defined on the open interval.  Ties break toward
-    the smaller mu.
+    the smaller mu.  Iterative propagation still runs once per (mu, fold),
+    mu-major, but each fold within ``SHARED_SERIES_BYTES`` reads every mu
+    from one :class:`PowerSeries`, so it pays only for the products of
+    its slowest mu.
     """
     config.validate()
     usable = sorted({float(g) for g in grid if 0.0 < float(g) < 1.0})
@@ -371,7 +385,9 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
 
     # Inner splits, and the c0 each trains, are shared across grid values
     # so scores are comparable; c0 does not depend on mu.
-    folds: list[tuple[np.ndarray, np.ndarray]] = []
+    shares = config.propagation.mode != MODE_CLOSED_FORM
+    fold_bytes = 8 * len(usable) * ops.X.shape[0]
+    folds: list[tuple[np.ndarray, np.ndarray, PowerSeries | None]] = []
     for rep in range(config.repetitions):
         train, _, split_seed = _split_with_retries(
             ops.corpus, config.train_fraction, config.seed ^ rep
@@ -379,7 +395,11 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
         if len(train) < 2:
             raise HarnessError("training side too small for an inner validation split")
         val, inner_train = draw_rows(train, max(1, int(0.1 * len(train))), split_seed + 104729)
-        folds.append((init_credibility(ops.corpus, inner_train, per_post=ops.per_post), val))
+        c0 = init_credibility(ops.corpus, inner_train, per_post=ops.per_post)
+        series = None
+        if shares and (rep + 1) * fold_bytes <= SHARED_SERIES_BYTES:
+            series = PowerSeries(ops.X, c0, usable, config.propagation)
+        folds.append((c0, val, series))
 
     rows = []
     best_mu = None
@@ -387,8 +407,8 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
     for mu in usable:
         candidate = replace(config, mu=mu)
         macros, micros = [], []
-        for c0, val in folds:
-            predicted, _ = _run_single(ops, candidate, c0)
+        for c0, val, series in folds:
+            predicted, _ = _run_single(ops, candidate, c0, series)
             macro, micro = compute_f1(predicted[val], labels[val])
             macros.append(macro)
             micros.append(micro)

@@ -244,6 +244,33 @@ def closed_form_oracle(X, c0, mu: float) -> np.ndarray:
     return np.linalg.solve(np.eye(dense.shape[0]) - mu * dense, (1.0 - mu) * np.asarray(c0, dtype=float))
 
 
+def fixed_point_oracle(X, c0, mu: float, max_iterations: int, tolerance: float) -> tuple[np.ndarray, list[float]]:
+    """Iterative propagation oracle: the plain recurrence c <- mu*X c + (1-mu)*c0
+    from c0, with the max-norm change of each step as its residual, stopping
+    once that drops below a positive tolerance or after ``max_iterations`` steps."""
+    c = np.array(c0, dtype=np.float64)
+    anchor = (1.0 - mu) * c
+    residuals: list[float] = []
+    for _ in range(max_iterations):
+        c_next = mu * (X @ c) + anchor
+        residuals.append(float(np.max(np.abs(c_next - c), initial=0.0)))
+        c = c_next
+        if tolerance > 0.0 and residuals[-1] < tolerance:
+            break
+    return c, residuals
+
+
+class CountingOperator:
+    """A propagation operator that counts its products with vectors."""
+
+    def __init__(self, X) -> None:
+        self.X, self.shape, self.products = X, X.shape, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.X @ v
+
+
 def spectral_radius_dense(dense: np.ndarray) -> float:
     """Dense eigensolve oracle for symmetric matrices."""
     if dense.size == 0:

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from newstag.credibility import (
     MAX_ITERATIONS,
+    PowerSeries,
     PropagationConfig,
     PropagationError,
     init_credibility,
@@ -25,9 +26,11 @@ from newstag.graph import (
 )
 
 from helpers import (
+    CountingOperator,
     closed_form_oracle,
     cost_oracle,
     direct_matrix,
+    fixed_point_oracle,
     random_graph_matrix,
     spectral_radius_dense,
     untimed_corpus,
@@ -126,6 +129,16 @@ def test_symmetric_normalize_isolated_rows_zero():
     assert D[2] == 0.0
     assert np.all(X.toarray()[2] == 0.0)
     assert np.all(X.toarray()[:, 2] == 0.0)
+
+
+def test_symmetric_normalize_leaves_its_input_unchanged():
+    rng = np.random.default_rng(4)
+    for W in (random_graph_matrix(rng), all_relations_truncated(random_graph_matrix(rng), 10)):
+        before = [a.copy() for a in (W.values.data, W.values.indices, W.values.indptr)]
+        X, _ = symmetric_normalize(W)
+        assert not np.shares_memory(X.data, W.values.data)
+        for kept, now in zip(before, (W.values.data, W.values.indices, W.values.indptr)):
+            assert kept.dtype == now.dtype and np.array_equal(kept, now)
 
 
 def test_symmetric_normalize_matches_diagonal_scaling():
@@ -303,6 +316,110 @@ def test_dense_and_csr_operators_propagate_alike():
             assert np.max(np.abs(np.subtract(dense_res, sparse_res))) <= 1e-12
         closed_sparse = propagate_closed_form(X, c0, 0.4)
         assert np.max(np.abs(propagate_closed_form(dense, c0, 0.4) - closed_sparse)) <= 1e-12
+
+
+SERIES_GRID = (0.01, 0.4, 0.5, 0.9, 0.99)
+
+
+def series_problems() -> list[tuple[object, np.ndarray]]:
+    """(X, c0) pairs, each operator CSR and dense: integer and real weights,
+    isolated hashtags, edgeless (X = 0), q = 0, the equal-weight cycle
+    (rho = 1) and a bipartite component (eigenvalue -1)."""
+    rng = np.random.default_rng(17)
+    real = rng.uniform(0.1, 5.0, size=(12, 12)) * (rng.random((12, 12)) < 0.4)
+    bipartite = np.zeros((10, 10))
+    bipartite[0, 1:4] = [2.0, 1.0, 3.0]  # star on 0..3
+    bipartite[5, 6] = bipartite[6, 7] = bipartite[5, 7] = 1.0  # triangle; 4, 8 and 9 isolated
+    relations = [
+        random_graph_matrix(rng),
+        random_graph_matrix(rng, q_range=(30, 40), density=0.03),
+        normalize(direct_matrix(np.triu(real, 1) + np.triu(real, 1).T)),
+        normalize(direct_matrix(bipartite + bipartite.T)),
+        cycle_relation(9),
+        RelationMatrix(kind=NORMALIZED_DIRECT, values=sp.csr_matrix((5, 5)), vocab=tuple("abcde")),
+        RelationMatrix(kind=NORMALIZED_DIRECT, values=sp.csr_matrix((0, 0)), vocab=()),
+    ]
+    problems = []
+    for W in relations:
+        X, _ = symmetric_normalize(W)
+        c0 = rng.uniform(-1.0, 1.0, size=W.q)
+        problems += [(X, c0), (X.toarray(), c0)]
+    return problems
+
+
+def test_series_problems_cover_unit_and_negative_unit_eigenvalues():
+    eigenvalues = np.concatenate([np.linalg.eigvalsh(X) for X, _ in series_problems() if isinstance(X, np.ndarray)])
+    assert np.isclose(eigenvalues, 1.0).any() and np.isclose(eigenvalues, -1.0).any()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [PropagationConfig(), PropagationConfig(max_iterations=7, tolerance=0.0), PropagationConfig(max_iterations=5000, tolerance=1e-13)],
+    ids=["default", "fixed-steps", "tight"],
+)
+def test_shared_series_equals_one_mu_series_bitwise(config):
+    for X, c0 in series_problems():
+        series = PowerSeries(X, c0, SERIES_GRID, config)
+        for mu in (0.9, 0.01, 0.99, 0.5, 0.4):  # any read order
+            shared_c, shared_res = propagate_iterative(X, c0, mu, config, series=series)
+            alone_c, alone_res = propagate_iterative(X, c0, mu, config)
+            assert shared_c.tobytes() == alone_c.tobytes()
+            assert shared_res == alone_res
+
+
+@pytest.mark.parametrize("mu", SERIES_GRID)
+def test_series_matches_plain_recurrence_oracle(mu):
+    for X, c0 in series_problems():
+        for config in (PropagationConfig(max_iterations=5000, tolerance=1e-9), PropagationConfig(max_iterations=40, tolerance=0.0)):
+            c, residuals = propagate_iterative(X, c0, mu, config)
+            oracle_c, oracle_res = fixed_point_oracle(X, c0, mu, config.max_iterations, config.tolerance)
+            assert len(residuals) == len(oracle_res)
+            if config.tolerance == 0.0:
+                assert len(residuals) == config.max_iterations
+            else:
+                assert residuals[-1] < config.tolerance
+            assert np.max(np.abs(c - oracle_c), initial=0.0) <= 1e-12
+            assert np.max(np.abs(np.subtract(residuals, oracle_res))) <= 1e-12
+
+
+def test_series_takes_the_products_of_its_slowest_mu():
+    config = PropagationConfig(max_iterations=5000, tolerance=1e-9)
+    for X, c0 in series_problems():
+        counting = CountingOperator(X)
+        series = PowerSeries(counting, c0, SERIES_GRID, config)
+        counts = [len(propagate_iterative(counting, c0, mu, config, series=series)[1]) for mu in SERIES_GRID]
+        assert counting.products == max(counts)
+
+
+def test_series_residual_keeps_shrinking_below_float_resolution(caplog):
+    # Each residual is mu^k max|X^k c0 - X^(k-1) c0| exactly, so it decays
+    # geometrically where the change of the stored iterate would level off
+    # at rounding; a tolerance far below 1e-16 * max|c| still stops it.
+    config = PropagationConfig(max_iterations=10_000, tolerance=1e-200)
+    for X, c0 in series_problems()[:10]:
+        with caplog.at_level(logging.WARNING, logger="newstag.credibility"):
+            _, residuals = propagate_iterative(X, c0, 0.5, config)
+        assert len(residuals) < config.max_iterations
+        bound = 2.0 * np.linalg.norm(c0) * 0.5 ** np.arange(1, len(residuals) + 1)
+        assert np.all(np.array(residuals) <= bound * (1.0 + 1e-12))
+    assert caplog.records == []
+
+
+def test_series_rejects_a_mismatched_call():
+    _, X, _, c0 = random_problem(3)
+    config = PropagationConfig()
+    series = PowerSeries(X, c0, (0.2, 0.4), config)
+    with pytest.raises(ValueError, match="another operator"):
+        propagate_iterative(X, c0.copy(), 0.4, config, series=series)
+    with pytest.raises(ValueError, match="another operator"):
+        propagate_iterative(X, c0, 0.4, PropagationConfig(max_iterations=5), series=series)
+    with pytest.raises(ValueError, match="not pending"):
+        propagate_iterative(X, c0, 0.3, config, series=series)
+    propagate_iterative(X, c0, 0.4, config, series=series)
+    with pytest.raises(ValueError, match="not pending"):
+        propagate_iterative(X, c0, 0.4, config, series=series)
+    with pytest.raises(ValueError, match="mu"):
+        PowerSeries(X, c0, (0.2, 1.0), config)
 
 
 @pytest.mark.parametrize("mu", [0.01, 0.1, 0.5, 0.9, 0.99])

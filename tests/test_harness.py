@@ -1,6 +1,8 @@
 from dataclasses import replace
 
 import json
+import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from newstag.harness import (
 from newstag.synth import SyntheticParams, generate_synthetic
 
 from helpers import (
+    CountingOperator,
     as_dense,
     assert_same_columns,
     brute_force_f1,
@@ -455,15 +458,82 @@ def test_grid_builds_c0_once_per_fold_and_propagates_mu_major(monkeypatch):
         c0_calls.append(args)
         return real_init(*args, **kwargs)
 
-    def recording_propagate(X, c0, mu, propagation):
+    def recording_propagate(X, c0, mu, propagation, series=None):
         mus.append(mu)
-        return real_propagate(X, c0, mu, propagation)
+        return real_propagate(X, c0, mu, propagation, series=series)
 
     monkeypatch.setattr(newstag.harness, "init_credibility", counting_init)
     monkeypatch.setattr(newstag.harness, "propagate_iterative", recording_propagate)
     assert grid_search_mu(corpus, config, grid) == expected
     assert len(c0_calls) == config.repetitions  # c0 does not depend on mu
     assert mus == [mu for mu in grid for _ in range(config.repetitions)]
+
+
+def _grid_products(monkeypatch, corpus, config, grid):
+    """grid_search_mu's result, the products its operator took, and the
+    iteration count of every (mu, fold) propagation, mu-major."""
+    operators, iterations = [], []
+    real_build, real_propagate = newstag.harness.build_pipeline, newstag.harness.propagate_iterative
+
+    def counting_build(*args):
+        ops = real_build(*args)
+        operators.append(CountingOperator(ops.X))
+        return replace(ops, X=operators[-1])
+
+    def recording_propagate(*args, **kwargs):
+        c, residuals = real_propagate(*args, **kwargs)
+        iterations.append(len(residuals))
+        return c, residuals
+
+    with monkeypatch.context() as patch:
+        patch.setattr(newstag.harness, "build_pipeline", counting_build)
+        patch.setattr(newstag.harness, "propagate_iterative", recording_propagate)
+        result = grid_search_mu(corpus, config, grid)
+    return result, operators[0].products, np.array(iterations).reshape(len(grid), config.repetitions)
+
+
+@pytest.mark.parametrize("folds_in_budget", [None, 0, 1])
+def test_grid_shares_products_per_fold_within_the_budget(monkeypatch, folds_in_budget):
+    corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.8), seed=9)
+    config = small_config(repetitions=4, propagation=PropagationConfig(max_iterations=500, tolerance=1e-9))
+    grid = [0.2, 0.5, 0.9, 0.6]
+    expected = grid_search_mu(corpus, config, grid)
+    if folds_in_budget is not None:
+        fold_bytes = len(grid) * len(corpus.vocabulary) * 8
+        monkeypatch.setattr(newstag.harness, "SHARED_SERIES_BYTES", folds_in_budget * fold_bytes)
+    result, products, iterations = _grid_products(monkeypatch, corpus, config, grid)
+    assert result == expected
+    shared = config.repetitions if folds_in_budget is None else folds_in_budget
+    per_fold = [iterations[:, f].max() if f < shared else iterations[:, f].sum() for f in range(config.repetitions)]
+    assert products == sum(per_fold)
+    assert iterations.max(axis=0).sum() < iterations.sum()
+
+
+def test_grid_logs_cap_warnings_mu_major(caplog):
+    corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.8), seed=9)
+    config = small_config(repetitions=3, propagation=PropagationConfig(max_iterations=4, tolerance=1e-12))
+    grid = [0.6, 0.2, 0.4]
+    with caplog.at_level(logging.WARNING, logger="newstag.credibility"):
+        grid_search_mu(corpus, config, grid)
+    logged = [record.args[0] for record in caplog.records]
+    assert logged == [mu for mu in sorted(grid) for _ in range(config.repetitions)]
+
+
+def test_build_pipeline_peak_memory_stays_under_three_dense_operators():
+    # The closure is CSR with every entry stored (1.5 x 8q^2 bytes with its
+    # indices); the operator's values are scaled a block at a time beside it
+    # rather than copied from a whole second CSR matrix.
+    corpus = generate_synthetic(SyntheticParams(hashtags=1000, news=625, purity=0.9), seed=1)
+    q = len(corpus.vocabulary)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ops = build_pipeline(corpus, ExperimentConfig())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert isinstance(ops.X, np.ndarray) and ops.X.shape == (q, q)
+    assert peak < 3.0 * 8 * q * q
 
 
 # --- sweeps ---------------------------------------------------------------------------
