@@ -137,7 +137,9 @@ class PowerSeries:
     every ``mu`` still running, with residual ``mu^k r_k``.  A series
     therefore takes as many products as its slowest ``mu`` needs, and
     each ``mu``'s iterate and residuals are bitwise the same whichever
-    other values share the series.  :meth:`pop` reads one ``mu``.
+    other values share the series.  The series keeps one trace of
+    ``r_k`` for all its values and the step at which each stopped;
+    :meth:`pop` reads one ``mu`` and builds its residuals from them.
     """
 
     def __init__(self, X: sp.spmatrix | np.ndarray, c0, mus, config: PropagationConfig) -> None:
@@ -146,10 +148,18 @@ class PowerSeries:
             _check_mu(mu)
         self.X, self.c0, self.config = X, c0, config
         self._power = np.array(c0, dtype=np.float64)  # X^k c0
+        self._changes = np.empty(config.max_iterations, dtype=np.float64)  # r_1 .. r_k
         self._steps = 0
-        # iterate and residual trace of every mu not yet read
-        self._pending = {float(mu): (self._power.copy(), []) for mu in mus}
+        # iterate of every mu not yet read; the step at which each stopped
+        self._pending = {float(mu): self._power.copy() for mu in mus}
         self._running = list(self._pending)
+        self._stopped: dict[float, int] = {}
+
+    @staticmethod
+    def storage_bytes(q: int, values: int, max_iterations: int) -> int:
+        """Bytes a series of ``values`` mu over ``q`` hashtags keeps between
+        steps: an iterate per ``mu``, ``X^k c0`` and the trace of ``r_k``."""
+        return 8 * ((values + 1) * q + max_iterations)
 
     def pop(self, mu: float) -> tuple[np.ndarray, list[float]]:
         """Step until ``mu`` stops, then hand over and forget its iterate and residuals.
@@ -163,7 +173,9 @@ class PowerSeries:
             raise ValueError(f"mu={mu!r} is not pending in this series")
         while mu in self._running:
             self._step()
-        c, residuals = self._pending.pop(mu)
+        c = self._pending.pop(mu)
+        changes = self._changes[: self._stopped.pop(mu)].tolist()
+        residuals = [mu**k * change for k, change in enumerate(changes, start=1)]
         tolerance = self.config.tolerance
         if tolerance > 0.0 and not residuals[-1] < tolerance:
             logger.warning(
@@ -178,15 +190,15 @@ class PowerSeries:
         delta = power - self._power
         change = float(np.max(np.abs(delta))) if delta.size else 0.0
         self._power = power
+        self._changes[self._steps] = change
         self._steps += 1
         tolerance = self.config.tolerance
         for mu in list(self._running):
-            c, residuals = self._pending[mu]
             scale = mu**self._steps
-            c += scale * delta
-            residuals.append(scale * change)
-            if self._steps == self.config.max_iterations or (tolerance > 0.0 and residuals[-1] < tolerance):
+            self._pending[mu] += scale * delta
+            if self._steps == self.config.max_iterations or (tolerance > 0.0 and scale * change < tolerance):
                 self._running.remove(mu)
+                self._stopped[mu] = self._steps
 
 
 def propagate_iterative(

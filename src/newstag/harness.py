@@ -43,11 +43,15 @@ _RESAMPLE_STRIDE = 7919  # deterministic seed offset between split attempts
 # propagation of at most ``MAX_ITERATIONS`` steps.
 MAX_REPETITIONS = 1_000
 
-# Most bytes of iterates that ``grid_search_mu`` keeps in the power series
-# its folds share across the grid: folds x grid values x q float64.  A fold
-# past the budget propagates each mu alone, with bitwise equal results, so
-# the flag caps (MAX_REPETITIONS folds, the CLI's MAX_GRID values) cannot exhaust
-# memory.
+# Most bytes that ``grid_search_mu`` keeps in the power series its folds
+# share across the grid: all of each series' storage between steps (an
+# iterate per grid value, X^k c0 and its trace of max_iterations residual
+# factors; ``PowerSeries.storage_bytes``).  A fold past the budget
+# propagates each mu alone, with bitwise equal results, so the flag caps
+# (MAX_REPETITIONS folds, the CLI's MAX_GRID values, MAX_ITERATIONS steps)
+# cannot exhaust memory.  The 64 MiB is a chosen guard, not a measured
+# optimum: no benchmark workload comes near it (grid-mu-800 shares 10 x
+# 64.8 kB = 0.65 MB), so only the tests exercise the fallback.
 SHARED_SERIES_BYTES = 64 << 20
 
 
@@ -386,7 +390,7 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
     # Inner splits, and the c0 each trains, are shared across grid values
     # so scores are comparable; c0 does not depend on mu.
     shares = config.propagation.mode != MODE_CLOSED_FORM
-    fold_bytes = 8 * len(usable) * ops.X.shape[0]
+    fold_bytes = PowerSeries.storage_bytes(ops.X.shape[0], len(usable), config.propagation.max_iterations)
     folds: list[tuple[np.ndarray, np.ndarray, PowerSeries | None]] = []
     for rep in range(config.repetitions):
         train, _, split_seed = _split_with_retries(

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 
 import newstag.harness
 from newstag.credibility import (
+    PowerSeries,
     PropagationConfig,
     init_credibility,
     predict,
@@ -499,7 +500,7 @@ def test_grid_shares_products_per_fold_within_the_budget(monkeypatch, folds_in_b
     grid = [0.2, 0.5, 0.9, 0.6]
     expected = grid_search_mu(corpus, config, grid)
     if folds_in_budget is not None:
-        fold_bytes = len(grid) * len(corpus.vocabulary) * 8
+        fold_bytes = PowerSeries.storage_bytes(len(corpus.vocabulary), len(grid), config.propagation.max_iterations)
         monkeypatch.setattr(newstag.harness, "SHARED_SERIES_BYTES", folds_in_budget * fold_bytes)
     result, products, iterations = _grid_products(monkeypatch, corpus, config, grid)
     assert result == expected
@@ -507,6 +508,37 @@ def test_grid_shares_products_per_fold_within_the_budget(monkeypatch, folds_in_b
     per_fold = [iterations[:, f].max() if f < shared else iterations[:, f].sum() for f in range(config.repetitions)]
     assert products == sum(per_fold)
     assert iterations.max(axis=0).sum() < iterations.sum()
+
+
+def _grid_peak_bytes(corpus, config, grid):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = grid_search_mu(corpus, config, grid)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("folds_in_budget", [None, 1])
+def test_grid_shared_series_memory_stays_within_the_budget(monkeypatch, folds_in_budget):
+    # At tolerance 0 every mu runs to the cap, so residual traces kept per
+    # mu would hold folds x grid values x steps floats; the budget covers all
+    # the shared storage, so sharing adds at most the budget it used to the
+    # peak of propagating each mu alone.
+    corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.8), seed=9)
+    config = small_config(repetitions=3, propagation=PropagationConfig(max_iterations=3000, tolerance=0.0))
+    grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    fold_bytes = PowerSeries.storage_bytes(len(corpus.vocabulary), len(grid), config.propagation.max_iterations)
+    shared = config.repetitions if folds_in_budget is None else folds_in_budget
+    with monkeypatch.context() as patch:
+        patch.setattr(newstag.harness, "SHARED_SERIES_BYTES", 0)
+        alone, alone_peak = _grid_peak_bytes(corpus, config, grid)
+    if folds_in_budget is not None:
+        monkeypatch.setattr(newstag.harness, "SHARED_SERIES_BYTES", folds_in_budget * fold_bytes)
+    result, peak = _grid_peak_bytes(corpus, config, grid)
+    assert result == alone
+    assert peak - alone_peak <= shared * fold_bytes
 
 
 def test_grid_logs_cap_warnings_mu_major(caplog):
