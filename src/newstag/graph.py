@@ -5,9 +5,12 @@ enter as a ``direct`` matrix.  The direct matrix counts, for every
 unordered hashtag pair, the posts whose hashtag set contains both.
 Dividing by the maximum row sum yields ``N``; the truncated power sum
 ``N + N**2 + ... + N**k1`` (a truncated Katz series) adds indirect
-(multi-hop) relations, evaluated by Horner's rule.  The infinite series
-converges only when the spectral radius of ``N`` is below one, and the
-row-max normalization gives radius one to any weight-regular component.
+(multi-hop) relations, evaluated by Horner's rule in column panels on a
+small thread pool; every column gets the same arithmetic whatever the
+panel width or the thread count, so the bytes depend on neither.  The
+infinite series converges only when the spectral radius of ``N`` is
+below one, and the row-max normalization gives radius one to any
+weight-regular component.
 The writers at the end store a matrix as a text cache and export it as
 edge lists; nothing reads them back.
 """
@@ -16,6 +19,9 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+from collections.abc import Collection
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -35,8 +41,17 @@ MATRIX_FORMAT_HEADER = "# newstag-matrix v1"
 
 # Largest vocabulary the truncated closure accepts.  It is built in
 # dense q x q float64 buffers and raises the peak RSS by about
-# 21 * q**2 bytes (~1.25 GiB at the cap).
+# 21.2 * q**2 bytes (59 -> 241 MiB at q = 3,000 on two threads;
+# ~1.26 GiB at the cap).
 TRUNCATED_MAX_Q = 8000
+
+# Entries of one column panel of the truncated closure: a q x w float64
+# panel of 2**16 entries (512 KiB) stays in a core's cache while Horner's
+# rule runs over it, and each worker holds two of them at a time.
+CLOSURE_PANEL_ENTRIES = 1 << 16
+
+# Most threads one truncated closure runs its panels on.
+CLOSURE_MAX_WORKERS = 8
 
 # Largest truncation order the truncated closure accepts.  Each order
 # adds one sparse x dense product over the q x q buffer, so the order
@@ -113,16 +128,39 @@ def normalize(W: RelationMatrix) -> RelationMatrix:
     return RelationMatrix(kind=NORMALIZED_DIRECT, values=N, vocab=W.vocab)
 
 
+def closure_workers(panels: int, affinity: Collection[int]) -> int:
+    """Threads for ``panels`` closure panels on the CPU set ``affinity``:
+    one at least, and at most the panels, the CPUs and ``CLOSURE_MAX_WORKERS``."""
+    return max(1, min(len(affinity), panels, CLOSURE_MAX_WORKERS))
+
+
+def _horner_panel(n: sp.csr_matrix, columns: sp.csc_matrix, k1: int, lo: int, hi: int, out: np.ndarray) -> None:
+    """Write columns ``lo:hi`` of ``N + ... + N^k1`` into ``out`` by Horner's rule,
+    from the panel ``N[:, lo:hi]`` (taken from ``columns``, the CSC copy of ``n``)."""
+    width = hi - lo
+    panel = columns[:, lo:hi].toarray(order="C")
+    for _ in range(2, k1 + 1):
+        panel.ravel()[lo * width : hi * width : width + 1] += 1.0  # the entries (lo + j, j)
+        panel = n @ panel
+    out[:, lo:hi] = panel
+
+
 def all_relations_truncated(N: RelationMatrix, k1: int) -> RelationMatrix:
     """Partial power sum N + N^2 + ... + N^k1, with every nonzero entry kept.
 
-    Evaluated by Horner's rule, ``S <- N (S + I)`` from ``S = N``, in one
-    dense q x q buffer (a connected graph's sum is dense anyway): each
-    further order adds 1 to its diagonal in place and multiplies the
-    sparse ``N`` into it with scipy's single-threaded kernel, so the
-    bytes do not depend on a BLAS thread pool.  The buffer is converted
-    to CSR once.  Vocabularies above ``TRUNCATED_MAX_Q`` hashtags are
-    refused before anything of size q x q is allocated.
+    Evaluated by Horner's rule, ``S <- N (S + I)`` from ``S = N``, one
+    column panel ``S[:, J]`` of about ``CLOSURE_PANEL_ENTRIES`` entries at
+    a time: each further order adds 1 to the panel's share of the
+    diagonal in place and multiplies the sparse ``N`` into it with
+    scipy's single-threaded kernel, which releases the GIL.  The panels
+    run on a pool of :func:`closure_workers` threads that lives only for
+    the call, each writing its own columns of one dense q x q buffer (a
+    connected graph's sum is dense anyway).  Every column goes through
+    the same operations in the same order as in one whole-buffer loop,
+    so the bytes depend neither on the panel width nor on the thread
+    count, nor on a BLAS thread pool.  The buffer is converted to CSR
+    once.  Vocabularies above ``TRUNCATED_MAX_Q`` hashtags are refused
+    before anything of size q x q is allocated.
     """
     if N.kind != NORMALIZED_DIRECT:
         raise GraphError(f"closure expects a normalized_direct matrix, got {N.kind!r}")
@@ -134,10 +172,17 @@ def all_relations_truncated(N: RelationMatrix, k1: int) -> RelationMatrix:
             f"truncated closure refused: q={q} hashtags exceeds the dense-buffer cap of {TRUNCATED_MAX_Q}"
         )
 
-    total = N.values.toarray()
-    for _ in range(2, k1 + 1):
-        total.flat[:: q + 1] += 1.0
-        total = N.values @ total
+    columns = N.values.tocsc()  # a column range of CSC costs its own entries, not all of N's
+    total = np.empty((q, q))
+    width = max(1, CLOSURE_PANEL_ENTRIES // max(q, 1))
+    starts = range(0, q, width)
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    pool = ThreadPoolExecutor(max_workers=closure_workers(len(starts), affinity))
+    try:
+        for _ in pool.map(lambda lo: _horner_panel(N.values, columns, k1, lo, min(lo + width, q), total), starts):
+            pass
+    finally:
+        pool.shutdown(cancel_futures=True)
     # CSR straight from the buffer: half the temporaries of sp.csr_matrix(total)
     mask = total != 0
     indptr = np.zeros(q + 1, dtype=np.int32)

@@ -288,6 +288,22 @@ def dense_power_sum(n_dense: np.ndarray, k1: int) -> np.ndarray:
     return total
 
 
+def horner_closure_oracle(n: sp.csr_matrix, k1: int) -> sp.csr_matrix:
+    """Closure oracle: N + N^2 + ... + N^k1 by Horner's rule, S <- N (S + I)
+    from S = N, over one whole dense q x q buffer, converted to CSR the same
+    way as the closure; the panel closure must match its arrays byte for byte."""
+    q = n.shape[0]
+    total = n.toarray()
+    for _ in range(2, k1 + 1):
+        total.flat[:: q + 1] += 1.0
+        total = n @ total
+    mask = total != 0
+    indptr = np.zeros(q + 1, dtype=np.int32)
+    np.cumsum(mask.sum(axis=1), out=indptr[1:])
+    indices = (np.flatnonzero(mask) % q).astype(np.int32)
+    return sp.csr_matrix((total[mask], indices, indptr), shape=(q, q))
+
+
 def exact_closure_oracle(n_dense: np.ndarray) -> np.ndarray:
     """Closure oracle: the series limit N + N^2 + ... = (I - N)^{-1} N, as
     one dense solve.  The series converges only for a contractive N, so

@@ -346,6 +346,33 @@ def test_run_bytes_do_not_depend_on_blas_thread_count(tmp_path, mode):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two CPUs and CPU affinity to compare closure worker counts",
+)
+def test_run_and_grid_bytes_do_not_depend_on_closure_worker_count(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    result = run_cli(
+        "synth", "--hashtags", "800", "--news", "500", "--purity", "0.9", "--seed", "1", "--out", str(corpus)
+    )
+    assert result.returncode == 0, result.stderr
+    cpu = min(os.sched_getaffinity(0))
+    outputs = []
+    for pin in (f"os.sched_setaffinity(0, {{{cpu}}})", "pass"):  # the closure runs 1 worker, then 2 or more
+        script = f"import os, sys; {pin}; from newstag.cli import main; sys.exit(main(sys.argv[1:]))"
+        files = [tmp_path / f"{name}-{len(outputs)}" for name in ("run.json", "pred.csv", "grid.csv")]
+        for argv in (
+            ["run", "--input", str(corpus), "--out", str(files[0]), "--predictions-out", str(files[1])],
+            ["grid-mu", "--input", str(corpus), "--out", str(files[2])],
+        ):
+            result = subprocess.run(
+                [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
+            )
+            assert result.returncode == 0, result.stderr
+        outputs.append([path.read_bytes() for path in files])
+    assert outputs[0] == outputs[1]
+
+
 def test_synth_echo_replay_and_flag_override(workdir):
     out1 = workdir / "se1.jsonl"
     result = run_cli("synth", "--hashtags", "30", "--news", "20", "--purity", "0.8", "--seed", "2", "--out", str(out1))

@@ -1,4 +1,5 @@
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 
 from newstag import graph as graph_module
 from newstag.graph import (
+    CLOSURE_MAX_WORKERS,
     DIRECT,
     GraphError,
     MAX_K1,
@@ -15,6 +17,7 @@ from newstag.graph import (
     TRUNCATED_MAX_Q,
     all_relations_truncated,
     build_direct_graph,
+    closure_workers,
     export_graph,
     normalize,
     save_matrix,
@@ -251,6 +254,38 @@ def test_truncated_validates_inputs():
     W = all_relations_truncated(N, k1=2)
     with pytest.raises(GraphError):
         all_relations_truncated(W, k1=2)
+
+
+def test_closure_workers_stay_within_the_cap_and_the_panels():
+    before = threading.active_count()
+    many = set(range(4096))  # a fake affinity set: the helper only counts it
+    for panels in (0, 1, 2, 7, CLOSURE_MAX_WORKERS, 143, 10**6):
+        workers = closure_workers(panels, many)
+        assert 1 <= workers <= CLOSURE_MAX_WORKERS
+        assert workers <= max(panels, 1)
+    assert closure_workers(143, many) == CLOSURE_MAX_WORKERS
+    assert closure_workers(143, {3}) == 1
+    assert threading.active_count() == before
+
+
+def test_closure_panel_error_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+    N = random_graph_matrix(np.random.default_rng(5), q_range=(40, 40))
+    monkeypatch.setattr(graph_module, "CLOSURE_PANEL_ENTRIES", 3 * 40)  # 14 panels of 3 columns
+    monkeypatch.setattr(graph_module, "closure_workers", lambda panels, affinity: 2)
+    error = MemoryError("panel at column 6")
+    horner_panel = graph_module._horner_panel
+
+    def failing_panel(n, columns, k1, lo, hi, out):
+        if lo == 6:
+            raise error
+        horner_panel(n, columns, k1, lo, hi, out)
+
+    monkeypatch.setattr(graph_module, "_horner_panel", failing_panel)
+    before = threading.active_count()
+    with pytest.raises(MemoryError) as raised:
+        all_relations_truncated(N, k1=10)
+    assert raised.value is error
+    assert threading.active_count() == before
 
 
 # --- exact closure oracle ------------------------------------------------------

@@ -2,13 +2,23 @@
 nonnegative, zero-diagonal adjacency matrices, checked stage by stage
 against dense numpy oracles."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from newstag import graph
 from newstag.credibility import PropagationConfig, propagate_closed_form, propagate_iterative, symmetric_normalize
 from newstag.graph import ALL_RELATIONS_TRUNCATED, NORMALIZED_DIRECT, all_relations_truncated, normalize
 
-from helpers import closed_form_oracle, dense_power_sum, direct_matrix, spectral_radius_dense
+from helpers import (
+    closed_form_oracle,
+    closure_graph,
+    dense_power_sum,
+    direct_matrix,
+    horner_closure_oracle,
+    spectral_radius_dense,
+)
 
 TOL = 1e-12
 
@@ -88,3 +98,44 @@ def test_relation_layer_matches_dense_oracles(kind):
                 assert np.max(np.abs(c - expected)) <= TOL
                 closed = propagate_closed_form(X, c0, mu)
                 assert np.max(np.abs(closed - closed_form_oracle(x, c0, mu))) <= TOL
+
+
+def closure_inputs() -> list:
+    """Normalized relations of every adjacency kind above, of every
+    ``closure_graph`` shape (disconnected, blocks, rho(N) = 1) and of q = 1."""
+    inputs = [normalize(direct_matrix(random_adjacency(seed, kind))) for kind in KINDS for seed in range(2)]
+    inputs += [
+        closure_graph(np.random.default_rng(seed), shape)
+        for shape in ("disconnected", "blocks", "regular")
+        for seed in range(2)
+    ]
+    inputs.append(normalize(direct_matrix([[0]])))
+    return inputs
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])  # 8: more threads than the cores of a small host
+@pytest.mark.parametrize("width", ["one panel", 1, 3, "q-1", "q", "q+1"])
+def test_panel_closure_bytes_match_whole_buffer_oracle(monkeypatch, workers, width):
+    monkeypatch.setattr(graph, "closure_workers", lambda panels, affinity: workers)
+    inputs = closure_inputs()
+    assert {N.q for N in inputs} >= {1} and any(N.q % 3 for N in inputs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the panel threads switch as often as the interpreter allows
+    try:
+        for N in inputs:
+            q = N.q
+            w = {"one panel": None, "q-1": q - 1, "q": q, "q+1": q + 1}.get(width, width)
+            if w == 0:
+                continue
+            if w is not None:
+                monkeypatch.setattr(graph, "CLOSURE_PANEL_ENTRIES", w * q)  # panels of w columns
+            else:
+                assert graph.CLOSURE_PANEL_ENTRIES // q > q  # the default width holds all of q
+            for k1 in (1, 2, 5):
+                got = all_relations_truncated(N, k1).values
+                expected = horner_closure_oracle(N.values, k1)
+                for name in ("data", "indices", "indptr"):
+                    a, b = getattr(got, name), getattr(expected, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (q, w, k1, name)
+    finally:
+        sys.setswitchinterval(interval)
