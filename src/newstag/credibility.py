@@ -9,7 +9,8 @@ relation matrix, and the fixed-point iteration
 ``c <- mu * X c + (1 - mu) * c0`` contracts to it at rate mu.  Its k-th
 iterate is the power series ``c0 + sum_{j<=k} mu^j (X^j c0 - X^(j-1) c0)``,
 so a :class:`PowerSeries` computes each product ``X^j c0`` once and
-serves every ``mu`` of one ``c0`` from it.
+serves every ``mu`` from it, for a q x m panel of ``c0`` columns at once:
+one operator product per step for the whole panel.
 Credibility vectors are float64 arrays indexed by vocabulary position.
 """
 
@@ -126,55 +127,91 @@ def symmetric_normalize(W: RelationMatrix) -> tuple[sp.csr_matrix, np.ndarray]:
     return X, degrees
 
 
+# Bytes a power series holds besides its float arrays: about ten array
+# headers, its index of columns and its mu values (2.2 kB measured with
+# tracemalloc at q=60, one column and nine mu).  Counted once per column.
+_SERIES_OVERHEAD_BYTES = 4096
+
+
 class PowerSeries:
-    """The fixed-point iterates of several ``mu`` over one ``X`` and ``c0``.
+    """The fixed-point iterates of several ``mu`` over one ``X`` and a panel of ``c0``.
 
     Iterate k of ``c <- mu*X c + (1-mu)*c0`` from c0 is
     ``c0 + sum_{j<=k} mu^j delta_j`` with ``delta_j = X^j c0 - X^(j-1) c0``,
-    so step k changes it by exactly ``mu^k delta_k``.  Step k takes the
-    product ``X^k c0 = X @ X^(k-1) c0``, ``delta_k`` and ``r_k =
-    max|delta_k|`` once, and adds ``mu^k delta_k`` to the iterate of
-    every ``mu`` still running, with residual ``mu^k r_k``.  A series
-    therefore takes as many products as its slowest ``mu`` needs, and
-    each ``mu``'s iterate and residuals are bitwise the same whichever
-    other values share the series.  The series keeps one trace of
-    ``r_k`` for all its values and the step at which each stopped;
-    :meth:`pop` reads one ``mu`` and builds its residuals from them.
+    so step k changes it by exactly ``mu^k delta_k``.  A series carries m
+    initial vectors at once as the columns of a q x m panel ``P``: step k
+    takes one product ``X @ P`` for all of them (one matrix-matrix
+    product on a dense ``X``, one multivector product on CSR), each
+    column's ``delta_k`` and ``r_k = max|delta_k|``, and adds
+    ``mu^k delta_k`` to the iterate of every (column, ``mu``) still
+    running, with residual ``mu^k r_k``.  A series therefore takes as
+    many products as its slowest (column, ``mu``) needs.  Each iterate
+    and its residuals are bitwise the same whichever other ``mu`` share
+    the series, and on a CSR ``X`` whichever other columns do too; on a
+    dense ``X`` the block product may round differently from one column
+    alone, in the last bits.  The series keeps one trace of ``r_k`` per
+    column and the step at which each (column, ``mu``) stopped;
+    :meth:`pop` reads one of them and builds its residuals from that.
     """
 
     def __init__(self, X: sp.spmatrix | np.ndarray, c0, mus, config: PropagationConfig) -> None:
+        """``c0`` is one initial vector or a sequence of them, the panel's columns."""
         config.validate()
         for mu in mus:
             _check_mu(mu)
-        self.X, self.c0, self.config = X, c0, config
-        self._power = np.array(c0, dtype=np.float64)  # X^k c0
-        self._changes = np.empty(config.max_iterations, dtype=np.float64)  # r_1 .. r_k
+        self.X, self.config = X, config
+        rows = np.array(c0, dtype=np.float64, ndmin=2)  # row j holds column j
+        self._column = {id(c0): 0} if np.ndim(c0) == 1 else {id(column): j for j, column in enumerate(c0)}
+        self._initial = c0  # keeps the ids above valid
+        m = rows.shape[0]
+        # The panel's arrays are F-ordered (each column contiguous) so that
+        # the per-column reductions and updates read contiguous memory; only
+        # X^k P on a CSR X is C-ordered, the layout of its multivector kernel.
+        self._dense = isinstance(X, np.ndarray)
+        self._power = rows.T if self._dense else np.ascontiguousarray(rows.T)  # X^k P
+        self._delta = np.empty(self._power.shape, order="F")
+        self._scratch = np.empty(self._power.shape, order="F")
+        self._changes = np.empty((config.max_iterations, m))  # r_1 .. r_k of every column
         self._steps = 0
-        # iterate of every mu not yet read; the step at which each stopped
-        self._pending = {float(mu): self._power.copy() for mu in mus}
-        self._running = list(self._pending)
-        self._stopped: dict[float, int] = {}
+        self._mus = tuple(dict.fromkeys(float(mu) for mu in mus))
+        # the iterate of every mu (``_iterates[v].T`` is q x m); per (mu,
+        # column): still stepping, the step at which it stopped, unread
+        self._iterates = np.repeat(rows[np.newaxis], len(self._mus), axis=0)
+        self._running = np.ones((len(self._mus), m), dtype=bool)
+        self._live = [m] * len(self._mus)  # columns still running, per mu
+        self._stopped = np.zeros((len(self._mus), m), dtype=np.int64)
+        self._pending = np.ones((len(self._mus), m), dtype=bool)
 
     @staticmethod
     def storage_bytes(q: int, values: int, max_iterations: int) -> int:
-        """Bytes a series of ``values`` mu over ``q`` hashtags keeps between
-        steps: an iterate per ``mu``, ``X^k c0`` and the trace of ``r_k``."""
-        return 8 * ((values + 1) * q + max_iterations)
+        """Bytes one column of a series over ``values`` mu and ``q`` hashtags
+        costs at the peak of a step: its ``c0``, an iterate per ``mu``,
+        ``X^k c0`` and the next product, the change ``delta_k`` and one
+        scratch vector, and the trace of ``r_k``, plus the array headers
+        and bookkeeping of a whole series (``_SERIES_OVERHEAD_BYTES``)."""
+        return 8 * ((values + 5) * q + max_iterations) + _SERIES_OVERHEAD_BYTES
 
-    def pop(self, mu: float) -> tuple[np.ndarray, list[float]]:
-        """Step until ``mu`` stops, then hand over and forget its iterate and residuals.
+    def pop(self, c0, mu: float) -> tuple[np.ndarray, list[float]]:
+        """Step until ``mu`` stops on the column ``c0``, then hand over a copy
+        of its iterate and its residuals; each (column, ``mu``) is read once.
 
-        ``mu`` stops once its residual drops below a positive tolerance,
-        or after ``max_iterations`` steps; stopping at the cap with a
-        positive tolerance logs a warning.
+        ``c0`` is one of the vectors the series was built with (the same
+        object).  A (column, ``mu``) stops once its residual drops below a
+        positive tolerance, or after ``max_iterations`` steps; stopping at
+        the cap with a positive tolerance logs a warning.
         """
+        j = self._column.get(id(c0))
+        if j is None:
+            raise ValueError("the series was built for another operator, c0 or config")
         mu = float(mu)
-        if mu not in self._pending:
+        v = self._mus.index(mu) if mu in self._mus else None
+        if v is None or not self._pending[v, j]:
             raise ValueError(f"mu={mu!r} is not pending in this series")
-        while mu in self._running:
+        while self._running[v, j]:
             self._step()
-        c = self._pending.pop(mu)
-        changes = self._changes[: self._stopped.pop(mu)].tolist()
+        self._pending[v, j] = False
+        c = self._iterates[v, j].copy()
+        changes = self._changes[: self._stopped[v, j], j].tolist()
         residuals = [mu**k * change for k, change in enumerate(changes, start=1)]
         tolerance = self.config.tolerance
         if tolerance > 0.0 and not residuals[-1] < tolerance:
@@ -186,19 +223,38 @@ class PowerSeries:
         return c, residuals
 
     def _step(self) -> None:
-        power = self.X @ self._power
-        delta = power - self._power
-        change = float(np.max(np.abs(delta))) if delta.size else 0.0
+        # A dense product takes the rows of P^T X^T = (X P)^T, so it leaves
+        # the F order of the panel as it is.
+        power = (self._power.T @ self.X.T).T if self._dense else self.X @ self._power
+        delta = np.subtract(power, self._power, out=self._delta)
         self._power = power
-        self._changes[self._steps] = change
+        # max|delta| per column from two contiguous reductions; abs turns a
+        # -0.0 maximum into 0.0, as max(abs(delta)) gives
+        change = self._changes[self._steps]
+        np.maximum(delta.max(axis=0, initial=0.0), -delta.min(axis=0, initial=0.0), out=change)
+        np.abs(change, out=change)
         self._steps += 1
-        tolerance = self.config.tolerance
-        for mu in list(self._running):
-            scale = mu**self._steps
-            self._pending[mu] += scale * delta
-            if self._steps == self.config.max_iterations or (tolerance > 0.0 and scale * change < tolerance):
-                self._running.remove(mu)
-                self._stopped[mu] = self._steps
+        scales = [mu**self._steps for mu in self._mus]
+        running = self._running
+        for v, (scale, live) in enumerate(zip(scales, self._live)):
+            if not live:
+                continue
+            step = np.multiply(delta, scale, out=self._scratch)
+            iterate = self._iterates[v].T
+            if live == len(change):
+                iterate += step
+            else:
+                np.add(iterate, step, out=iterate, where=running[v])
+        if self._steps == self.config.max_iterations:
+            stops = running.copy()
+        elif self.config.tolerance > 0.0:
+            stops = running & (np.multiply.outer(scales, change) < self.config.tolerance)
+        else:
+            return
+        if stops.any():
+            self._stopped[stops] = self._steps
+            running &= ~stops
+            self._live = running.sum(axis=1).tolist()
 
 
 def propagate_iterative(
@@ -211,10 +267,11 @@ def propagate_iterative(
     """The fixed-point iteration c <- mu*X c + (1-mu)*c0 starting from c0.
 
     ``X`` is sparse or a dense q x q array.  The iterates come from a
-    :class:`PowerSeries`: ``series``, built over this ``X``, ``c0`` and
-    ``config`` with ``mu`` among its values and shared with other
-    ``mu``, or else a series of ``mu`` alone, which takes one ``X @ v``
-    per step.  Each step's residual is the max-norm of the change it
+    :class:`PowerSeries`: ``series``, built over this ``X`` and ``config``
+    with ``c0`` among its columns and ``mu`` among its values and shared
+    with other columns and ``mu``, or else a series of this ``c0`` and
+    ``mu`` alone, which takes one ``X @ v`` per step.  Each step's
+    residual is the max-norm of the change it
     makes, ``mu^k max|X^k c0 - X^(k-1) c0|``; the iteration stops when
     it drops below ``tolerance`` (if positive) or after
     ``max_iterations`` steps, and stopping at the cap with a positive
@@ -226,9 +283,9 @@ def propagate_iterative(
     """
     if series is None:
         series = PowerSeries(X, c0, (mu,), config)
-    elif series.X is not X or series.c0 is not c0 or series.config != config:
+    elif series.X is not X or series.config != config:
         raise ValueError("the series was built for another operator, c0 or config")
-    return series.pop(mu)
+    return series.pop(c0, mu)
 
 
 def _closed_form_iteration_cap(mu: float) -> int:

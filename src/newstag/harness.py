@@ -43,15 +43,18 @@ _RESAMPLE_STRIDE = 7919  # deterministic seed offset between split attempts
 # propagation of at most ``MAX_ITERATIONS`` steps.
 MAX_REPETITIONS = 1_000
 
-# Most bytes that ``grid_search_mu`` keeps in the power series its folds
-# share across the grid: all of each series' storage between steps (an
-# iterate per grid value, X^k c0 and its trace of max_iterations residual
-# factors; ``PowerSeries.storage_bytes``).  A fold past the budget
-# propagates each mu alone, with bitwise equal results, so the flag caps
-# (MAX_REPETITIONS folds, the CLI's MAX_GRID values, MAX_ITERATIONS steps)
+# Most bytes one power-series panel may hold (``PowerSeries.storage_bytes``
+# per column, counted at the peak of a step: c0, an iterate per mu, X^k c0
+# and the next product, the step's change, a scratch column and a trace of
+# max_iterations residual factors).  ``grid_search_mu`` puts the folds that
+# fit into one panel and propagates each mu of a fold past it alone;
+# ``_run_repetitions`` runs its repetitions in panels of that many columns.
+# Results are the same either way (bitwise on a CSR operator), so the flag
+# caps (MAX_REPETITIONS, the CLI's MAX_GRID values, MAX_ITERATIONS steps)
 # cannot exhaust memory.  The 64 MiB is a chosen guard, not a measured
-# optimum: no benchmark workload comes near it (grid-mu-800 shares 10 x
-# 64.8 kB = 0.65 MB), so only the tests exercise the fallback.
+# optimum: no benchmark workload comes near it (grid-mu-800's one panel of
+# 10 folds takes 10 x 94.5 kB = 0.94 MB), so only the tests exercise the
+# fallback.
 SHARED_SERIES_BYTES = 64 << 20
 
 
@@ -221,9 +224,9 @@ def build_pipeline(corpus: Corpus, config: ExperimentConfig) -> PipelineOperator
 
     The operator is kept as a dense array whenever that takes no more
     bytes than its CSR form, as the closure of a connected graph does:
-    each propagation step is then one BLAS matrix-vector product
-    instead of a walk over CSR indices.  The relation it is built from
-    is released first.
+    each propagation step of a panel is then one BLAS matrix-matrix
+    product instead of a walk over CSR indices.  The relation it is
+    built from is released first.
     """
     if config.time_horizon_hours is not None:
         corpus = filter_by_time(corpus, config.time_horizon_hours)
@@ -245,6 +248,16 @@ def propagate(
         return propagate_closed_form(ops.X, c0, config.mu)
     c_hat, _ = propagate_iterative(ops.X, c0, config.mu, config.propagation, series=series)
     return c_hat
+
+
+def _panel_columns(ops: PipelineOperators, config: ExperimentConfig, values: int) -> int:
+    """Columns of ``values`` mu each that one power-series panel over
+    ``ops.X`` may hold within ``SHARED_SERIES_BYTES``; 0 in closed-form
+    mode, or when a single column is over the budget."""
+    if config.propagation.mode == MODE_CLOSED_FORM:
+        return 0
+    column = PowerSeries.storage_bytes(ops.X.shape[0], values, config.propagation.max_iterations)
+    return SHARED_SERIES_BYTES // column
 
 
 def _split_with_retries(
@@ -293,41 +306,29 @@ def run_experiment(
 def _run_repetitions(
     ops: PipelineOperators, config: ExperimentConfig, collect_predictions: bool = False
 ) -> MetricsReport:
-    """The repetitions of :func:`run_experiment` over built operators."""
-    occ = ops.corpus.occurrences
+    """The repetitions of :func:`run_experiment` over built operators.
 
+    Every split is drawn first; the repetitions then run in panels of
+    as many as fit ``SHARED_SERIES_BYTES``, each panel's ``c0`` built
+    just before it propagates as the columns of one :class:`PowerSeries`.
+    ``init_credibility`` and ``propagate_iterative`` still run once per
+    repetition, in repetition order.
+    """
+    splits = [
+        _split_with_retries(ops.corpus, config.train_fraction, config.seed ^ rep)
+        for rep in range(config.repetitions)
+    ]
+    width = _panel_columns(ops, config, 1)
+    step = max(width, 1)  # with no room for one column, each repetition propagates alone
     reps: list[RepetitionResult] = []
-    total = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
-    for rep in range(config.repetitions):
-        train, test, split_seed = _split_with_retries(
-            ops.corpus, config.train_fraction, config.seed ^ rep
-        )
-        c0 = init_credibility(ops.corpus, train, per_post=ops.per_post)
-        predicted, scores = _run_single(ops, config, c0)
-        labeled_test = test[occ.labels[test] != 0]
-        preds = predicted[labeled_test]
-        truths = occ.labels[labeled_test]
-        macro, micro = compute_f1(preds, truths)
-        conf = confusion_counts(preds, truths)
-        for key in total:
-            total[key] += conf[key]
-        predictions = None
-        if collect_predictions:
-            ids = [ops.corpus.ids[r] for r in test.tolist()]
-            predictions = dict(zip(ids, zip(predicted[test].tolist(), scores[test].tolist())))
-        reps.append(
-            RepetitionResult(
-                repetition=rep,
-                split_seed=split_seed,
-                n_train=len(train),
-                n_test_labeled=len(labeled_test),
-                n_test_empty=int(np.count_nonzero(occ.post_count[test] == 0)),
-                macro_f1=macro,
-                micro_f1=micro,
-                confusion=conf,
-                predictions=predictions,
-            )
-        )
+    for start in range(0, len(splits), step):
+        panel = splits[start:start + step]
+        c0s = [init_credibility(ops.corpus, train, per_post=ops.per_post) for train, _, _ in panel]
+        series = PowerSeries(ops.X, c0s, (config.mu,), config.propagation) if width else None
+        for split, c0 in zip(panel, c0s):
+            reps.append(_repetition(ops, config, len(reps), split, c0, series, collect_predictions))
+        del c0s, series  # before the next panel is built
+    total = {key: sum(rep.confusion[key] for rep in reps) for key in ("tp", "fp", "tn", "fn")}
 
     macros = [r.macro_f1 for r in reps]
     micros = [r.micro_f1 for r in reps]
@@ -340,6 +341,40 @@ def _run_repetitions(
         micro_f1_mean=_mean(micros),
         micro_f1_std=_sample_std(micros),
         confusion_total=total,
+    )
+
+
+def _repetition(
+    ops: PipelineOperators,
+    config: ExperimentConfig,
+    rep: int,
+    split: tuple[np.ndarray, np.ndarray, int],
+    c0: np.ndarray,
+    series: PowerSeries | None,
+    collect_predictions: bool,
+) -> RepetitionResult:
+    """Propagate one repetition's ``c0`` and score its test side."""
+    occ = ops.corpus.occurrences
+    train, test, split_seed = split
+    predicted, scores = _run_single(ops, config, c0, series)
+    labeled_test = test[occ.labels[test] != 0]
+    preds = predicted[labeled_test]
+    truths = occ.labels[labeled_test]
+    macro, micro = compute_f1(preds, truths)
+    predictions = None
+    if collect_predictions:
+        ids = [ops.corpus.ids[r] for r in test.tolist()]
+        predictions = dict(zip(ids, zip(predicted[test].tolist(), scores[test].tolist())))
+    return RepetitionResult(
+        repetition=rep,
+        split_seed=split_seed,
+        n_train=len(train),
+        n_test_labeled=len(labeled_test),
+        n_test_empty=int(np.count_nonzero(occ.post_count[test] == 0)),
+        macro_f1=macro,
+        micro_f1=micro,
+        confusion=confusion_counts(preds, truths),
+        predictions=predictions,
     )
 
 
@@ -371,9 +406,9 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
     Grid values outside (0, 1) are dropped with a warning since the
     regularizer is only defined on the open interval.  Ties break toward
     the smaller mu.  Iterative propagation still runs once per (mu, fold),
-    mu-major, but each fold within ``SHARED_SERIES_BYTES`` reads every mu
-    from one :class:`PowerSeries`, so it pays only for the products of
-    its slowest mu.
+    mu-major, but the folds within ``SHARED_SERIES_BYTES`` read every mu
+    from the columns of one :class:`PowerSeries` panel, so they pay one
+    product per step of their slowest (fold, mu) together.
     """
     config.validate()
     usable = sorted({float(g) for g in grid if 0.0 < float(g) < 1.0})
@@ -389,9 +424,7 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
 
     # Inner splits, and the c0 each trains, are shared across grid values
     # so scores are comparable; c0 does not depend on mu.
-    shares = config.propagation.mode != MODE_CLOSED_FORM
-    fold_bytes = PowerSeries.storage_bytes(ops.X.shape[0], len(usable), config.propagation.max_iterations)
-    folds: list[tuple[np.ndarray, np.ndarray, PowerSeries | None]] = []
+    folds: list[tuple[np.ndarray, np.ndarray]] = []
     for rep in range(config.repetitions):
         train, _, split_seed = _split_with_retries(
             ops.corpus, config.train_fraction, config.seed ^ rep
@@ -400,10 +433,12 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
             raise HarnessError("training side too small for an inner validation split")
         val, inner_train = draw_rows(train, max(1, int(0.1 * len(train))), split_seed + 104729)
         c0 = init_credibility(ops.corpus, inner_train, per_post=ops.per_post)
-        series = None
-        if shares and (rep + 1) * fold_bytes <= SHARED_SERIES_BYTES:
-            series = PowerSeries(ops.X, c0, usable, config.propagation)
-        folds.append((c0, val, series))
+        folds.append((c0, val))
+    # Every mu is read from each fold mu-major, so the panel lives through
+    # the whole grid: the folds that fit the budget share it, the rest
+    # propagate each mu alone.
+    shared = _panel_columns(ops, config, len(usable))
+    series = PowerSeries(ops.X, [c0 for c0, _ in folds[:shared]], usable, config.propagation) if shared else None
 
     rows = []
     best_mu = None
@@ -411,8 +446,8 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
     for mu in usable:
         candidate = replace(config, mu=mu)
         macros, micros = [], []
-        for c0, val, series in folds:
-            predicted, _ = _run_single(ops, candidate, c0, series)
+        for fold, (c0, val) in enumerate(folds):
+            predicted, _ = _run_single(ops, candidate, c0, series if fold < shared else None)
             macro, micro = compute_f1(predicted[val], labels[val])
             macros.append(macro)
             micros.append(micro)

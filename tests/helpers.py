@@ -261,13 +261,15 @@ def fixed_point_oracle(X, c0, mu: float, max_iterations: int, tolerance: float) 
 
 
 class CountingOperator:
-    """A propagation operator that counts its products with vectors."""
+    """A propagation operator that counts its products with vectors or
+    q x m panels, and the columns those products take."""
 
     def __init__(self, X) -> None:
-        self.X, self.shape, self.products = X, X.shape, 0
+        self.X, self.shape, self.products, self.columns = X, X.shape, 0, 0
 
     def __matmul__(self, v):
         self.products += 1
+        self.columns += 1 if np.ndim(v) == 1 else np.shape(v)[1]
         return self.X @ v
 
 

@@ -383,12 +383,20 @@ def test_series_matches_plain_recurrence_oracle(mu):
 
 
 def test_series_takes_the_products_of_its_slowest_mu():
+    # one product per step for the whole panel, as many steps as its
+    # slowest (column, mu) takes; columns scaled apart stop at different steps
     config = PropagationConfig(max_iterations=5000, tolerance=1e-9)
     for X, c0 in series_problems():
+        panel = [c0, 1e-6 * c0, 1e3 * c0]
         counting = CountingOperator(X)
-        series = PowerSeries(counting, c0, SERIES_GRID, config)
-        counts = [len(propagate_iterative(counting, c0, mu, config, series=series)[1]) for mu in SERIES_GRID]
+        series = PowerSeries(counting, panel, SERIES_GRID, config)
+        counts = [
+            len(propagate_iterative(counting, column, mu, config, series=series)[1])
+            for mu in SERIES_GRID
+            for column in panel
+        ]
         assert counting.products == max(counts)
+        assert counting.columns == len(panel) * max(counts)
 
 
 def test_series_residual_keeps_shrinking_below_float_resolution(caplog):

@@ -471,8 +471,9 @@ def test_grid_builds_c0_once_per_fold_and_propagates_mu_major(monkeypatch):
 
 
 def _grid_products(monkeypatch, corpus, config, grid):
-    """grid_search_mu's result, the products its operator took, and the
-    iteration count of every (mu, fold) propagation, mu-major."""
+    """grid_search_mu's result, the products its operator took, the columns
+    of those products, and the iteration count of every (mu, fold)
+    propagation, mu-major."""
     operators, iterations = [], []
     real_build, real_propagate = newstag.harness.build_pipeline, newstag.harness.propagate_iterative
 
@@ -490,10 +491,11 @@ def _grid_products(monkeypatch, corpus, config, grid):
         patch.setattr(newstag.harness, "build_pipeline", counting_build)
         patch.setattr(newstag.harness, "propagate_iterative", recording_propagate)
         result = grid_search_mu(corpus, config, grid)
-    return result, operators[0].products, np.array(iterations).reshape(len(grid), config.repetitions)
+    counting = operators[0]
+    return result, counting.products, counting.columns, np.array(iterations).reshape(len(grid), config.repetitions)
 
 
-@pytest.mark.parametrize("folds_in_budget", [None, 0, 1])
+@pytest.mark.parametrize("folds_in_budget", [None, 0, 1, 3])
 def test_grid_shares_products_per_fold_within_the_budget(monkeypatch, folds_in_budget):
     corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.8), seed=9)
     config = small_config(repetitions=4, propagation=PropagationConfig(max_iterations=500, tolerance=1e-9))
@@ -502,19 +504,24 @@ def test_grid_shares_products_per_fold_within_the_budget(monkeypatch, folds_in_b
     if folds_in_budget is not None:
         fold_bytes = PowerSeries.storage_bytes(len(corpus.vocabulary), len(grid), config.propagation.max_iterations)
         monkeypatch.setattr(newstag.harness, "SHARED_SERIES_BYTES", folds_in_budget * fold_bytes)
-    result, products, iterations = _grid_products(monkeypatch, corpus, config, grid)
+    result, products, columns, iterations = _grid_products(monkeypatch, corpus, config, grid)
     assert result == expected
+    # the folds in the budget share one panel: one product per step of its
+    # slowest (fold, mu); every other (fold, mu) takes one product per step
     shared = config.repetitions if folds_in_budget is None else folds_in_budget
-    per_fold = [iterations[:, f].max() if f < shared else iterations[:, f].sum() for f in range(config.repetitions)]
-    assert products == sum(per_fold)
+    panel_steps = iterations[:, :shared].max(initial=0)
+    alone = iterations[:, shared:].sum()
+    assert products == panel_steps + alone
+    assert columns == shared * panel_steps + alone
     assert iterations.max(axis=0).sum() < iterations.sum()
 
 
-def _grid_peak_bytes(corpus, config, grid):
+def _peak_bytes(experiment, *args):
+    """``experiment(*args)`` and the traced peak of memory it allocated."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        result = grid_search_mu(corpus, config, grid)
+        result = experiment(*args)
         return result, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -533,10 +540,10 @@ def test_grid_shared_series_memory_stays_within_the_budget(monkeypatch, folds_in
     shared = config.repetitions if folds_in_budget is None else folds_in_budget
     with monkeypatch.context() as patch:
         patch.setattr(newstag.harness, "SHARED_SERIES_BYTES", 0)
-        alone, alone_peak = _grid_peak_bytes(corpus, config, grid)
+        alone, alone_peak = _peak_bytes(grid_search_mu, corpus, config, grid)
     if folds_in_budget is not None:
         monkeypatch.setattr(newstag.harness, "SHARED_SERIES_BYTES", folds_in_budget * fold_bytes)
-    result, peak = _grid_peak_bytes(corpus, config, grid)
+    result, peak = _peak_bytes(grid_search_mu, corpus, config, grid)
     assert result == alone
     assert peak - alone_peak <= shared * fold_bytes
 
@@ -549,6 +556,71 @@ def test_grid_logs_cap_warnings_mu_major(caplog):
         grid_search_mu(corpus, config, grid)
     logged = [record.args[0] for record in caplog.records]
     assert logged == [mu for mu in sorted(grid) for _ in range(config.repetitions)]
+
+
+@pytest.mark.parametrize("panel_columns", [None, 2])
+def test_run_builds_and_propagates_each_repetition_in_order(monkeypatch, caplog, panel_columns):
+    corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.8), seed=9)
+    config = small_config(repetitions=5, propagation=PropagationConfig(max_iterations=4, tolerance=1e-12))
+    expected = run_experiment(corpus, config)
+    width = config.repetitions if panel_columns is None else panel_columns
+    if panel_columns is not None:
+        column = PowerSeries.storage_bytes(len(corpus.vocabulary), 1, config.propagation.max_iterations)
+        monkeypatch.setattr(newstag.harness, "SHARED_SERIES_BYTES", panel_columns * column)
+    calls, last_residuals = [], []
+    real_init, real_propagate = newstag.harness.init_credibility, newstag.harness.propagate_iterative
+
+    def recording_init(corpus, train, per_post=True):
+        c0 = real_init(corpus, train, per_post=per_post)
+        calls.append(("c0", train, c0))
+        return c0
+
+    def recording_propagate(X, c0, mu, propagation, series=None):
+        c, residuals = real_propagate(X, c0, mu, propagation, series=series)
+        calls.append(("propagate", None, c0))
+        last_residuals.append(residuals[-1])
+        return c, residuals
+
+    monkeypatch.setattr(newstag.harness, "init_credibility", recording_init)
+    monkeypatch.setattr(newstag.harness, "propagate_iterative", recording_propagate)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="newstag.credibility"):
+        assert run_experiment(corpus, config) == expected
+    # one c0 per repetition, from that repetition's split, in repetition order
+    trains = [train for kind, train, _ in calls if kind == "c0"]
+    assert [train.tolist() for train in trains] == [
+        newstag.harness._split_with_retries(corpus, config.train_fraction, config.seed ^ rep)[0].tolist()
+        for rep in range(config.repetitions)
+    ]
+    # each panel's c0 are built just before it propagates, one call per repetition
+    c0s = [c0 for kind, _, c0 in calls if kind == "c0"]
+    order = []
+    for start in range(0, config.repetitions, width):
+        panel = c0s[start:start + width]
+        order += [("c0", id(c0)) for c0 in panel] + [("propagate", id(c0)) for c0 in panel]
+    assert [(kind, id(c0)) for kind, _, c0 in calls] == order
+    # every repetition stops at the cap, and warns in repetition order
+    assert len(set(last_residuals)) == config.repetitions
+    assert [record.args[2] for record in caplog.records] == last_residuals
+
+
+@pytest.mark.parametrize("panel_columns", [None, 2])
+def test_run_panel_memory_stays_within_the_budget(monkeypatch, panel_columns):
+    # At tolerance 0 every column runs to the cap, so its trace of residual
+    # factors dominates; a panel adds at most the budget it used to the
+    # peak of propagating each repetition alone.
+    corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.8), seed=9)
+    config = small_config(repetitions=5, propagation=PropagationConfig(max_iterations=3000, tolerance=0.0))
+    column = PowerSeries.storage_bytes(len(corpus.vocabulary), 1, config.propagation.max_iterations)
+    with monkeypatch.context() as patch:
+        patch.setattr(newstag.harness, "SHARED_SERIES_BYTES", 0)
+        alone, alone_peak = _peak_bytes(run_experiment, corpus, config)
+    width = config.repetitions if panel_columns is None else panel_columns
+    if panel_columns is not None:
+        monkeypatch.setattr(newstag.harness, "SHARED_SERIES_BYTES", panel_columns * column)
+    report, peak = _peak_bytes(run_experiment, corpus, config)
+    assert report == alone
+    assert peak - alone_peak <= width * column
 
 
 def test_build_pipeline_peak_memory_stays_under_three_dense_operators():

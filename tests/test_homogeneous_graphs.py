@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from newstag import graph
-from newstag.credibility import PropagationConfig, propagate_closed_form, propagate_iterative, symmetric_normalize
+from newstag.credibility import (
+    PowerSeries,
+    PropagationConfig,
+    propagate_closed_form,
+    propagate_iterative,
+    symmetric_normalize,
+)
 from newstag.graph import ALL_RELATIONS_TRUNCATED, NORMALIZED_DIRECT, all_relations_truncated, normalize
 
 from helpers import (
@@ -139,3 +145,51 @@ def test_panel_closure_bytes_match_whole_buffer_oracle(monkeypatch, workers, wid
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (q, w, k1, name)
     finally:
         sys.setswitchinterval(interval)
+
+
+def panel_operators() -> list:
+    """Propagation operators of every adjacency kind (edgeless, with isolated
+    nodes, rho(N) = 1 among them), of the disconnected closure shape, and of
+    q = 0 and q = 1: N and its closure, each as CSR."""
+    relations = [normalize(direct_matrix(random_adjacency(0, kind))) for kind in KINDS]
+    relations.append(closure_graph(np.random.default_rng(0), "disconnected"))
+    relations += [normalize(direct_matrix(np.zeros((q, q)))) for q in (0, 1)]
+    operators = []
+    for N in relations:
+        for relation in (N, all_relations_truncated(N, 4)):
+            operators.append(symmetric_normalize(relation)[0])
+    return operators
+
+
+PANEL_CONFIGS = [
+    PropagationConfig(max_iterations=40, tolerance=0.0),  # fixed steps
+    PropagationConfig(max_iterations=1, tolerance=1e-9),  # one step, at the cap
+    PropagationConfig(max_iterations=6, tolerance=1e-6),  # some columns stop at the cap
+    PropagationConfig(max_iterations=500, tolerance=1e-9),
+]
+
+
+@pytest.mark.parametrize("m", [1, 3, 10])
+@pytest.mark.parametrize("config", PANEL_CONFIGS, ids=["tolerance-0", "one-step", "cap", "converge"])
+def test_panel_matches_one_column_alone(m, config):
+    mus = (0.2, 0.5, 0.9)
+    scales = 10.0 ** np.linspace(-7.0, 2.0, m)  # columns that stop at different steps
+    stops = set()
+    for seed, X in enumerate(panel_operators()):
+        rng = np.random.default_rng(seed)
+        panel = [scale * rng.uniform(-1.0, 1.0, size=X.shape[0]) for scale in scales]
+        for operator in (X, X.toarray()):
+            series = PowerSeries(operator, panel, mus, config)
+            for mu in mus:  # mu-major, as grid-mu reads a panel
+                for column in panel:
+                    c, residuals = propagate_iterative(operator, column, mu, config, series=series)
+                    alone_c, alone_residuals = propagate_iterative(operator, column, mu, config)
+                    assert len(residuals) == len(alone_residuals)
+                    stops.add(len(residuals))
+                    if operator is X:  # CSR: bit for bit
+                        assert c.tobytes() == alone_c.tobytes()
+                        assert residuals == alone_residuals
+                    else:  # dense: the block product may round differently
+                        assert np.max(np.abs(c - alone_c), initial=0.0) <= 1e-14 * np.max(np.abs(alone_c), initial=0.0)
+    if m > 1 and config.tolerance > 0.0 and config.max_iterations > 1:
+        assert len(stops) > 2  # the columns did stop at different steps
