@@ -15,17 +15,22 @@ cutting another corpus.  ``Corpus.news`` is a read-only view that builds
 
 from __future__ import annotations
 
+import io
 import json
 import logging
+import os
+import pickle
+import signal
+import stat
 import unicodedata
-from collections.abc import Sequence
-from contextlib import nullcontext
+import warnings
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
-from itertools import compress, islice
+from itertools import compress, count, islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -335,6 +340,25 @@ def _datetime(micros: int) -> datetime | None:
 # that a parse holds beyond the finished columns.
 CHUNK_LINES = 2048
 
+# Bytes of a corpus file per byte range, at least: a regular file of two
+# or more of them is cut into ranges that forked processes read at once.
+PARSE_RANGE_BYTES = 1 << 20
+
+# Most threads or processes one call spreads its work over.
+MAX_WORKERS = 8
+
+
+def worker_count(units: int, affinity: Collection[int] | None = None) -> int:
+    """Workers for ``units`` independent pieces of work on the CPU set
+    ``affinity``, by default the CPUs this process may run on: one at
+    least, and at most the units, the CPUs and ``MAX_WORKERS``.  The
+    truncated closure's threads and the parse's byte ranges both follow
+    it."""
+    if affinity is None:
+        affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    return max(1, min(len(affinity), units, MAX_WORKERS))
+
+
 # Per character of a canonical ``YYYY-MM-DDTHH:MM:SSZ`` stamp: the lowest
 # code point allowed and how far above it a code point may be
 _STAMP = "0000-00-00T00:00:00Z"
@@ -453,11 +477,31 @@ def _label(obj, line_no: int) -> int:
     return label or 0
 
 
+# The finished columns of a reader, besides its ids and raw-token ids
+_COLUMNS = ("post_text", "post_length", "labels", "published", "post_count", "created", "tag_count")
+
+
+class _Part(NamedTuple):
+    """What the reader of one byte range hands on: its news ids, its raw
+    tokens in first-appearance order, its finished columns (named as in
+    ``_COLUMNS``, one list of chunks each), its raw-token id per token
+    and chunk, in its own raw-token order, and the number of lines it
+    read."""
+
+    ids: list[str]
+    raw_tokens: list[str]
+    columns: dict[str, list]
+    tokens: list[np.ndarray]
+    lines: int
+
+
 class _Reader:
     """One parse: each chunk of lines read in one pass and its time values
     converted as arrays, or, when something in the chunk is wrong, read
     again record by record; the token kernel over the whole corpus at
-    the end."""
+    the end.  The part a range reader in another process read is taken
+    in whole by ``merge``, its raw tokens renumbered into this reader's
+    order of first appearance."""
 
     def __init__(self, lenient: bool, errors: list[tuple[int, str]] | None) -> None:
         self.lenient, self.errors = lenient, errors
@@ -590,6 +634,20 @@ class _Reader:
         self.tokens.append(np.array(p.tokens, dtype=np.int64))
         return True
 
+    def merge(self, part: _Part) -> bool:
+        """Append the part another reader read of the stream that follows,
+        unless one of its ids was kept before; return whether it was kept."""
+        if not self.ids.keys().isdisjoint(part.ids):
+            return False
+        self.ids.update(dict.fromkeys(part.ids))
+        for name, chunks in part.columns.items():
+            getattr(self, name).extend(chunks)
+        # the part's raw tokens, in its order, get this reader's ids
+        raw = part.raw_tokens
+        token_id = np.fromiter(map(self.token_ids.__getitem__, raw), dtype=np.int64, count=len(raw))
+        self.tokens.extend(token_id[tokens] for tokens in part.tokens)
+        return True
+
     def finish(self) -> Corpus:
         """Normalize each distinct raw token once, drop empty ones and
         de-duplicate hashtags within each post."""
@@ -630,6 +688,28 @@ class _Reader:
         )
 
 
+class _Refused(Exception):
+    """A range reader met a chunk that only a record-by-record read could settle."""
+
+
+class _RangeReader(_Reader):
+    """The reader of one byte range in a forked process.  It refuses its
+    range at the first chunk that would need a re-read, which the parse
+    then reads itself, so errors, reports and warnings come only from
+    the parse's own process."""
+
+    def __init__(self) -> None:
+        super().__init__(lenient=False, errors=None)
+
+    def reread(self, lines: list[tuple[int, str | CorpusError]]) -> None:
+        raise _Refused
+
+    def part(self, lines: int) -> _Part:
+        """What this reader read, having read ``lines`` lines."""
+        columns = {name: getattr(self, name) for name in _COLUMNS}
+        return _Part(list(self.ids), list(self.token_ids), columns, self.tokens, lines)
+
+
 def parse_corpus(
     source: Iterable[str] | str | Path,
     *,
@@ -654,14 +734,23 @@ def parse_corpus(
     anything is wrong is read again one record at a time.  At the end
     each distinct raw hashtag token is normalized once.  The first error
     in stream order is the one raised or reported first.
+
+    A regular file of at least two ``PARSE_RANGE_BYTES`` is cut into
+    ``worker_count`` byte ranges, each ending just after a newline, on a
+    host with ``os.fork``.  A forked process reads each range after the
+    first while this one reads the first; then each range's columns are
+    merged in stream order.  A range whose reader met anything wrong, or
+    whose news ids repeat ones kept before, is read again here, with the
+    line numbers carried on, so the corpus, the errors and their line
+    numbers are those of one streamed read.  Every forked reader is
+    ended before this returns or raises.
     """
     _check_clock_skew(clock_skew)
     reader = _Reader(lenient, errors)
-    opened = isinstance(source, (str, Path))
-    with open(source, "r", encoding="utf-8", errors="surrogateescape") if opened else nullcontext(source) as lines:
-        numbered = _numbered(lines, check_utf8=opened)
-        while chunk := list(islice(numbered, CHUNK_LINES)):
-            reader.read(chunk)
+    if isinstance(source, (str, Path)):
+        _read_file(reader, source)
+    else:
+        _read_lines(reader, source, check_utf8=False)
     corpus = reader.finish()
     skew_violations = _skew_violations(corpus, clock_skew)
     if skew_violations:
@@ -684,13 +773,194 @@ def _utf8_error(line: str) -> str | None:
     return None
 
 
-def _numbered(lines: Iterable[str], check_utf8: bool) -> Iterator[tuple[int, str | CorpusError]]:
-    """Each nonblank line, stripped, with its number counted from 1; with
-    ``check_utf8``, the error of a line that is not UTF-8 in its place."""
-    for line_no, line in enumerate(lines, start=1):
-        if text := line.strip():
-            error = check_utf8 and _utf8_error(line)
-            yield line_no, CorpusError(f"line {line_no}: {error}") if error else text
+def _read_lines(reader: _Reader, lines: Iterable[str], check_utf8: bool, first_line: int = 1) -> int:
+    """Read ``lines``, numbered from ``first_line``, into ``reader``
+    ``CHUNK_LINES`` nonblank lines at a time; return the number the line
+    after them would get.  Each chunk holds the stripped nonblank lines
+    and, with ``check_utf8``, the error of a line that is not UTF-8 in
+    its place."""
+    line_nos = count(first_line)
+
+    def numbered() -> Iterator[tuple[int, str | CorpusError]]:
+        for line, line_no in zip(lines, line_nos):  # at the end of lines, zip draws no number
+            if text := line.strip():
+                error = check_utf8 and _utf8_error(line)
+                yield line_no, CorpusError(f"line {line_no}: {error}") if error else text
+
+    chunks = numbered()
+    while chunk := list(islice(chunks, CHUNK_LINES)):
+        reader.read(chunk)
+    return next(line_nos)
+
+
+def _text(stream: io.BufferedIOBase) -> io.TextIOWrapper:
+    """The lines of a byte stream as a file opened for reading gives them."""
+    return io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape")
+
+
+def _read_file(reader: _Reader, path: str | Path) -> None:
+    """Read the file at ``path`` into ``reader``: in byte ranges when
+    ``_range_cuts`` makes more than one, else as one stream."""
+    with open(path, "rb") as fh:
+        cuts = _range_cuts(fh.fileno())
+        if len(cuts) > 2:
+            _read_ranges(reader, fh.fileno(), cuts)
+        else:
+            with _text(fh) as lines:
+                _read_lines(reader, lines, check_utf8=True)
+
+
+def _range_cuts(fd: int) -> list[int | None]:
+    """The offsets that cut the open file ``fd`` into byte ranges, the
+    last range ending at the end of the file (``None``).  Every other
+    range ends just after a newline, so each holds whole lines.  A file
+    that is not regular, smaller than two ``PARSE_RANGE_BYTES`` or on a
+    host without ``os.fork`` is one range, and so is a file whose cuts
+    all fall in one line."""
+    info = os.fstat(fd)
+    if not hasattr(os, "fork") or not stat.S_ISREG(info.st_mode):
+        return [0, None]
+    size = info.st_size
+    ranges = worker_count(size // PARSE_RANGE_BYTES)
+    cuts = [0]
+    for k in range(1, ranges):
+        cut = _line_end(fd, size * k // ranges)
+        if cuts[-1] < cut < size:
+            cuts.append(cut)
+    return [*cuts, None]
+
+
+def _line_end(fd: int, offset: int) -> int:
+    """The offset just after the first newline at or after ``offset`` in
+    the file ``fd``, or the end of the file."""
+    while block := os.pread(fd, 1 << 16, offset):
+        at = block.find(b"\n")
+        if at >= 0:
+            return offset + at + 1
+        offset += len(block)
+    return offset
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes ``start:stop`` (``stop`` None: to the end) of the open file
+    ``fd``.  It reads with ``os.pread``, so readers of other ranges, in
+    this process or a forked one, share the file descriptor but not a
+    file position."""
+
+    def __init__(self, fd: int, start: int, stop: int | None) -> None:
+        self._fd, self._at, self._stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = len(buffer) if self._stop is None else min(len(buffer), self._stop - self._at)
+        data = os.pread(self._fd, size, self._at)
+        buffer[: len(data)] = data
+        self._at += len(data)
+        return len(data)
+
+
+def _read_range(reader: _Reader, fd: int, start: int, stop: int | None, first_line: int) -> int:
+    """Read bytes ``start:stop`` of the file ``fd`` into ``reader``, their
+    lines numbered from ``first_line``; return the number the next line
+    would get."""
+    with _text(io.BufferedReader(_ByteRange(fd, start, stop), 1 << 16)) as lines:
+        return _read_lines(reader, lines, True, first_line)
+
+
+def _read_ranges(reader: _Reader, fd: int, cuts: list[int | None]) -> None:
+    """Read the byte ranges ``cuts`` make of the file ``fd`` into
+    ``reader``: each after the first in a forked child, the first here;
+    then take in the children's parts in stream order, or read a range
+    here when its child refused it, failed, or read ids kept before."""
+    ranges = list(zip(cuts, cuts[1:]))
+    children: list[_Child] = []
+    try:
+        for start, stop in ranges[1:]:
+            child = _Child.fork(fd, start, stop)
+            if child is None:  # no fork: this process reads the rest
+                break
+            children.append(child)
+        line_no = _read_range(reader, fd, *ranges[0], 1)
+        for k, (start, stop) in enumerate(ranges[1:]):
+            part = children[k].receive() if k < len(children) else None
+            if part is not None and reader.merge(part):
+                line_no += part.lines
+            else:
+                line_no = _read_range(reader, fd, start, stop, line_no)
+    finally:
+        for child in children:
+            child.end()
+
+
+class _Child:
+    """A forked process reading one byte range, and the pipe it sends
+    its part through."""
+
+    def __init__(self, pid: int, pipe: io.BufferedReader) -> None:
+        self.pid: int | None = pid
+        self.pipe = pipe
+
+    @classmethod
+    def fork(cls, fd: int, start: int, stop: int | None) -> "_Child | None":
+        """A child reading bytes ``start:stop`` of the file ``fd``, or None
+        when no process can be forked."""
+        read_end, write_end = os.pipe()
+        try:
+            # Python 3.12 and later warn when a process that runs other
+            # threads forks (an idle BLAS thread pool is one), after the
+            # child exists: the warning is recorded and dropped, so that no
+            # warnings filter can turn it into an exception that loses the
+            # pid of a running child.  The child is safe: it runs only the
+            # JSON decoder, the structural scan and element-wise NumPy, with
+            # no BLAS, no threads and no logging, then leaves by os._exit.
+            with warnings.catch_warnings(record=True):
+                warnings.simplefilter("always")
+                pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            return None
+        if pid == 0:
+            _serve(fd, start, stop, read_end, write_end)
+        os.close(write_end)
+        return cls(pid, open(read_end, "rb"))
+
+    def receive(self) -> _Part | None:
+        """The child's part, or None when it refused its range or failed."""
+        try:
+            part = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):  # nothing sent, or not all of it
+            part = None
+        self.pipe.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return part if status == 0 else None
+
+    def end(self) -> None:
+        """Kill and reap the child unless it was reaped, and close its pipe."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self.pipe.close()
+
+
+def _serve(fd: int, start: int, stop: int | None, read_end: int, write_end: int) -> None:
+    """In a forked child: read bytes ``start:stop`` of the file ``fd`` and
+    send the part through ``write_end``, then leave the process, with
+    status 0 only when the whole part was sent."""
+    status = 1
+    try:
+        os.close(read_end)
+        reader = _RangeReader()
+        lines = _read_range(reader, fd, start, stop, 1) - 1
+        with open(write_end, "wb") as pipe:
+            pickle.dump(reader.part(lines), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _post_published(corpus: Corpus) -> np.ndarray:

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-from collections.abc import Collection
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
@@ -29,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus
+from .corpus import Corpus, worker_count
 
 logger = logging.getLogger(__name__)
 
@@ -49,9 +47,6 @@ TRUNCATED_MAX_Q = 8000
 # panel of 2**16 entries (512 KiB) stays in a core's cache while Horner's
 # rule runs over it, and each worker holds two of them at a time.
 CLOSURE_PANEL_ENTRIES = 1 << 16
-
-# Most threads one truncated closure runs its panels on.
-CLOSURE_MAX_WORKERS = 8
 
 # Largest truncation order the truncated closure accepts.  Each order
 # adds one sparse x dense product over the q x q buffer, so the order
@@ -128,12 +123,6 @@ def normalize(W: RelationMatrix) -> RelationMatrix:
     return RelationMatrix(kind=NORMALIZED_DIRECT, values=N, vocab=W.vocab)
 
 
-def closure_workers(panels: int, affinity: Collection[int]) -> int:
-    """Threads for ``panels`` closure panels on the CPU set ``affinity``:
-    one at least, and at most the panels, the CPUs and ``CLOSURE_MAX_WORKERS``."""
-    return max(1, min(len(affinity), panels, CLOSURE_MAX_WORKERS))
-
-
 def _horner_panel(n: sp.csr_matrix, columns: sp.csc_matrix, k1: int, lo: int, hi: int, out: np.ndarray) -> None:
     """Write columns ``lo:hi`` of ``N + ... + N^k1`` into ``out`` by Horner's rule,
     from the panel ``N[:, lo:hi]`` (taken from ``columns``, the CSC copy of ``n``)."""
@@ -153,7 +142,7 @@ def all_relations_truncated(N: RelationMatrix, k1: int) -> RelationMatrix:
     a time: each further order adds 1 to the panel's share of the
     diagonal in place and multiplies the sparse ``N`` into it with
     scipy's single-threaded kernel, which releases the GIL.  The panels
-    run on a pool of :func:`closure_workers` threads that lives only for
+    run on a pool of ``worker_count(panels)`` threads that lives only for
     the call, each writing its own columns of one dense q x q buffer (a
     connected graph's sum is dense anyway).  Every column goes through
     the same operations in the same order as in one whole-buffer loop,
@@ -176,8 +165,7 @@ def all_relations_truncated(N: RelationMatrix, k1: int) -> RelationMatrix:
     total = np.empty((q, q))
     width = max(1, CLOSURE_PANEL_ENTRIES // max(q, 1))
     starts = range(0, q, width)
-    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    pool = ThreadPoolExecutor(max_workers=closure_workers(len(starts), affinity))
+    pool = ThreadPoolExecutor(max_workers=worker_count(len(starts)))
     try:
         for _ in pool.map(lambda lo: _horner_panel(N.values, columns, k1, lo, min(lo + width, q), total), starts):
             pass

@@ -357,16 +357,25 @@ def test_run_bytes_do_not_depend_on_blas_thread_count(tmp_path, mode):
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs two CPUs and CPU affinity to compare closure worker counts",
 )
-def test_run_and_grid_bytes_do_not_depend_on_closure_worker_count(tmp_path):
+def test_run_and_grid_bytes_do_not_depend_on_closure_worker_count(tmp_path, monkeypatch):
+    import newstag.corpus
+
     corpus = tmp_path / "corpus.jsonl"
     result = run_cli(
         "synth", "--hashtags", "800", "--news", "500", "--purity", "0.9", "--seed", "1", "--out", str(corpus)
     )
     assert result.returncode == 0, result.stderr
+    # byte ranges of 4 KiB: one range on one CPU, one per CPU (at most 8) unpinned
+    monkeypatch.setattr(newstag.corpus, "PARSE_RANGE_BYTES", 4096)
+    with open(corpus, "rb") as fh:
+        assert len(newstag.corpus._range_cuts(fh.fileno())) - 1 == min(len(os.sched_getaffinity(0)), 8)
     cpu = min(os.sched_getaffinity(0))
     outputs = []
-    for pin in (f"os.sched_setaffinity(0, {{{cpu}}})", "pass"):  # the closure runs 1 worker, then 2 or more
-        script = f"import os, sys; {pin}; from newstag.cli import main; sys.exit(main(sys.argv[1:]))"
+    for pin in (f"os.sched_setaffinity(0, {{{cpu}}})", "pass"):  # the closure and the parse run 1 worker, then 2 or more
+        script = (
+            f"import os, sys; {pin}; import newstag.corpus; newstag.corpus.PARSE_RANGE_BYTES = 4096; "
+            "from newstag.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
         files = [tmp_path / f"{name}-{len(outputs)}" for name in ("run.json", "pred.csv", "grid.csv")]
         for argv in (
             ["run", "--input", str(corpus), "--out", str(files[0]), "--predictions-out", str(files[1])],

@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+import threading
+import warnings
 from datetime import timedelta, timezone
 
 import numpy as np
@@ -20,6 +23,7 @@ from newstag.corpus import (
     split_corpus,
     write_corpus,
 )
+from newstag.synth import SyntheticParams, generate_synthetic
 
 from helpers import (
     assert_same_columns,
@@ -755,3 +759,235 @@ def test_package_exports_resolve_on_access():
     assert set(newstag.__all__) <= set(dir(newstag))
     with pytest.raises(AttributeError, match="no attribute 'parse'"):
         newstag.parse
+
+
+# --- reading a file in byte ranges --------------------------------------------
+
+def _in_ranges(monkeypatch, ranges):
+    """Make a file parse cut any file of two bytes or more into up to
+    ``ranges`` byte ranges, whatever the host's CPUs."""
+    monkeypatch.setattr(newstag.corpus, "PARSE_RANGE_BYTES", 1)
+    monkeypatch.setattr(newstag.corpus, "worker_count", lambda units: min(units, ranges))
+
+
+def _cuts(path):
+    with open(path, "rb") as fh:
+        return newstag.corpus._range_cuts(fh.fileno())
+
+
+def _range_of_lines(path):
+    """The byte range each newline-ended line of ``path`` falls in."""
+    cuts = _cuts(path)[1:-1]
+    starts = np.cumsum([0] + [len(line) + 1 for line in path.read_bytes().split(b"\n")[:-1]])
+    return np.searchsorted(cuts, starts[:-1], side="right").tolist()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_ranges_read_alike(monkeypatch, path, most=5):
+    """Parsing ``path`` in 2 to ``most`` byte ranges, strict and lenient,
+    gives the corpus, the errors and the raised message (line numbers
+    included) of the one-range read; return how many parts the range
+    readers handed on were taken in."""
+    merged = []
+    merge = newstag.corpus._Reader.merge
+
+    def counted(self, part):
+        merged.append(merge(self, part))
+        return merged[-1]
+
+    monkeypatch.setattr(newstag.corpus._Reader, "merge", counted)
+    for lenient in (False, True):
+        _in_ranges(monkeypatch, 1)
+        expected, expected_errors = _outcome(parse_corpus, path, lenient)
+        for ranges in range(2, most + 1):
+            _in_ranges(monkeypatch, ranges)
+            got, got_errors = _outcome(parse_corpus, path, lenient)
+            _assert_no_child_left()
+            assert got_errors == expected_errors, (path.name, ranges, lenient)
+            if isinstance(expected, str):
+                assert got == expected, (path.name, ranges, lenient)
+            else:
+                assert_same_columns(got, expected)
+    monkeypatch.setattr(newstag.corpus._Reader, "merge", merge)
+    return sum(merged)
+
+
+def _write_lines(path, lines, ending="\n"):
+    """Write ``lines`` with ``ending`` after each; ``"mixed"`` ends them
+    with a lone CR, LF and CRLF in turn."""
+    endings = ["\r", "\n", "\r\n"] if ending == "mixed" else [ending]
+    path.write_bytes(b"".join(
+        (line if isinstance(line, bytes) else line.encode("utf-8")) + endings[k % len(endings)].encode("ascii")
+        for k, line in enumerate(lines)
+    ))
+    return path
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "mixed"])
+def test_ranges_read_the_corpora_above_like_one_stream(tmp_path, monkeypatch, ending):
+    if ending == "\n":
+        streams = [random_lines(seed) for seed in range(12)] + [random_stream(seed)[0] for seed in range(8)]
+        streams += [_stream(line) for line, _ in SKIPPABLE + FATAL]
+    else:
+        streams = [random_lines(seed) for seed in range(6)] + [random_stream(seed)[0] for seed in range(4)]
+    merged = 0
+    for k, lines in enumerate(streams):
+        merged += _assert_ranges_read_alike(monkeypatch, _write_lines(tmp_path / f"c{k}.jsonl", lines, ending))
+    assert merged  # range readers' parts were taken in, not only read again here
+
+
+def _good_lines(n, tags=("#a",)):
+    return [_record(news_id=f"g{k}", posts=[_post(post_id=f"p{k}", hashtags=list(tags))]) for k in range(n)]
+
+
+BAD_LINES = {
+    "json": "{broken",
+    "token": _bad(posts=[_post(hashtags=["#b", 5])]),
+    "timestamp": _bad(published_at="2020-02-30T00:00:00Z"),
+    "utf8": _bad().encode("ascii").replace(b"#b", b"#b\xff"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_LINES))
+def test_a_bad_line_in_a_later_range_reads_like_one_stream(tmp_path, monkeypatch, kind):
+    places = set()
+    for at in (1, 3, 5, 7, 9, 11, 12):
+        lines = _good_lines(12)
+        lines.insert(at, BAD_LINES[kind])
+        path = _write_lines(tmp_path / f"c{at}.jsonl", lines)
+        _assert_ranges_read_alike(monkeypatch, path)
+        for ranges in (2, 5):
+            _in_ranges(monkeypatch, ranges)
+            place = _range_of_lines(path)[at]
+            places.add("second" if place == 1 else "last" if place == len(_cuts(path)) - 2 else "other")
+    assert {"second", "last"} <= places
+
+
+def test_a_duplicate_id_across_ranges_is_fatal_at_its_line(tmp_path, monkeypatch):
+    places = set()
+    for first, again in [(0, 11), (2, 9), (6, 11), (10, 11)]:
+        lines = _good_lines(12)
+        lines[again] = _record(news_id=f"g{first}")
+        path = _write_lines(tmp_path / f"c{first}-{again}.jsonl", lines)
+        _assert_ranges_read_alike(monkeypatch, path)
+        _in_ranges(monkeypatch, 5)
+        place = _range_of_lines(path)
+        places.add((place[first] > 0, place[again] > place[first]))
+        for lenient in (False, True):
+            with pytest.raises(CorpusError, match=f"^line {again + 1}: duplicate news id 'g{first}'$"):
+                parse_corpus(path, lenient=lenient)
+            _assert_no_child_left()
+    # an id of this process's range repeated in a child's, and one child's id in another's
+    assert {(False, True), (True, True)} <= places
+
+
+def test_blank_lines_at_a_cut_keep_their_numbers(tmp_path, monkeypatch):
+    lines = []
+    for line in _good_lines(10):
+        lines += [line, "", "  ", ""]
+    lines.insert(30, "{broken")
+    path = _write_lines(tmp_path / "blank.jsonl", lines)
+    _assert_ranges_read_alike(monkeypatch, path)
+    data, starts_blank = path.read_bytes(), False
+    for ranges in range(2, 6):
+        _in_ranges(monkeypatch, ranges)
+        starts_blank |= any(data[cut:cut + 1] in (b"\n", b" ") for cut in _cuts(path)[1:-1])
+    assert starts_blank
+
+
+def test_a_token_first_seen_in_a_later_range_keeps_first_appearance_order(tmp_path, monkeypatch):
+    lines = _good_lines(3, tags=("#b", "#a")) + [
+        _record(news_id=f"late{k}", posts=[_post(post_id=f"q{k}", hashtags=tags)])
+        for k, tags in enumerate([["#d", "#a"], ["#c"], ["#D", "#b"], ["#e", "#c"], ["#f"], ["#a"]])
+    ]
+    path = _write_lines(tmp_path / "late.jsonl", lines)
+    assert _assert_ranges_read_alike(monkeypatch, path)
+    assert parse_corpus(path).vocabulary == ("b", "a", "d", "c", "e", "f")
+
+
+def test_a_cut_that_would_leave_an_empty_range_is_dropped(tmp_path, monkeypatch):
+    posts = [_post(post_id=f"p{k}", hashtags=[f"#t{k}"]) for k in range(60)]
+    path = _write_lines(tmp_path / "long.jsonl", [_record(news_id="long", posts=posts), *_good_lines(6)])
+    _in_ranges(monkeypatch, 4)
+    assert len(_cuts(path)) - 1 == 2  # all three cut targets fall in the long first line
+    assert _assert_ranges_read_alike(monkeypatch, path, most=4)
+
+
+def test_ranges_of_a_synthetic_corpus_read_like_one_stream(tmp_path, monkeypatch):
+    path = tmp_path / "synth.jsonl"
+    write_corpus(generate_synthetic(SyntheticParams(hashtags=300, news=200, purity=0.9), 3), path)
+    assert _assert_ranges_read_alike(monkeypatch, path) == 2 * (1 + 2 + 3 + 4)
+
+
+class _Injected(Exception):
+    pass
+
+
+def test_no_reader_is_left_behind(tmp_path, monkeypatch):
+    lines = _good_lines(40)
+    path = _write_lines(tmp_path / "c.jsonl", lines)
+    _in_ranges(monkeypatch, 4)
+    assert len(_cuts(path)) == 5
+    parse_corpus(path)  # a clean parse
+    _assert_no_child_left()
+    for at, message in [(2, "^line 3: invalid JSON"), (35, "^line 36: invalid JSON")]:  # the parent's range, a child's
+        bad = _write_lines(tmp_path / f"bad{at}.jsonl", [*lines[:at], "{broken", *lines[at:]])
+        with pytest.raises(CorpusError, match=message):
+            parse_corpus(bad)
+        _assert_no_child_left()
+    # an exception in this process while it reads its own range
+    parent, read = os.getpid(), newstag.corpus._Reader.read
+
+    def interrupted(self, chunk):
+        if os.getpid() == parent and chunk[0][0] > 4:
+            raise _Injected
+        read(self, chunk)
+
+    monkeypatch.setattr(newstag.corpus, "CHUNK_LINES", 2)
+    monkeypatch.setattr(newstag.corpus._Reader, "read", interrupted)
+    with pytest.raises(_Injected):
+        parse_corpus(path)
+    _assert_no_child_left()
+
+
+def test_a_fifo_and_an_iterable_take_one_streamed_read(tmp_path, monkeypatch):
+    lines = _good_lines(10)
+    _in_ranges(monkeypatch, 4)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert parse_corpus(lines).ids == tuple(f"g{k}" for k in range(10))
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=_write_lines, args=(fifo, lines), daemon=True)
+    writer.start()
+    try:
+        assert parse_corpus(fifo).ids == tuple(f"g{k}" for k in range(10))
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+
+
+def test_a_fork_that_warns_or_fails_changes_nothing(tmp_path, monkeypatch):
+    path = _write_lines(tmp_path / "c.jsonl", [*_good_lines(20), "{broken", *_good_lines(25)[20:]])
+    fork = os.fork
+
+    def warning_fork():
+        # what Python 3.12 and later do when a process with other threads forks
+        pid = fork()
+        if pid:
+            warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks", DeprecationWarning)
+        return pid
+
+    def failing_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    for patched in (warning_fork, failing_fork):
+        monkeypatch.setattr(os, "fork", patched)
+        _assert_ranges_read_alike(monkeypatch, path)

@@ -7,8 +7,8 @@ import pytest
 import scipy.sparse as sp
 
 from newstag import graph as graph_module
+from newstag.corpus import MAX_WORKERS, worker_count
 from newstag.graph import (
-    CLOSURE_MAX_WORKERS,
     DIRECT,
     GraphError,
     MAX_K1,
@@ -17,7 +17,6 @@ from newstag.graph import (
     TRUNCATED_MAX_Q,
     all_relations_truncated,
     build_direct_graph,
-    closure_workers,
     export_graph,
     normalize,
     save_matrix,
@@ -259,19 +258,20 @@ def test_truncated_validates_inputs():
 def test_closure_workers_stay_within_the_cap_and_the_panels():
     before = threading.active_count()
     many = set(range(4096))  # a fake affinity set: the helper only counts it
-    for panels in (0, 1, 2, 7, CLOSURE_MAX_WORKERS, 143, 10**6):
-        workers = closure_workers(panels, many)
-        assert 1 <= workers <= CLOSURE_MAX_WORKERS
+    for panels in (0, 1, 2, 7, MAX_WORKERS, 143, 10**6):
+        workers = worker_count(panels, many)
+        assert 1 <= workers <= MAX_WORKERS
         assert workers <= max(panels, 1)
-    assert closure_workers(143, many) == CLOSURE_MAX_WORKERS
-    assert closure_workers(143, {3}) == 1
+    assert worker_count(143, many) == MAX_WORKERS
+    assert worker_count(143, {3}) == 1
+    assert 1 <= worker_count(143) <= MAX_WORKERS  # the CPUs this process may use
     assert threading.active_count() == before
 
 
 def test_closure_panel_error_reaches_the_caller_and_leaves_no_thread(monkeypatch):
     N = random_graph_matrix(np.random.default_rng(5), q_range=(40, 40))
     monkeypatch.setattr(graph_module, "CLOSURE_PANEL_ENTRIES", 3 * 40)  # 14 panels of 3 columns
-    monkeypatch.setattr(graph_module, "closure_workers", lambda panels, affinity: 2)
+    monkeypatch.setattr(graph_module, "worker_count", lambda panels: 2)
     error = MemoryError("panel at column 6")
     horner_panel = graph_module._horner_panel
 

@@ -122,7 +122,7 @@ def closure_inputs() -> list:
 @pytest.mark.parametrize("workers", [1, 2, 8])  # 8: more threads than the cores of a small host
 @pytest.mark.parametrize("width", ["one panel", 1, 3, "q-1", "q", "q+1"])
 def test_panel_closure_bytes_match_whole_buffer_oracle(monkeypatch, workers, width):
-    monkeypatch.setattr(graph, "closure_workers", lambda panels, affinity: workers)
+    monkeypatch.setattr(graph, "worker_count", lambda panels: workers)
     inputs = closure_inputs()
     assert {N.q for N in inputs} >= {1} and any(N.q % 3 for N in inputs)
     interval = sys.getswitchinterval()
