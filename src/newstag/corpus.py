@@ -102,25 +102,78 @@ class Occurrences:
 
     Occurrences are in stream order: news in corpus order, posts in news
     order, hashtags in post order.  The co-occurrence graph, the initial
-    credibility, news scores and purity are all reductions over these
-    arrays.  A news row is the item's position in the corpus; the
-    experiment path addresses news by row, and splits draw from
-    ``labels``.
+    credibility and news scores are products with the sparse incidence
+    built from these arrays (:attr:`post_incidence`, :meth:`news_incidence`);
+    purity is a reduction over them.  A news row is the item's position
+    in the corpus; the experiment path addresses news by row, and splits
+    draw from ``labels``.
     """
 
-    news: np.ndarray  # int64 news row per occurrence
     post: np.ndarray  # int64 position of the post in the corpus-wide post sequence
     tag: np.ndarray  # int64 vocabulary index per occurrence
     n_posts: int
+    n_tags: int  # vocabulary size
     labels: np.ndarray  # int64 per news row: -1 fake, +1 true, 0 unlabeled
     post_count: np.ndarray  # int64 number of posts per news row
+
+    @property
+    def news(self) -> np.ndarray:
+        """int64 news row per occurrence, computed from ``post`` on each access."""
+        return np.repeat(np.arange(len(self.post_count)), self.post_count)[self.post]
 
     @cached_property
     def distinct(self) -> tuple[np.ndarray, np.ndarray]:
         """(news, tag) arrays holding each hashtag once per news item,
         in first-appearance order."""
-        first = _first_per_group(self.news, self.tag, int(self.tag.max(initial=-1)) + 1)
-        return self.news[first], self.tag[first]
+        news = self.news
+        first = _first_per_group(news, self.tag, int(self.tag.max(initial=-1)) + 1)
+        return news[first], self.tag[first]
+
+    @cached_property
+    def post_incidence(self):
+        """The post x hashtag incidence ``B`` as CSR: one stored 1.0 per
+        occurrence, in stream order (each row in its post's hashtag
+        order).  Its ``data`` and ``indices`` are shared with the
+        per-post news incidence."""
+        return _incidence(self.post, self.n_posts, self.tag, self.n_tags)
+
+    @cached_property
+    def _news_incidence(self):
+        import scipy.sparse as sp
+
+        B = self.post_incidence
+        indptr = B.indptr[np.concatenate(([0], np.cumsum(self.post_count)))]
+        return sp.csr_matrix((B.data, B.indices, indptr), shape=(len(self.labels), self.n_tags), copy=False)
+
+    @cached_property
+    def _distinct_incidence(self):
+        news, tag = self.distinct
+        return _incidence(news, len(self.labels), tag, self.n_tags)
+
+    def news_incidence(self, per_post: bool = True):
+        """The news x hashtag incidence as CSR, in stream order.
+
+        With ``per_post`` it holds the stored entries of
+        :attr:`post_incidence` (the same arrays) with rows grouped by news,
+        so a hashtag carried by several posts of one news is stored once
+        per post; without it, each hashtag once per news item, in
+        first-appearance order.  Summing over a row in stored order is
+        the stream-order sum over that news item's occurrences.
+        """
+        return self._news_incidence if per_post else self._distinct_incidence
+
+
+def _incidence(row: np.ndarray, rows: int, tag: np.ndarray, q: int):
+    """A rows x q CSR matrix holding 1.0 at (row[i], tag[i]) for each i,
+    in the given order; ``row`` must be sorted.  scipy is imported here,
+    not with the module, so that reading or generating a corpus does
+    not load it."""
+    import scipy.sparse as sp
+
+    index = np.int32 if max(tag.size, rows, q) < np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(rows + 1, dtype=index)
+    np.cumsum(np.bincount(row, minlength=rows), out=indptr[1:])
+    return sp.csr_matrix((np.ones(tag.size), tag.astype(index), indptr), shape=(rows, q), copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,10 +341,10 @@ def _from_columns(
         created=np.asarray(created, dtype=np.int64),
         vocabulary=tuple(vocabulary),
         occurrences=Occurrences(
-            news=np.repeat(np.arange(len(post_count)), post_count)[post],
             post=post,
             tag=np.asarray(tag, dtype=np.int64),
             n_posts=len(post_ids),
+            n_tags=len(vocabulary),
             labels=np.asarray(labels, dtype=np.int64),
             post_count=post_count,
         ),

@@ -10,7 +10,10 @@ relation matrix, and the fixed-point iteration
 iterate is the power series ``c0 + sum_{j<=k} mu^j (X^j c0 - X^(j-1) c0)``,
 so a :class:`PowerSeries` computes each product ``X^j c0`` once and
 serves every ``mu`` from it, for a q x m panel of ``c0`` columns at once:
-one operator product per step for the whole panel.
+one operator product per step for the whole panel.  Initial
+credibility and news scores are products with the corpus's sparse
+incidence, for a whole panel at once, and :class:`RowBlocks` runs the
+large CSR products in row blocks on a thread pool.
 Credibility vectors are float64 arrays indexed by vocabulary position.
 """
 
@@ -18,12 +21,14 @@ from __future__ import annotations
 
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
-from .corpus import Corpus
+from .corpus import MAX_WORKERS, Corpus, worker_count
 from .graph import RelationMatrix
 
 logger = logging.getLogger(__name__)
@@ -69,28 +74,112 @@ def _check_mu(mu: float) -> None:
         raise ValueError("mu must be in (0,1)")
 
 
+# Multiply-adds (stored entries x dense columns) from which a CSR x dense
+# product runs in row blocks on the pool of a :class:`RowBlocks`; smaller
+# products run inline, where handing a block to a thread costs more than
+# it saves.  Measured inside ``run --method newstag_no_indirect`` jobs on
+# two CPUs, blocks took 0.63-0.79 of the inline time at 3-6 million
+# (q = 15k-30k), 0.73-1.01 at 2 million, and 1.04-1.9 at 1.2 million and
+# below (every product of ``grid-mu`` at q = 800 is below 0.2 million).
+ROW_BLOCK_MIN_WORK = 1 << 21
+
+
+class RowBlocks:
+    """CSR x dense products in row blocks, on a thread pool that lives for a ``with`` block.
+
+    A product of at least ``ROW_BLOCK_MIN_WORK`` multiply-adds is cut into
+    one block of rows per worker (``worker_count``), with about equal
+    stored entries each: the calling thread computes the first block and
+    the pool the others, each into its own rows of one output that the
+    calling thread allocates.  Every block runs scipy's CSR kernel
+    (``scipy.sparse._sparsetools``, the one ``A @ B`` dispatches to),
+    which releases the GIL and needs no allocation; each row keeps its
+    arithmetic, so the result is bitwise ``A @ B`` whatever the thread
+    count.  Smaller products, and any operand that is not a float64 CSR
+    matrix times a float64 array, run inline as ``A @ B``.  The pool's
+    threads start with the first large product and end with the ``with``
+    block.
+    """
+
+    def __init__(self) -> None:
+        self._workers = worker_count(MAX_WORKERS)
+        self._pool = ThreadPoolExecutor(max_workers=self._workers - 1) if self._workers > 1 else None
+
+    def __enter__(self) -> "RowBlocks":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+    def product(self, A, B):
+        """``A @ B``, in row blocks when it is large enough."""
+        columns = B.shape[1] if np.ndim(B) == 2 else 1
+        if (
+            self._pool is None
+            or not (sp.issparse(A) and A.format == "csr" and A.dtype == np.float64)
+            or not (isinstance(B, np.ndarray) and B.dtype == np.float64 and B.ndim in (1, 2))
+            or B.shape[0] != A.shape[1]
+            or A.nnz * columns < ROW_BLOCK_MIN_WORK
+        ):
+            return A @ B
+        out = np.zeros((A.shape[0], *B.shape[1:]))
+        flat = np.ascontiguousarray(B).ravel()
+        cuts = [0, *np.searchsorted(A.indptr, np.arange(1, self._workers) * A.nnz / self._workers).tolist(), A.shape[0]]
+
+        def block(lo: int, hi: int) -> None:
+            indptr, target = A.indptr[lo : hi + 1], out[lo:hi].ravel()
+            if columns == 1:  # one vector or several: the kernel A @ B dispatches to
+                _sparsetools.csr_matvec(hi - lo, A.shape[1], indptr, A.indices, A.data, flat, target)
+            else:
+                _sparsetools.csr_matvecs(hi - lo, A.shape[1], columns, indptr, A.indices, A.data, flat, target)
+
+        futures = [self._pool.submit(block, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        try:
+            block(cuts[0], cuts[1])
+        finally:
+            for future in futures:
+                future.result()
+        return out
+
+
+def _product(A, B, blocks: RowBlocks | None):
+    return A @ B if blocks is None else blocks.product(A, B)
+
+
 def init_credibility(corpus: Corpus, train_rows, per_post: bool = True) -> np.ndarray:
     """Weighted average training label per hashtag (0 when unseen).
 
-    ``train_rows`` are news rows of the corpus's occurrence table.  With
-    ``per_post`` each post of a training news votes once per hashtag it
-    carries, so popular news weighs more; without it each news votes
-    once per distinct hashtag (the unweighted variant's simplified
-    form).  Every entry lies in [-1, 1] by construction.  An unlabeled
-    train row raises ValueError.
+    ``train_rows`` are news rows of the corpus's occurrence table, the
+    training side of one split; or a sequence of training sides, one per
+    column of the q x m panel then returned.  With ``per_post`` each
+    post of a training news votes once per hashtag it carries, so popular
+    news weighs more; without it each news votes once per distinct
+    hashtag (the unweighted variant's simplified form).  Every entry lies
+    in [-1, 1] by construction.  An unlabeled train row raises ValueError.
+
+    The label sums and vote counts of every column come from one product
+    of the transposed news incidence (a CSC view, scattered by scipy's
+    kernel on one thread) with a news x 2m matrix of votes; its sums are
+    exact integers, so the result does not depend on their order.
     """
     occ = corpus.occurrences
-    rows = np.asarray(train_rows, dtype=np.int64)
-    unlabeled = rows[occ.labels[rows] == 0]
-    if unlabeled.size:
-        row = unlabeled[0]
-        raise ValueError(f"train row {row} (news {corpus.ids[row]!r}) is unlabeled")
-    q = len(corpus.vocabulary)
-    votes = np.bincount(rows, minlength=len(corpus))  # per news row
-    news, tag = (occ.news, occ.tag) if per_post else occ.distinct
-    num = np.bincount(tag, weights=(occ.labels * votes)[news], minlength=q)
-    den = np.bincount(tag, weights=votes[news], minlength=q)
-    return np.where(den > 0, num / np.maximum(den, 1), 0.0)
+    single = not len(train_rows) or np.ndim(train_rows[0]) == 0
+    sides = [train_rows] if single else train_rows
+    n, m = len(corpus), len(sides)
+    votes = np.zeros((n, 2 * m))  # per news row: label x votes of each column, then votes
+    for j, side in enumerate(sides):
+        rows = np.asarray(side, dtype=np.int64)
+        unlabeled = rows[occ.labels[rows] == 0]
+        if unlabeled.size:
+            row = unlabeled[0]
+            raise ValueError(f"train row {row} (news {corpus.ids[row]!r}) is unlabeled")
+        votes[:, m + j] = np.bincount(rows, minlength=n)
+    np.multiply(votes[:, m:], occ.labels[:, np.newaxis], out=votes[:, :m])
+    sums = occ.news_incidence(per_post).T @ votes
+    num, den = sums[:, :m], sums[:, m:]
+    c0 = np.where(den > 0, num / np.maximum(den, 1), 0.0)
+    return c0[:, 0] if single else c0
 
 
 # Stored entries scaled per block by :func:`symmetric_normalize`; its two
@@ -154,12 +243,15 @@ class PowerSeries:
     :meth:`pop` reads one of them and builds its residuals from that.
     """
 
-    def __init__(self, X: sp.spmatrix | np.ndarray, c0, mus, config: PropagationConfig) -> None:
-        """``c0`` is one initial vector or a sequence of them, the panel's columns."""
+    def __init__(
+        self, X: sp.spmatrix | np.ndarray, c0, mus, config: PropagationConfig, blocks: RowBlocks | None = None
+    ) -> None:
+        """``c0`` is one initial vector or a sequence of them, the panel's
+        columns; ``blocks`` runs a CSR ``X``'s products in row blocks."""
         config.validate()
         for mu in mus:
             _check_mu(mu)
-        self.X, self.config = X, config
+        self.X, self.config, self._blocks = X, config, blocks
         rows = np.array(c0, dtype=np.float64, ndmin=2)  # row j holds column j
         self._column = {id(c0): 0} if np.ndim(c0) == 1 else {id(column): j for j, column in enumerate(c0)}
         self._initial = c0  # keeps the ids above valid
@@ -170,10 +262,11 @@ class PowerSeries:
         self._dense = isinstance(X, np.ndarray)
         self._power = rows.T if self._dense else np.ascontiguousarray(rows.T)  # X^k P
         self._delta = np.empty(self._power.shape, order="F")
-        self._scratch = np.empty(self._power.shape, order="F")
         self._changes = np.empty((config.max_iterations, m))  # r_1 .. r_k of every column
         self._steps = 0
         self._mus = tuple(dict.fromkeys(float(mu) for mu in mus))
+        # the last mu scales delta_k in place; only the others need a scratch panel
+        self._scratch = np.empty(self._power.shape, order="F") if len(self._mus) > 1 else None
         # the iterate of every mu (``_iterates[v].T`` is q x m); per (mu,
         # column): still stepping, the step at which it stopped, unread
         self._iterates = np.repeat(rows[np.newaxis], len(self._mus), axis=0)
@@ -187,8 +280,9 @@ class PowerSeries:
         """Bytes one column of a series over ``values`` mu and ``q`` hashtags
         costs at the peak of a step: its ``c0``, an iterate per ``mu``,
         ``X^k c0`` and the next product, the change ``delta_k`` and one
-        scratch vector, and the trace of ``r_k``, plus the array headers
-        and bookkeeping of a whole series (``_SERIES_OVERHEAD_BYTES``)."""
+        scratch vector (taken only with more than one ``mu``, counted
+        always), and the trace of ``r_k``, plus the array headers and
+        bookkeeping of a whole series (``_SERIES_OVERHEAD_BYTES``)."""
         return 8 * ((values + 5) * q + max_iterations) + _SERIES_OVERHEAD_BYTES
 
     def pop(self, c0, mu: float) -> tuple[np.ndarray, list[float]]:
@@ -225,7 +319,7 @@ class PowerSeries:
     def _step(self) -> None:
         # A dense product takes the rows of P^T X^T = (X P)^T, so it leaves
         # the F order of the panel as it is.
-        power = (self._power.T @ self.X.T).T if self._dense else self.X @ self._power
+        power = (self._power.T @ self.X.T).T if self._dense else _product(self.X, self._power, self._blocks)
         delta = np.subtract(power, self._power, out=self._delta)
         self._power = power
         # max|delta| per column from two contiguous reductions; abs turns a
@@ -236,10 +330,12 @@ class PowerSeries:
         self._steps += 1
         scales = [mu**self._steps for mu in self._mus]
         running = self._running
+        last = len(scales) - 1
         for v, (scale, live) in enumerate(zip(scales, self._live)):
             if not live:
                 continue
-            step = np.multiply(delta, scale, out=self._scratch)
+            # delta_k is not read again after the last mu's update
+            step = np.multiply(delta, scale, out=delta if v == last else self._scratch)
             iterate = self._iterates[v].T
             if live == len(change):
                 iterate += step
@@ -343,12 +439,14 @@ def propagate_closed_form(X: sp.spmatrix | np.ndarray, c0, mu: float) -> np.ndar
     return solution
 
 
-def score_news(corpus: Corpus, c_hat, per_post: bool = True) -> np.ndarray:
+def score_news(corpus: Corpus, c_hat, per_post: bool = True, blocks: RowBlocks | None = None) -> np.ndarray:
     """Sum propagated hashtag credibility over each news row's posts.
 
-    Returns one score per news row.  With ``per_post`` a hashtag
-    contributes once per post carrying it; otherwise once per news
-    item.  Each sum runs in stream order.
+    ``c_hat`` is one credibility vector, giving one score per news row,
+    or a q x m panel of them, giving a news x m panel of scores.  With
+    ``per_post`` a hashtag contributes once per post carrying it;
+    otherwise once per news item.  Each sum runs in stream order: it is
+    one product with the news incidence (in row blocks with ``blocks``).
     """
     values = np.asarray(c_hat, dtype=np.float64)
     if values.shape[0] != len(corpus.vocabulary):
@@ -356,18 +454,22 @@ def score_news(corpus: Corpus, c_hat, per_post: bool = True) -> np.ndarray:
             f"credibility vector length {values.shape[0]} does not match "
             f"vocabulary size {len(corpus.vocabulary)}"
         )
-    occ = corpus.occurrences
-    news, tag = (occ.news, occ.tag) if per_post else occ.distinct
-    return np.bincount(news, weights=values[tag], minlength=len(corpus))
+    return _product(corpus.occurrences.news_incidence(per_post), values, blocks)
 
 
-def predict(corpus: Corpus, c_hat, per_post: bool = True) -> np.ndarray:
-    """Sign rule over each news row's score: +1 if positive, else -1.
+def sign_labels(scores) -> np.ndarray:
+    """The sign rule over a score vector or a news x m panel: +1 where a
+    score is positive, else -1.
 
     A score of exactly zero (e.g. a hashtag-free news item) predicts
     fake: the tie goes to the "otherwise" branch.
     """
-    return np.where(score_news(corpus, c_hat, per_post=per_post) > 0.0, 1, -1)
+    return np.where(np.asarray(scores) > 0.0, 1, -1)
+
+
+def predict(corpus: Corpus, c_hat, per_post: bool = True) -> np.ndarray:
+    """:func:`sign_labels` of :func:`score_news`: one label per news row."""
+    return sign_labels(score_news(corpus, c_hat, per_post=per_post))
 
 
 def rescale_credibility(c_hat) -> np.ndarray:

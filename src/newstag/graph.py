@@ -89,17 +89,16 @@ def build_direct_graph(corpus: Corpus, weighted: bool = True) -> RelationMatrix:
     Weighted mode counts one unit per post containing both hashtags;
     unweighted mode keeps only the 0/1 indicator.  The counts are
     ``B^T B`` without its diagonal, for the post x hashtag incidence
-    ``B`` of the corpus occurrence table, as an int64 ``direct`` matrix
-    with sorted indices.  Vocabulary indices follow first appearance in
-    the corpus stream, so construction is deterministic.  A corpus with
-    no multi-hashtag post yields an edgeless graph.
+    ``B`` of the corpus occurrence table (``Occurrences.post_incidence``),
+    as an int64 ``direct`` matrix with sorted indices.  Its float sums of
+    ones are exact integers.  Vocabulary indices follow first appearance
+    in the corpus stream, so construction is deterministic.  A corpus
+    with no multi-hashtag post yields an edgeless graph.
     """
     if not len(corpus):
         raise GraphError("cannot build a graph from an empty corpus")
-    occ = corpus.occurrences
-    q = len(corpus.vocabulary)
-    B = sp.csr_matrix((np.ones(occ.tag.size, dtype=np.int64), (occ.post, occ.tag)), shape=(occ.n_posts, q))
-    W = (B.T @ B).tocsr()
+    B = corpus.occurrences.post_incidence
+    W = (B.T @ B).tocsr().astype(np.int64, copy=False)
     W.setdiag(0)  # in place: every vocabulary entry occurs, so the diagonal is stored
     W.eliminate_zeros()
     if not weighted:

@@ -21,10 +21,12 @@ from .credibility import (
     PowerSeries,
     PropagationConfig,
     MODE_CLOSED_FORM,
+    RowBlocks,
     init_credibility,
     propagate_closed_form,
     propagate_iterative,
     score_news,
+    sign_labels,
     symmetric_normalize,
 )
 from .graph import MAX_K1, RelationMatrix, all_relations_truncated, build_direct_graph, normalize
@@ -276,15 +278,6 @@ def _split_with_retries(
     )
 
 
-def _run_single(
-    ops: PipelineOperators, config: ExperimentConfig, c0: np.ndarray, series: PowerSeries | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate ``c0``; return the predicted label and score of every news row."""
-    c_hat = propagate(ops, c0, config, series)
-    scores = score_news(ops.corpus, c_hat, per_post=ops.per_post)
-    return np.where(scores > 0.0, 1, -1), scores
-
-
 def run_experiment(
     corpus: Corpus,
     config: ExperimentConfig,
@@ -309,10 +302,12 @@ def _run_repetitions(
     """The repetitions of :func:`run_experiment` over built operators.
 
     Every split is drawn first; the repetitions then run in panels of
-    as many as fit ``SHARED_SERIES_BYTES``, each panel's ``c0`` built
-    just before it propagates as the columns of one :class:`PowerSeries`.
-    ``init_credibility`` and ``propagate_iterative`` still run once per
-    repetition, in repetition order.
+    as many as fit ``SHARED_SERIES_BYTES``.  Each panel builds its q x m
+    ``c0`` with one ``init_credibility`` call, propagates its columns as
+    one :class:`PowerSeries` (``propagate_iterative`` still runs once per
+    repetition, in repetition order) and scores them with one
+    ``score_news`` call.  The large products run in row blocks on a
+    :class:`RowBlocks` pool that ends with this call.
     """
     splits = [
         _split_with_retries(ops.corpus, config.train_fraction, config.seed ^ rep)
@@ -321,13 +316,18 @@ def _run_repetitions(
     width = _panel_columns(ops, config, 1)
     step = max(width, 1)  # with no room for one column, each repetition propagates alone
     reps: list[RepetitionResult] = []
-    for start in range(0, len(splits), step):
-        panel = splits[start:start + step]
-        c0s = [init_credibility(ops.corpus, train, per_post=ops.per_post) for train, _, _ in panel]
-        series = PowerSeries(ops.X, c0s, (config.mu,), config.propagation) if width else None
-        for split, c0 in zip(panel, c0s):
-            reps.append(_repetition(ops, config, len(reps), split, c0, series, collect_predictions))
-        del c0s, series  # before the next panel is built
+    with RowBlocks() as blocks:
+        for start in range(0, len(splits), step):
+            panel = splits[start:start + step]
+            c0 = init_credibility(ops.corpus, [train for train, _, _ in panel], per_post=ops.per_post)
+            columns = list(c0.T)
+            series = PowerSeries(ops.X, columns, (config.mu,), config.propagation, blocks) if width else None
+            c_hat = _propagate_panel(ops, config, columns, series, len(columns))
+            del c0, columns, series  # before scoring and before the next panel is built
+            scores = score_news(ops.corpus, c_hat, per_post=ops.per_post, blocks=blocks)
+            del c_hat
+            for split, column in zip(panel, scores.T):
+                reps.append(_repetition(ops, len(reps), split, column, collect_predictions))
     total = {key: sum(rep.confusion[key] for rep in reps) for key in ("tp", "fp", "tn", "fn")}
 
     macros = [r.macro_f1 for r in reps]
@@ -344,19 +344,28 @@ def _run_repetitions(
     )
 
 
+def _propagate_panel(
+    ops: PipelineOperators, config: ExperimentConfig, columns: list, series: PowerSeries | None, shared: int
+) -> np.ndarray:
+    """The q x m panel of ``columns`` propagated at ``config.mu``, one
+    column at a time in order; the first ``shared`` read from ``series``."""
+    c_hat = np.empty((ops.X.shape[0], len(columns)))
+    for j, column in enumerate(columns):
+        c_hat[:, j] = propagate(ops, column, config, series if j < shared else None)
+    return c_hat
+
+
 def _repetition(
     ops: PipelineOperators,
-    config: ExperimentConfig,
     rep: int,
     split: tuple[np.ndarray, np.ndarray, int],
-    c0: np.ndarray,
-    series: PowerSeries | None,
+    scores: np.ndarray,
     collect_predictions: bool,
 ) -> RepetitionResult:
-    """Propagate one repetition's ``c0`` and score its test side."""
+    """Label one repetition's news rows from their ``scores`` and score its test side."""
     occ = ops.corpus.occurrences
     train, test, split_seed = split
-    predicted, scores = _run_single(ops, config, c0, series)
+    predicted = sign_labels(scores)
     labeled_test = test[occ.labels[test] != 0]
     preds = predicted[labeled_test]
     truths = occ.labels[labeled_test]
@@ -408,7 +417,9 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
     the smaller mu.  Iterative propagation still runs once per (mu, fold),
     mu-major, but the folds within ``SHARED_SERIES_BYTES`` read every mu
     from the columns of one :class:`PowerSeries` panel, so they pay one
-    product per step of their slowest (fold, mu) together.
+    product per step of their slowest (fold, mu) together.  The folds'
+    ``c0`` is one panel from one ``init_credibility`` call, and each
+    mu's scores come from one ``score_news`` call.
     """
     config.validate()
     usable = sorted({float(g) for g in grid if 0.0 < float(g) < 1.0})
@@ -422,8 +433,8 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
     ops = build_pipeline(corpus, config)
     labels = ops.corpus.occurrences.labels
 
-    # Inner splits, and the c0 each trains, are shared across grid values
-    # so scores are comparable; c0 does not depend on mu.
+    # Inner splits, and the c0 panel they train, are shared across grid
+    # values so scores are comparable; c0 does not depend on mu.
     folds: list[tuple[np.ndarray, np.ndarray]] = []
     for rep in range(config.repetitions):
         train, _, split_seed = _split_with_retries(
@@ -431,37 +442,38 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
         )
         if len(train) < 2:
             raise HarnessError("training side too small for an inner validation split")
-        val, inner_train = draw_rows(train, max(1, int(0.1 * len(train))), split_seed + 104729)
-        c0 = init_credibility(ops.corpus, inner_train, per_post=ops.per_post)
-        folds.append((c0, val))
-    # Every mu is read from each fold mu-major, so the panel lives through
-    # the whole grid: the folds that fit the budget share it, the rest
-    # propagate each mu alone.
-    shared = _panel_columns(ops, config, len(usable))
-    series = PowerSeries(ops.X, [c0 for c0, _ in folds[:shared]], usable, config.propagation) if shared else None
+        folds.append(draw_rows(train, max(1, int(0.1 * len(train))), split_seed + 104729))
 
     rows = []
     best_mu = None
     best_score = -1.0
-    for mu in usable:
-        candidate = replace(config, mu=mu)
-        macros, micros = [], []
-        for fold, (c0, val) in enumerate(folds):
-            predicted, _ = _run_single(ops, candidate, c0, series if fold < shared else None)
-            macro, micro = compute_f1(predicted[val], labels[val])
-            macros.append(macro)
-            micros.append(micro)
-        row = {
-            "mu": mu,
-            "micro_f1_mean": _mean(micros),
-            "micro_f1_std": _sample_std(micros),
-            "macro_f1_mean": _mean(macros),
-            "macro_f1_std": _sample_std(macros),
-        }
-        rows.append(row)
-        if row["micro_f1_mean"] > best_score:
-            best_score = row["micro_f1_mean"]
-            best_mu = mu
+    with RowBlocks() as blocks:
+        c0 = init_credibility(ops.corpus, [inner_train for _, inner_train in folds], per_post=ops.per_post)
+        columns = list(c0.T)
+        # Every mu is read from each fold mu-major, so the panel lives through
+        # the whole grid: the folds that fit the budget share it, the rest
+        # propagate each mu alone.
+        shared = _panel_columns(ops, config, len(usable))
+        series = PowerSeries(ops.X, columns[:shared], usable, config.propagation, blocks) if shared else None
+        for mu in usable:
+            c_hat = _propagate_panel(ops, replace(config, mu=mu), columns, series, shared)
+            predicted = sign_labels(score_news(ops.corpus, c_hat, per_post=ops.per_post, blocks=blocks))
+            macros, micros = [], []
+            for fold, (val, _) in enumerate(folds):
+                macro, micro = compute_f1(predicted[val, fold], labels[val])
+                macros.append(macro)
+                micros.append(micro)
+            row = {
+                "mu": mu,
+                "micro_f1_mean": _mean(micros),
+                "micro_f1_std": _sample_std(micros),
+                "macro_f1_mean": _mean(macros),
+                "macro_f1_std": _sample_std(macros),
+            }
+            rows.append(row)
+            if row["micro_f1_mean"] > best_score:
+                best_score = row["micro_f1_mean"]
+                best_mu = mu
     return GridSearchResult(best_mu=best_mu, rows=tuple(rows))
 
 

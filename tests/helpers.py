@@ -488,6 +488,27 @@ def c0_oracle(corpus: Corpus, train_rows, per_post: bool = True) -> np.ndarray:
     return np.where(den > 0, num / np.maximum(den, 1), 0.0)
 
 
+def c0_bincount_oracle(corpus: Corpus, train_rows, per_post: bool = True) -> np.ndarray:
+    """Initial credibility by weighted bincounts over the occurrence arrays,
+    in stream order: the formula the incidence product replaced."""
+    occ = corpus.occurrences
+    rows = np.asarray(train_rows, dtype=np.int64)
+    q = len(corpus.vocabulary)
+    votes = np.bincount(rows, minlength=len(corpus))
+    news, tag = (occ.news, occ.tag) if per_post else occ.distinct
+    num = np.bincount(tag, weights=(occ.labels * votes)[news], minlength=q)
+    den = np.bincount(tag, weights=votes[news], minlength=q)
+    return np.where(den > 0, num / np.maximum(den, 1), 0.0)
+
+
+def score_bincount_oracle(corpus: Corpus, c, per_post: bool = True) -> np.ndarray:
+    """News scores by a weighted bincount over the occurrence arrays, in
+    stream order: the formula the incidence product replaced."""
+    occ = corpus.occurrences
+    news, tag = (occ.news, occ.tag) if per_post else occ.distinct
+    return np.bincount(news, weights=np.asarray(c, dtype=np.float64)[tag], minlength=len(corpus))
+
+
 def score_oracle(corpus: Corpus, c, per_post: bool = True) -> dict[str, float]:
     """News-score oracle: sum of hashtag scores per news item, in stream order."""
     index = {h: k for k, h in enumerate(corpus.vocabulary)}

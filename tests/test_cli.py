@@ -322,21 +322,27 @@ def test_run_closed_form_labels_do_not_depend_on_operator_storage(workdir, monke
     assert run("csr") == dense
 
 
-@pytest.mark.parametrize("mode", ["iterative", "closed_form"])
-def test_run_bytes_do_not_depend_on_blas_thread_count(tmp_path, mode):
+@pytest.mark.parametrize(
+    "mode, method, hashtags",
+    [("iterative", "newstag", 800), ("closed_form", "newstag", 800), ("iterative", "newstag_no_indirect", 803)],
+)
+def test_run_bytes_do_not_depend_on_blas_thread_count(tmp_path, mode, method, hashtags):
     # 1 and 2 BLAS threads, and every CPU of a larger host, which splits the
-    # dense operator's block product a third way.  At this size (q = 800)
-    # the products round alike for any thread count; at most other sizes
-    # OpenBLAS's one-thread product rounds differently (README).
+    # dense operator's block product a third way.  At q = 800 the dense
+    # products round alike for any thread count; at most other sizes, q = 803
+    # among them, OpenBLAS's one-thread product rounds differently (README).
+    # newstag_no_indirect keeps a CSR operator and never calls BLAS, so its
+    # bytes hold at q = 803 too.
     from newstag.corpus import parse_corpus
     from newstag.harness import ExperimentConfig, build_pipeline
 
     corpus = tmp_path / "corpus.jsonl"
     result = run_cli(
-        "synth", "--hashtags", "800", "--news", "500", "--purity", "0.9", "--seed", "1", "--out", str(corpus)
+        "synth", "--hashtags", str(hashtags), "--news", "500", "--purity", "0.9", "--seed", "1", "--out", str(corpus)
     )
     assert result.returncode == 0, result.stderr
-    assert isinstance(build_pipeline(parse_corpus(corpus), ExperimentConfig()).X, np.ndarray)
+    X = build_pipeline(parse_corpus(corpus), ExperimentConfig(method=method)).X
+    assert isinstance(X, np.ndarray) == (method == "newstag")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     outputs = []
     for threads in ["1", "2"] + ([str(cpus)] if cpus > 2 else []):
@@ -347,7 +353,7 @@ def test_run_bytes_do_not_depend_on_blas_thread_count(tmp_path, mode):
             ["grid-mu", "--out", str(files[2])],
             ["sweep-volume", "--out", str(files[3])],
         ):
-            result = run_cli(*argv, "--input", str(corpus), "--mode", mode, env=env)
+            result = run_cli(*argv, "--input", str(corpus), "--mode", mode, "--method", method, env=env)
             assert result.returncode == 0, result.stderr
         outputs.append([path.read_bytes() for path in files])
     assert all(output == outputs[0] for output in outputs[1:])
@@ -355,9 +361,9 @@ def test_run_bytes_do_not_depend_on_blas_thread_count(tmp_path, mode):
 
 @pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="needs two CPUs and CPU affinity to compare closure worker counts",
+    reason="needs two CPUs and CPU affinity to compare worker counts",
 )
-def test_run_and_grid_bytes_do_not_depend_on_closure_worker_count(tmp_path, monkeypatch):
+def test_run_and_grid_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch):
     import newstag.corpus
 
     corpus = tmp_path / "corpus.jsonl"
@@ -371,15 +377,24 @@ def test_run_and_grid_bytes_do_not_depend_on_closure_worker_count(tmp_path, monk
         assert len(newstag.corpus._range_cuts(fh.fileno())) - 1 == min(len(os.sched_getaffinity(0)), 8)
     cpu = min(os.sched_getaffinity(0))
     outputs = []
-    for pin in (f"os.sched_setaffinity(0, {{{cpu}}})", "pass"):  # the closure and the parse run 1 worker, then 2 or more
+    # the closure, the parse and the row-block products run 1 worker, then 2 or more
+    for pin in (f"os.sched_setaffinity(0, {{{cpu}}})", "pass"):
         script = (
-            f"import os, sys; {pin}; import newstag.corpus; newstag.corpus.PARSE_RANGE_BYTES = 4096; "
+            f"import os, sys; {pin}; import newstag.corpus, newstag.credibility; "
+            "newstag.corpus.PARSE_RANGE_BYTES = 4096; newstag.credibility.ROW_BLOCK_MIN_WORK = 1; "
             "from newstag.cli import main; sys.exit(main(sys.argv[1:]))"
         )
-        files = [tmp_path / f"{name}-{len(outputs)}" for name in ("run.json", "pred.csv", "grid.csv")]
+        files = [
+            tmp_path / f"{name}-{len(outputs)}"
+            for name in ("run.json", "pred.csv", "grid.csv", "direct-run.json", "direct-pred.csv")
+        ]
         for argv in (
             ["run", "--input", str(corpus), "--out", str(files[0]), "--predictions-out", str(files[1])],
             ["grid-mu", "--input", str(corpus), "--out", str(files[2])],
+            [
+                "run", "--input", str(corpus), "--method", "newstag_no_indirect",
+                "--out", str(files[3]), "--predictions-out", str(files[4]),
+            ],
         ):
             result = subprocess.run(
                 [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import newstag.credibility
+
 from newstag.credibility import (
     MAX_ITERATIONS,
     PowerSeries,
     PropagationConfig,
     PropagationError,
+    RowBlocks,
     init_credibility,
     predict,
     propagate_closed_form,
@@ -365,6 +368,27 @@ def test_shared_series_equals_one_mu_series_bitwise(config):
             alone_c, alone_res = propagate_iterative(X, c0, mu, config)
             assert shared_c.tobytes() == alone_c.tobytes()
             assert shared_res == alone_res
+
+
+@pytest.mark.parametrize("mus", [(0.4,), SERIES_GRID], ids=["one-mu", "grid"])
+def test_row_block_series_equals_inline_series_bitwise(monkeypatch, mus):
+    # every CSR product cut into three row blocks on two pool threads
+    monkeypatch.setattr(newstag.credibility, "ROW_BLOCK_MIN_WORK", 1)
+    monkeypatch.setattr(newstag.credibility, "worker_count", lambda units: 3)
+    config = PropagationConfig(max_iterations=500, tolerance=1e-12)
+    for X, c0 in series_problems():
+        if not sp.issparse(X):
+            continue
+        for panel in ([c0], [c0, -0.5 * c0, c0**2]):
+            inline = PowerSeries(X, panel, mus, config)
+            with RowBlocks() as blocks:
+                blocked = PowerSeries(X, panel, mus, config, blocks)
+                for mu in mus:
+                    for column in panel:
+                        c, residuals = propagate_iterative(X, column, mu, config, series=blocked)
+                        expected_c, expected_residuals = propagate_iterative(X, column, mu, config, series=inline)
+                        assert c.tobytes() == expected_c.tobytes()
+                        assert residuals == expected_residuals
 
 
 @pytest.mark.parametrize("mu", SERIES_GRID)

@@ -2,16 +2,20 @@ from dataclasses import replace
 
 import json
 import logging
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import newstag.credibility
 import newstag.harness
+from newstag.corpus import draw_rows
 from newstag.credibility import (
     PowerSeries,
     PropagationConfig,
+    RowBlocks,
     init_credibility,
     predict,
     score_news,
@@ -447,27 +451,66 @@ def test_grid_drops_endpoints_and_requires_nonempty():
         grid_search_mu(corpus, small_config(repetitions=1), [0.0, 1.0])
 
 
-def test_grid_builds_c0_once_per_fold_and_propagates_mu_major(monkeypatch):
+def test_grid_builds_c0_once_per_panel_and_propagates_mu_major(monkeypatch):
     corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.8), seed=9)
     config = small_config(repetitions=3)
     grid = [0.2, 0.4, 0.6, 0.8]
     expected = grid_search_mu(corpus, config, grid)
-    c0_calls, mus = [], []
+    calls = []
     real_init, real_propagate = newstag.harness.init_credibility, newstag.harness.propagate_iterative
+    real_score = newstag.harness.score_news
 
-    def counting_init(*args, **kwargs):
-        c0_calls.append(args)
-        return real_init(*args, **kwargs)
+    def recording_init(corpus, trains, per_post=True):
+        calls.append(("c0", [train.tolist() for train in trains]))
+        return real_init(corpus, trains, per_post=per_post)
 
     def recording_propagate(X, c0, mu, propagation, series=None):
-        mus.append(mu)
+        calls.append(("propagate", mu))
         return real_propagate(X, c0, mu, propagation, series=series)
 
-    monkeypatch.setattr(newstag.harness, "init_credibility", counting_init)
+    def recording_score(corpus, c_hat, per_post=True, blocks=None):
+        calls.append(("score", np.shape(c_hat)))
+        return real_score(corpus, c_hat, per_post=per_post, blocks=blocks)
+
+    monkeypatch.setattr(newstag.harness, "init_credibility", recording_init)
     monkeypatch.setattr(newstag.harness, "propagate_iterative", recording_propagate)
+    monkeypatch.setattr(newstag.harness, "score_news", recording_score)
     assert grid_search_mu(corpus, config, grid) == expected
-    assert len(c0_calls) == config.repetitions  # c0 does not depend on mu
-    assert mus == [mu for mu in grid for _ in range(config.repetitions)]
+    # one c0 panel for every fold's inner training side (c0 does not depend
+    # on mu), then per mu: each fold's propagation and one score panel
+    inner_trains = []
+    for rep in range(config.repetitions):
+        train, _, split_seed = newstag.harness._split_with_retries(corpus, config.train_fraction, config.seed ^ rep)
+        inner_trains.append(draw_rows(train, max(1, int(0.1 * len(train))), split_seed + 104729)[1].tolist())
+    q = len(corpus.vocabulary)
+    per_mu = [[("propagate", mu)] * config.repetitions + [("score", (q, config.repetitions))] for mu in grid]
+    assert calls == [("c0", inner_trains), *(call for calls_of_mu in per_mu for call in calls_of_mu)]
+
+
+@pytest.mark.parametrize("method", [METHOD_NEWSTAG, METHOD_NO_INDIRECT])
+def test_no_thread_outlives_run_or_grid(monkeypatch, method):
+    corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.8), seed=9)
+    config = small_config(method=method)
+    grid = [0.2, 0.6]
+    expected = run_experiment(corpus, config), grid_search_mu(corpus, config, grid)
+    # every product in row blocks on a pool of two threads
+    monkeypatch.setattr(newstag.credibility, "ROW_BLOCK_MIN_WORK", 1)
+    monkeypatch.setattr(newstag.credibility, "worker_count", lambda units: 3)
+    alive = []
+    product = RowBlocks.product
+
+    def recording_product(self, A, B):
+        result = product(self, A, B)
+        alive.append(threading.active_count())
+        return result
+
+    monkeypatch.setattr(RowBlocks, "product", recording_product)
+    before = threading.active_count()
+    assert run_experiment(corpus, config) == expected[0]
+    assert threading.active_count() == before
+    assert grid_search_mu(corpus, config, grid) == expected[1]
+    assert threading.active_count() == before
+    assert max(alive) > before  # the products did run on the pool
 
 
 def _grid_products(monkeypatch, corpus, config, grid):
@@ -569,36 +612,54 @@ def test_run_builds_and_propagates_each_repetition_in_order(monkeypatch, caplog,
         monkeypatch.setattr(newstag.harness, "SHARED_SERIES_BYTES", panel_columns * column)
     calls, last_residuals = [], []
     real_init, real_propagate = newstag.harness.init_credibility, newstag.harness.propagate_iterative
+    real_score = newstag.harness.score_news
 
-    def recording_init(corpus, train, per_post=True):
-        c0 = real_init(corpus, train, per_post=per_post)
-        calls.append(("c0", train, c0))
+    def recording_init(corpus, trains, per_post=True):
+        c0 = real_init(corpus, trains, per_post=per_post)
+        calls.append(("c0", [train.tolist() for train in trains], c0.copy()))
         return c0
 
     def recording_propagate(X, c0, mu, propagation, series=None):
         c, residuals = real_propagate(X, c0, mu, propagation, series=series)
-        calls.append(("propagate", None, c0))
+        calls.append(("propagate", None, c0.copy()))
         last_residuals.append(residuals[-1])
         return c, residuals
 
+    def recording_score(corpus, c_hat, per_post=True, blocks=None):
+        calls.append(("score", None, np.shape(c_hat)))
+        return real_score(corpus, c_hat, per_post=per_post, blocks=blocks)
+
     monkeypatch.setattr(newstag.harness, "init_credibility", recording_init)
     monkeypatch.setattr(newstag.harness, "propagate_iterative", recording_propagate)
+    monkeypatch.setattr(newstag.harness, "score_news", recording_score)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="newstag.credibility"):
         assert run_experiment(corpus, config) == expected
-    # one c0 per repetition, from that repetition's split, in repetition order
-    trains = [train for kind, train, _ in calls if kind == "c0"]
-    assert [train.tolist() for train in trains] == [
+    # per panel: one c0 call with its repetitions' training sides in
+    # repetition order, then one propagation per column, in column order,
+    # then one score call for the panel
+    trains = [
         newstag.harness._split_with_retries(corpus, config.train_fraction, config.seed ^ rep)[0].tolist()
         for rep in range(config.repetitions)
     ]
-    # each panel's c0 are built just before it propagates, one call per repetition
-    c0s = [c0 for kind, _, c0 in calls if kind == "c0"]
-    order = []
-    for start in range(0, config.repetitions, width):
-        panel = c0s[start:start + width]
-        order += [("c0", id(c0)) for c0 in panel] + [("propagate", id(c0)) for c0 in panel]
-    assert [(kind, id(c0)) for kind, _, c0 in calls] == order
+    starts = range(0, config.repetitions, width)
+    assert [kind for kind, _, _ in calls] == [
+        kind for start in starts
+        for kind in ["c0", *["propagate"] * len(trains[start:start + width]), "score"]
+    ]
+    panels = [(panel, c0) for kind, panel, c0 in calls if kind == "c0"]
+    assert [panel for panel, _ in panels] == [trains[start:start + width] for start in starts]
+    columns = [c0 for kind, _, c0 in calls if kind == "propagate"]
+    assert len(columns) == config.repetitions
+    assert all(
+        np.array_equal(column, panel_c0[:, j])
+        for (start, (_, panel_c0)) in zip(starts, panels)
+        for j, column in enumerate(columns[start:start + width])
+    )
+    q = len(corpus.vocabulary)
+    assert [shape for kind, _, shape in calls if kind == "score"] == [
+        (q, len(trains[start:start + width])) for start in starts
+    ]
     # every repetition stops at the cap, and warns in repetition order
     assert len(set(last_residuals)) == config.repetitions
     assert [record.args[2] for record in caplog.records] == last_residuals

@@ -21,12 +21,14 @@ from newstag.corpus import (
     normalize_hashtag,
     parse_corpus,
 )
-from newstag.credibility import init_credibility, score_news
+import newstag.credibility
+from newstag.credibility import RowBlocks, init_credibility, score_news
 from newstag.graph import build_direct_graph
 from newstag.synth import SyntheticParams, generate_synthetic
 
 from helpers import (
     assert_same_columns,
+    c0_bincount_oracle,
     c0_oracle,
     canonical_stamp,
     corpus_of,
@@ -37,6 +39,7 @@ from helpers import (
     popularity_summary_oracle,
     purity_oracle,
     random_stream,
+    score_bincount_oracle,
     score_oracle,
     skew_oracle,
     timed_news,
@@ -115,6 +118,76 @@ def test_c0_and_scores_match_loop_oracles(per_post):
         expected = score_oracle(corpus, c, per_post)
         assert [item.id for item in corpus.news] == list(expected)
         assert_bitwise(scores, list(expected.values()))
+
+
+def training_sides(corpus: Corpus, seed: int) -> list[np.ndarray]:
+    """Several training sides of one corpus: random halves of the labeled
+    rows (so some hashtags go unseen in training), all of them, none."""
+    rng = np.random.default_rng(seed)
+    labeled = np.flatnonzero(corpus.occurrences.labels)
+    halves = [np.sort(rng.permutation(labeled)[: (len(labeled) + 1) // 2]) for _ in range(3)]
+    return [*halves, labeled, labeled[:0]]
+
+
+@pytest.fixture(params=["inline", "row blocks"])
+def blocks(request, monkeypatch):
+    """No pool, or a pool that cuts every product into three row blocks."""
+    if request.param == "inline":
+        yield None
+        return
+    monkeypatch.setattr(newstag.credibility, "ROW_BLOCK_MIN_WORK", 1)
+    monkeypatch.setattr(newstag.credibility, "worker_count", lambda units: 3)
+    with RowBlocks() as pool:
+        yield pool
+
+
+@pytest.mark.parametrize("per_post", [True, False])
+def test_c0_and_score_panels_equal_the_bincount_formulas(per_post, blocks):
+    # FIXED holds news without hashtags and a hashtag repeated across posts;
+    # the random halves leave hashtags unseen in training
+    for k, corpus in enumerate(corpora()):
+        sides = training_sides(corpus, k)
+        panel = init_credibility(corpus, sides, per_post=per_post)
+        assert panel.shape == (len(corpus.vocabulary), len(sides))
+        for j, side in enumerate(sides):
+            expected = c0_bincount_oracle(corpus, side, per_post)
+            assert_bitwise(panel[:, j], expected)
+            assert_bitwise(init_credibility(corpus, side, per_post=per_post), expected)
+
+        c = np.random.default_rng(k).uniform(-1.0, 1.0, size=(len(corpus.vocabulary), 4))
+        c[:, 3] = -0.0  # signed zeros sum as the bincount sums them
+        scores = score_news(corpus, c, per_post=per_post, blocks=blocks)
+        assert scores.shape == (len(corpus), 4)
+        for j in range(4):
+            expected = score_bincount_oracle(corpus, c[:, j], per_post)
+            assert_bitwise(scores[:, j], expected)
+            assert_bitwise(score_news(corpus, c[:, j].copy(), per_post=per_post, blocks=blocks), expected)
+            assert_bitwise(score_news(corpus, c[:, j:j + 1], per_post=per_post, blocks=blocks)[:, 0], expected)
+
+
+def test_unlabeled_train_row_raises_for_a_panel_column():
+    with pytest.raises(ValueError, match=r"^train row 3 \(news 'unl'\) is unlabeled$"):
+        init_credibility(FIXED, [[0, 4], [0, 3, 1]])
+    with pytest.raises(ValueError, match=r"^train row 3 \(news 'unl'\) is unlabeled$"):
+        init_credibility(FIXED, [0, 3, 1])
+
+
+def test_incidence_views_share_one_entry_per_occurrence():
+    for corpus in corpora():
+        occ = corpus.occurrences
+        by_post, by_news = occ.post_incidence, occ.news_incidence(True)
+        assert by_post.shape == (occ.n_posts, len(corpus.vocabulary))
+        assert by_news.shape == (len(corpus), len(corpus.vocabulary))
+        assert np.array_equal(by_post.indices, occ.tag) and np.all(by_post.data == 1.0)
+        assert np.array_equal(np.repeat(np.arange(occ.n_posts), np.diff(by_post.indptr)), occ.post)
+        assert np.array_equal(np.repeat(np.arange(len(corpus)), np.diff(by_news.indptr)), occ.news)
+        if occ.tag.size:
+            assert np.shares_memory(by_post.indices, by_news.indices)
+            assert np.shares_memory(by_post.data, by_news.data)
+        news, tag = occ.distinct
+        distinct = occ.news_incidence(False)
+        assert np.array_equal(distinct.indices, tag)
+        assert np.array_equal(np.repeat(np.arange(len(corpus)), np.diff(distinct.indptr)), news)
 
 
 def test_purity_matches_loop_oracle():
