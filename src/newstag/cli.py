@@ -210,10 +210,13 @@ def _write_echo(subcommand: str, effective: dict, out: str) -> None:
 
 
 def _read_corpus(path: str, **options):
-    """The corpus at ``path``; ``options`` go to ``parse_corpus``."""
+    """The corpus at ``path``, which may be any file that is not a
+    directory, a pipe too; ``options`` go to ``parse_corpus``."""
     from .corpus import parse_corpus
 
-    if not Path(path).is_file():
+    if Path(path).is_dir():
+        raise IsADirectoryError(f"input path is a directory, not a corpus file: {path}")
+    if not Path(path).exists():
         raise FileNotFoundError(f"input file not found: {path}")
     return parse_corpus(path, **options)
 

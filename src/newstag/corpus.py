@@ -354,9 +354,12 @@ def _from_columns(
 def _first_per_group(group: np.ndarray, tag: np.ndarray, size: int) -> np.ndarray:
     """Sorted positions of the first occurrence of each ``tag`` (each
     below ``size``) within each ``group``."""
-    _, first = np.unique(group * size + tag, return_index=True)
-    first.sort()
-    return first
+    key = group * size + tag
+    order = np.argsort(key, kind="stable")  # equal keys stay in position order
+    key = key[order]
+    repeated = np.zeros(len(key), dtype=bool)
+    repeated[order[1:][key[1:] == key[:-1]]] = True
+    return np.flatnonzero(~repeated)
 
 
 def _first_appearance(tag: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -435,15 +438,19 @@ def _stamp_micros(stamps: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
     A stamp is valid when its separators are in place, its digits are
     ASCII and its date and time are in range (years 1-9999, seconds
-    0-59); only valid stamps get a meaningful entry.
+    0-59); only valid stamps get a meaningful entry.  The stamps are
+    held one row per character position, so that every step runs over
+    a contiguous row.
     """
     # a character outside ASCII becomes "?", which is no digit or separator
     text = "".join(stamps).encode("ascii", "replace")
-    offset = np.frombuffer(text, dtype=np.uint8).reshape(-1, len(_STAMP)) - _STAMP_LOW  # wraps below
-    valid = (offset <= _STAMP_SPAN).all(axis=1)
-    digits = np.where(valid[:, None], offset[:, _STAMP_DIGITS], 0).astype(np.int64)
-    year = ((digits[:, 0] * 10 + digits[:, 1]) * 10 + digits[:, 2]) * 10 + digits[:, 3]
-    month, day, hour, minute, second = (digits[:, 4::2] * 10 + digits[:, 5::2]).T
+    chars = np.frombuffer(text, dtype=np.uint8).reshape(-1, len(_STAMP))
+    offset = np.ascontiguousarray(chars.T) - _STAMP_LOW[:, None]  # wraps below
+    valid = (offset <= _STAMP_SPAN[:, None]).all(axis=0)
+    # clamped, so that the calendar tables below are indexed in range
+    digits = np.minimum(offset[_STAMP_DIGITS], 9).astype(np.int32)
+    year = ((digits[0] * 10 + digits[1]) * 10 + digits[2]) * 10 + digits[3]
+    month, day, hour, minute, second = digits[4::2] * 10 + digits[5::2]
     leap, month_index = _LEAP[year], np.minimum(month, 12)
     month_days = _MONTH_DAYS[month_index] + (leap & (month == 2))
     valid &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
@@ -456,24 +463,28 @@ def _read_times(values: list) -> tuple[np.ndarray, np.ndarray]:
     """Time column entries of raw values (strings, or None when absent),
     and which of the values are no timestamp.
 
-    Canonical ``YYYY-MM-DDTHH:MM:SSZ`` stamps are read as one array;
-    every other value goes through ``parse_timestamp``.
+    Strings 20 characters long go through the stamp kernel as one
+    array; only those it does not read as canonical
+    ``YYYY-MM-DDTHH:MM:SSZ`` stamps, and strings of other lengths, go
+    through ``parse_timestamp``.
     """
-    raw = np.array(values, dtype=object)
-    out = np.full(len(raw), NO_TIME, dtype=np.int64)
-    present = raw != None  # noqa: E711 (elementwise)
-    strings = np.flatnonzero(present)
-    widths = np.fromiter(map(len, raw[strings]), dtype=np.int64, count=len(strings))
-    stamped = strings[widths == len(_STAMP)]
-    micros, valid = _stamp_micros(raw[stamped])
-    out[stamped[valid]] = micros[valid]
-    present[stamped[valid]] = False
-    bad = np.zeros(len(raw), dtype=bool)
-    for i in np.flatnonzero(present).tolist():
+    out = np.full(len(values), NO_TIME, dtype=np.int64)
+    bad = np.zeros(len(values), dtype=bool)
+    at = np.arange(len(values))  # the place of each string among the values
+    if None in values:
+        at = np.flatnonzero([value is not None for value in values])
+        values = [values[i] for i in at.tolist()]
+    stamped = np.fromiter(map(len, values), dtype=np.int64, count=len(values)) == len(_STAMP)
+    micros, valid = _stamp_micros(values if stamped.all() else list(compress(values, stamped.tolist())))
+    read = np.flatnonzero(stamped)[valid]
+    out[at[read]] = micros[valid]
+    rest = np.ones(len(values), dtype=bool)
+    rest[read] = False
+    for i in np.flatnonzero(rest).tolist():
         try:
-            out[i] = (parse_timestamp(values[i]) - EPOCH) // _MICROSECOND
+            out[at[i]] = (parse_timestamp(values[i]) - EPOCH) // _MICROSECOND
         except (ValueError, OverflowError):
-            bad[i] = True
+            bad[at[i]] = True
     return out, bad
 
 
@@ -489,8 +500,9 @@ class _TokenIds(dict):
 
 
 class _Pending:
-    """Raw columns of records whose time values are not converted yet.  A
-    record that fails a structural check leaves what it read before it."""
+    """Raw columns of records whose time values and tokens are not
+    converted yet.  A record that fails a structural check leaves what it
+    read before it."""
 
     def __init__(self) -> None:
         self.ids: list[str] = []
@@ -500,7 +512,7 @@ class _Pending:
         self.post_ids: list[str] = []
         self.created: list[str | None] = []
         self.tag_count: list[int] = []  # raw tokens per post
-        self.tokens: list[int] = []  # raw-token id per token
+        self.tokens: list[str] = []  # raw tokens, post after post
 
     def extend(self, other: "_Pending") -> None:
         for name, column in vars(self).items():
@@ -522,12 +534,19 @@ class _Pending:
 def _label(obj, line_no: int) -> int:
     """A decoded record's label, 0 when absent.  Out-of-range labels are
     fatal even in lenient mode: they would silently corrupt training."""
-    label = obj.get("label") if isinstance(obj, dict) else None
-    if label is not None and (
-        not isinstance(label, int) or isinstance(label, bool) or label not in VALID_LABELS
-    ):
+    label = obj.get("label") if type(obj) is dict else None
+    if label is None:
+        return 0
+    if type(label) is not int or label not in VALID_LABELS:  # a bool's type is bool
         raise CorpusError(f"line {line_no}: label must be -1, 1, or null, got {label!r}")
-    return label or 0
+    return label
+
+
+# What the decoder gives for a line: the JSON value that starts at an
+# index, and the index just after it
+_scan_json = json.JSONDecoder().scan_once
+# The value of a missing list field: read as an empty list
+_ABSENT = ()
 
 
 # The finished columns of a reader, besides its ids and raw-token ids
@@ -546,6 +565,10 @@ class _Part(NamedTuple):
     columns: dict[str, list]
     tokens: list[np.ndarray]
     lines: int
+
+
+class _Refused(Exception):
+    """A chunk that only a record-by-record read can settle."""
 
 
 class _Reader:
@@ -576,16 +599,53 @@ class _Reader:
         """Read a chunk of numbered, stripped, nonblank lines, or the error
         of a line that is not UTF-8.  The fast pass only notices that
         something in it is wrong; the re-read then finds the first error
-        in stream order."""
+        in stream order.
+
+        The fast pass decodes each line with the decoder's scanner, which
+        ``json.loads`` runs too: a stripped line holds one JSON value when
+        the value ends at the end of the line."""
         chunk = _Pending()
         try:
             for line_no, line in lines:
-                obj = json.loads(line)
-                self.scan(chunk, obj, line_no, _label(obj, line_no))
+                record, end = _scan_json(line, 0)
+                if end < len(line):
+                    raise _Refused
+                self.take(chunk, record, line_no)
         except Exception:  # the re-read raises or reports it, or an earlier error
             chunk = None
         if chunk is None or not self.keep(chunk):
             self.reread(lines)
+
+    def take(self, p: _Pending, record, line_no: int) -> None:
+        """The fast pass over one decoded record: append its raw values to
+        ``p``, or raise when its structure is wrong.  Post ids, tokens and
+        time values are checked for the whole chunk by ``keep``."""
+        # a JSON value other than an object, as a record or a post, has no get
+        news_id, published = record.get("id"), record.get("published_at")
+        posts = record.get("posts", _ABSENT)
+        if (
+            type(news_id) is not str
+            or not news_id
+            or (type(published) is not str and published is not None)
+            or (type(posts) is not list and posts is not _ABSENT)
+        ):
+            raise _Refused
+        p.ids.append(news_id)
+        p.labels.append(_label(record, line_no))
+        p.published.append(published)
+        p.post_count.append(len(posts))
+        add_post_id, add_created, add_count = p.post_ids.append, p.created.append, p.tag_count.append
+        tokens = p.tokens
+        for post in posts:
+            created, raw_tags = post.get("created_at"), post.get("hashtags", _ABSENT)
+            if (type(created) is not str and created is not None) or (
+                type(raw_tags) is not list and raw_tags is not _ABSENT
+            ):
+                raise _Refused
+            add_post_id(post.get("post_id"))
+            add_created(created)
+            add_count(len(raw_tags))
+            tokens += raw_tags
 
     def reread(self, lines: list[tuple[int, str | CorpusError]]) -> None:
         """Read a chunk one record at a time: skip each malformed record, or
@@ -620,7 +680,8 @@ class _Reader:
             raise AssertionError("records read one by one were refused")
 
     def scan(self, p: _Pending, obj, line_no: int, label: int) -> None:
-        """Check one record's structure and append its raw values to ``p``."""
+        """Check one record's structure and append its raw values to
+        ``p``, or raise the error of the first thing in it that is wrong."""
         if not isinstance(obj, dict):
             raise CorpusError(f"line {line_no}: record must be a JSON object")
         news_id = obj.get("id")
@@ -635,7 +696,6 @@ class _Reader:
         posts = obj.get("posts", [])
         if not isinstance(posts, list):
             raise CorpusError(f"line {line_no}: news {news_id!r}: posts must be a list")
-        token_id = self.token_ids.__getitem__
         add_post_id, add_created = p.post_ids.append, p.created.append
         add_count, add_tokens = p.tag_count.append, p.tokens.extend
         for post in posts:
@@ -652,10 +712,9 @@ class _Reader:
             raw_tags = post.get("hashtags", [])
             if not isinstance(raw_tags, list):
                 raise CorpusError(f"line {line_no}: post {post_id!r}: hashtags must be a list")
-            try:
-                add_tokens(map(token_id, raw_tags))
-            except TypeError:
-                raise CorpusError(f"line {line_no}: post {post_id!r}: hashtags must be strings") from None
+            if not all(isinstance(token, str) for token in raw_tags):
+                raise CorpusError(f"line {line_no}: post {post_id!r}: hashtags must be strings")
+            add_tokens(raw_tags)
             add_count(len(raw_tags))
         p.post_count.append(len(posts))
 
@@ -669,22 +728,31 @@ class _Reader:
         self.skipped = True
 
     def keep(self, p: _Pending) -> bool:
-        """Run the timestamp kernel over a chunk and append it to the
-        finished columns, unless one of its time values is bad or one of
-        its ids repeats or was kept before; return whether it was kept."""
-        times, bad = _read_times(p.published + p.created)
+        """Run the timestamp kernel over a chunk, give its tokens ids and
+        append it to the finished columns, unless one of its ids repeats
+        or was kept before, a post id is no nonempty string, a token is no
+        string or a time value is bad; return whether it was kept."""
         ids = dict.fromkeys(p.ids)
-        if bad.any() or len(ids) < len(p.ids) or not self.ids.keys().isdisjoint(ids):
+        if len(ids) < len(p.ids) or not self.ids.keys().isdisjoint(ids):
+            return False
+        try:
+            post_text = "".join(p.post_ids)
+            tokens = np.fromiter(map(self.token_ids.__getitem__, p.tokens), dtype=np.int64, count=len(p.tokens))
+        except TypeError:  # a post id or token that is not a string
+            return False
+        post_length = _lengths(p.post_ids)
+        times, bad = _read_times(p.published + p.created)
+        if bad.any() or not post_length.all():
             return False
         self.ids.update(ids)
-        self.post_text.append("".join(p.post_ids))
-        self.post_length.append(_lengths(p.post_ids))
+        self.post_text.append(post_text)
+        self.post_length.append(post_length)
         self.labels.append(np.array(p.labels, dtype=np.int64))
         self.published.append(times[: len(p.ids)])
         self.post_count.append(np.array(p.post_count, dtype=np.int64))
         self.created.append(times[len(p.ids) :])
         self.tag_count.append(np.array(p.tag_count, dtype=np.int64))
-        self.tokens.append(np.array(p.tokens, dtype=np.int64))
+        self.tokens.append(tokens)
         return True
 
     def merge(self, part: _Part) -> bool:
@@ -739,10 +807,6 @@ class _Reader:
             tag=tag,
             vocabulary=vocabulary,
         )
-
-
-class _Refused(Exception):
-    """A range reader met a chunk that only a record-by-record read could settle."""
 
 
 class _RangeReader(_Reader):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -65,6 +66,38 @@ def test_missing_input_exits_2(workdir):
     assert result.returncode == 2
     assert "not found" in result.stderr
 
+
+def test_a_directory_as_input_exits_2_and_says_so(workdir):
+    result = run_cli("validate", "--input", str(workdir))
+    assert result.returncode == 2
+    assert result.stderr == f"error: input path is a directory, not a corpus file: {workdir}\n"
+
+
+def test_validate_reads_a_fifo_like_the_file(workdir, tmp_path):
+    corpus = workdir / "corpus.jsonl"
+    fifo = tmp_path / "corpus.fifo"
+    os.mkfifo(fifo)
+    failures = []
+
+    def feed():
+        try:
+            with open(fifo, "wb") as pipe:
+                pipe.write(corpus.read_bytes())
+        except OSError as exc:  # the reader left before the end
+            failures.append(exc)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        result = run_cli("validate", "--input", str(fifo))
+    finally:
+        if writer.is_alive():  # the reader may never have opened the pipe: let the writer's open return
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert result.returncode == 0, result.stderr
+    assert not failures
+    assert result.stdout == run_cli("validate", "--input", str(corpus)).stdout
 
 def test_malformed_corpus_exits_2(workdir):
     bad = workdir / "bad.jsonl"

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from datetime import timedelta, timezone
 
@@ -274,6 +275,19 @@ def test_lenient_mode_keeps_label_and_duplicate_errors_fatal(line, message):
     assert str(info.value) == f"line 2: {message}"
 
 
+@pytest.mark.parametrize("extra", [" 5", ' {"id": "n4"}', "]", ", null"])
+def test_a_record_with_data_after_it_is_invalid_json(extra):
+    # the fast pass decodes one value from the start of the line: the
+    # line is refused unless that value ends where the line ends
+    stream = _stream(_bad() + extra)
+    with pytest.raises(CorpusError) as info:
+        parse_corpus(stream)
+    assert str(info.value) == "line 2: invalid JSON: Extra data"
+    problems = []
+    assert parse_corpus(stream, lenient=True, errors=problems).ids == ("n1", "n3")
+    assert problems == [(2, "line 2: invalid JSON: Extra data")]
+
+
 # --- input that is not UTF-8 ----------------------------------------------------
 
 # bytes that are no UTF-8, one of them a surrogate's encoding, which a
@@ -421,6 +435,49 @@ def test_parse_matches_record_by_record_oracle(monkeypatch, chunk):
             assert len(got_errors) == skipped, k
 
 
+# Raw spellings that all normalize to "a", and other tokens
+SPELLINGS_OF_A = ["#A", "a", "＃a", "A", " #a ", "##a", "ａ", "#ａ"]
+OTHER_TOKENS = ["b", "#B", "c", "#", "d", "Straße", "STRASSE"]
+
+
+def long_post_lines(seed: int) -> list[str]:
+    """Records whose posts hold 5 to 12 hashtags, several of them
+    spellings of one normalized hashtag, with now and then a record
+    that lenient parsing skips."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for i in range(int(rng.integers(1, 12))):
+        posts = []
+        for j in range(int(rng.integers(1, 4))):
+            tags = [
+                str(rng.choice(SPELLINGS_OF_A if rng.random() < 0.5 else OTHER_TOKENS))
+                for _ in range(int(rng.integers(5, 13)))
+            ]
+            posts.append({"post_id": f"n{i}-p{j}", "created_at": "2020-03-01T01:00:00Z", "hashtags": tags})
+        if rng.random() < 0.1:
+            posts[-1]["hashtags"].append(7)
+        lines.append(json.dumps({"id": f"n{i}", "label": 1, "published_at": "2020-03-01T00:00:00Z", "posts": posts}))
+    return lines
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, newstag.corpus.CHUNK_LINES])
+def test_long_posts_with_many_spellings_of_one_hashtag_match_the_oracle(monkeypatch, chunk):
+    monkeypatch.setattr(newstag.corpus, "CHUNK_LINES", chunk)
+    for seed in range(40):
+        lines = long_post_lines(seed)
+        for lenient in (False, True):
+            got, got_errors = _outcome(parse_corpus, lines, lenient)
+            expected, expected_errors = _outcome(parse_corpus_oracle, lines, lenient)
+            assert got_errors == expected_errors, (seed, lenient)
+            if isinstance(expected, str):
+                assert got == expected, (seed, lenient)
+            else:
+                assert_same_columns(got, expected)
+    # one post: each hashtag once, at its first spelling's place
+    corpus = parse_corpus([_record(posts=[_post(hashtags=["b", "#A", "c", "＃a", "B", "a", "d", "ａ", "#c"])])])
+    assert corpus.news[0].posts[0].hashtags == ("b", "a", "c", "d")
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, newstag.corpus.CHUNK_LINES])
 def test_duplicate_of_a_skipped_record_is_kept(monkeypatch, chunk):
     monkeypatch.setattr(newstag.corpus, "CHUNK_LINES", chunk)
@@ -535,6 +592,68 @@ def test_timestamp_kernel_reads_canonical_stamps_itself():
         assert ok == (error is None), text
         if ok:
             assert entry == expected, text
+
+
+def _time_value(rng, kind):
+    """A raw time value of one kind, drawn at random."""
+    year, month, day = int(rng.integers(1, 10000)), int(rng.integers(1, 13)), int(rng.integers(1, 29))
+    hour, minute, second = int(rng.integers(24)), int(rng.integers(60)), int(rng.integers(60))
+    stamp = f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}Z"
+    if kind == "canonical":
+        return stamp
+    if kind == "offset":
+        return stamp[:-1] + ("+02:00", "-11:30", "+00:00")[int(rng.integers(3))]
+    if kind == "fraction":
+        return stamp[:-1] + f".{int(rng.integers(10**6)):06d}Z"
+    if kind == "lowercase z":
+        return stamp[:-1] + "z"
+    if kind == "basic format":
+        return stamp.replace("-", "").replace(":", "")
+    if kind == "out of range":
+        field = int(rng.integers(6))
+        bounds = [(0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19)][field]
+        wrong = ("0000", "13", "32", "24", "60", "60")[field]
+        return stamp[: bounds[0]] + wrong + stamp[bounds[1] :]
+    if kind == "other separator":
+        at = int(rng.choice([k for k, c in enumerate(stamp) if not c.isdigit()]))
+        return stamp[:at] + str(rng.choice(["/", " ", ".", "_", "t"])) + stamp[at + 1 :]
+    if kind == "non-ASCII digit":
+        at = int(rng.choice([k for k, c in enumerate(stamp) if c.isdigit()]))
+        return stamp[:at] + chr(0xFF10 + int(stamp[at])) + stamp[at + 1 :]
+    assert kind is None
+    return None
+
+
+TIME_KINDS = [
+    "canonical", "offset", "fraction", "lowercase z", "basic format", "other separator", "out of range",
+    "non-ASCII digit", None,
+]
+
+
+def _assert_times_read_one_by_one(values):
+    micros, bad = newstag.corpus._read_times(values)
+    assert len(micros) == len(bad) == len(values)
+    for value, entry, wrong in zip(values, micros.tolist(), bad.tolist()):
+        if value is None:
+            assert entry == newstag.corpus.NO_TIME and not wrong
+            continue
+        expected, error = _expected_micros(value)
+        assert wrong == (error is not None), value
+        if error is None:
+            assert entry == expected, value
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, newstag.corpus.CHUNK_LINES])
+def test_timestamp_kernel_reads_a_random_mix_value_by_value(length):
+    rng = np.random.default_rng(length)
+    for _ in range(40 if length < 10 else 6):
+        _assert_times_read_one_by_one([_time_value(rng, rng.choice(TIME_KINDS)) for _ in range(length)])
+    if length:
+        # canonical stamps with one value of another kind among them
+        for kind in TIME_KINDS[1:]:
+            values = [_time_value(rng, "canonical") for _ in range(length)]
+            values[int(rng.integers(length))] = _time_value(rng, kind)
+            _assert_times_read_one_by_one(values)
 
 
 def test_parse_timestamp_variants():
@@ -991,3 +1110,28 @@ def test_a_fork_that_warns_or_fails_changes_nothing(tmp_path, monkeypatch):
     for patched in (warning_fork, failing_fork):
         monkeypatch.setattr(os, "fork", patched)
         _assert_ranges_read_alike(monkeypatch, path)
+
+
+# tracemalloc peak of parsing the corpus below from an open file, in MiB:
+# 4.50 at the commit before the fast pass took raw tokens (Python 3.11,
+# NumPy 2.4), 4.59 after.  The bound allows 20 % over the first.  A fast
+# pass that holds a chunk's decoded records peaks at 6.8, one that holds
+# every line it was given at 6.1.
+STREAMED_PARSE_PEAK_MIB = 4.50 * 1.2
+
+
+def test_a_streamed_parse_holds_one_chunk_at_a_time(tmp_path):
+    # about 1.7 MB in 6,000 lines: three chunks, read as the stream every
+    # range reader reads
+    params = SyntheticParams(hashtags=2000, news=6000, posts_per_news=(1, 3))
+    path = tmp_path / "c.jsonl"
+    write_corpus(generate_synthetic(params, 1), path)
+    with open(path, encoding="utf-8") as lines:
+        tracemalloc.start()
+        try:
+            corpus = parse_corpus(lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(corpus) == 6000
+    assert peak / 2**20 < STREAMED_PARSE_PEAK_MIB
