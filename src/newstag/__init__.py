@@ -42,7 +42,6 @@ _EXPORTS = {
         "build_direct_graph",
         "export_graph",
         "normalize",
-        "save_matrix",
     ),
     "harness": (
         "ExperimentConfig",

@@ -271,15 +271,6 @@ VALIDATE_OPTS = [
     Opt("out", "str", help="optional summary JSON path (default: stdout)"),
 ]
 
-BUILD_GRAPH_OPTS = [
-    _INPUT,
-    Opt("matrix", "str", "truncated", choices=("normalized", "truncated"),
-        help="which relation matrix to emit"),
-    Opt("weighted", "bool", True, help="count co-occurrences vs 0/1 indicator"),
-    _K1,
-    _OUT,
-]
-
 GRID_OPTS = [o for o in RUN_OPTS if o.name != "mu"] + [
     Opt("grid", "floats", DEFAULT_GRID, help="comma-separated mu grid", max_len=MAX_GRID),
     _OUT,
@@ -353,18 +344,6 @@ def _experiment_config(eff: dict):
     return config
 
 
-def _relation_matrix(corpus, eff: dict):
-    """The relation matrix ``--matrix`` selects, built from the corpus."""
-    from .graph import all_relations_truncated, build_direct_graph, normalize
-
-    if eff["k1"] < 1:
-        raise CliUsageError(f"k1 must be >= 1, got {eff['k1']}")
-    N = normalize(build_direct_graph(corpus, weighted=eff["weighted"]))
-    if eff["matrix"] == "normalized":
-        return N
-    return all_relations_truncated(N, eff["k1"])
-
-
 def _synthetic_params(eff: dict):
     from .synth import SyntheticParams
 
@@ -419,16 +398,6 @@ def _cmd_synth(eff: dict) -> int:
     write_corpus(corpus, eff["out"])
     _write_echo("synth", eff, eff["out"])
     print(f"wrote {len(corpus)} news items to {eff['out']}")
-    return 0
-
-
-def _cmd_build_graph(eff: dict) -> int:
-    from .graph import save_matrix
-
-    matrix = _relation_matrix(_read_corpus(eff["input"]), eff)
-    save_matrix(matrix, eff["out"])
-    _write_echo("build-graph", eff, eff["out"])
-    print(f"wrote {matrix.kind} matrix ({matrix.q} hashtags) to {eff['out']}")
     return 0
 
 
@@ -548,12 +517,17 @@ def _cmd_analyze(eff: dict) -> int:
 
 def _cmd_export(eff: dict) -> int:
     from .credibility import init_credibility
-    from .graph import export_graph
+    from .graph import all_relations_truncated, build_direct_graph, export_graph, normalize
 
     corpus = _read_corpus(eff["input"])
-    matrix = _relation_matrix(corpus, eff)
+    if eff["k1"] < 1:
+        raise CliUsageError(f"k1 must be >= 1, got {eff['k1']}")
+    matrix = normalize(build_direct_graph(corpus, weighted=eff["weighted"]))
+    if eff["matrix"] == "truncated":
+        matrix = all_relations_truncated(matrix, eff["k1"])
     credibility = None
-    if eff["color_by"] == "c_star":
+    # only the node table and the DOT file carry colours
+    if eff["color_by"] == "c_star" and (eff["nodes_out"] or eff["dot_out"]):
         if not corpus.occurrences.labels.any():
             raise CliUsageError(
                 "coloring by all-data credibility needs a labeled --input corpus; "
@@ -576,7 +550,6 @@ def _cmd_export(eff: dict) -> int:
 SUBCOMMANDS = {
     "validate": (VALIDATE_OPTS, _cmd_validate, "parse and validate a corpus, print a summary"),
     "synth": (SYNTH_OPTS, _cmd_synth, "generate a synthetic corpus"),
-    "build-graph": (BUILD_GRAPH_OPTS, _cmd_build_graph, "build and cache a relation matrix"),
     "run": (RUN_ONLY_OPTS, _cmd_run, "run a full experiment and write a metrics report"),
     "grid-mu": (GRID_OPTS, _cmd_grid_mu, "grid-search mu on an inner validation split"),
     "sweep-volume": (SWEEP_VOLUME_OPTS, _cmd_sweep_volume, "sweep the training fraction"),

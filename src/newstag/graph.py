@@ -11,13 +11,12 @@ panel width or the thread count, so the bytes depend on neither.  The
 infinite series converges only when the spectral radius of ``N`` is
 below one, and the row-max normalization gives radius one to any
 weight-regular component.
-The writers at the end store a matrix as a text cache and export it as
-edge lists; nothing reads them back.
+The writer at the end exports a matrix as an edge list, with an
+optional node table and DOT file; nothing reads them back.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,8 +33,6 @@ logger = logging.getLogger(__name__)
 DIRECT = "direct"
 NORMALIZED_DIRECT = "normalized_direct"
 ALL_RELATIONS_TRUNCATED = "all_relations_truncated"
-
-MATRIX_FORMAT_HEADER = "# newstag-matrix v1"
 
 # Largest vocabulary the truncated closure accepts.  It is built in
 # dense q x q float64 buffers and raises the peak RSS by about
@@ -65,13 +62,11 @@ class RelationMatrix:
 
     A ``direct`` matrix holds co-occurrence counts (int64) or other
     nonnegative weights, with a zero diagonal; the others are float64.
-    ``k1`` is the truncation order of a closure, else None.
     """
 
     kind: str
     values: sp.csr_matrix
     vocab: tuple[str, ...]
-    k1: int | None = None
 
     @property
     def q(self) -> int:
@@ -178,11 +173,11 @@ def all_relations_truncated(N: RelationMatrix, k1: int) -> RelationMatrix:
     indices = np.remainder(flat, q, out=flat).astype(np.int32)
     del flat
     values = sp.csr_matrix((total[mask], indices, indptr), shape=(q, q))
-    return RelationMatrix(kind=ALL_RELATIONS_TRUNCATED, values=values, vocab=N.vocab, k1=k1)
+    return RelationMatrix(kind=ALL_RELATIONS_TRUNCATED, values=values, vocab=N.vocab)
 
 
 # ---------------------------------------------------------------------------
-# Persistence and export
+# Export
 # ---------------------------------------------------------------------------
 
 # Lines the writers join into one write: enough that per-line write calls
@@ -190,10 +185,10 @@ def all_relations_truncated(N: RelationMatrix, k1: int) -> RelationMatrix:
 _BLOCK_LINES = 65536
 
 
-def _sorted_upper(values: sp.spmatrix, k: int) -> tuple[list[int], list[int], list[float]]:
-    """Rows, columns and values of the entries on or above diagonal ``k``,
+def _sorted_upper(values: sp.spmatrix) -> tuple[list[int], list[int], list[float]]:
+    """Rows, columns and values of the entries above the diagonal,
     row-major, as Python lists (formatted once per entry, no NumPy scalars)."""
-    upper = sp.triu(values, k=k).tocoo()
+    upper = sp.triu(values, k=1).tocoo()
     order = np.lexsort((upper.col, upper.row))
     return upper.row[order].tolist(), upper.col[order].tolist(), upper.data[order].tolist()
 
@@ -203,26 +198,6 @@ def _write_lines(fh, lines) -> None:
     lines = iter(lines)
     while block := list(islice(lines, _BLOCK_LINES)):
         fh.write("".join(block))
-
-
-def save_matrix(matrix: RelationMatrix, path: str | Path) -> None:
-    """Write a relation matrix in the triplet text cache format.
-
-    Layout: a versioned comment header carrying kind, k1, q and the
-    vocabulary (JSON-encoded), followed by one ``row<TAB>col<TAB>value``
-    line per stored entry of the upper triangle (row <= col, row-major).
-    Values use shortest round-trip float formatting, so every stored
-    value reads back bit-exactly and the file is byte-deterministic.
-    """
-    rows, cols, values = _sorted_upper(matrix.values, k=0)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{MATRIX_FORMAT_HEADER}\n")
-        fh.write(f"# kind: {matrix.kind}\n")
-        if matrix.k1 is not None:
-            fh.write(f"# k1: {matrix.k1}\n")
-        fh.write(f"# q: {matrix.q}\n")
-        fh.write(f"# vocab: {json.dumps(list(matrix.vocab), ensure_ascii=True)}\n")
-        _write_lines(fh, (f"{a}\t{b}\t{v!r}\n" for a, b, v in zip(rows, cols, values)))
 
 
 def _color_class(score: float) -> str:
@@ -264,7 +239,7 @@ def export_graph(
         if scores.shape[0] != matrix.q:
             raise GraphError("credibility vector does not match matrix vocabulary")
 
-    rows, cols, weights = _sorted_upper(matrix.values, k=1)
+    rows, cols, weights = _sorted_upper(matrix.values)
     with open(edges_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("hashtag_a\thashtag_b\tweight\n")
         _write_lines(fh, (f"{vocab[a]}\t{vocab[b]}\t{w!r}\n" for a, b, w in zip(rows, cols, weights)))

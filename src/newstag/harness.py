@@ -496,14 +496,15 @@ def sweep_training_fraction(
 def sweep_detection_time(
     corpus: Corpus, config: ExperimentConfig, horizons
 ) -> list[tuple[str, MetricsReport]]:
-    """run_experiment per detection horizon, plus an unfiltered "all" row."""
-    horizons = list(horizons)
+    """run_experiment per detection horizon, plus an unfiltered "all" row.
+
+    Every row's config is validated before the first pipeline is built.
+    """
+    horizons = [float(horizon) for horizon in horizons]
     if not horizons:
         raise ValueError("horizon list must not be empty")
-    out: list[tuple[str, MetricsReport]] = []
-    for horizon in horizons:
-        report = run_experiment(corpus, replace(config, time_horizon_hours=float(horizon)))
-        out.append((repr(float(horizon)), report))
-    report = run_experiment(corpus, replace(config, time_horizon_hours=None))
-    out.append(("all", report))
-    return out
+    rows = [(repr(horizon), replace(config, time_horizon_hours=horizon)) for horizon in horizons]
+    rows.append(("all", replace(config, time_horizon_hours=None)))
+    for _, candidate in rows:
+        candidate.validate()
+    return [(name, run_experiment(corpus, candidate)) for name, candidate in rows]

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from newstag.corpus import EPOCH, NO_TIME, VALID_LABELS, Corpus, CorpusError, _from_columns, _Strings, parse_corpus
-from newstag.graph import DIRECT, MATRIX_FORMAT_HEADER, RelationMatrix, normalize
+from newstag.graph import DIRECT, RelationMatrix, normalize
 
 BASE = datetime(2020, 3, 1, tzinfo=timezone.utc)
 
@@ -313,49 +313,10 @@ def exact_closure_oracle(n_dense: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.eye(n_dense.shape[0]) - n_dense, n_dense)
 
 
-def read_matrix(path) -> RelationMatrix:
-    """The matrix in a file ``save_matrix`` wrote: its header fields and
-    its upper triangle, mirrored into the lower one."""
-    header: dict[str, str] = {}
-    rows, cols, values = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        assert fh.readline() == MATRIX_FORMAT_HEADER + "\n"
-        for line in fh:
-            if line.startswith("# "):
-                key, _, value = line[2:].rstrip("\n").partition(": ")
-                header[key] = value
-            else:
-                row, col, value = line.split("\t")
-                rows.append(int(row))
-                cols.append(int(col))
-                values.append(float(value))
-    q = int(header["q"])
-    upper = sp.csr_matrix((values, (rows, cols)), shape=(q, q))
-    assert upper.nnz == len(values) and sp.tril(upper, k=-1).nnz == 0  # no duplicate or lower entry
-    return RelationMatrix(
-        kind=header["kind"],
-        values=(upper + sp.triu(upper, k=1).T).tocsr(),
-        vocab=tuple(json.loads(header["vocab"])),
-        k1=int(header["k1"]) if "k1" in header else None,
-    )
-
-
-def _upper_entries_oracle(matrix: RelationMatrix, k: int) -> list[tuple[int, int, float]]:
-    """Nonzero entries on or above diagonal ``k``, row-major, from the dense matrix."""
+def upper_entries_oracle(matrix: RelationMatrix) -> list[tuple[int, int, float]]:
+    """Nonzero entries above the diagonal, row-major, from the dense matrix."""
     dense = matrix.values.toarray()
-    return [(i, j, float(dense[i, j])) for i in range(matrix.q) for j in range(i + k, matrix.q) if dense[i, j]]
-
-
-def save_matrix_oracle(matrix: RelationMatrix) -> str:
-    """The text ``save_matrix`` writes, one ``write`` per entry."""
-    out = io.StringIO()
-    out.write(f"{MATRIX_FORMAT_HEADER}\n# kind: {matrix.kind}\n")
-    if matrix.k1 is not None:
-        out.write(f"# k1: {matrix.k1}\n")
-    out.write(f"# q: {matrix.q}\n# vocab: {json.dumps(list(matrix.vocab), ensure_ascii=True)}\n")
-    for i, j, value in _upper_entries_oracle(matrix, 0):
-        out.write(f"{i}\t{j}\t{value!r}\n")
-    return out.getvalue()
+    return [(i, j, float(dense[i, j])) for i in range(matrix.q) for j in range(i + 1, matrix.q) if dense[i, j]]
 
 
 def export_graph_oracle(matrix: RelationMatrix, scores=None) -> tuple[str, str, str]:
@@ -370,7 +331,7 @@ def export_graph_oracle(matrix: RelationMatrix, scores=None) -> tuple[str, str, 
         return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     vocab = matrix.vocab
-    entries = _upper_entries_oracle(matrix, 1)
+    entries = upper_entries_oracle(matrix)
     edges, nodes, dot = io.StringIO(), io.StringIO(), io.StringIO()
     edges.write("hashtag_a\thashtag_b\tweight\n")
     for i, j, value in entries:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import read_matrix
+from helpers import upper_entries_oracle
 
 CMD = [sys.executable, "-m", "newstag"]
 
@@ -191,16 +191,22 @@ def test_config_wrong_subcommand_rejected(workdir):
 
 # --- artifact-producing subcommands ----------------------------------------------------
 
-def test_build_graph_and_export_from_cache(workdir):
-    corpus = str(workdir / "corpus.jsonl")
-    matrix = workdir / "w.matrix"
-    result = run_cli(
-        "build-graph", "--input", corpus, "--matrix", "truncated", "--k1", "5",
-        "--out", str(matrix),
-    )
-    assert result.returncode == 0, result.stderr
-    assert matrix.read_text().startswith("# newstag-matrix v1")
+def export_edges_expected(corpus, matrix: str, k1: int = 5) -> list[str]:
+    """The edge list lines ``export`` writes: the strict upper triangle of
+    the relation built in-process, row-major."""
+    from newstag.corpus import parse_corpus
+    from newstag.graph import all_relations_truncated, build_direct_graph, normalize
 
+    relation = normalize(build_direct_graph(parse_corpus(corpus)))
+    if matrix == "truncated":
+        relation = all_relations_truncated(relation, k1)
+    vocab = relation.vocab
+    edges = (f"{vocab[i]}\t{vocab[j]}\t{w!r}" for i, j, w in upper_entries_oracle(relation))
+    return ["hashtag_a\thashtag_b\tweight", *edges]
+
+
+def test_export_writes_the_strict_upper_closure(workdir):
+    corpus = str(workdir / "corpus.jsonl")
     result = run_cli(
         "export", "--input", corpus, "--k1", "5",
         "--edges-out", str(workdir / "edges.tsv"),
@@ -208,15 +214,7 @@ def test_build_graph_and_export_from_cache(workdir):
         "--dot-out", str(workdir / "g.dot"),
     )
     assert result.returncode == 0, result.stderr
-    # the edge list holds the strict upper entries of the cached matrix, row-major
-    cached = read_matrix(matrix)
-    upper = sp.triu(cached.values, k=1).tocsr()
-    expected = [
-        f"{cached.vocab[i]}\t{cached.vocab[j]}\t{float(upper[i, j])!r}"
-        for i in range(cached.q) for j in upper.indices[upper.indptr[i]:upper.indptr[i + 1]]
-    ]
-    assert upper.has_sorted_indices
-    assert (workdir / "edges.tsv").read_text().splitlines() == ["hashtag_a\thashtag_b\tweight", *expected]
+    assert (workdir / "edges.tsv").read_text().splitlines() == export_edges_expected(corpus, "truncated")
     nodes = (workdir / "nodes.tsv").read_text().splitlines()
     assert nodes[0] == "hashtag\tcredibility\tcolor_class"
     assert (workdir / "g.dot").read_text().startswith("graph hashtags {")
@@ -299,23 +297,66 @@ def test_predictions_csv(workdir):
     assert len(lines) > 1
 
 
-def test_build_graph_normalized_and_exact(workdir):
+def test_export_normalized_and_exact(workdir):
     corpus = str(workdir / "corpus.jsonl")
-    result = run_cli(
-        "build-graph", "--input", corpus, "--matrix", "normalized",
-        "--out", str(workdir / "n.matrix"),
-    )
+    edges = workdir / "n.tsv"
+    result = run_cli("export", "--input", corpus, "--matrix", "normalized", "--edges-out", str(edges))
     assert result.returncode == 0, result.stderr
-    assert "# kind: normalized_direct" in (workdir / "n.matrix").read_text()
+    assert edges.read_text().splitlines() == export_edges_expected(corpus, "normalized")
     # the exact closure is no choice: the matrix is the truncated sum
     result = run_cli(
-        "build-graph", "--input", corpus, "--matrix", "exact",
-        "--out", str(workdir / "e.matrix"),
+        "export", "--input", corpus, "--matrix", "exact",
+        "--edges-out", str(workdir / "e.tsv"),
     )
     assert result.returncode == 1
     assert result.stderr.startswith("error: argument --matrix: invalid choice: 'exact'")
     assert result.stderr.count("\n") == 1
-    assert not (workdir / "e.matrix").exists()
+    assert not (workdir / "e.tsv").exists()
+
+
+def test_build_graph_is_gone_and_exits_1(workdir):
+    out = workdir / "w.matrix"
+    result = run_cli("build-graph", "--input", str(workdir / "corpus.jsonl"), "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: argument SUBCOMMAND: invalid choice: 'build-graph'")
+    assert result.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_export_refuses_an_old_build_graph_echo(workdir):
+    # the echo an earlier build-graph run wrote next to its matrix
+    echo = workdir / "w.matrix.config.json"
+    echo.write_text(json.dumps({"subcommand": "build-graph", "parameters": {
+        "input": str(workdir / "corpus.jsonl"), "k1": 10, "matrix": "truncated", "out": "w.matrix", "weighted": True,
+    }}, indent=2, sort_keys=True) + "\n")
+    edges = workdir / "old-echo.tsv"
+    result = run_cli("export", "--config", str(echo), "--edges-out", str(edges))
+    assert result.returncode == 1
+    assert result.stderr == f"error: config file {echo} was written by subcommand 'build-graph', not 'export'\n"
+    assert not edges.exists()
+
+
+def test_export_of_an_unlabeled_corpus_needs_labels_only_for_colours(tmp_path):
+    corpus = tmp_path / "unlabeled.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"n{i}", "label": None, "published_at": "2020-03-01T00:00:00Z",
+                    "posts": [{"post_id": f"p{i}", "created_at": "2020-03-01T01:00:00Z",
+                               "hashtags": [f"h{i}", f"h{i + 1}", "shared"]}]}) + "\n"
+        for i in range(5)
+    ))
+    base = ["export", "--input", str(corpus)]
+    result = run_cli(*base, "--edges-out", str(tmp_path / "e.tsv"))
+    assert result.returncode == 0, result.stderr
+    result = run_cli(*base, "--color-by", "none", "--edges-out", str(tmp_path / "none.tsv"))
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "e.tsv").read_bytes() == (tmp_path / "none.tsv").read_bytes()
+    assert len((tmp_path / "e.tsv").read_text().splitlines()) > 1
+    for flag in ("--nodes-out", "--dot-out"):
+        edges = tmp_path / f"colored{flag}.tsv"
+        result = run_cli(*base, "--edges-out", str(edges), flag, str(tmp_path / f"colored{flag}.out"))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: coloring by all-data credibility needs a labeled --input corpus")
+        assert not edges.exists()
 
 
 def test_run_closed_form_mode(workdir):
@@ -577,7 +618,7 @@ def test_synth_years_below_1000_validate(workdir):
     assert json.loads(result.stdout)["news"] == 1000
 
 
-@pytest.mark.parametrize("subcommand", ["run", "grid-mu", "build-graph", "export"])
+@pytest.mark.parametrize("subcommand", ["run", "grid-mu", "export"])
 def test_k1_above_cap_exits_1(workdir, subcommand):
     from newstag.graph import MAX_K1
 
@@ -667,8 +708,8 @@ ECHO_PARAMETERS = {
     "horizon_hours": ("run", "finite"),
     "grid": ("grid-mu", "a list of numbers"),
     "watchlist": ("analyze", "a list of strings"),
-    "weighted": ("build-graph", "true or false"),
-    "matrix": ("build-graph", "one of normalized, truncated"),
+    "weighted": ("export", "true or false"),
+    "matrix": ("export", "one of normalized, truncated"),
 }
 
 
@@ -696,7 +737,8 @@ def test_non_integer_echo_value_exits_1(workdir, capsys, name, value):
     echo.write_text(json.dumps({"subcommand": subcommand, "parameters": {name: value}}))
     out = workdir / "non-integer.out"
     kind = ["--kind", "case-study"] if subcommand == "analyze" else []
-    code = main([subcommand, "--config", str(echo), "--input", str(workdir / "corpus.jsonl"), *kind, "--out", str(out)])
+    out_flag = "--edges-out" if subcommand == "export" else "--out"
+    code = main([subcommand, "--config", str(echo), "--input", str(workdir / "corpus.jsonl"), *kind, out_flag, str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert err == f"error: --{name.replace('_', '-')} must be {must}, got {value!r}\n"
@@ -719,7 +761,6 @@ def test_run_report_config_holds_mu_once(workdir):
 # an echo written before its subcommand lost the parameter
 @pytest.mark.parametrize("subcommand, key, value", [
     ("run", "drop_tolerance", 0.0),
-    ("build-graph", "rel_tol", 1e-3),
     ("export", "drop_tolerance", 0.0),
     ("export", "matrix_file", "w.matrix"),
     ("synth", "params", "synth.params"),
@@ -742,15 +783,15 @@ def test_config_echo_with_unknown_parameter_exits_1(workdir, subcommand, key, va
     assert not replay.exists()
 
 
-@pytest.mark.parametrize("subcommand", ["build-graph", "export"])
-def test_k1_zero_exits_1(workdir, subcommand):
-    out_flag = "--out" if subcommand == "build-graph" else "--edges-out"
+@pytest.mark.parametrize("matrix", ["normalized", "truncated"])
+def test_k1_zero_exits_1(workdir, matrix):
+    out = workdir / f"k1-zero-{matrix}.tsv"
     result = run_cli(
-        subcommand, "--input", str(workdir / "corpus.jsonl"), "--k1", "0",
-        out_flag, str(workdir / f"k1-zero-{subcommand}.out"),
+        "export", "--input", str(workdir / "corpus.jsonl"), "--matrix", matrix, "--k1", "0", "--edges-out", str(out),
     )
     assert result.returncode == 1
-    assert "k1 must be >= 1" in result.stderr
+    assert result.stderr == "error: k1 must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 # --- degenerate corpora ---------------------------------------------------------------
@@ -764,7 +805,6 @@ DEGENERATE = {
 # each subcommand that reads a corpus, and whether it needs a train/test split
 READERS = [
     (["validate"], False),
-    (["build-graph", "--out", "{out}.matrix"], False),
     (["export", "--edges-out", "{out}.tsv", "--nodes-out", "{out}.nodes.tsv", "--dot-out", "{out}.dot"], False),
     (["analyze", "--kind", "purity", "--out", "{out}.purity.csv"], False),
     (["analyze", "--kind", "popularity", "--out", "{out}.popularity.csv"], False),

@@ -19,7 +19,6 @@ from newstag.graph import (
     build_direct_graph,
     export_graph,
     normalize,
-    save_matrix,
 )
 
 from helpers import (
@@ -32,10 +31,9 @@ from helpers import (
     pair_count_oracle,
     random_contractive_n,
     random_graph_matrix,
-    read_matrix,
-    save_matrix_oracle,
     spectral_radius_dense,
     untimed_corpus,
+    upper_entries_oracle,
 )
 
 
@@ -171,7 +169,6 @@ def test_truncated_k1_equals_n():
     W = all_relations_truncated(N, k1=1)
     assert np.array_equal(W.values.toarray(), N.values.toarray())
     assert W.kind == "all_relations_truncated"
-    assert W.k1 == 1
 
 
 def test_truncated_rejects_k1_outside_its_range():
@@ -235,7 +232,6 @@ def test_truncated_closure_contract_on_random_graphs(shape, k1):
             assert spectral_radius_dense(n) == pytest.approx(1.0, abs=1e-12)
         W = all_relations_truncated(N, k1)
         assert W.kind == "all_relations_truncated"
-        assert W.k1 == k1
         assert W.values.has_canonical_format
         # stored entries are exactly the pairs joined by a walk of 1..k1 steps
         hop = reach = n > 0
@@ -370,28 +366,7 @@ def test_permutation_equivariance():
     assert np.array_equal(dense1, dense2[np.ix_(perm, perm)])
 
 
-# --- persistence and export ------------------------------------------------------
-
-def test_save_load_roundtrip_bit_exact(tmp_path):
-    N = random_graph_matrix(np.random.default_rng(3))
-    W = all_relations_truncated(N, k1=5)
-    path = tmp_path / "w.matrix"
-    save_matrix(W, path)
-    back = read_matrix(path)
-    assert back.kind == W.kind
-    assert back.k1 == 5
-    assert back.vocab == W.vocab
-    # the stored upper triangle round-trips bit-exactly; the mirrored
-    # lower triangle may differ from the in-memory product by ulps
-    assert np.array_equal(
-        sp.triu(back.values).toarray(), sp.triu(W.values).toarray()
-    )
-    assert np.allclose(back.values.toarray(), W.values.toarray(), atol=1e-14, rtol=0)
-    # saving again is byte-identical
-    path2 = tmp_path / "w2.matrix"
-    save_matrix(back, path2)
-    assert path.read_bytes() == path2.read_bytes()
-
+# --- export -------------------------------------------------------------------
 
 def test_export_edge_list_and_color_classes(tmp_path):
     corpus = untimed_corpus([("n1", 1, [["a", "b"], ["b", "c"]])])
@@ -451,13 +426,10 @@ def writer_matrices() -> list[RelationMatrix]:
     return matrices
 
 
-@pytest.mark.parametrize("k", [0, 1])
-def test_sorted_upper_is_the_row_major_triangle(k):
+def test_sorted_upper_is_the_row_major_triangle():
     for matrix in writer_matrices():
-        rows, cols, values = graph_module._sorted_upper(matrix.values, k)
-        dense = matrix.values.toarray()
-        expected = [(i, j, float(dense[i, j])) for i in range(matrix.q) for j in range(i + k, matrix.q) if dense[i, j]]
-        assert list(zip(rows, cols, values)) == expected
+        rows, cols, values = graph_module._sorted_upper(matrix.values)
+        assert list(zip(rows, cols, values)) == upper_entries_oracle(matrix)
         # plain Python numbers, so each entry formats as an int or float repr
         assert all(type(a) is int and type(b) is int and type(v) is float for a, b, v in zip(rows, cols, values))
 
@@ -478,15 +450,6 @@ def test_write_lines_joins_full_blocks(monkeypatch, n):
     graph_module._write_lines(out, iter(lines))
     assert "".join(out.writes) == "".join(lines)
     assert out.writes == ["".join(lines[k:k + 3]) for k in range(0, n, 3)]
-
-
-@pytest.mark.parametrize("block", [1, 2, 3, 65536])
-def test_save_matrix_matches_entrywise_oracle(tmp_path, monkeypatch, block):
-    monkeypatch.setattr(graph_module, "_BLOCK_LINES", block)
-    for k, matrix in enumerate(writer_matrices()):
-        path = tmp_path / f"m{k}.matrix"
-        save_matrix(matrix, path)
-        assert path.read_bytes() == save_matrix_oracle(matrix).encode("utf-8")
 
 
 @pytest.mark.parametrize("scored", [False, True], ids=["no-credibility", "credibility"])

@@ -754,3 +754,22 @@ def test_sweep_detection_time_all_row_matches_plain_run():
     # a horizon beyond every timestamp equals the unfiltered run
     assert rows[1][1].micro_f1_mean == plain.micro_f1_mean
     assert rows[1][1].macro_f1_mean == plain.macro_f1_mean
+
+
+@pytest.mark.parametrize("horizons", ["12,24,-5", "-5,12,24", "12,0"])
+def test_sweep_detection_time_checks_every_horizon_before_building(tmp_path, monkeypatch, capsys, horizons):
+    import newstag.analysis  # noqa: F401  (imported first, so it binds the real build_pipeline)
+    from newstag.cli import main
+    from newstag.corpus import write_corpus
+
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(generate_synthetic(SyntheticParams(hashtags=40, news=30), seed=1), corpus)
+    builds = []
+    monkeypatch.setattr(newstag.harness, "build_pipeline", lambda *args: builds.append(args))
+    with pytest.raises(ValueError, match="time_horizon_hours must be positive"):
+        sweep_detection_time(corpus_of([]), small_config(), [float(h) for h in horizons.split(",")])
+    out = tmp_path / "time.csv"
+    assert main(["sweep-time", "--input", str(corpus), f"--horizons={horizons}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: time_horizon_hours must be positive")
+    assert builds == []
+    assert not out.exists() and not (tmp_path / "time.csv.config.json").exists()

@@ -82,9 +82,9 @@ def test_relation_layer_matches_dense_oracles(kind):
             assert spectral_radius_dense(n) == pytest.approx(1.0, abs=TOL)
 
         c0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=q)
-        for relation in (N, all_relations_truncated(N, 1), all_relations_truncated(N, 4)):
-            r = n if relation is N else dense_power_sum(n, relation.k1)
-            if relation is not N:
+        for k1, relation in ((None, N), (1, all_relations_truncated(N, 1)), (4, all_relations_truncated(N, 4))):
+            r = n if k1 is None else dense_power_sum(n, k1)
+            if k1 is not None:
                 assert relation.kind == ALL_RELATIONS_TRUNCATED
                 assert np.max(np.abs(relation.values.toarray() - r), initial=0.0) <= TOL
 
