@@ -19,7 +19,7 @@ import logging
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .corpus import MAX_SPAN_HOURS
@@ -42,7 +42,8 @@ DEFAULT_CHECKPOINTS = [12.0, 24.0, 36.0, 48.0, 60.0]
 
 # Most values each list flag accepts.  On a 2-core x86 host one --grid or
 # --fractions value costs 20-40 ms at q=800, one --horizons value a pipeline
-# build (~2.6 s at q=3k), and one --checkpoints value ~13 ms at q=30k.
+# build and its repetitions (0.8-1.2 s at q=3k), and one --checkpoints value
+# ~13 ms at q=30k.
 MAX_GRID = 100
 MAX_FRACTIONS = 100
 MAX_HORIZONS = 24
@@ -344,6 +345,17 @@ def _experiment_config(eff: dict):
     return config
 
 
+def _check_each(flag: str, config, field: str, values) -> None:
+    """Validate ``config`` with each of a list flag's ``values`` as ``field``, naming the flag."""
+    if not values:
+        raise CliUsageError(f"{flag} needs at least one value")
+    for value in values:
+        try:
+            replace(config, **{field: value}).validate()
+        except ValueError as exc:
+            raise CliUsageError(f"{flag} value {value!r}: {exc}") from None
+
+
 def _synthetic_params(eff: dict):
     from .synth import SyntheticParams
 
@@ -425,6 +437,8 @@ def _cmd_grid_mu(eff: dict) -> int:
     from .reports import write_grid_csv
 
     config = _experiment_config(eff)
+    if not any(0.0 < mu < 1.0 for mu in eff["grid"]):
+        raise CliUsageError(f"--grid needs a value in (0,1), got {eff['grid']!r}")
     corpus = _read_corpus(eff["input"])
     result = grid_search_mu(corpus, config, eff["grid"])
     write_grid_csv(result, eff["out"])
@@ -438,6 +452,7 @@ def _cmd_sweep_volume(eff: dict) -> int:
     from .reports import write_sweep_csv
 
     config = _experiment_config(eff)
+    _check_each("--fractions", config, "train_fraction", eff["fractions"])
     corpus = _read_corpus(eff["input"])
     rows = sweep_training_fraction(corpus, config, eff["fractions"])
     write_sweep_csv([(repr(x), report) for x, report in rows], eff["out"])
@@ -451,6 +466,7 @@ def _cmd_sweep_time(eff: dict) -> int:
     from .reports import write_sweep_csv
 
     config = _experiment_config(eff)
+    _check_each("--horizons", config, "time_horizon_hours", eff["horizons"])
     corpus = _read_corpus(eff["input"])
     rows = sweep_detection_time(corpus, config, eff["horizons"])
     write_sweep_csv(rows, eff["out"])
@@ -489,8 +505,11 @@ def _cmd_analyze(eff: dict) -> int:
         write_purity_csv,
     )
 
-    corpus = _read_corpus(eff["input"])
     kind = eff["kind"]
+    config = _experiment_config(eff) if kind in ("convergence", "case-study") else None
+    if kind == "case-study" and not eff["watchlist"]:
+        raise CliUsageError("case-study analysis requires --watchlist")
+    corpus = _read_corpus(eff["input"])
     if kind in ("purity", "popularity") and eff["horizon_hours"] is not None:
         # convergence and case-study cut the corpus in build_pipeline
         corpus = filter_by_time(corpus, eff["horizon_hours"])
@@ -504,11 +523,9 @@ def _cmd_analyze(eff: dict) -> int:
         if eff.get("per_news_out"):
             write_popularity_per_news_csv(report, eff["per_news_out"])
     elif kind == "convergence":
-        write_convergence_csv(convergence_trace(corpus, _experiment_config(eff)), eff["out"])
+        write_convergence_csv(convergence_trace(corpus, config), eff["out"])
     else:  # case-study
-        if not eff["watchlist"]:
-            raise CliUsageError("case-study analysis requires --watchlist")
-        rows = case_study(corpus, _experiment_config(eff), eff["watchlist"])
+        rows = case_study(corpus, config, eff["watchlist"])
         write_case_study_csv(rows, eff["out"])
     _write_echo("analyze", eff, eff["out"])
     print(f"wrote {kind} analysis to {eff['out']}")
@@ -519,9 +536,9 @@ def _cmd_export(eff: dict) -> int:
     from .credibility import init_credibility
     from .graph import all_relations_truncated, build_direct_graph, export_graph, normalize
 
-    corpus = _read_corpus(eff["input"])
     if eff["k1"] < 1:
-        raise CliUsageError(f"k1 must be >= 1, got {eff['k1']}")
+        raise CliUsageError(f"--k1 must be >= 1, got {eff['k1']}")
+    corpus = _read_corpus(eff["input"])
     matrix = normalize(build_direct_graph(corpus, weighted=eff["weighted"]))
     if eff["matrix"] == "truncated":
         matrix = all_relations_truncated(matrix, eff["k1"])

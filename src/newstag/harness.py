@@ -4,7 +4,8 @@ The pipeline is transductive: the hashtag graph is built over all news
 (labels withheld), while the initial credibility comes from training
 labels only.  Graph construction, normalization, closure and the
 propagation operator are split-independent, so they are computed once
-per corpus and reused across repetitions and grid points.
+per corpus and reused across repetitions and grid points.  Every
+experiment propagates its training sides through :func:`_panels`.
 """
 
 from __future__ import annotations
@@ -48,15 +49,15 @@ MAX_REPETITIONS = 1_000
 # Most bytes one power-series panel may hold (``PowerSeries.storage_bytes``
 # per column, counted at the peak of a step: c0, an iterate per mu, X^k c0
 # and the next product, the step's change, a scratch column and a trace of
-# max_iterations residual factors).  ``grid_search_mu`` puts the folds that
-# fit into one panel and propagates each mu of a fold past it alone;
-# ``_run_repetitions`` runs its repetitions in panels of that many columns.
-# Results are the same either way (bitwise on a CSR operator), so the flag
-# caps (MAX_REPETITIONS, the CLI's MAX_GRID values, MAX_ITERATIONS steps)
-# cannot exhaust memory.  The 64 MiB is a chosen guard, not a measured
-# optimum: no benchmark workload comes near it (grid-mu-800's one panel of
-# 10 folds takes 10 x 94.5 kB = 0.94 MB), so only the tests exercise the
-# fallback.
+# max_iterations residual factors).  ``_panels`` runs every experiment's
+# training sides in panels of as many columns over every mu as fit, at least
+# one, and each mu as its own pass when one column over every mu does not,
+# so only a single column at a single mu can exceed it.  Results are the
+# same either way (bitwise on a CSR operator), so the flag caps
+# (MAX_REPETITIONS, the CLI's MAX_GRID values, MAX_ITERATIONS steps) cannot
+# exhaust memory.  The 64 MiB is a chosen guard, not a measured optimum:
+# every benchmark job is one panel (10 columns of 94.5 kB in grid-mu-800,
+# of 1.44 MB in no-indirect-30k), so only the tests exercise smaller ones.
 SHARED_SERIES_BYTES = 64 << 20
 
 
@@ -252,16 +253,6 @@ def propagate(
     return c_hat
 
 
-def _panel_columns(ops: PipelineOperators, config: ExperimentConfig, values: int) -> int:
-    """Columns of ``values`` mu each that one power-series panel over
-    ``ops.X`` may hold within ``SHARED_SERIES_BYTES``; 0 in closed-form
-    mode, or when a single column is over the budget."""
-    if config.propagation.mode == MODE_CLOSED_FORM:
-        return 0
-    column = PowerSeries.storage_bytes(ops.X.shape[0], values, config.propagation.max_iterations)
-    return SHARED_SERIES_BYTES // column
-
-
 def _split_with_retries(
     corpus: Corpus, train_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -301,32 +292,17 @@ def _run_repetitions(
 ) -> MetricsReport:
     """The repetitions of :func:`run_experiment` over built operators.
 
-    Every split is drawn first; the repetitions then run in panels of
-    as many as fit ``SHARED_SERIES_BYTES``.  Each panel builds its q x m
-    ``c0`` with one ``init_credibility`` call, propagates its columns as
-    one :class:`PowerSeries` (``propagate_iterative`` still runs once per
-    repetition, in repetition order) and scores them with one
-    ``score_news`` call.  The large products run in row blocks on a
-    :class:`RowBlocks` pool that ends with this call.
+    Every split is drawn first; the :func:`_panels` of their training sides
+    then run on a :class:`RowBlocks` pool that ends with this call.
     """
     splits = [
         _split_with_retries(ops.corpus, config.train_fraction, config.seed ^ rep)
         for rep in range(config.repetitions)
     ]
-    width = _panel_columns(ops, config, 1)
-    step = max(width, 1)  # with no room for one column, each repetition propagates alone
     reps: list[RepetitionResult] = []
     with RowBlocks() as blocks:
-        for start in range(0, len(splits), step):
-            panel = splits[start:start + step]
-            c0 = init_credibility(ops.corpus, [train for train, _, _ in panel], per_post=ops.per_post)
-            columns = list(c0.T)
-            series = PowerSeries(ops.X, columns, (config.mu,), config.propagation, blocks) if width else None
-            c_hat = _propagate_panel(ops, config, columns, series, len(columns))
-            del c0, columns, series  # before scoring and before the next panel is built
-            scores = score_news(ops.corpus, c_hat, per_post=ops.per_post, blocks=blocks)
-            del c_hat
-            for split, column in zip(panel, scores.T):
+        for start, _, scores in _panels(ops, config, [train for train, _, _ in splits], (config.mu,), blocks):
+            for split, column in zip(splits[start:], scores.T):
                 reps.append(_repetition(ops, len(reps), split, column, collect_predictions))
     total = {key: sum(rep.confusion[key] for rep in reps) for key in ("tp", "fp", "tn", "fn")}
 
@@ -344,15 +320,36 @@ def _run_repetitions(
     )
 
 
-def _propagate_panel(
-    ops: PipelineOperators, config: ExperimentConfig, columns: list, series: PowerSeries | None, shared: int
-) -> np.ndarray:
-    """The q x m panel of ``columns`` propagated at ``config.mu``, one
-    column at a time in order; the first ``shared`` read from ``series``."""
-    c_hat = np.empty((ops.X.shape[0], len(columns)))
-    for j, column in enumerate(columns):
-        c_hat[:, j] = propagate(ops, column, config, series if j < shared else None)
-    return c_hat
+def _panels(ops: PipelineOperators, config: ExperimentConfig, sides: list, mus, blocks: RowBlocks):
+    """Yield ``(start, mu, scores)`` for every ``mu`` of ``mus``: the news x m
+    scores of the panel of training ``sides`` from ``start``, propagated at ``mu``.
+
+    A panel holds as many sides as one :class:`PowerSeries` over every
+    ``mu`` fits in ``SHARED_SERIES_BYTES``, and at least one; past that,
+    each ``mu`` runs as its own pass over the panels.  A panel takes one
+    ``init_credibility`` call and, mu by mu, one ``propagate`` call per
+    column (an iterative panel shares one series) and one ``score_news``
+    call, on ``blocks``; its series and ``c0`` go before its last scores.
+    """
+    q, cap = ops.X.shape[0], config.propagation.max_iterations
+    fits = PowerSeries.storage_bytes(q, len(mus), cap) <= SHARED_SERIES_BYTES
+    passes = [tuple(mus)] if fits else [(mu,) for mu in mus]
+    width = max(1, SHARED_SERIES_BYTES // PowerSeries.storage_bytes(q, len(passes[0]), cap))
+    iterative = config.propagation.mode != MODE_CLOSED_FORM
+    for values in passes:
+        for start in range(0, len(sides), width):
+            c0 = init_credibility(ops.corpus, sides[start:start + width], per_post=ops.per_post)
+            columns = list(c0.T)
+            series = PowerSeries(ops.X, columns, values, config.propagation, blocks) if iterative else None
+            for v, mu in enumerate(values):
+                c_hat = np.empty((q, len(columns)))
+                for j, column in enumerate(columns):
+                    c_hat[:, j] = propagate(ops, column, replace(config, mu=mu), series)
+                if v == len(values) - 1:
+                    del c0, columns, series  # before scoring and before the next panel is built
+                scores = score_news(ops.corpus, c_hat, per_post=ops.per_post, blocks=blocks)
+                del c_hat
+                yield start, mu, scores
 
 
 def _repetition(
@@ -414,12 +411,9 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
 
     Grid values outside (0, 1) are dropped with a warning since the
     regularizer is only defined on the open interval.  Ties break toward
-    the smaller mu.  Iterative propagation still runs once per (mu, fold),
-    mu-major, but the folds within ``SHARED_SERIES_BYTES`` read every mu
-    from the columns of one :class:`PowerSeries` panel, so they pay one
-    product per step of their slowest (fold, mu) together.  The folds'
-    ``c0`` is one panel from one ``init_credibility`` call, and each
-    mu's scores come from one ``score_news`` call.
+    the smaller mu.  The folds' inner training sides run as the
+    :func:`_panels` of the grid: one panel, mu-major over all folds, at
+    every benchmark size.
     """
     config.validate()
     usable = sorted({float(g) for g in grid if 0.0 < float(g) < 1.0})
@@ -444,37 +438,23 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
             raise HarnessError("training side too small for an inner validation split")
         folds.append(draw_rows(train, max(1, int(0.1 * len(train))), split_seed + 104729))
 
-    rows = []
-    best_mu = None
-    best_score = -1.0
+    f1 = {mu: [] for mu in usable}  # per mu: (macro, micro) F1 of each fold, in fold order
     with RowBlocks() as blocks:
-        c0 = init_credibility(ops.corpus, [inner_train for _, inner_train in folds], per_post=ops.per_post)
-        columns = list(c0.T)
-        # Every mu is read from each fold mu-major, so the panel lives through
-        # the whole grid: the folds that fit the budget share it, the rest
-        # propagate each mu alone.
-        shared = _panel_columns(ops, config, len(usable))
-        series = PowerSeries(ops.X, columns[:shared], usable, config.propagation, blocks) if shared else None
-        for mu in usable:
-            c_hat = _propagate_panel(ops, replace(config, mu=mu), columns, series, shared)
-            predicted = sign_labels(score_news(ops.corpus, c_hat, per_post=ops.per_post, blocks=blocks))
-            macros, micros = [], []
-            for fold, (val, _) in enumerate(folds):
-                macro, micro = compute_f1(predicted[val, fold], labels[val])
-                macros.append(macro)
-                micros.append(micro)
-            row = {
-                "mu": mu,
-                "micro_f1_mean": _mean(micros),
-                "micro_f1_std": _sample_std(micros),
-                "macro_f1_mean": _mean(macros),
-                "macro_f1_std": _sample_std(macros),
-            }
-            rows.append(row)
-            if row["micro_f1_mean"] > best_score:
-                best_score = row["micro_f1_mean"]
-                best_mu = mu
-    return GridSearchResult(best_mu=best_mu, rows=tuple(rows))
+        for start, mu, scores in _panels(ops, config, [inner_train for _, inner_train in folds], usable, blocks):
+            for (val, _), predicted in zip(folds[start:], sign_labels(scores).T):
+                f1[mu].append(compute_f1(predicted[val], labels[val]))
+    rows = []
+    for mu, per_fold in f1.items():
+        macros, micros = zip(*per_fold)
+        rows.append({
+            "mu": mu,
+            "micro_f1_mean": _mean(micros),
+            "micro_f1_std": _sample_std(micros),
+            "macro_f1_mean": _mean(macros),
+            "macro_f1_std": _sample_std(macros),
+        })
+    best = max(rows, key=lambda row: row["micro_f1_mean"])  # the first, so the smallest mu, of a tie
+    return GridSearchResult(best_mu=best["mu"], rows=tuple(rows))
 
 
 def sweep_training_fraction(

@@ -22,6 +22,7 @@ import newstag.harness
 import newstag.reports
 from newstag import cli
 from newstag.corpus import write_corpus
+from newstag.credibility import PowerSeries
 from newstag.synth import SyntheticParams, generate_synthetic
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -46,6 +47,18 @@ def test_every_wrapped_attribute_exists(bench):
     missing = [f"{mod}.{attr}" for mod, attr in wrapped_names(bench["tracing"])
                if not hasattr(MODULES[mod], attr)]
     assert not missing
+
+
+def test_every_benchmark_job_is_one_panel(bench):
+    # The reference orders grid-mu's propagate_iters mu-major over all folds;
+    # the program propagates in that order only while a job's columns fit one
+    # panel.  A workload's pool size bounds its vocabulary.
+    run = bench["run"]
+    protocol = run.PROTOCOL
+    for name, workload in run.WORKLOADS.items():
+        values = len(protocol["grid"]) if workload["subcommand"] == "grid-mu" else 1
+        column = PowerSeries.storage_bytes(workload["hashtags"], values, protocol["max_iterations"])
+        assert protocol["repetitions"] * column <= newstag.harness.SHARED_SERIES_BYTES, name
 
 
 @pytest.mark.parametrize("subcommand, propagations", [("run", 10), ("grid-mu", 90)])

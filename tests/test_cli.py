@@ -790,7 +790,27 @@ def test_k1_zero_exits_1(workdir, matrix):
         "export", "--input", str(workdir / "corpus.jsonl"), "--matrix", matrix, "--k1", "0", "--edges-out", str(out),
     )
     assert result.returncode == 1
-    assert result.stderr == "error: k1 must be >= 1, got 0\n"
+    assert result.stderr == "error: --k1 must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sweep-time", "--horizons=12,24,-5"], "--horizons value -5.0: time_horizon_hours must be positive"),
+    (["sweep-time", "--horizons="], "--horizons needs at least one value"),
+    (["sweep-volume", "--fractions", "0.5,1.5"], "--fractions value 1.5: train_fraction must be in (0,1)"),
+    (["grid-mu", "--grid="], "--grid needs a value in (0,1), got []"),
+    (["grid-mu", "--grid", "0,1"], "--grid needs a value in (0,1), got [0.0, 1.0]"),
+    (["export", "--k1", "0"], "--k1 must be >= 1, got 0"),
+    (["analyze", "--kind", "convergence", "--mu", "1.5"], "mu must be in (0,1)"),
+    (["analyze", "--kind", "case-study"], "case-study analysis requires --watchlist"),
+])
+def test_flag_errors_exit_1_before_the_input_is_read(workdir, args, message):
+    out_flag = "--edges-out" if args[0] == "export" else "--out"
+    out = workdir / "flag-error.out"
+    result = run_cli(*args, "--input", str(workdir / "nope.jsonl"), out_flag, str(out))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: " + message)
+    assert result.stderr.count("\n") == 1
     assert not out.exists()
 
 

@@ -515,31 +515,52 @@ def test_no_thread_outlives_run_or_grid(monkeypatch, method):
 
 def _grid_products(monkeypatch, corpus, config, grid):
     """grid_search_mu's result, the products its operator took, the columns
-    of those products, and the iteration count of every (mu, fold)
-    propagation, mu-major."""
-    operators, iterations = [], []
-    real_build, real_propagate = newstag.harness.build_pipeline, newstag.harness.propagate_iterative
+    of those products, and one record per panel (one init_credibility
+    call each): its columns, the grid values of its series, and the mu
+    and iteration count of each of its propagations."""
+    operators, panels = [], []
+    real_build, real_init = newstag.harness.build_pipeline, newstag.harness.init_credibility
+    real_propagate, real_series = newstag.harness.propagate_iterative, newstag.harness.PowerSeries
 
     def counting_build(*args):
         ops = real_build(*args)
         operators.append(CountingOperator(ops.X))
         return replace(ops, X=operators[-1])
 
+    def recording_init(corpus, sides, per_post=True):
+        panels.append({"columns": len(sides), "values": None, "mus": [], "iterations": []})
+        return real_init(corpus, sides, per_post=per_post)
+
+    class RecordingSeries(real_series):
+        def __init__(self, X, c0, mus, *args):
+            panels[-1]["values"] = len(mus)
+            super().__init__(X, c0, mus, *args)
+
     def recording_propagate(*args, **kwargs):
         c, residuals = real_propagate(*args, **kwargs)
-        iterations.append(len(residuals))
+        panels[-1]["mus"].append(args[2])
+        panels[-1]["iterations"].append(len(residuals))
         return c, residuals
 
     with monkeypatch.context() as patch:
         patch.setattr(newstag.harness, "build_pipeline", counting_build)
+        patch.setattr(newstag.harness, "init_credibility", recording_init)
+        patch.setattr(newstag.harness, "PowerSeries", RecordingSeries)
         patch.setattr(newstag.harness, "propagate_iterative", recording_propagate)
         result = grid_search_mu(corpus, config, grid)
     counting = operators[0]
-    return result, counting.products, counting.columns, np.array(iterations).reshape(len(grid), config.repetitions)
+    return result, counting.products, counting.columns, panels
+
+
+def _assert_one_product_per_panel_step(products, columns, panels):
+    # a panel's series takes one product per step of its slowest (fold, mu)
+    steps = [max(panel["iterations"]) for panel in panels]
+    assert products == sum(steps)
+    assert columns == sum(panel["columns"] * step for panel, step in zip(panels, steps))
 
 
 @pytest.mark.parametrize("folds_in_budget", [None, 0, 1, 3])
-def test_grid_shares_products_per_fold_within_the_budget(monkeypatch, folds_in_budget):
+def test_grid_shares_products_per_panel_within_the_budget(monkeypatch, folds_in_budget):
     corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.8), seed=9)
     config = small_config(repetitions=4, propagation=PropagationConfig(max_iterations=500, tolerance=1e-9))
     grid = [0.2, 0.5, 0.9, 0.6]
@@ -547,16 +568,35 @@ def test_grid_shares_products_per_fold_within_the_budget(monkeypatch, folds_in_b
     if folds_in_budget is not None:
         fold_bytes = PowerSeries.storage_bytes(len(corpus.vocabulary), len(grid), config.propagation.max_iterations)
         monkeypatch.setattr(newstag.harness, "SHARED_SERIES_BYTES", folds_in_budget * fold_bytes)
-    result, products, columns, iterations = _grid_products(monkeypatch, corpus, config, grid)
+    result, products, columns, panels = _grid_products(monkeypatch, corpus, config, grid)
     assert result == expected
-    # the folds in the budget share one panel: one product per step of its
-    # slowest (fold, mu); every other (fold, mu) takes one product per step
-    shared = config.repetitions if folds_in_budget is None else folds_in_budget
-    panel_steps = iterations[:, :shared].max(initial=0)
-    alone = iterations[:, shared:].sum()
-    assert products == panel_steps + alone
-    assert columns == shared * panel_steps + alone
-    assert iterations.max(axis=0).sum() < iterations.sum()
+    # the folds run in panels of as many as fit the budget over every mu, at
+    # least one; with no room for one fold, each mu is its own pass
+    widths = {None: [4], 0: [1] * 16, 1: [1] * 4, 3: [3, 1]}[folds_in_budget]
+    assert [panel["columns"] for panel in panels] == widths
+    assert {panel["values"] for panel in panels} == {1 if folds_in_budget == 0 else len(grid)}
+    assert sum(len(panel["iterations"]) for panel in panels) == len(grid) * config.repetitions
+    _assert_one_product_per_panel_step(products, columns, panels)
+    if folds_in_budget is None:
+        assert products < sum(sum(panel["iterations"]) for panel in panels)
+
+
+def test_grid_runs_each_mu_alone_when_one_column_over_the_grid_is_past_the_budget(monkeypatch):
+    corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.8), seed=9)
+    config = small_config(repetitions=4, propagation=PropagationConfig(max_iterations=200, tolerance=1e-9))
+    grid = [round(0.02 * k, 2) for k in range(1, 46)]
+    q, cap = len(corpus.vocabulary), config.propagation.max_iterations
+    expected = grid_search_mu(corpus, config, grid)
+    budget = 2 * PowerSeries.storage_bytes(q, 1, cap)
+    assert PowerSeries.storage_bytes(q, len(grid), cap) > budget
+    monkeypatch.setattr(newstag.harness, "SHARED_SERIES_BYTES", budget)
+    result, products, columns, panels = _grid_products(monkeypatch, corpus, config, grid)
+    assert result == expected
+    # per mu, a pass over the folds in panels of two: mu-major, fold-minor
+    assert [(panel["columns"], panel["values"]) for panel in panels] == [(2, 1)] * 2 * len(grid)
+    assert [set(panel["mus"]) for panel in panels] == [{mu} for mu in sorted(grid) for _ in range(2)]
+    assert all(panel["columns"] * PowerSeries.storage_bytes(q, panel["values"], cap) <= budget for panel in panels)
+    _assert_one_product_per_panel_step(products, columns, panels)
 
 
 def _peak_bytes(experiment, *args):
@@ -684,6 +724,32 @@ def test_run_panel_memory_stays_within_the_budget(monkeypatch, panel_columns):
     assert peak - alone_peak <= width * column
 
 
+def test_closed_form_run_solves_on_the_same_panels(monkeypatch):
+    # c0 and scores once per panel, one conjugate gradient per column: the
+    # report, predictions and scores too, equals one repetition per panel
+    corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.8), seed=9)
+    config = small_config(repetitions=10, propagation=PropagationConfig(mode="closed_form"))
+    with monkeypatch.context() as patch:
+        patch.setattr(newstag.harness, "SHARED_SERIES_BYTES", 0)
+        alone = run_experiment(corpus, config, collect_predictions=True)
+    panels, solves = [], []
+    real_init, real_solve = newstag.harness.init_credibility, newstag.harness.propagate_closed_form
+
+    def recording_init(corpus, sides, per_post=True):
+        panels.append(len(sides))
+        return real_init(corpus, sides, per_post=per_post)
+
+    def recording_solve(X, c0, mu):
+        solves.append(mu)
+        return real_solve(X, c0, mu)
+
+    monkeypatch.setattr(newstag.harness, "init_credibility", recording_init)
+    monkeypatch.setattr(newstag.harness, "propagate_closed_form", recording_solve)
+    assert run_experiment(corpus, config, collect_predictions=True) == alone
+    assert panels == [config.repetitions]
+    assert solves == [config.mu] * config.repetitions
+
+
 def test_build_pipeline_peak_memory_stays_under_three_dense_operators():
     # The closure is CSR with every entry stored (1.5 x 8q^2 bytes with its
     # indices); the operator's values are scaled a block at a time beside it
@@ -770,6 +836,7 @@ def test_sweep_detection_time_checks_every_horizon_before_building(tmp_path, mon
         sweep_detection_time(corpus_of([]), small_config(), [float(h) for h in horizons.split(",")])
     out = tmp_path / "time.csv"
     assert main(["sweep-time", "--input", str(corpus), f"--horizons={horizons}", "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: time_horizon_hours must be positive")
+    err = capsys.readouterr().err
+    assert err.startswith("error: --horizons value ") and "time_horizon_hours must be positive" in err
     assert builds == []
     assert not out.exists() and not (tmp_path / "time.csv.config.json").exists()
