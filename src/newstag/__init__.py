@@ -49,8 +49,7 @@ _EXPORTS = {
         "compute_f1",
         "grid_search_mu",
         "run_experiment",
-        "sweep_detection_time",
-        "sweep_training_fraction",
+        "sweep",
     ),
     "analysis": ("case_study", "convergence_trace", "popularity_analysis", "purity_analysis"),
     "synth": ("SyntheticParams", "generate_synthetic"),

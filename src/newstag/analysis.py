@@ -171,7 +171,7 @@ def case_study(corpus: Corpus, config: ExperimentConfig, watchlist) -> tuple[Cas
 
     train, _, _ = _split_with_retries(corpus, config.train_fraction, config.seed)
     c0 = init_credibility(corpus, train, per_post=ops.per_post)
-    c_hat = rescale_credibility(propagate(ops, c0, config))
+    c_hat = rescale_credibility(propagate(ops, c0, config.mu, config))
 
     rows = []
     for raw in watchlist:

@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .corpus import MAX_SPAN_HOURS
-from .credibility import MAX_ITERATIONS
+from .credibility import MAX_ITERATIONS, MODE_CLOSED_FORM, MODE_ITERATIVE
 from .graph import MAX_K1
-from .harness import MAX_REPETITIONS
+from .harness import MAX_REPETITIONS, METHODS, ExperimentConfig
 from .synth import (
     MAX_CHAIN_DEPTH,
     MAX_CHAINS,
@@ -75,7 +75,11 @@ class Opt:
 
     @property
     def flag(self) -> str:
-        return "--" + self.name.replace("_", "-")
+        return _flag(self.name)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -226,24 +230,27 @@ def _read_corpus(path: str, **options):
 # Option tables
 # ---------------------------------------------------------------------------
 
+_DEFAULT = ExperimentConfig()  # the experiment options' defaults
+
 _INPUT = Opt("input", "str", required=True, help="corpus JSONL path")
-_K1 = Opt("k1", "int", 10, help="closure truncation order", limit=MAX_K1)
+_K1 = Opt("k1", "int", _DEFAULT.k1, help="closure truncation order", limit=MAX_K1)
 _OUT = Opt("out", "str", required=True, help="output artifact path")
 _SEED = Opt("seed", "int", 0, help="base random seed")
 
 RUN_OPTS = [
     _INPUT,
-    Opt("method", "str", "newstag", choices=("newstag", "newstag_no_indirect", "newstag_unweighted"),
-        help="pipeline variant"),
-    Opt("mu", "float", 0.4, help="regularization weight in (0,1)"),
+    Opt("method", "str", _DEFAULT.method, choices=METHODS, help="pipeline variant"),
+    Opt("mu", "float", _DEFAULT.mu, help="regularization weight in (0,1)"),
     _K1,
     Opt("k2", "int", help="fixed propagation iteration count (sets tolerance to 0)", limit=MAX_ITERATIONS),
-    Opt("max_iterations", "int", 100, help="propagation iteration cap", limit=MAX_ITERATIONS),
-    Opt("tolerance", "float", 1e-9, help="propagation stopping tolerance (0 disables)"),
-    Opt("mode", "str", "iterative", choices=("iterative", "closed_form"), help="propagation solver"),
-    Opt("train_fraction", "float", 0.8, help="labeled fraction used for training"),
+    Opt("max_iterations", "int", _DEFAULT.propagation.max_iterations, help="propagation iteration cap",
+        limit=MAX_ITERATIONS),
+    Opt("tolerance", "float", _DEFAULT.propagation.tolerance, help="propagation stopping tolerance (0 disables)"),
+    Opt("mode", "str", _DEFAULT.propagation.mode, choices=(MODE_ITERATIVE, MODE_CLOSED_FORM),
+        help="propagation solver"),
+    Opt("train_fraction", "float", _DEFAULT.train_fraction, help="labeled fraction used for training"),
     Opt("horizon_hours", "float", help="optional detection-time filter in hours", limit=MAX_SPAN_HOURS),
-    Opt("repetitions", "int", 10, help="number of repeated splits", limit=MAX_REPETITIONS),
+    Opt("repetitions", "int", _DEFAULT.repetitions, help="number of repeated splits", limit=MAX_REPETITIONS),
     _SEED,
 ]
 
@@ -329,31 +336,37 @@ _EXPERIMENT_FIELDS = {"method": "method", "mu": "mu", "k1": "k1", "train_fractio
                       "horizon_hours": "time_horizon_hours", "seed": "seed", "repetitions": "repetitions"}
 
 
-def _experiment_config(eff: dict):
-    from .credibility import PropagationConfig
-    from .harness import ExperimentConfig
-
-    if eff["k2"] is not None:
-        max_iterations, tolerance = eff["k2"], 0.0
-    else:
-        max_iterations, tolerance = eff["max_iterations"], eff["tolerance"]
-    config = ExperimentConfig(
-        propagation=PropagationConfig(max_iterations=max_iterations, tolerance=tolerance, mode=eff["mode"]),
-        **{field: eff[name] for name, field in _EXPERIMENT_FIELDS.items() if name in eff},
-    )
-    config.validate()
+def _with(name: str, value, config: ExperimentConfig, **changes) -> ExperimentConfig:
+    """``config`` with the ``changes`` option ``name`` makes at ``value``, validated; an error names the flag."""
+    try:
+        config = replace(config, **changes)
+        config.validate()
+    except ValueError as exc:
+        raise CliUsageError(f"{_flag(name)} value {value!r}: {exc}") from None
     return config
 
 
-def _check_each(flag: str, config, field: str, values) -> None:
-    """Validate ``config`` with each of a list flag's ``values`` as ``field``, naming the flag."""
+def _experiment_config(eff: dict) -> ExperimentConfig:
+    """The experiment options' config, each option checked in turn on the defaults."""
+    config = _DEFAULT
+    for name, field in _EXPERIMENT_FIELDS.items():
+        if name in eff:
+            config = _with(name, eff[name], config, **{field: eff[name]})
+    if eff["k2"] is not None:
+        solver = [("k2", {"max_iterations": eff["k2"], "tolerance": 0.0})]
+    else:
+        solver = [("max_iterations", {"max_iterations": eff["max_iterations"]}),
+                  ("tolerance", {"tolerance": eff["tolerance"]})]
+    for name, changes in [*solver, ("mode", {"mode": eff["mode"]})]:
+        config = _with(name, eff[name], config, propagation=replace(config.propagation, **changes))
+    return config
+
+
+def _rows(name: str, config: ExperimentConfig, field: str, values) -> list[tuple[str, ExperimentConfig]]:
+    """One ``(repr(value), config)`` sweep row per value of list option ``name``, each set as ``field``."""
     if not values:
-        raise CliUsageError(f"{flag} needs at least one value")
-    for value in values:
-        try:
-            replace(config, **{field: value}).validate()
-        except ValueError as exc:
-            raise CliUsageError(f"{flag} value {value!r}: {exc}") from None
+        raise CliUsageError(f"{_flag(name)} needs at least one value")
+    return [(repr(value), _with(name, value, config, **{field: value})) for value in values]
 
 
 def _synthetic_params(eff: dict):
@@ -448,45 +461,34 @@ def _cmd_grid_mu(eff: dict) -> int:
 
 
 def _cmd_sweep_volume(eff: dict) -> int:
-    from .harness import sweep_training_fraction
-    from .reports import write_sweep_csv
-
-    config = _experiment_config(eff)
-    _check_each("--fractions", config, "train_fraction", eff["fractions"])
-    corpus = _read_corpus(eff["input"])
-    rows = sweep_training_fraction(corpus, config, eff["fractions"])
-    write_sweep_csv([(repr(x), report) for x, report in rows], eff["out"])
-    _write_echo("sweep-volume", eff, eff["out"])
-    print(f"wrote {len(rows)} sweep rows to {eff['out']}")
-    return 0
+    rows = _rows("fractions", _experiment_config(eff), "train_fraction", eff["fractions"])
+    return _write_sweep("sweep-volume", eff, rows)
 
 
 def _cmd_sweep_time(eff: dict) -> int:
-    from .harness import sweep_detection_time
+    config = _experiment_config(eff)  # sweep-time takes no --horizon-hours: the unfiltered "all" row
+    rows = _rows("horizons", config, "time_horizon_hours", eff["horizons"]) + [("all", config)]
+    return _write_sweep("sweep-time", eff, rows)
+
+
+def _write_sweep(subcommand: str, eff: dict, rows) -> int:
+    from .harness import sweep
     from .reports import write_sweep_csv
 
-    config = _experiment_config(eff)
-    _check_each("--horizons", config, "time_horizon_hours", eff["horizons"])
-    corpus = _read_corpus(eff["input"])
-    rows = sweep_detection_time(corpus, config, eff["horizons"])
+    rows = sweep(_read_corpus(eff["input"]), rows)
     write_sweep_csv(rows, eff["out"])
-    _write_echo("sweep-time", eff, eff["out"])
+    _write_echo(subcommand, eff, eff["out"])
     print(f"wrote {len(rows)} sweep rows to {eff['out']}")
     return 0
 
 
 def _cmd_ablate(eff: dict) -> int:
-    from dataclasses import replace
-
-    from .harness import METHODS, run_experiment
+    from .harness import sweep
     from .reports import write_json
 
     config = _experiment_config(eff)
-    corpus = _read_corpus(eff["input"])
-    payload = {"methods": {}}
-    for method in METHODS:
-        report = run_experiment(corpus, replace(config, method=method))
-        payload["methods"][method] = report.to_dict()
+    rows = sweep(_read_corpus(eff["input"]), [(method, replace(config, method=method)) for method in METHODS])
+    payload = {"methods": {method: report.to_dict() for method, report in rows}}
     write_json(payload, eff["out"])
     _write_echo("ablate", eff, eff["out"])
     for method, entry in payload["methods"].items():

@@ -4,15 +4,16 @@ The pipeline is transductive: the hashtag graph is built over all news
 (labels withheld), while the initial credibility comes from training
 labels only.  Graph construction, normalization, closure and the
 propagation operator are split-independent, so they are computed once
-per corpus and reused across repetitions and grid points.  Every
-experiment propagates its training sides through :func:`_panels`.
+per corpus and reused across repetitions and grid points, and by
+adjacent :func:`sweep` rows with equal method, ``k1`` and time horizon.
+Every experiment propagates its training sides through :func:`_panels`.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 import scipy.sparse as sp
@@ -244,12 +245,12 @@ def build_pipeline(corpus: Corpus, config: ExperimentConfig) -> PipelineOperator
 
 
 def propagate(
-    ops: PipelineOperators, c0: np.ndarray, config: ExperimentConfig, series: PowerSeries | None = None
+    ops: PipelineOperators, c0: np.ndarray, mu: float, config: ExperimentConfig, series: PowerSeries | None = None
 ) -> np.ndarray:
-    """Propagate ``c0`` at ``config.mu``; an iterative ``series`` shares its products across mu."""
+    """Propagate ``c0`` at ``mu`` with ``config``'s solver; an iterative ``series`` shares its products across mu."""
     if config.propagation.mode == MODE_CLOSED_FORM:
-        return propagate_closed_form(ops.X, c0, config.mu)
-    c_hat, _ = propagate_iterative(ops.X, c0, config.mu, config.propagation, series=series)
+        return propagate_closed_form(ops.X, c0, mu)
+    c_hat, _ = propagate_iterative(ops.X, c0, mu, config.propagation, series=series)
     return c_hat
 
 
@@ -344,7 +345,7 @@ def _panels(ops: PipelineOperators, config: ExperimentConfig, sides: list, mus, 
             for v, mu in enumerate(values):
                 c_hat = np.empty((q, len(columns)))
                 for j, column in enumerate(columns):
-                    c_hat[:, j] = propagate(ops, column, replace(config, mu=mu), series)
+                    c_hat[:, j] = propagate(ops, column, mu, config, series)
                 if v == len(values) - 1:
                     del c0, columns, series  # before scoring and before the next panel is built
                 scores = score_news(ops.corpus, c_hat, per_post=ops.per_post, blocks=blocks)
@@ -457,34 +458,25 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
     return GridSearchResult(best_mu=best["mu"], rows=tuple(rows))
 
 
-def sweep_training_fraction(
-    corpus: Corpus, config: ExperimentConfig, fractions
-) -> list[tuple[float, MetricsReport]]:
-    """run_experiment per training fraction, with shared seeds.
+def sweep(corpus: Corpus, rows) -> list[tuple[str, MetricsReport]]:
+    """:func:`run_experiment` per ``(name, config)`` row, in order.
 
-    A fraction changes only the splits, so the pipeline is built once.
+    Every config is validated before the first pipeline is built.  A row
+    builds one only when its method, ``k1`` or time horizon differs from
+    the previous row's, and the previous pipeline is dropped first, so
+    one is held at a time: a training-fraction sweep builds once, a
+    detection-time sweep once per horizon (adjacent equal ones share it).
     """
-    configs = [replace(config, train_fraction=float(fraction)) for fraction in fractions]
-    if not configs:
-        raise ValueError("fraction list must not be empty")
-    for candidate in configs:
-        candidate.validate()
-    ops = build_pipeline(corpus, configs[0])
-    return [(candidate.train_fraction, _run_repetitions(ops, candidate)) for candidate in configs]
-
-
-def sweep_detection_time(
-    corpus: Corpus, config: ExperimentConfig, horizons
-) -> list[tuple[str, MetricsReport]]:
-    """run_experiment per detection horizon, plus an unfiltered "all" row.
-
-    Every row's config is validated before the first pipeline is built.
-    """
-    horizons = [float(horizon) for horizon in horizons]
-    if not horizons:
-        raise ValueError("horizon list must not be empty")
-    rows = [(repr(horizon), replace(config, time_horizon_hours=horizon)) for horizon in horizons]
-    rows.append(("all", replace(config, time_horizon_hours=None)))
-    for _, candidate in rows:
-        candidate.validate()
-    return [(name, run_experiment(corpus, candidate)) for name, candidate in rows]
+    rows = list(rows)
+    if not rows:
+        raise ValueError("sweep needs at least one row")
+    for _, config in rows:
+        config.validate()
+    results, ops, built_for = [], None, None
+    for name, config in rows:
+        key = (config.method, config.k1, config.time_horizon_hours)
+        if key != built_for:
+            ops = None  # released before the next build
+            ops, built_for = build_pipeline(corpus, config), key
+        results.append((name, _run_repetitions(ops, config)))
+    return results

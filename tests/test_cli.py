@@ -801,8 +801,17 @@ def test_k1_zero_exits_1(workdir, matrix):
     (["grid-mu", "--grid="], "--grid needs a value in (0,1), got []"),
     (["grid-mu", "--grid", "0,1"], "--grid needs a value in (0,1), got [0.0, 1.0]"),
     (["export", "--k1", "0"], "--k1 must be >= 1, got 0"),
-    (["analyze", "--kind", "convergence", "--mu", "1.5"], "mu must be in (0,1)"),
+    (["analyze", "--kind", "convergence", "--mu", "1.5"], "--mu value 1.5: mu must be in (0,1)"),
     (["analyze", "--kind", "case-study"], "case-study analysis requires --watchlist"),
+    (["run", "--train-fraction", "1.5"], "--train-fraction value 1.5: train_fraction must be in (0,1), got 1.5"),
+    (["run", "--k2", "0"], "--k2 value 0: max_iterations must be >= 1"),
+    (["run", "--max-iterations", "0"], "--max-iterations value 0: max_iterations must be >= 1"),
+    (["run", "--horizon-hours", "-1"], "--horizon-hours value -1.0: time_horizon_hours must be positive"),
+    (["run", "--repetitions", "0"], "--repetitions value 0: repetitions must be >= 1"),
+    (["run", "--tolerance", "-1"], "--tolerance value -1.0: tolerance must be finite and >= 0"),
+    (["run", "--seed", "-1"], "--seed value -1: seed must be non-negative"),
+    (["run", "--k1", "0"], "--k1 value 0: k1 must be >= 1, got 0"),
+    (["run", "--mu", "1.5"], "--mu value 1.5: mu must be in (0,1)"),
 ])
 def test_flag_errors_exit_1_before_the_input_is_read(workdir, args, message):
     out_flag = "--edges-out" if args[0] == "export" else "--out"
@@ -812,6 +821,19 @@ def test_flag_errors_exit_1_before_the_input_is_read(workdir, args, message):
     assert result.stderr.startswith("error: " + message)
     assert result.stderr.count("\n") == 1
     assert not out.exists()
+
+
+def test_run_defaults_are_the_library_defaults(workdir):
+    from newstag.cli import main
+    from newstag.harness import ExperimentConfig
+
+    out = workdir / "defaults.json"
+    assert main(["run", "--input", str(workdir / "corpus.jsonl"), "--out", str(out)]) == 0
+    params = json.loads((workdir / "defaults.json.config.json").read_text())["parameters"]
+    expected = ExperimentConfig().to_dict()
+    expected.update(expected.pop("propagation"), horizon_hours=expected.pop("time_horizon_hours"), k2=None)
+    # equal as JSON, so an integer default stays an integer in the echo
+    assert json.dumps({name: params[name] for name in expected}, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 # --- degenerate corpora ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import logging
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ import newstag.credibility
 import newstag.harness
 from newstag.corpus import draw_rows
 from newstag.credibility import (
+    MODE_CLOSED_FORM,
+    MODE_ITERATIVE,
     PowerSeries,
     PropagationConfig,
     RowBlocks,
@@ -35,8 +38,7 @@ from newstag.harness import (
     grid_search_mu,
     propagate,
     run_experiment,
-    sweep_detection_time,
-    sweep_training_fraction,
+    sweep,
 )
 from newstag.synth import SyntheticParams, generate_synthetic
 
@@ -283,7 +285,7 @@ def test_scores_equivariant_under_news_and_hashtag_permutation(method, mode):
     for c in (corpus, shuffled):
         ops = build_pipeline(c, config)
         rows = [r for r, item in enumerate(c.news) if item.id in train_ids]
-        c_hat = propagate(ops, init_credibility(ops.corpus, rows, per_post=ops.per_post), config)
+        c_hat = propagate(ops, init_credibility(ops.corpus, rows, per_post=ops.per_post), config.mu, config)
         scores = score_news(ops.corpus, c_hat, per_post=ops.per_post)
         labels = predict(ops.corpus, c_hat, per_post=ops.per_post)
         results.append({item.id: (s, lab) for item, s, lab in zip(c.news, scores, labels)})
@@ -769,50 +771,64 @@ def test_build_pipeline_peak_memory_stays_under_three_dense_operators():
 
 # --- sweeps ---------------------------------------------------------------------------
 
-def test_sweep_training_fraction_runs_all_points():
+def rows_of(config: ExperimentConfig, field: str, values) -> list[tuple[str, ExperimentConfig]]:
+    """The sweep rows of a list flag: one ``(repr(value), config)`` per value."""
+    return [(repr(value), replace(config, **{field: value})) for value in values]
+
+
+def counting_builds(monkeypatch) -> list:
+    """The configs ``build_pipeline`` is called with; each call first checks
+    that no pipeline it built before is still alive."""
+    builds, alive = [], []
+    real_build = newstag.harness.build_pipeline
+
+    def counting_build(corpus, config):
+        assert all(ref() is None for ref in alive), "the previous pipeline outlives the next build"
+        builds.append(config)
+        ops = real_build(corpus, config)
+        alive.append(weakref.ref(ops))
+        return ops
+
+    monkeypatch.setattr(newstag.harness, "build_pipeline", counting_build)
+    return builds
+
+
+def test_sweep_runs_every_training_fraction():
     corpus = generate_synthetic(SyntheticParams(hashtags=80, news=60, purity=1.0), seed=10)
-    rows = sweep_training_fraction(corpus, small_config(repetitions=2), [0.2, 0.8])
-    assert [x for x, _ in rows] == [0.2, 0.8]
+    rows = sweep(corpus, rows_of(small_config(repetitions=2), "train_fraction", [0.2, 0.8]))
+    assert [name for name, _ in rows] == ["0.2", "0.8"]
+    assert [report.config["train_fraction"] for _, report in rows] == [0.2, 0.8]
     for _, report in rows:
         assert report.micro_f1_mean == 1.0
 
 
-def test_sweep_training_fraction_builds_pipeline_once(monkeypatch):
+def test_sweep_builds_one_pipeline_for_a_training_fraction_sweep(monkeypatch):
     corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.8), seed=3)
     config = small_config(repetitions=2)
     fractions = [0.3, 0.5, 0.8]
     expected = [run_experiment(corpus, small_config(repetitions=2, train_fraction=f)) for f in fractions]
-    builds = []
-    real_build = newstag.harness.build_pipeline
-
-    def counting_build(*args, **kwargs):
-        builds.append(args)
-        return real_build(*args, **kwargs)
-
-    monkeypatch.setattr(newstag.harness, "build_pipeline", counting_build)
-    rows = sweep_training_fraction(corpus, config, fractions)
+    builds = counting_builds(monkeypatch)
+    rows = sweep(corpus, rows_of(config, "train_fraction", fractions))
     assert len(builds) == 1
-    assert [x for x, _ in rows] == fractions
+    assert [name for name, _ in rows] == [repr(f) for f in fractions]
     assert [report.to_dict() for _, report in rows] == [report.to_dict() for report in expected]
     with pytest.raises(ValueError, match="train_fraction"):
-        sweep_training_fraction(corpus, config, [0.5, 1.0])
+        sweep(corpus, rows_of(config, "train_fraction", [0.5, 1.0]))
     assert len(builds) == 1  # every fraction is checked before anything is built
 
 
-def test_sweep_empty_lists_rejected():
+def test_sweep_rejects_an_empty_row_list():
     corpus = generate_synthetic(SyntheticParams(hashtags=40, news=30), seed=1)
-    with pytest.raises(ValueError):
-        sweep_training_fraction(corpus, small_config(), [])
-    with pytest.raises(ValueError):
-        sweep_detection_time(corpus, small_config(), [])
+    with pytest.raises(ValueError, match="at least one row"):
+        sweep(corpus, [])
 
 
-def test_sweep_detection_time_all_row_matches_plain_run():
+def test_sweep_all_row_matches_plain_run():
     params = SyntheticParams(hashtags=60, news=40, purity=0.8, post_window_hours=30.0)
     corpus = generate_synthetic(params, seed=12)
     config = small_config(repetitions=2)
-    rows = sweep_detection_time(corpus, config, [12.0, 1000.0])
-    assert [x for x, _ in rows] == ["12.0", "1000.0", "all"]
+    rows = sweep(corpus, rows_of(config, "time_horizon_hours", [12.0, 1000.0]) + [("all", config)])
+    assert [name for name, _ in rows] == ["12.0", "1000.0", "all"]
     plain = run_experiment(corpus, config)
     all_row = rows[-1][1]
     assert all_row.macro_f1_mean == plain.macro_f1_mean
@@ -823,7 +839,7 @@ def test_sweep_detection_time_all_row_matches_plain_run():
 
 
 @pytest.mark.parametrize("horizons", ["12,24,-5", "-5,12,24", "12,0"])
-def test_sweep_detection_time_checks_every_horizon_before_building(tmp_path, monkeypatch, capsys, horizons):
+def test_sweep_checks_every_horizon_before_building(tmp_path, monkeypatch, capsys, horizons):
     import newstag.analysis  # noqa: F401  (imported first, so it binds the real build_pipeline)
     from newstag.cli import main
     from newstag.corpus import write_corpus
@@ -832,11 +848,71 @@ def test_sweep_detection_time_checks_every_horizon_before_building(tmp_path, mon
     write_corpus(generate_synthetic(SyntheticParams(hashtags=40, news=30), seed=1), corpus)
     builds = []
     monkeypatch.setattr(newstag.harness, "build_pipeline", lambda *args: builds.append(args))
+    config = small_config()
+    rows = rows_of(config, "time_horizon_hours", [float(h) for h in horizons.split(",")]) + [("all", config)]
     with pytest.raises(ValueError, match="time_horizon_hours must be positive"):
-        sweep_detection_time(corpus_of([]), small_config(), [float(h) for h in horizons.split(",")])
+        sweep(corpus_of([]), rows)
     out = tmp_path / "time.csv"
     assert main(["sweep-time", "--input", str(corpus), f"--horizons={horizons}", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --horizons value ") and "time_horizon_hours must be positive" in err
     assert builds == []
     assert not out.exists() and not (tmp_path / "time.csv.config.json").exists()
+
+
+def subcommand_rows(subcommand: str, config: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]:
+    """The rows ``sweep-volume``, ``sweep-time`` and ``ablate`` sweep by default."""
+    if subcommand == "sweep-volume":
+        return rows_of(config, "train_fraction", [0.2, 0.4, 0.6, 0.8])
+    if subcommand == "sweep-time":
+        return rows_of(config, "time_horizon_hours", [6.0, 12.0, 24.0]) + [("all", config)]
+    return [(method, replace(config, method=method)) for method in METHODS]
+
+
+@pytest.mark.parametrize("mode", [MODE_ITERATIVE, MODE_CLOSED_FORM])
+@pytest.mark.parametrize("subcommand", ["sweep-volume", "sweep-time", "ablate"])
+def test_every_sweep_row_equals_its_plain_run(mode, subcommand):
+    params = SyntheticParams(hashtags=60, news=40, purity=0.8, post_window_hours=30.0)
+    corpus = generate_synthetic(params, seed=12)
+    rows = subcommand_rows(subcommand, small_config(repetitions=2, propagation=PropagationConfig(mode=mode)))
+    got = sweep(corpus, rows)
+    assert [name for name, _ in got] == [name for name, _ in rows]
+    for (_, config), (_, report) in zip(rows, got):
+        assert report == run_experiment(corpus, config)
+
+
+@pytest.mark.parametrize("subcommand, horizons, expected_builds", [
+    ("sweep-volume", None, 1),
+    ("sweep-time", None, 4),  # three distinct horizons and "all"
+    ("sweep-time", [24.0, 24.0], 2),
+    ("sweep-time", [24.0, 36.0, 24.0], 4),  # only adjacent rows share a build
+    ("ablate", None, 3),
+])
+def test_sweep_builds_once_per_run_of_adjacent_rows_with_equal_method_k1_and_horizon(
+    monkeypatch, subcommand, horizons, expected_builds
+):
+    params = SyntheticParams(hashtags=60, news=40, purity=0.8, post_window_hours=30.0)
+    corpus = generate_synthetic(params, seed=12)
+    config = small_config(repetitions=2)
+    rows = subcommand_rows(subcommand, config)
+    if horizons is not None:
+        rows = rows_of(config, "time_horizon_hours", horizons) + [("all", config)]
+    builds = counting_builds(monkeypatch)
+    sweep(corpus, rows)
+    assert len(builds) == expected_builds
+
+
+@pytest.mark.parametrize("bad", [
+    {"mu": 1.5}, {"method": "bogus"}, {"time_horizon_hours": -5.0}, {"repetitions": 0},
+    {"propagation": PropagationConfig(max_iterations=0)},
+])
+@pytest.mark.parametrize("position", [0, 2, 3])
+def test_sweep_checks_every_row_before_the_first_build(monkeypatch, bad, position):
+    corpus = generate_synthetic(SyntheticParams(hashtags=40, news=30), seed=1)
+    rows = subcommand_rows("sweep-volume", small_config())
+    name, config = rows[position]
+    rows[position] = (name, replace(config, **bad))
+    builds = counting_builds(monkeypatch)
+    with pytest.raises(ValueError):
+        sweep(corpus, rows)
+    assert builds == []
