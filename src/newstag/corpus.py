@@ -489,12 +489,9 @@ def _read_times(values: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _TokenIds(dict):
-    """Raw hashtag token -> id, in first-appearance order.  Looking up a
-    token that is not a string raises TypeError."""
+    """Raw hashtag token -> id, in first-appearance order."""
 
-    def __missing__(self, token):
-        if not isinstance(token, str):
-            raise TypeError(f"hashtag token {token!r} is not a string")
+    def __missing__(self, token: str) -> int:
         self[token] = n = len(self)
         return n
 
@@ -518,17 +515,41 @@ class _Pending:
         for name, column in vars(self).items():
             column.extend(getattr(other, name))
 
-    def time_error(self, line_no: int) -> CorpusError | None:
-        """The error of the first time value here that is no timestamp."""
-        owners = [("news", i, "published_at") for i in self.ids]
-        owners += [("post", i, "created_at") for i in self.post_ids]
-        for (owner, owner_id, name), value in zip(owners, self.published + self.created):
+    def value_error(self, line_no: int) -> CorpusError | None:
+        """For the one record read into this: the error of the first of
+        its ids, time values and tokens, in the order they were read, that
+        is not valid Unicode or no timestamp.  A column the record's error
+        cut short reads as if its last value were absent."""
+        tokens = iter(self.tokens)
+        owners = [("news", i, "published_at", value, 0) for i, value in zip(self.ids, self.published + [None])]
+        owners += [
+            ("post", i, "created_at", value, n)
+            for i, value, n in zip(self.post_ids, self.created + [None], self.tag_count + [0])
+        ]
+        for owner, owner_id, name, value, n in owners:
+            where = f"line {line_no}: {owner} {owner_id!r}"
+            if not _encodable(owner_id):
+                return CorpusError(f"{where}: id is not valid Unicode")
             if value is not None:
                 try:
                     parse_timestamp(value)
                 except (ValueError, OverflowError) as exc:
-                    return CorpusError(f"line {line_no}: {owner} {owner_id!r}: bad {name}: {exc}")
+                    return CorpusError(f"{where}: bad {name}: {exc}")
+            for token in islice(tokens, n):
+                if not _encodable(token):
+                    return CorpusError(f"{where}: hashtag {token!r} is not valid Unicode")
         return None
+
+
+def _encodable(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``: it cannot encode a lone
+    surrogate, which a JSON escape such as ``"\\ud800"`` decodes to."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
+    return True
 
 
 def _label(obj, line_no: int) -> int:
@@ -574,15 +595,14 @@ class _Refused(Exception):
 class _Reader:
     """One parse: each chunk of lines read in one pass and its time values
     converted as arrays, or, when something in the chunk is wrong, read
-    again record by record; the token kernel over the whole corpus at
-    the end.  The part a range reader in another process read is taken
-    in whole by ``merge``, its raw tokens renumbered into this reader's
-    order of first appearance."""
+    again record by record, both passes checking records with ``scan``;
+    the token kernel over the whole corpus at the end.  The part a range
+    reader in another process read is taken in whole by ``merge``, its
+    raw tokens renumbered into this reader's order of first appearance."""
 
     def __init__(self, lenient: bool, errors: list[tuple[int, str]] | None) -> None:
         self.lenient, self.errors = lenient, errors
-        self.skipped = False  # whether a record was skipped (lenient mode only)
-        self.token_ids = _TokenIds()
+        self.token_ids = _TokenIds()  # raw tokens of the records kept so far
         self.ids: dict[str, None] = {}  # news ids of the records kept so far, in order
         # finished columns, one list, string or array per kept chunk; post
         # ids are joined into one string per chunk, with their lengths
@@ -603,49 +623,19 @@ class _Reader:
 
         The fast pass decodes each line with the decoder's scanner, which
         ``json.loads`` runs too: a stripped line holds one JSON value when
-        the value ends at the end of the line."""
+        the value ends at the end of the line.  Each record then goes
+        through ``scan``, and the chunk's values through ``keep``."""
         chunk = _Pending()
         try:
             for line_no, line in lines:
                 record, end = _scan_json(line, 0)
                 if end < len(line):
                     raise _Refused
-                self.take(chunk, record, line_no)
+                self.scan(chunk, record, line_no, _label(record, line_no))
         except Exception:  # the re-read raises or reports it, or an earlier error
             chunk = None
         if chunk is None or not self.keep(chunk):
             self.reread(lines)
-
-    def take(self, p: _Pending, record, line_no: int) -> None:
-        """The fast pass over one decoded record: append its raw values to
-        ``p``, or raise when its structure is wrong.  Post ids, tokens and
-        time values are checked for the whole chunk by ``keep``."""
-        # a JSON value other than an object, as a record or a post, has no get
-        news_id, published = record.get("id"), record.get("published_at")
-        posts = record.get("posts", _ABSENT)
-        if (
-            type(news_id) is not str
-            or not news_id
-            or (type(published) is not str and published is not None)
-            or (type(posts) is not list and posts is not _ABSENT)
-        ):
-            raise _Refused
-        p.ids.append(news_id)
-        p.labels.append(_label(record, line_no))
-        p.published.append(published)
-        p.post_count.append(len(posts))
-        add_post_id, add_created, add_count = p.post_ids.append, p.created.append, p.tag_count.append
-        tokens = p.tokens
-        for post in posts:
-            created, raw_tags = post.get("created_at"), post.get("hashtags", _ABSENT)
-            if (type(created) is not str and created is not None) or (
-                type(raw_tags) is not list and raw_tags is not _ABSENT
-            ):
-                raise _Refused
-            add_post_id(post.get("post_id"))
-            add_created(created)
-            add_count(len(raw_tags))
-            tokens += raw_tags
 
     def reread(self, lines: list[tuple[int, str | CorpusError]]) -> None:
         """Read a chunk one record at a time: skip each malformed record, or
@@ -666,8 +656,8 @@ class _Reader:
                 self.scan(record, obj, line_no, label)
             except CorpusError as exc:
                 failure = exc
-            # a bad time value read before a structural error comes first
-            error = record.time_error(line_no) or failure
+            # a bad value read before a structural error comes first
+            error = record.value_error(line_no) or failure
             if error is not None:
                 self.skip(line_no, error)
                 continue
@@ -680,41 +670,45 @@ class _Reader:
             raise AssertionError("records read one by one were refused")
 
     def scan(self, p: _Pending, obj, line_no: int, label: int) -> None:
-        """Check one record's structure and append its raw values to
-        ``p``, or raise the error of the first thing in it that is wrong."""
-        if not isinstance(obj, dict):
+        """Check one decoded record's structure and append its raw values
+        to ``p``, or raise the error of the first thing in it that is
+        wrong.  Its values are checked later, a chunk's by ``keep``, a
+        record the re-read reads alone by ``_Pending.value_error``."""
+        if type(obj) is not dict:
             raise CorpusError(f"line {line_no}: record must be a JSON object")
         news_id = obj.get("id")
-        if not isinstance(news_id, str) or not news_id:
+        if type(news_id) is not str or not news_id:
             raise CorpusError(f"line {line_no}: id must be a nonempty string")
-        published = obj.get("published_at")
-        if published is not None and not isinstance(published, str):
-            raise CorpusError(f"line {line_no}: news {news_id!r}: published_at must be a string or null")
         p.ids.append(news_id)
         p.labels.append(label)
+        published = obj.get("published_at")
+        if published is not None and type(published) is not str:
+            raise CorpusError(f"line {line_no}: news {news_id!r}: published_at must be a string or null")
         p.published.append(published)
-        posts = obj.get("posts", [])
-        if not isinstance(posts, list):
+        posts = obj.get("posts", _ABSENT)
+        if type(posts) is not list and posts is not _ABSENT:
             raise CorpusError(f"line {line_no}: news {news_id!r}: posts must be a list")
-        add_post_id, add_created = p.post_ids.append, p.created.append
-        add_count, add_tokens = p.tag_count.append, p.tokens.extend
+        add_post_id, add_created, add_count = p.post_ids.append, p.created.append, p.tag_count.append
+        tokens = p.tokens
         for post in posts:
-            if not isinstance(post, dict):
+            if type(post) is not dict:
                 raise CorpusError(f"line {line_no}: post must be an object")
             post_id = post.get("post_id")
-            if not isinstance(post_id, str) or not post_id:
+            if type(post_id) is not str or not post_id:
                 raise CorpusError(f"line {line_no}: news {news_id!r}: post_id must be a nonempty string")
-            created = post.get("created_at")
-            if created is not None and not isinstance(created, str):
-                raise CorpusError(f"line {line_no}: post {post_id!r}: created_at must be a string or null")
             add_post_id(post_id)
+            created = post.get("created_at")
+            if created is not None and type(created) is not str:
+                raise CorpusError(f"line {line_no}: post {post_id!r}: created_at must be a string or null")
             add_created(created)
-            raw_tags = post.get("hashtags", [])
-            if not isinstance(raw_tags, list):
+            raw_tags = post.get("hashtags", _ABSENT)
+            if type(raw_tags) is not list and raw_tags is not _ABSENT:
                 raise CorpusError(f"line {line_no}: post {post_id!r}: hashtags must be a list")
-            if not all(isinstance(token, str) for token in raw_tags):
-                raise CorpusError(f"line {line_no}: post {post_id!r}: hashtags must be strings")
-            add_tokens(raw_tags)
+            try:
+                "".join(raw_tags)
+            except TypeError:
+                raise CorpusError(f"line {line_no}: post {post_id!r}: hashtags must be strings") from None
+            tokens += raw_tags
             add_count(len(raw_tags))
         p.post_count.append(len(posts))
 
@@ -725,34 +719,29 @@ class _Reader:
         logger.warning("skipping malformed record: %s", error)
         if self.errors is not None:
             self.errors.append((line_no, str(error)))
-        self.skipped = True
 
     def keep(self, p: _Pending) -> bool:
-        """Run the timestamp kernel over a chunk, give its tokens ids and
-        append it to the finished columns, unless one of its ids repeats
-        or was kept before, a post id is no nonempty string, a token is no
-        string or a time value is bad; return whether it was kept."""
+        """Append a chunk of records ``scan`` read to the finished columns,
+        unless one of its news ids repeats or was kept before, a time value
+        is bad, or an id or token is not valid Unicode; return whether it
+        was kept.  Its tokens get ids only once nothing else can fail, so
+        only the tokens of kept records have ids."""
         ids = dict.fromkeys(p.ids)
         if len(ids) < len(p.ids) or not self.ids.keys().isdisjoint(ids):
             return False
-        try:
-            post_text = "".join(p.post_ids)
-            tokens = np.fromiter(map(self.token_ids.__getitem__, p.tokens), dtype=np.int64, count=len(p.tokens))
-        except TypeError:  # a post id or token that is not a string
-            return False
-        post_length = _lengths(p.post_ids)
         times, bad = _read_times(p.published + p.created)
-        if bad.any() or not post_length.all():
+        post_text = "".join(p.post_ids)
+        if bad.any() or not all(map(_encodable, ("".join(ids), post_text, "".join(p.tokens)))):
             return False
         self.ids.update(ids)
         self.post_text.append(post_text)
-        self.post_length.append(post_length)
+        self.post_length.append(_lengths(p.post_ids))
         self.labels.append(np.array(p.labels, dtype=np.int64))
         self.published.append(times[: len(p.ids)])
         self.post_count.append(np.array(p.post_count, dtype=np.int64))
         self.created.append(times[len(p.ids) :])
         self.tag_count.append(np.array(p.tag_count, dtype=np.int64))
-        self.tokens.append(tokens)
+        self.tokens.append(np.fromiter(map(self.token_ids.__getitem__, p.tokens), dtype=np.int64, count=len(p.tokens)))
         return True
 
     def merge(self, part: _Part) -> bool:
@@ -776,8 +765,8 @@ class _Reader:
         post_ids = _Strings.from_lengths("".join(self.post_text), np.concatenate(self.post_length))
         tag_count = np.concatenate(self.tag_count)
         post = np.repeat(np.arange(len(tag_count)), tag_count)
-        # normalized hashtag -> its index in raw-token order, which is its
-        # order of first appearance unless a skipped record's tokens were read
+        # normalized hashtag -> its index, in order of first appearance, as
+        # only the tokens of kept records have raw-token ids
         names: dict[str, int] = {}
         keys = [
             -1 if name is None else names.setdefault(name, len(names))
@@ -792,10 +781,6 @@ class _Reader:
         post, tag = post[~empty], tag[~empty]
         # the first occurrence of each hashtag in each post, in stream order
         first = _first_per_group(post, tag, len(names))
-        tag, vocabulary = tag[first], list(names)
-        if self.skipped:
-            order, tag = _first_appearance(tag, len(names))
-            vocabulary = [vocabulary[k] for k in order.tolist()]
         return _from_columns(
             ids=self.ids,
             labels=np.concatenate(self.labels),
@@ -804,8 +789,8 @@ class _Reader:
             post_ids=post_ids,
             created=np.concatenate(self.created),
             post=post[first],
-            tag=tag,
-            vocabulary=vocabulary,
+            tag=tag[first],
+            vocabulary=names,
         )
 
 
@@ -840,16 +825,19 @@ def parse_corpus(
     UTF-8, line by line: a line that is not UTF-8 is a malformed record.
     Malformed records are fatal unless ``lenient`` is set, in which case
     they are skipped and reported (appended to ``errors`` when given, and
-    logged).  Duplicate news ids and out-of-range labels are always
-    fatal.  Posts created earlier than ``published_at - clock_skew`` are
+    logged).  An id or hashtag that is not valid Unicode (a JSON escape
+    of a lone surrogate) is malformed.  Duplicate news ids and
+    out-of-range labels are always fatal.  Posts created earlier than ``published_at - clock_skew`` are
     warned about, not rejected: real streams contain retweet-time
     anomalies.  A negative ``clock_skew`` raises ValueError.
 
     Lines are read ``CHUNK_LINES`` nonblank lines at a time.  Each line
     of a chunk gets one structural pass that keeps its raw values, then
     the chunk's time values are converted as arrays; a chunk in which
-    anything is wrong is read again one record at a time.  At the end
-    each distinct raw hashtag token is normalized once.  The first error
+    anything is wrong is read again one record at a time, through the
+    same record checker.  Only kept records' tokens enter the
+    vocabulary: at the end each distinct raw hashtag token is
+    normalized once.  The first error
     in stream order is the one raised or reported first.
 
     A regular file of at least two ``PARSE_RANGE_BYTES`` is cut into
@@ -1159,6 +1147,22 @@ def filter_by_time(corpus: Corpus, horizon_hours: float) -> Corpus:
     is not positive, not finite or above ``MAX_SPAN_HOURS`` raises
     ValueError.
     """
+    keep = posts_within(corpus, horizon_hours)
+    n_exempt = int(np.count_nonzero(corpus.published == NO_TIME))
+    if n_exempt:
+        logger.info("time filter: %d news without publish time kept whole", n_exempt)
+    dropped_untimed = int(np.count_nonzero(~keep & (corpus.created == NO_TIME)))
+    if dropped_untimed:
+        logger.info("time filter: dropped %d post(s) without creation time", dropped_untimed)
+    return _keep_posts(corpus, keep)
+
+
+def posts_within(corpus: Corpus, horizon_hours: float | None) -> np.ndarray:
+    """Whether :func:`filter_by_time` keeps each post at ``horizon_hours``;
+    with no horizon, every post.  A longer horizon keeps every post a
+    shorter one keeps."""
+    if horizon_hours is None:
+        return np.ones(corpus.occurrences.n_posts, dtype=bool)
     if not 0 < horizon_hours <= MAX_SPAN_HOURS:
         raise ValueError(
             f"horizon_hours must be positive and at most {MAX_SPAN_HOURS} hours, got {horizon_hours}"
@@ -1166,18 +1170,10 @@ def filter_by_time(corpus: Corpus, horizon_hours: float) -> Corpus:
     # the window's closed bound, computed once as timedelta rounds it
     horizon = min(timedelta(hours=horizon_hours) // _MICROSECOND, _MAX_GAP)
     published = _post_published(corpus)
-    exempt = published == NO_TIME
-    timed = corpus.created != NO_TIME
-    keep = exempt.copy()
-    window = timed & ~exempt
+    keep = published == NO_TIME  # exempt
+    window = (corpus.created != NO_TIME) & ~keep
     keep[window] = corpus.created[window] - published[window] <= horizon
-    n_exempt = int(np.count_nonzero(corpus.published == NO_TIME))
-    if n_exempt:
-        logger.info("time filter: %d news without publish time kept whole", n_exempt)
-    dropped_untimed = int(np.count_nonzero(~timed & ~exempt))
-    if dropped_untimed:
-        logger.info("time filter: dropped %d post(s) without creation time", dropped_untimed)
-    return _keep_posts(corpus, keep)
+    return keep
 
 
 def _keep_posts(corpus: Corpus, keep: np.ndarray) -> Corpus:

@@ -5,7 +5,8 @@ The pipeline is transductive: the hashtag graph is built over all news
 labels only.  Graph construction, normalization, closure and the
 propagation operator are split-independent, so they are computed once
 per corpus and reused across repetitions and grid points, and by
-adjacent :func:`sweep` rows with equal method, ``k1`` and time horizon.
+adjacent :func:`sweep` rows with equal method and ``k1`` whose time
+horizons keep the same posts.
 Every experiment propagates its training sides through :func:`_panels`.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import MAX_SPAN_HOURS, Corpus, draw_rows, filter_by_time, split_corpus
+from .corpus import MAX_SPAN_HOURS, Corpus, draw_rows, filter_by_time, posts_within, split_corpus
 from .credibility import (
     PowerSeries,
     PropagationConfig,
@@ -462,10 +463,12 @@ def sweep(corpus: Corpus, rows) -> list[tuple[str, MetricsReport]]:
     """:func:`run_experiment` per ``(name, config)`` row, in order.
 
     Every config is validated before the first pipeline is built.  A row
-    builds one only when its method, ``k1`` or time horizon differs from
-    the previous row's, and the previous pipeline is dropped first, so
-    one is held at a time: a training-fraction sweep builds once, a
-    detection-time sweep once per horizon (adjacent equal ones share it).
+    builds one only when its method, ``k1`` or the number of posts its
+    time horizon keeps differs from the previous row's, and the previous
+    pipeline is dropped first, so one is held at a time.  Horizons nest,
+    so equal counts mean equal posts: a detection-time sweep builds once
+    per run of adjacent rows keeping the same posts, the unfiltered
+    ``all`` row included.
     """
     rows = list(rows)
     if not rows:
@@ -474,7 +477,7 @@ def sweep(corpus: Corpus, rows) -> list[tuple[str, MetricsReport]]:
         config.validate()
     results, ops, built_for = [], None, None
     for name, config in rows:
-        key = (config.method, config.k1, config.time_horizon_hours)
+        key = (config.method, config.k1, np.count_nonzero(posts_within(corpus, config.time_horizon_hours)))
         if key != built_for:
             ops = None  # released before the next build
             ops, built_for = build_pipeline(corpus, config), key

@@ -142,6 +142,24 @@ def test_validate_line_that_is_not_utf8_exits_2_or_is_skipped(workdir):
     assert summary["skipped_records"] == 1 and summary["news"] == 2
 
 
+def test_validate_names_a_value_that_is_not_valid_unicode(workdir):
+    # a lone-surrogate escape decodes, but no writer could encode it in UTF-8
+    mixed = workdir / "surrogate.jsonl"
+    good = (workdir / "corpus.jsonl").read_text().splitlines()
+    post = {"post_id": "sp1", "created_at": None, "hashtags": ["\ud800x"]}
+    bad_tag = json.dumps({"id": "s1", "label": 1, "published_at": None, "posts": [post]})
+    bad_id = json.dumps({"id": "\udfffs2", "label": None, "published_at": None, "posts": []})
+    mixed.write_text("\n".join([good[0], bad_tag, bad_id, good[1]]) + "\n")
+    strict = run_cli("validate", "--input", str(mixed))
+    assert strict.returncode == 2
+    assert strict.stderr == "error: line 2: post 'sp1': hashtag '\\ud800x' is not valid Unicode\n"
+    lenient = run_cli("validate", "--input", str(mixed), "--lenient")
+    assert lenient.returncode == 0
+    summary = json.loads(lenient.stdout)
+    assert summary["skipped_records"] == 2 and summary["news"] == 2
+    assert "line 3: news '\\udfffs2': id is not valid Unicode" in lenient.stderr
+
+
 # --- determinism and config echo -----------------------------------------------------
 
 def test_synth_byte_identical(workdir):

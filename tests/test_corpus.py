@@ -324,6 +324,56 @@ def test_lenient_mode_skips_a_line_that_is_not_utf8(tmp_path, middle):
     assert corpus.ids == ("n1", "n3") and corpus.vocabulary == ("a", "c")
 
 
+# --- ids and tokens that are not valid Unicode ------------------------------------
+
+# (line holding a lone surrogate, which a JSON escape decodes to and UTF-8
+# cannot encode, and the CorpusError text it gives as line 2)
+NOT_UNICODE = [
+    (_bad(id="n\ud800"), "news 'n\\ud800': id is not valid Unicode"),
+    (_bad(posts=[_post(), _post(post_id="\udfffp2")]), "post '\\udfffp2': id is not valid Unicode"),
+    (_bad(posts=[_post(hashtags=["#b", "\ud800x"])]), "post 'p1': hashtag '\\ud800x' is not valid Unicode"),
+]
+
+
+@pytest.mark.parametrize("chunk", [1, newstag.corpus.CHUNK_LINES])
+@pytest.mark.parametrize("line, message", NOT_UNICODE)
+def test_an_id_or_token_that_is_not_valid_unicode_is_a_malformed_record(monkeypatch, chunk, line, message):
+    monkeypatch.setattr(newstag.corpus, "CHUNK_LINES", chunk)
+    assert "\\ud" in line  # written as a JSON escape
+    with pytest.raises(CorpusError) as info:
+        parse_corpus(_stream(line))
+    assert str(info.value) == f"line 2: {message}"
+    problems = []
+    corpus = parse_corpus(_stream(line), lenient=True, errors=problems)
+    assert problems == [(2, f"line 2: {message}")]
+    assert corpus.ids == ("n1", "n3") and corpus.vocabulary == ("a", "c")
+
+
+def test_a_surrogate_pair_escape_is_valid_unicode():
+    line = _bad(id="n\U0001f600", posts=[_post(post_id="p\U0001f600", hashtags=["#\U0001f600"])])
+    assert line.count("\\ud83d\\ude00") == 3
+    corpus = parse_corpus(_stream(line))
+    assert corpus.ids == ("n1", "n\U0001f600", "n3") and corpus.post_ids[1] == "p\U0001f600"
+    assert corpus.vocabulary == ("a", "\U0001f600", "c")
+
+
+@pytest.mark.parametrize("line, message", [
+    (_bad(id="n\ud800", published_at=5), "news 'n\\ud800': id is not valid Unicode"),
+    (_bad(id="n\ud800", published_at="soon"), "news 'n\\ud800': id is not valid Unicode"),
+    (_bad(published_at="soon", posts=[_post(post_id="\ud800")]),
+     f"news 'n2': bad published_at: {_time_error('soon')}"),
+    (_bad(posts=[_post(post_id="\ud800", created_at=5)]), "post '\\ud800': id is not valid Unicode"),
+    (_bad(posts=[_post(created_at="soon", hashtags=["\ud800"])]),
+     f"post 'p1': bad created_at: {_time_error('soon')}"),
+    (_bad(posts=[_post(hashtags=["\ud800", 5])]), "post 'p1': hashtags must be strings"),
+    (_bad(posts=[_post(hashtags=["\ud800"]), 5]), "post 'p1': hashtag '\\ud800' is not valid Unicode"),
+])
+def test_a_record_is_named_by_the_first_bad_value_it_read(line, message):
+    with pytest.raises(CorpusError) as info:
+        parse_corpus(_stream(line))
+    assert str(info.value) == f"line 2: {message}"
+
+
 @pytest.mark.parametrize("chunk", [1, 2, newstag.corpus.CHUNK_LINES])
 def test_utf8_errors_come_in_stream_order(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(newstag.corpus, "CHUNK_LINES", chunk)
@@ -702,7 +752,7 @@ def test_writer_matches_json_encoder_on_awkward_strings(monkeypatch, chunk):
         timed_news(f"n{k}-{text}", [1, -1, None][k % 3], k, [(0.5, [text, f"x{text}"]), (None, [])])
         for k, text in enumerate(awkward)
     ]
-    news.append(untimed_news("untimed\u0085", None, [["a", "\ud83d"]]))
+    news.append(untimed_news("untimed\u0085", None, [["a", "\ufffd"]]))
     news.append(untimed_news("no-posts", 1, []))
     news.insert(0, untimed_news("no-posts-first", -1, []))
     corpus = corpus_of(news)
@@ -965,6 +1015,7 @@ def _good_lines(n, tags=("#a",)):
 
 BAD_LINES = {
     "json": "{broken",
+    "surrogate": _bad(posts=[_post(hashtags=["#b", "\ud800"])]),
     "token": _bad(posts=[_post(hashtags=["#b", 5])]),
     "timestamp": _bad(published_at="2020-02-30T00:00:00Z"),
     "utf8": _bad().encode("ascii").replace(b"#b", b"#b\xff"),

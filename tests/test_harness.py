@@ -886,6 +886,9 @@ def test_every_sweep_row_equals_its_plain_run(mode, subcommand):
     ("sweep-time", None, 4),  # three distinct horizons and "all"
     ("sweep-time", [24.0, 24.0], 2),
     ("sweep-time", [24.0, 36.0, 24.0], 4),  # only adjacent rows share a build
+    # posts are within 30 h of publication: 30 and 36 h keep every post, as "all" does
+    ("sweep-time", [30.0, 36.0], 1),
+    ("sweep-time", [24.0, 36.0, 48.0], 2),
     ("ablate", None, 3),
 ])
 def test_sweep_builds_once_per_run_of_adjacent_rows_with_equal_method_k1_and_horizon(
@@ -900,6 +903,25 @@ def test_sweep_builds_once_per_run_of_adjacent_rows_with_equal_method_k1_and_hor
     builds = counting_builds(monkeypatch)
     sweep(corpus, rows)
     assert len(builds) == expected_builds
+
+
+def test_default_sweep_time_builds_once_for_the_horizons_that_keep_every_post(tmp_path, monkeypatch):
+    from newstag.cli import main
+    from newstag.corpus import parse_corpus, write_corpus
+    from newstag.reports import write_sweep_csv
+
+    # posts within 48 h of publication: the 48 h, 60 h and "all" rows keep every post
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(generate_synthetic(SyntheticParams(hashtags=60, news=40), seed=3), path)
+    builds = counting_builds(monkeypatch)
+    out = tmp_path / "time.csv"
+    assert main(["sweep-time", "--input", str(path), "--out", str(out)]) == 0
+    assert [config.time_horizon_hours for config in builds] == [12.0, 24.0, 36.0, 48.0]
+    # the same bytes as one plain run per row
+    corpus, config = parse_corpus(path), ExperimentConfig()
+    rows = rows_of(config, "time_horizon_hours", [12.0, 24.0, 36.0, 48.0, 60.0]) + [("all", config)]
+    write_sweep_csv([(name, run_experiment(corpus, row)) for name, row in rows], tmp_path / "plain.csv")
+    assert out.read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 @pytest.mark.parametrize("bad", [
