@@ -161,7 +161,7 @@ def _check_limit(opt: Opt, numbers: list, value) -> None:
 
 
 def _resolve(args: argparse.Namespace, opts: list[Opt], echo: dict) -> dict:
-    """Effective parameters: CLI > config echo > defaults."""
+    """Effective parameters: CLI > config echo > defaults; every output path's directory must exist."""
     effective = {}
     for opt in opts:
         value = getattr(args, opt.name)
@@ -172,6 +172,8 @@ def _resolve(args: argparse.Namespace, opts: list[Opt], echo: dict) -> dict:
             value = opt.default
         if value is None and opt.required:
             raise CliUsageError(f"missing required option {opt.flag}")
+        if value and (opt.name == "out" or opt.name.endswith("_out")) and not Path(value).parent.is_dir():
+            raise CliUsageError(f"{opt.flag} {value}: directory {Path(value).parent} does not exist")
         effective[opt.name] = value
     return effective
 
@@ -508,7 +510,7 @@ def _cmd_analyze(eff: dict) -> int:
     )
 
     kind = eff["kind"]
-    config = _experiment_config(eff) if kind in ("convergence", "case-study") else None
+    config = _experiment_config(eff)
     if kind == "case-study" and not eff["watchlist"]:
         raise CliUsageError("case-study analysis requires --watchlist")
     corpus = _read_corpus(eff["input"])
@@ -614,19 +616,10 @@ def main(argv=None) -> int:
         except (CorpusError, GraphError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    except CliUsageError as exc:
+    except (CliUsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
+    except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

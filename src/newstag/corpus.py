@@ -22,9 +22,11 @@ import os
 import pickle
 import signal
 import stat
+import threading
 import unicodedata
 import warnings
-from collections.abc import Collection, Sequence
+from collections.abc import Callable, Collection, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
@@ -408,11 +410,39 @@ def worker_count(units: int, affinity: Collection[int] | None = None) -> int:
     """Workers for ``units`` independent pieces of work on the CPU set
     ``affinity``, by default the CPUs this process may run on: one at
     least, and at most the units, the CPUs and ``MAX_WORKERS``.  The
-    truncated closure's threads and the parse's byte ranges both follow
-    it."""
+    threads of :func:`run_threads` and the parse's byte ranges both
+    follow it."""
     if affinity is None:
         affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     return max(1, min(len(affinity), units, MAX_WORKERS))
+
+
+def run_threads(fn: Callable[[object], object], pieces: Sequence) -> None:
+    """Call ``fn(piece)`` for every piece on ``worker_count(len(pieces))``
+    threads, the calling thread among them, each taking the next piece
+    not yet taken (inline and in order with one worker); every thread
+    ends before this returns.  The first error ``fn`` raises stops the
+    taking of pieces and is raised here once the running pieces end."""
+    pending, lock, errors = iter(pieces), threading.Lock(), []
+
+    def work() -> None:
+        while not errors:
+            with lock:
+                piece = next(pending, pending)  # the iterator itself marks the end
+            if piece is pending:
+                return
+            try:
+                fn(piece)
+            except BaseException as exc:
+                errors.append(exc)
+
+    workers = worker_count(len(pieces))
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        for _ in range(workers - 1):
+            pool.submit(work)
+        work()
+    if errors:
+        raise errors[0]
 
 
 # Per character of a canonical ``YYYY-MM-DDTHH:MM:SSZ`` stamp: the lowest

@@ -12,8 +12,8 @@ so a :class:`PowerSeries` computes each product ``X^j c0`` once and
 serves every ``mu`` from it, for a q x m panel of ``c0`` columns at once:
 one operator product per step for the whole panel.  Initial
 credibility and news scores are products with the corpus's sparse
-incidence, for a whole panel at once, and :class:`RowBlocks` runs the
-large CSR products in row blocks on a thread pool.
+incidence, for a whole panel at once, and :func:`csr_product` runs
+every large CSR product in row blocks on threads that end with it.
 Credibility vectors are float64 arrays indexed by vocabulary position.
 """
 
@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .corpus import MAX_WORKERS, Corpus, worker_count
+from .corpus import MAX_WORKERS, Corpus, run_threads, worker_count
 from .graph import RelationMatrix
 
 logger = logging.getLogger(__name__)
@@ -74,77 +73,54 @@ def _check_mu(mu: float) -> None:
         raise ValueError("mu must be in (0,1)")
 
 
-# Multiply-adds (stored entries x dense columns) from which a CSR x dense
-# product runs in row blocks on the pool of a :class:`RowBlocks`; smaller
-# products run inline, where handing a block to a thread costs more than
-# it saves.  Measured inside ``run --method newstag_no_indirect`` jobs on
-# two CPUs, blocks took 0.63-0.79 of the inline time at 3-6 million
-# (q = 15k-30k), 0.73-1.01 at 2 million, and 1.04-1.9 at 1.2 million and
-# below (every product of ``grid-mu`` at q = 800 is below 0.2 million).
+# Multiply-adds (stored entries x dense columns) from which
+# :func:`csr_product` runs a product in row blocks; below it, starting the
+# threads costs more than they save.  Measured on a 2-CPU x86 host with
+# threads started per product, in the repetitions of ``run --method
+# newstag_no_indirect`` (2 processes x 30 alternating rounds), blocks took
+# 0.83-0.84 of the inline time at 6.1 million (q = 30k), 0.92-0.96 at 4.1
+# million (q = 20k) and 1.01-1.12 at 3.1 million (q = 15k, within the
+# spread), and lost in 64 of 80 rounds at 2 million (q = 10k).  Every
+# product of ``grid-mu`` at q = 800 is below 0.2 million.
 ROW_BLOCK_MIN_WORK = 1 << 21
 
 
-class RowBlocks:
-    """CSR x dense products in row blocks, on a thread pool that lives for a ``with`` block.
+def csr_product(A, B):
+    """``A @ B``, in row blocks on threads when it is large enough.
 
     A product of at least ``ROW_BLOCK_MIN_WORK`` multiply-adds is cut into
     one block of rows per worker (``worker_count``), with about equal
-    stored entries each: the calling thread computes the first block and
-    the pool the others, each into its own rows of one output that the
-    calling thread allocates.  Every block runs scipy's CSR kernel
-    (``scipy.sparse._sparsetools``, the one ``A @ B`` dispatches to),
-    which releases the GIL and needs no allocation; each row keeps its
-    arithmetic, so the result is bitwise ``A @ B`` whatever the thread
-    count.  Smaller products, and any operand that is not a float64 CSR
-    matrix times a float64 array, run inline as ``A @ B``.  The pool's
-    threads start with the first large product and end with the ``with``
-    block.
+    stored entries each, and :func:`run_threads` computes each block into
+    its own rows of one output that this call allocates.  Every block runs
+    scipy's CSR kernel (``scipy.sparse._sparsetools``, the one ``A @ B``
+    dispatches to), which releases the GIL and needs no allocation; each
+    row keeps its arithmetic, so the result is bitwise ``A @ B`` whatever
+    the thread count.  Smaller products, and any operand that is not a
+    float64 CSR matrix times a float64 array, run inline as ``A @ B``.
     """
+    columns = B.shape[1] if np.ndim(B) == 2 else 1
+    if (
+        not (sp.issparse(A) and A.format == "csr" and A.dtype == np.float64)
+        or not (isinstance(B, np.ndarray) and B.dtype == np.float64 and B.ndim in (1, 2))
+        or B.shape[0] != A.shape[1]
+        or A.nnz * columns < ROW_BLOCK_MIN_WORK
+    ):
+        return A @ B
+    out = np.zeros((A.shape[0], *B.shape[1:]))
+    flat = np.ascontiguousarray(B).ravel()
+    workers = worker_count(MAX_WORKERS)
+    cuts = [0, *np.searchsorted(A.indptr, np.arange(1, workers) * A.nnz / workers).tolist(), A.shape[0]]
 
-    def __init__(self) -> None:
-        self._workers = worker_count(MAX_WORKERS)
-        self._pool = ThreadPoolExecutor(max_workers=self._workers - 1) if self._workers > 1 else None
+    def block(rows: tuple[int, int]) -> None:
+        lo, hi = rows
+        indptr, target = A.indptr[lo : hi + 1], out[lo:hi].ravel()
+        if columns == 1:  # one vector or several: the kernel A @ B dispatches to
+            _sparsetools.csr_matvec(hi - lo, A.shape[1], indptr, A.indices, A.data, flat, target)
+        else:
+            _sparsetools.csr_matvecs(hi - lo, A.shape[1], columns, indptr, A.indices, A.data, flat, target)
 
-    def __enter__(self) -> "RowBlocks":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-
-    def product(self, A, B):
-        """``A @ B``, in row blocks when it is large enough."""
-        columns = B.shape[1] if np.ndim(B) == 2 else 1
-        if (
-            self._pool is None
-            or not (sp.issparse(A) and A.format == "csr" and A.dtype == np.float64)
-            or not (isinstance(B, np.ndarray) and B.dtype == np.float64 and B.ndim in (1, 2))
-            or B.shape[0] != A.shape[1]
-            or A.nnz * columns < ROW_BLOCK_MIN_WORK
-        ):
-            return A @ B
-        out = np.zeros((A.shape[0], *B.shape[1:]))
-        flat = np.ascontiguousarray(B).ravel()
-        cuts = [0, *np.searchsorted(A.indptr, np.arange(1, self._workers) * A.nnz / self._workers).tolist(), A.shape[0]]
-
-        def block(lo: int, hi: int) -> None:
-            indptr, target = A.indptr[lo : hi + 1], out[lo:hi].ravel()
-            if columns == 1:  # one vector or several: the kernel A @ B dispatches to
-                _sparsetools.csr_matvec(hi - lo, A.shape[1], indptr, A.indices, A.data, flat, target)
-            else:
-                _sparsetools.csr_matvecs(hi - lo, A.shape[1], columns, indptr, A.indices, A.data, flat, target)
-
-        futures = [self._pool.submit(block, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
-        try:
-            block(cuts[0], cuts[1])
-        finally:
-            for future in futures:
-                future.result()
-        return out
-
-
-def _product(A, B, blocks: RowBlocks | None):
-    return A @ B if blocks is None else blocks.product(A, B)
+    run_threads(block, list(zip(cuts[:-1], cuts[1:])))
+    return out
 
 
 def init_credibility(corpus: Corpus, train_rows, per_post: bool = True) -> np.ndarray:
@@ -243,15 +219,12 @@ class PowerSeries:
     :meth:`pop` reads one of them and builds its residuals from that.
     """
 
-    def __init__(
-        self, X: sp.spmatrix | np.ndarray, c0, mus, config: PropagationConfig, blocks: RowBlocks | None = None
-    ) -> None:
-        """``c0`` is one initial vector or a sequence of them, the panel's
-        columns; ``blocks`` runs a CSR ``X``'s products in row blocks."""
+    def __init__(self, X: sp.spmatrix | np.ndarray, c0, mus, config: PropagationConfig) -> None:
+        """``c0`` is one initial vector or a sequence of them, the panel's columns."""
         config.validate()
         for mu in mus:
             _check_mu(mu)
-        self.X, self.config, self._blocks = X, config, blocks
+        self.X, self.config = X, config
         rows = np.array(c0, dtype=np.float64, ndmin=2)  # row j holds column j
         self._column = {id(c0): 0} if np.ndim(c0) == 1 else {id(column): j for j, column in enumerate(c0)}
         self._initial = c0  # keeps the ids above valid
@@ -319,7 +292,7 @@ class PowerSeries:
     def _step(self) -> None:
         # A dense product takes the rows of P^T X^T = (X P)^T, so it leaves
         # the F order of the panel as it is.
-        power = (self._power.T @ self.X.T).T if self._dense else _product(self.X, self._power, self._blocks)
+        power = (self._power.T @ self.X.T).T if self._dense else csr_product(self.X, self._power)
         delta = np.subtract(power, self._power, out=self._delta)
         self._power = power
         # max|delta| per column from two contiguous reductions; abs turns a
@@ -439,14 +412,14 @@ def propagate_closed_form(X: sp.spmatrix | np.ndarray, c0, mu: float) -> np.ndar
     return solution
 
 
-def score_news(corpus: Corpus, c_hat, per_post: bool = True, blocks: RowBlocks | None = None) -> np.ndarray:
+def score_news(corpus: Corpus, c_hat, per_post: bool = True) -> np.ndarray:
     """Sum propagated hashtag credibility over each news row's posts.
 
     ``c_hat`` is one credibility vector, giving one score per news row,
     or a q x m panel of them, giving a news x m panel of scores.  With
     ``per_post`` a hashtag contributes once per post carrying it;
     otherwise once per news item.  Each sum runs in stream order: it is
-    one product with the news incidence (in row blocks with ``blocks``).
+    one :func:`csr_product` with the news incidence.
     """
     values = np.asarray(c_hat, dtype=np.float64)
     if values.shape[0] != len(corpus.vocabulary):
@@ -454,7 +427,7 @@ def score_news(corpus: Corpus, c_hat, per_post: bool = True, blocks: RowBlocks |
             f"credibility vector length {values.shape[0]} does not match "
             f"vocabulary size {len(corpus.vocabulary)}"
         )
-    return _product(corpus.occurrences.news_incidence(per_post), values, blocks)
+    return csr_product(corpus.occurrences.news_incidence(per_post), values)
 
 
 def sign_labels(scores) -> np.ndarray:

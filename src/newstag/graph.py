@@ -5,12 +5,12 @@ enter as a ``direct`` matrix.  The direct matrix counts, for every
 unordered hashtag pair, the posts whose hashtag set contains both.
 Dividing by the maximum row sum yields ``N``; the truncated power sum
 ``N + N**2 + ... + N**k1`` (a truncated Katz series) adds indirect
-(multi-hop) relations, evaluated by Horner's rule in column panels on a
-small thread pool; every column gets the same arithmetic whatever the
-panel width or the thread count, so the bytes depend on neither.  The
-infinite series converges only when the spectral radius of ``N`` is
-below one, and the row-max normalization gives radius one to any
-weight-regular component.
+(multi-hop) relations, evaluated by Horner's rule in column panels on
+``corpus.run_threads``, whose threads end with the call; every column
+gets the same arithmetic whatever the panel width or the thread count,
+so the bytes depend on neither.  The infinite series converges only
+when the spectral radius of ``N`` is below one, and the row-max
+normalization gives radius one to any weight-regular component.
 The writer at the end exports a matrix as an edge list, with an
 optional node table and DOT file; nothing reads them back.
 """
@@ -18,7 +18,6 @@ optional node table and DOT file; nothing reads them back.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, worker_count
+from .corpus import Corpus, run_threads
 
 logger = logging.getLogger(__name__)
 
@@ -136,14 +135,14 @@ def all_relations_truncated(N: RelationMatrix, k1: int) -> RelationMatrix:
     a time: each further order adds 1 to the panel's share of the
     diagonal in place and multiplies the sparse ``N`` into it with
     scipy's single-threaded kernel, which releases the GIL.  The panels
-    run on a pool of ``worker_count(panels)`` threads that lives only for
-    the call, each writing its own columns of one dense q x q buffer (a
-    connected graph's sum is dense anyway).  Every column goes through
-    the same operations in the same order as in one whole-buffer loop,
-    so the bytes depend neither on the panel width nor on the thread
-    count, nor on a BLAS thread pool.  The buffer is converted to CSR
-    once.  Vocabularies above ``TRUNCATED_MAX_Q`` hashtags are refused
-    before anything of size q x q is allocated.
+    run on ``run_threads``, the calling thread among its
+    ``worker_count(panels)`` threads, each panel writing its own columns
+    of one dense q x q buffer (a connected graph's sum is dense anyway).
+    Every column goes through the same operations in the same order as
+    in one whole-buffer loop, so the bytes depend neither on the panel
+    width nor on the thread count, nor on a BLAS thread pool.  The buffer
+    is converted to CSR once.  Vocabularies above ``TRUNCATED_MAX_Q``
+    hashtags are refused before anything of size q x q is allocated.
     """
     if N.kind != NORMALIZED_DIRECT:
         raise GraphError(f"closure expects a normalized_direct matrix, got {N.kind!r}")
@@ -158,13 +157,7 @@ def all_relations_truncated(N: RelationMatrix, k1: int) -> RelationMatrix:
     columns = N.values.tocsc()  # a column range of CSC costs its own entries, not all of N's
     total = np.empty((q, q))
     width = max(1, CLOSURE_PANEL_ENTRIES // max(q, 1))
-    starts = range(0, q, width)
-    pool = ThreadPoolExecutor(max_workers=worker_count(len(starts)))
-    try:
-        for _ in pool.map(lambda lo: _horner_panel(N.values, columns, k1, lo, min(lo + width, q), total), starts):
-            pass
-    finally:
-        pool.shutdown(cancel_futures=True)
+    run_threads(lambda lo: _horner_panel(N.values, columns, k1, lo, min(lo + width, q), total), range(0, q, width))
     # CSR straight from the buffer: half the temporaries of sp.csr_matrix(total)
     mask = total != 0
     indptr = np.zeros(q + 1, dtype=np.int32)

@@ -8,6 +8,7 @@ per corpus and reused across repetitions and grid points, and by
 adjacent :func:`sweep` rows with equal method and ``k1`` whose time
 horizons keep the same posts.
 Every experiment propagates its training sides through :func:`_panels`.
+No thread outlives a call: the closure and each large CSR product end theirs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .credibility import (
     PowerSeries,
     PropagationConfig,
     MODE_CLOSED_FORM,
-    RowBlocks,
     init_credibility,
     propagate_closed_form,
     propagate_iterative,
@@ -295,17 +295,16 @@ def _run_repetitions(
     """The repetitions of :func:`run_experiment` over built operators.
 
     Every split is drawn first; the :func:`_panels` of their training sides
-    then run on a :class:`RowBlocks` pool that ends with this call.
+    follow.
     """
     splits = [
         _split_with_retries(ops.corpus, config.train_fraction, config.seed ^ rep)
         for rep in range(config.repetitions)
     ]
     reps: list[RepetitionResult] = []
-    with RowBlocks() as blocks:
-        for start, _, scores in _panels(ops, config, [train for train, _, _ in splits], (config.mu,), blocks):
-            for split, column in zip(splits[start:], scores.T):
-                reps.append(_repetition(ops, len(reps), split, column, collect_predictions))
+    for start, _, scores in _panels(ops, config, [train for train, _, _ in splits], (config.mu,)):
+        for split, column in zip(splits[start:], scores.T):
+            reps.append(_repetition(ops, len(reps), split, column, collect_predictions))
     total = {key: sum(rep.confusion[key] for rep in reps) for key in ("tp", "fp", "tn", "fn")}
 
     macros = [r.macro_f1 for r in reps]
@@ -322,7 +321,7 @@ def _run_repetitions(
     )
 
 
-def _panels(ops: PipelineOperators, config: ExperimentConfig, sides: list, mus, blocks: RowBlocks):
+def _panels(ops: PipelineOperators, config: ExperimentConfig, sides: list, mus):
     """Yield ``(start, mu, scores)`` for every ``mu`` of ``mus``: the news x m
     scores of the panel of training ``sides`` from ``start``, propagated at ``mu``.
 
@@ -331,7 +330,7 @@ def _panels(ops: PipelineOperators, config: ExperimentConfig, sides: list, mus, 
     each ``mu`` runs as its own pass over the panels.  A panel takes one
     ``init_credibility`` call and, mu by mu, one ``propagate`` call per
     column (an iterative panel shares one series) and one ``score_news``
-    call, on ``blocks``; its series and ``c0`` go before its last scores.
+    call; its series and ``c0`` go before its last scores.
     """
     q, cap = ops.X.shape[0], config.propagation.max_iterations
     fits = PowerSeries.storage_bytes(q, len(mus), cap) <= SHARED_SERIES_BYTES
@@ -342,14 +341,14 @@ def _panels(ops: PipelineOperators, config: ExperimentConfig, sides: list, mus, 
         for start in range(0, len(sides), width):
             c0 = init_credibility(ops.corpus, sides[start:start + width], per_post=ops.per_post)
             columns = list(c0.T)
-            series = PowerSeries(ops.X, columns, values, config.propagation, blocks) if iterative else None
+            series = PowerSeries(ops.X, columns, values, config.propagation) if iterative else None
             for v, mu in enumerate(values):
                 c_hat = np.empty((q, len(columns)))
                 for j, column in enumerate(columns):
                     c_hat[:, j] = propagate(ops, column, mu, config, series)
                 if v == len(values) - 1:
                     del c0, columns, series  # before scoring and before the next panel is built
-                scores = score_news(ops.corpus, c_hat, per_post=ops.per_post, blocks=blocks)
+                scores = score_news(ops.corpus, c_hat, per_post=ops.per_post)
                 del c_hat
                 yield start, mu, scores
 
@@ -441,10 +440,9 @@ def grid_search_mu(corpus: Corpus, config: ExperimentConfig, grid) -> GridSearch
         folds.append(draw_rows(train, max(1, int(0.1 * len(train))), split_seed + 104729))
 
     f1 = {mu: [] for mu in usable}  # per mu: (macro, micro) F1 of each fold, in fold order
-    with RowBlocks() as blocks:
-        for start, mu, scores in _panels(ops, config, [inner_train for _, inner_train in folds], usable, blocks):
-            for (val, _), predicted in zip(folds[start:], sign_labels(scores).T):
-                f1[mu].append(compute_f1(predicted[val], labels[val]))
+    for start, mu, scores in _panels(ops, config, [inner_train for _, inner_train in folds], usable):
+        for (val, _), predicted in zip(folds[start:], sign_labels(scores).T):
+            f1[mu].append(compute_f1(predicted[val], labels[val]))
     rows = []
     for mu, per_fold in f1.items():
         macros, micros = zip(*per_fold)

@@ -273,6 +273,18 @@ class CountingOperator:
         return self.X @ v
 
 
+def row_blocks(monkeypatch, workers: int) -> None:
+    """Cut every CSR product of ``credibility.csr_product`` into ``workers``
+    row blocks, run on ``workers`` threads (the calling thread among them),
+    whatever the CPUs: both modules that read ``worker_count`` see it."""
+    import newstag.corpus
+    import newstag.credibility
+
+    monkeypatch.setattr(newstag.credibility, "ROW_BLOCK_MIN_WORK", 1)
+    for module in (newstag.corpus, newstag.credibility):
+        monkeypatch.setattr(module, "worker_count", lambda units: max(1, min(units, workers)))
+
+
 def spectral_radius_dense(dense: np.ndarray) -> float:
     """Dense eigensolve oracle for symmetric matrices."""
     if dense.size == 0:

@@ -830,6 +830,8 @@ def test_k1_zero_exits_1(workdir, matrix):
     (["run", "--seed", "-1"], "--seed value -1: seed must be non-negative"),
     (["run", "--k1", "0"], "--k1 value 0: k1 must be >= 1, got 0"),
     (["run", "--mu", "1.5"], "--mu value 1.5: mu must be in (0,1)"),
+    (["analyze", "--kind", "purity", "--mu", "5"], "--mu value 5.0: mu must be in (0,1)"),
+    (["analyze", "--kind", "popularity", "--horizon-hours", "-1"], "--horizon-hours value -1.0: time_horizon_hours"),
 ])
 def test_flag_errors_exit_1_before_the_input_is_read(workdir, args, message):
     out_flag = "--edges-out" if args[0] == "export" else "--out"
@@ -839,6 +841,55 @@ def test_flag_errors_exit_1_before_the_input_is_read(workdir, args, message):
     assert result.stderr.startswith("error: " + message)
     assert result.stderr.count("\n") == 1
     assert not out.exists()
+
+
+# every output option of every subcommand, with the options each needs to run
+OUTPUTS = [
+    ("synth", [], ["--out"]),
+    ("validate", [], ["--out"]),
+    ("run", [], ["--out", "--predictions-out"]),
+    ("grid-mu", [], ["--out"]),
+    ("sweep-volume", [], ["--out"]),
+    ("sweep-time", [], ["--out"]),
+    ("ablate", [], ["--out"]),
+    ("analyze", ["--kind", "popularity"], ["--out", "--per-news-out"]),
+    ("export", [], ["--edges-out", "--nodes-out", "--dot-out"]),
+]
+
+
+@pytest.mark.parametrize("subcommand, options, flag", [
+    pytest.param(subcommand, options, flag, id=f"{subcommand} {flag}")
+    for subcommand, options, flags in OUTPUTS for flag in flags
+])
+@pytest.mark.parametrize("parent", ["missing", "a file"])
+def test_an_output_without_a_directory_exits_1_before_the_input_is_read(
+    workdir, tmp_path, capsys, subcommand, options, flag, parent
+):
+    from newstag.cli import main
+
+    flags = next(flags for name, _, flags in OUTPUTS if name == subcommand)
+    bad = (tmp_path / "missing" if parent == "missing" else workdir / "corpus.jsonl") / "x.out"
+    argv = [subcommand, *options]
+    if subcommand != "synth":
+        argv += ["--input", str(tmp_path / "nope.jsonl")]  # a missing input is not reached
+    for other in flags:
+        argv += [other, str(bad if other == flag else tmp_path / other.strip("-"))]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {flag} {bad}: directory {bad.parent} does not exist\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "--edges-out", "{tmp}/e.tsv", "--nodes-out", "{tmp}/missing/n.tsv"],
+    ["run", "--out", "{tmp}/missing/r.json"],
+], ids=["export", "run"])
+def test_an_output_without_a_directory_writes_nothing(workdir, tmp_path, capsys, argv):
+    from newstag.cli import main
+
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main([*argv, "--input", str(workdir / "corpus.jsonl")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {argv[-2]} {argv[-1]}: directory ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_defaults_are_the_library_defaults(workdir):

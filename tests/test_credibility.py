@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import newstag.credibility
-
 from newstag.credibility import (
     MAX_ITERATIONS,
     PowerSeries,
     PropagationConfig,
     PropagationError,
-    RowBlocks,
+    csr_product,
     init_credibility,
     predict,
     propagate_closed_form,
@@ -35,6 +33,7 @@ from helpers import (
     direct_matrix,
     fixed_point_oracle,
     random_graph_matrix,
+    row_blocks,
     spectral_radius_dense,
     untimed_corpus,
 )
@@ -370,25 +369,42 @@ def test_shared_series_equals_one_mu_series_bitwise(config):
             assert shared_res == alone_res
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_csr_product_is_bitwise_a_times_b(monkeypatch, workers):
+    # a vector, a one-column panel and multi-column panels (C and F order),
+    # each product cut into ``workers`` row blocks
+    rng = np.random.default_rng(workers)
+    matrices = [X for X, _ in series_problems() if sp.issparse(X)]
+    matrices.append(sp.random(50, 40, density=0.1, format="csr", random_state=3))  # rectangular
+    expected = []
+    for A in matrices:
+        for B in (rng.uniform(-1, 1, A.shape[1]), rng.uniform(-1, 1, (A.shape[1], 1)), rng.uniform(-1, 1, (A.shape[1], 4))):
+            for operand in (B, np.asfortranarray(B)):
+                expected.append((A, operand, A @ operand))
+    row_blocks(monkeypatch, workers)
+    for A, B, product in expected:
+        result = csr_product(A, B)
+        assert result.shape == product.shape and result.flags.c_contiguous
+        assert result.tobytes() == product.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("mus", [(0.4,), SERIES_GRID], ids=["one-mu", "grid"])
-def test_row_block_series_equals_inline_series_bitwise(monkeypatch, mus):
-    # every CSR product cut into three row blocks on two pool threads
-    monkeypatch.setattr(newstag.credibility, "ROW_BLOCK_MIN_WORK", 1)
-    monkeypatch.setattr(newstag.credibility, "worker_count", lambda units: 3)
+def test_row_block_series_equals_inline_series_bitwise(monkeypatch, mus, workers):
     config = PropagationConfig(max_iterations=500, tolerance=1e-12)
-    for X, c0 in series_problems():
-        if not sp.issparse(X):
-            continue
-        for panel in ([c0], [c0, -0.5 * c0, c0**2]):
-            inline = PowerSeries(X, panel, mus, config)
-            with RowBlocks() as blocks:
-                blocked = PowerSeries(X, panel, mus, config, blocks)
-                for mu in mus:
-                    for column in panel:
-                        c, residuals = propagate_iterative(X, column, mu, config, series=blocked)
-                        expected_c, expected_residuals = propagate_iterative(X, column, mu, config, series=inline)
-                        assert c.tobytes() == expected_c.tobytes()
-                        assert residuals == expected_residuals
+    problems = [(X, panel) for X, c0 in series_problems() if sp.issparse(X) for panel in ([c0], [c0, -0.5 * c0, c0**2])]
+    expected = []
+    for X, panel in problems:  # below the default cut-off, every product runs inline
+        inline = PowerSeries(X, panel, mus, config)
+        expected.append([propagate_iterative(X, column, mu, config, series=inline) for mu in mus for column in panel])
+    row_blocks(monkeypatch, workers)  # every CSR product in row blocks
+    for (X, panel), results in zip(problems, expected):
+        blocked = PowerSeries(X, panel, mus, config)
+        for (c, residuals), (expected_c, expected_residuals) in zip(
+            (propagate_iterative(X, column, mu, config, series=blocked) for mu in mus for column in panel), results
+        ):
+            assert c.tobytes() == expected_c.tobytes()
+            assert residuals == expected_residuals
 
 
 @pytest.mark.parametrize("mu", SERIES_GRID)

@@ -1,11 +1,13 @@
 import re
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import newstag.corpus
 from newstag import graph as graph_module
 from newstag.corpus import MAX_WORKERS, worker_count
 from newstag.graph import (
@@ -264,10 +266,49 @@ def test_closure_workers_stay_within_the_cap_and_the_panels():
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_threads_runs_every_piece_once_and_ends_its_threads(monkeypatch, workers):
+    monkeypatch.setattr(newstag.corpus, "worker_count", lambda units: min(units, workers))
+    before = threading.active_count()
+    taken, threads = [], set()
+
+    def fn(piece):
+        taken.append(piece)
+        threads.add(threading.get_ident())
+        time.sleep(0.001)  # the other threads take pieces meanwhile
+
+    newstag.corpus.run_threads(fn, range(40))
+    assert sorted(taken) == list(range(40))
+    assert threading.get_ident() in threads and len(threads) <= workers
+    if workers == 1:
+        assert taken == list(range(40)) and threads == {threading.get_ident()}  # inline, in order
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_threads_raises_the_first_error_and_takes_no_further_piece(monkeypatch, workers):
+    monkeypatch.setattr(newstag.corpus, "worker_count", lambda units: min(units, workers))
+    before = threading.active_count()
+    error, taken = ValueError("piece 0"), []
+
+    def fn(piece):
+        taken.append(piece)
+        if piece == 0:
+            raise error
+        time.sleep(0.001)
+
+    with pytest.raises(ValueError) as raised:
+        newstag.corpus.run_threads(fn, range(200))
+    assert raised.value is error
+    # the piece in hand on each other thread may finish; no thread takes many more
+    assert taken == [0] if workers == 1 else len(taken) < 50
+    assert threading.active_count() == before
+
+
 def test_closure_panel_error_reaches_the_caller_and_leaves_no_thread(monkeypatch):
     N = random_graph_matrix(np.random.default_rng(5), q_range=(40, 40))
     monkeypatch.setattr(graph_module, "CLOSURE_PANEL_ENTRIES", 3 * 40)  # 14 panels of 3 columns
-    monkeypatch.setattr(graph_module, "worker_count", lambda panels: 2)
+    monkeypatch.setattr(newstag.corpus, "worker_count", lambda panels: 2)
     error = MemoryError("panel at column 6")
     horner_panel = graph_module._horner_panel
 

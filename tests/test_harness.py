@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import newstag.corpus
 import newstag.credibility
+import newstag.graph
 import newstag.harness
 from newstag.corpus import draw_rows
 from newstag.credibility import (
@@ -18,7 +20,6 @@ from newstag.credibility import (
     MODE_ITERATIVE,
     PowerSeries,
     PropagationConfig,
-    RowBlocks,
     init_credibility,
     predict,
     score_news,
@@ -50,6 +51,7 @@ from helpers import (
     corpus_of,
     dense_pipeline_oracle,
     item_record,
+    row_blocks,
     timed_news,
     untimed_corpus,
 )
@@ -470,9 +472,9 @@ def test_grid_builds_c0_once_per_panel_and_propagates_mu_major(monkeypatch):
         calls.append(("propagate", mu))
         return real_propagate(X, c0, mu, propagation, series=series)
 
-    def recording_score(corpus, c_hat, per_post=True, blocks=None):
+    def recording_score(corpus, c_hat, per_post=True):
         calls.append(("score", np.shape(c_hat)))
-        return real_score(corpus, c_hat, per_post=per_post, blocks=blocks)
+        return real_score(corpus, c_hat, per_post=per_post)
 
     monkeypatch.setattr(newstag.harness, "init_credibility", recording_init)
     monkeypatch.setattr(newstag.harness, "propagate_iterative", recording_propagate)
@@ -491,28 +493,42 @@ def test_grid_builds_c0_once_per_panel_and_propagates_mu_major(monkeypatch):
 
 @pytest.mark.parametrize("method", [METHOD_NEWSTAG, METHOD_NO_INDIRECT])
 def test_no_thread_outlives_run_or_grid(monkeypatch, method):
+    # run, grid-mu, both sweeps, ablate and the closure alone: threads run
+    # inside every row-block product and closure, and none outlives its call
     corpus = generate_synthetic(SyntheticParams(hashtags=60, news=40, purity=0.8), seed=9)
     config = small_config(method=method)
-    grid = [0.2, 0.6]
-    expected = run_experiment(corpus, config), grid_search_mu(corpus, config, grid)
-    # every product in row blocks on a pool of two threads
-    monkeypatch.setattr(newstag.credibility, "ROW_BLOCK_MIN_WORK", 1)
-    monkeypatch.setattr(newstag.credibility, "worker_count", lambda units: 3)
+    N = newstag.harness.direct_relation(corpus, method)
+    calls = {
+        "run": lambda: run_experiment(corpus, config),
+        "grid-mu": lambda: grid_search_mu(corpus, config, [0.2, 0.6]),
+        "sweep-volume": lambda: sweep(corpus, rows_of(config, "train_fraction", [0.5, 0.8])),
+        "sweep-time": lambda: sweep(corpus, rows_of(config, "time_horizon_hours", [12.0, 24.0]) + [("all", config)]),
+        "ablate": lambda: sweep(corpus, [(m, replace(config, method=m)) for m in METHODS]),
+        "closure": lambda: all_relations_truncated(N, config.k1).values.toarray().tobytes(),
+    }
+    expected = {name: call() for name, call in calls.items()}
+    # every product in three row blocks and the closure in panels of three
+    # columns, each on three threads
+    row_blocks(monkeypatch, 3)
+    monkeypatch.setattr(newstag.graph, "CLOSURE_PANEL_ENTRIES", 3 * len(corpus.vocabulary))
     alive = []
-    product = RowBlocks.product
+    real_run_threads = newstag.corpus.run_threads
 
-    def recording_product(self, A, B):
-        result = product(self, A, B)
-        alive.append(threading.active_count())
-        return result
+    def recording_run_threads(fn, pieces):
+        def piece(p):
+            alive.append(threading.active_count())
+            fn(p)
 
-    monkeypatch.setattr(RowBlocks, "product", recording_product)
+        real_run_threads(piece, pieces)
+
+    for module in (newstag.credibility, newstag.graph):
+        monkeypatch.setattr(module, "run_threads", recording_run_threads)
     before = threading.active_count()
-    assert run_experiment(corpus, config) == expected[0]
-    assert threading.active_count() == before
-    assert grid_search_mu(corpus, config, grid) == expected[1]
-    assert threading.active_count() == before
-    assert max(alive) > before  # the products did run on the pool
+    for name, call in calls.items():
+        alive.clear()
+        assert call() == expected[name], name
+        assert threading.active_count() == before, name
+        assert alive and min(alive) > before, name  # every piece ran beside another thread
 
 
 def _grid_products(monkeypatch, corpus, config, grid):
@@ -667,9 +683,9 @@ def test_run_builds_and_propagates_each_repetition_in_order(monkeypatch, caplog,
         last_residuals.append(residuals[-1])
         return c, residuals
 
-    def recording_score(corpus, c_hat, per_post=True, blocks=None):
+    def recording_score(corpus, c_hat, per_post=True):
         calls.append(("score", None, np.shape(c_hat)))
-        return real_score(corpus, c_hat, per_post=per_post, blocks=blocks)
+        return real_score(corpus, c_hat, per_post=per_post)
 
     monkeypatch.setattr(newstag.harness, "init_credibility", recording_init)
     monkeypatch.setattr(newstag.harness, "propagate_iterative", recording_propagate)

@@ -21,8 +21,7 @@ from newstag.corpus import (
     normalize_hashtag,
     parse_corpus,
 )
-import newstag.credibility
-from newstag.credibility import RowBlocks, init_credibility, score_news
+from newstag.credibility import init_credibility, score_news
 from newstag.graph import build_direct_graph
 from newstag.synth import SyntheticParams, generate_synthetic
 
@@ -39,6 +38,7 @@ from helpers import (
     popularity_summary_oracle,
     purity_oracle,
     random_stream,
+    row_blocks,
     score_bincount_oracle,
     score_oracle,
     skew_oracle,
@@ -129,16 +129,11 @@ def training_sides(corpus: Corpus, seed: int) -> list[np.ndarray]:
     return [*halves, labeled, labeled[:0]]
 
 
-@pytest.fixture(params=["inline", "row blocks"])
+@pytest.fixture(params=["inline", 1, 2, 3], ids=lambda param: param if param == "inline" else f"{param} row blocks")
 def blocks(request, monkeypatch):
-    """No pool, or a pool that cuts every product into three row blocks."""
-    if request.param == "inline":
-        yield None
-        return
-    monkeypatch.setattr(newstag.credibility, "ROW_BLOCK_MIN_WORK", 1)
-    monkeypatch.setattr(newstag.credibility, "worker_count", lambda units: 3)
-    with RowBlocks() as pool:
-        yield pool
+    """Every product inline (the default cut-off), or cut into 1, 2 or 3 row blocks."""
+    if request.param != "inline":
+        row_blocks(monkeypatch, request.param)
 
 
 @pytest.mark.parametrize("per_post", [True, False])
@@ -156,13 +151,13 @@ def test_c0_and_score_panels_equal_the_bincount_formulas(per_post, blocks):
 
         c = np.random.default_rng(k).uniform(-1.0, 1.0, size=(len(corpus.vocabulary), 4))
         c[:, 3] = -0.0  # signed zeros sum as the bincount sums them
-        scores = score_news(corpus, c, per_post=per_post, blocks=blocks)
+        scores = score_news(corpus, c, per_post=per_post)
         assert scores.shape == (len(corpus), 4)
         for j in range(4):
             expected = score_bincount_oracle(corpus, c[:, j], per_post)
             assert_bitwise(scores[:, j], expected)
-            assert_bitwise(score_news(corpus, c[:, j].copy(), per_post=per_post, blocks=blocks), expected)
-            assert_bitwise(score_news(corpus, c[:, j:j + 1], per_post=per_post, blocks=blocks)[:, 0], expected)
+            assert_bitwise(score_news(corpus, c[:, j].copy(), per_post=per_post), expected)
+            assert_bitwise(score_news(corpus, c[:, j:j + 1], per_post=per_post)[:, 0], expected)
 
 
 def test_unlabeled_train_row_raises_for_a_panel_column():
