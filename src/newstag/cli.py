@@ -161,7 +161,8 @@ def _check_limit(opt: Opt, numbers: list, value) -> None:
 
 
 def _resolve(args: argparse.Namespace, opts: list[Opt], echo: dict) -> dict:
-    """Effective parameters: CLI > config echo > defaults; every output path's directory must exist."""
+    """Effective parameters: CLI > config echo > defaults; every output path
+    must name a file, not a directory, in a directory that exists."""
     effective = {}
     for opt in opts:
         value = getattr(args, opt.name)
@@ -172,8 +173,11 @@ def _resolve(args: argparse.Namespace, opts: list[Opt], echo: dict) -> dict:
             value = opt.default
         if value is None and opt.required:
             raise CliUsageError(f"missing required option {opt.flag}")
-        if value and (opt.name == "out" or opt.name.endswith("_out")) and not Path(value).parent.is_dir():
-            raise CliUsageError(f"{opt.flag} {value}: directory {Path(value).parent} does not exist")
+        if value is not None and (opt.name == "out" or opt.name.endswith("_out")):
+            if not value or Path(value).is_dir():
+                raise CliUsageError(f"{opt.flag} {value!r}: must name a file, not be empty or a directory")
+            if not Path(value).parent.is_dir():
+                raise CliUsageError(f"{opt.flag} {value}: directory {Path(value).parent} does not exist")
         effective[opt.name] = value
     return effective
 
@@ -615,6 +619,9 @@ def main(argv=None) -> int:
             return handler(_resolve(args, opts, echo))
         except (CorpusError, GraphError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError:
+            print(f"error: {args.subcommand}: out of memory", file=sys.stderr)
             return 2
     except (CliUsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

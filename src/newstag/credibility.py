@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .corpus import MAX_WORKERS, Corpus, run_threads, worker_count
-from .graph import RelationMatrix
+from .graph import ROW_BLOCK_ENTRIES, RelationMatrix, row_ranges
 
 logger = logging.getLogger(__name__)
 
@@ -88,9 +88,9 @@ ROW_BLOCK_MIN_WORK = 1 << 21
 def csr_product(A, B):
     """``A @ B``, in row blocks on threads when it is large enough.
 
-    A product of at least ``ROW_BLOCK_MIN_WORK`` multiply-adds is cut into
-    one block of rows per worker (``worker_count``), with about equal
-    stored entries each, and :func:`run_threads` computes each block into
+    A product of at least ``ROW_BLOCK_MIN_WORK`` multiply-adds is cut by
+    ``graph.row_ranges`` into blocks of ``ceil(nnz / workers)`` stored entries
+    (``worker_count``), and :func:`run_threads` computes each block into
     its own rows of one output that this call allocates.  Every block runs
     scipy's CSR kernel (``scipy.sparse._sparsetools``, the one ``A @ B``
     dispatches to), which releases the GIL and needs no allocation; each
@@ -108,8 +108,6 @@ def csr_product(A, B):
         return A @ B
     out = np.zeros((A.shape[0], *B.shape[1:]))
     flat = np.ascontiguousarray(B).ravel()
-    workers = worker_count(MAX_WORKERS)
-    cuts = [0, *np.searchsorted(A.indptr, np.arange(1, workers) * A.nnz / workers).tolist(), A.shape[0]]
 
     def block(rows: tuple[int, int]) -> None:
         lo, hi = rows
@@ -119,7 +117,7 @@ def csr_product(A, B):
         else:
             _sparsetools.csr_matvecs(hi - lo, A.shape[1], columns, indptr, A.indices, A.data, flat, target)
 
-    run_threads(block, list(zip(cuts[:-1], cuts[1:])))
+    run_threads(block, row_ranges(A.indptr, -(-A.nnz // worker_count(MAX_WORKERS))))
     return out
 
 
@@ -158,36 +156,25 @@ def init_credibility(corpus: Corpus, train_rows, per_post: bool = True) -> np.nd
     return c0[:, 0] if single else c0
 
 
-# Stored entries scaled per block by :func:`symmetric_normalize`; its two
-# float64 scale temporaries then take 16 bytes per block entry, not per entry.
-_NORMALIZE_BLOCK_ENTRIES = 1 << 16
-
-
 def symmetric_normalize(W: RelationMatrix) -> tuple[sp.csr_matrix, np.ndarray]:
     """Return X = D^{-1/2} W D^{-1/2} and the degree vector D.
 
     Rows and columns of zero-degree hashtags are left all-zero, which
     keeps I - mu*X well posed and pins isolated hashtags to
     (1 - mu) * c0 at the fixed point.  ``X`` shares the index arrays of
-    ``W.values`` and gets new values only, scaled a block of rows at a
-    time (row scale, then column scale), so a dense closure is not
-    copied whole; ``W`` is left unchanged.
+    ``W.values`` and gets new values only, scaled one row block of
+    ``graph.row_ranges`` at a time (row scale, then column scale), so a
+    dense closure is not copied whole; ``W`` is left unchanged.
     """
     values = W.values
     degrees = np.asarray(values.sum(axis=1)).ravel()
     inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.maximum(degrees, 1e-300)), 0.0)
     indptr, indices = values.indptr, values.indices
     data = np.empty(values.data.shape, dtype=np.float64)
-    row = 0
-    while row < len(inv_sqrt):
-        # the rows from ``row`` that hold at most a block's entries, and at least one row
-        end = int(np.searchsorted(indptr, indptr[row] + _NORMALIZE_BLOCK_ENTRIES, side="right")) - 1
-        end = max(end, row + 1)
-        lo, hi = indptr[row], indptr[end]
-        block = data[lo:hi]
-        np.multiply(values.data[lo:hi], np.repeat(inv_sqrt[row:end], np.diff(indptr[row:end + 1])), out=block)
-        block *= inv_sqrt[indices[lo:hi]]
-        row = end
+    for lo, hi in row_ranges(indptr, ROW_BLOCK_ENTRIES):
+        block = slice(indptr[lo], indptr[hi])
+        np.multiply(values.data[block], np.repeat(inv_sqrt[lo:hi], np.diff(indptr[lo : hi + 1])), out=data[block])
+        data[block] *= inv_sqrt[indices[block]]
     X = sp.csr_matrix((data, indices, indptr), shape=values.shape, copy=False)
     return X, degrees
 

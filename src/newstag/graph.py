@@ -12,14 +12,14 @@ so the bytes depend on neither.  The infinite series converges only
 when the spectral radius of ``N`` is below one, and the row-max
 normalization gives radius one to any weight-regular component.
 The writer at the end exports a matrix as an edge list, with an
-optional node table and DOT file; nothing reads them back.
+optional node table and DOT file, one row block (:func:`row_ranges`) at
+a time; nothing reads them back.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,11 @@ CLOSURE_PANEL_ENTRIES = 1 << 16
 MAX_K1 = 1000
 
 
+# Stored entries per row block (:func:`row_ranges`) of the writer and of
+# ``symmetric_normalize``: their temporaries follow a block, not the matrix.
+ROW_BLOCK_ENTRIES = 1 << 16
+
+
 class GraphError(ValueError):
     """Raised for graph construction or normalization failures."""
 
@@ -75,6 +80,17 @@ class RelationMatrix:
     def n_edges(self) -> int:
         """Related hashtag pairs: nonzero entries off the diagonal, halved."""
         return int(self.values.count_nonzero() - np.count_nonzero(self.values.diagonal())) // 2
+
+
+def row_ranges(indptr: np.ndarray, entries: int) -> list[tuple[int, int]]:
+    """The ``(lo, hi)`` row ranges, in order, that cut a CSR matrix with row
+    pointer ``indptr`` into blocks of about ``entries`` (>= 1) stored entries,
+    each from the row holding stored entry ``k * entries``.  They cover every
+    stored entry, and no row before the first or after the last that holds one."""
+    nnz = int(indptr[-1])
+    starts = np.unique(np.searchsorted(indptr, np.arange(0, nnz, entries), side="right") - 1).tolist()
+    bounds = [*starts, int(np.searchsorted(indptr, nnz))]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def build_direct_graph(corpus: Corpus, weighted: bool = True) -> RelationMatrix:
@@ -173,32 +189,18 @@ def all_relations_truncated(N: RelationMatrix, k1: int) -> RelationMatrix:
 # Export
 # ---------------------------------------------------------------------------
 
-# Lines the writers join into one write: enough that per-line write calls
-# do not dominate, few enough that one block's text stays a few MiB.
-_BLOCK_LINES = 65536
-
-
-def _sorted_upper(values: sp.spmatrix) -> tuple[list[int], list[int], list[float]]:
-    """Rows, columns and values of the entries above the diagonal,
-    row-major, as Python lists (formatted once per entry, no NumPy scalars)."""
-    upper = sp.triu(values, k=1).tocoo()
-    order = np.lexsort((upper.col, upper.row))
-    return upper.row[order].tolist(), upper.col[order].tolist(), upper.data[order].tolist()
-
-
-def _write_lines(fh, lines) -> None:
-    """Write newline-terminated ``lines`` in blocks of ``_BLOCK_LINES``."""
-    lines = iter(lines)
-    while block := list(islice(lines, _BLOCK_LINES)):
-        fh.write("".join(block))
+def _upper_blocks(values: sp.csr_matrix):
+    """Per row range of :func:`row_ranges`, the rows, columns and values of its
+    entries above the diagonal, row-major, as Python lists (no NumPy scalars)."""
+    if not values.has_sorted_indices:
+        values = values.sorted_indices()
+    for lo, hi in row_ranges(values.indptr, ROW_BLOCK_ENTRIES):
+        upper = sp.triu(values[lo:hi], k=lo + 1, format="coo")
+        yield (upper.row + lo).tolist(), upper.col.tolist(), upper.data.tolist()
 
 
 def _color_class(score: float) -> str:
-    if score >= 0.9:
-        return "high"
-    if score <= -0.9:
-        return "low"
-    return "mid"
+    return "high" if score >= 0.9 else "low" if score <= -0.9 else "mid"
 
 
 def _dot_quote(name: str) -> str:
@@ -218,7 +220,9 @@ def export_graph(
     The node table colors hashtags by credibility: "high" for scores at
     or above 0.9, "low" at or below -0.9, "mid" otherwise (or when no
     credibility vector is supplied).  Self-relations (diagonal entries
-    of closure matrices) are omitted from the edge list.  A hashtag
+    of closure matrices) are omitted from the edge list, which, like the
+    DOT edges, takes one ``write`` per row block of :func:`row_ranges`, so
+    its memory follows a block, not the matrix.  A hashtag
     holding a tab, CR or LF cannot be written as one TSV field and is
     refused before any file is opened.
     """
@@ -232,10 +236,10 @@ def export_graph(
         if scores.shape[0] != matrix.q:
             raise GraphError("credibility vector does not match matrix vocabulary")
 
-    rows, cols, weights = _sorted_upper(matrix.values)
     with open(edges_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("hashtag_a\thashtag_b\tweight\n")
-        _write_lines(fh, (f"{vocab[a]}\t{vocab[b]}\t{w!r}\n" for a, b, w in zip(rows, cols, weights)))
+        for rows, cols, weights in _upper_blocks(matrix.values):
+            fh.write("".join(f"{vocab[a]}\t{vocab[b]}\t{w!r}\n" for a, b, w in zip(rows, cols, weights)))
 
     if nodes_path is not None:
         with open(nodes_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -254,7 +258,7 @@ def export_graph(
             for k, name in enumerate(quoted):
                 color = palette["mid" if scores is None else _color_class(float(scores[k]))]
                 fh.write(f"  {name} [color={color}];\n")
-            _write_lines(fh, (
-                f"  {quoted[a]} -- {quoted[b]} [weight={w!r}];\n" for a, b, w in zip(rows, cols, weights)
-            ))
+            for rows, cols, weights in _upper_blocks(matrix.values):
+                lines = (f"  {quoted[a]} -- {quoted[b]} [weight={w!r}];\n" for a, b, w in zip(rows, cols, weights))
+                fh.write("".join(lines))
             fh.write("}\n")

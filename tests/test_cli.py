@@ -892,6 +892,62 @@ def test_an_output_without_a_directory_writes_nothing(workdir, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("subcommand, options, flag", [
+    pytest.param(subcommand, options, flag, id=f"{subcommand} {flag}")
+    for subcommand, options, flags in OUTPUTS for flag in flags
+])
+@pytest.mark.parametrize("target", ["a directory", "empty"])
+def test_an_output_that_names_no_file_exits_1_before_the_input_is_read(
+    tmp_path, capsys, subcommand, options, flag, target
+):
+    from newstag.cli import main
+
+    flags = next(flags for name, _, flags in OUTPUTS if name == subcommand)
+    bad = str(tmp_path) if target == "a directory" else ""
+    argv = [subcommand, *options]
+    if subcommand != "synth":
+        argv += ["--input", str(tmp_path / "nope.jsonl")]  # a missing input is not reached
+    for other in flags:
+        argv += [other, bad if other == flag else str(tmp_path / other.strip("-"))]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {flag} {bad!r}: must name a file, not be empty or a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--out", "{tmp}"],
+    ["run", "--out", ""],
+    ["export", "--edges-out", "{tmp}"],
+], ids=["run-directory", "run-empty", "export-directory"])
+def test_an_output_that_names_no_file_is_refused_on_a_real_input(workdir, tmp_path, argv):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    result = run_cli(*argv, "--input", str(workdir / "corpus.jsonl"))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {argv[1]} ") and result.stderr.count("\n") == 1
+    assert result.stdout == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "--edges-out", "{tmp}/e.tsv"],
+    ["analyze", "--kind", "convergence", "--out", "{tmp}/c.csv"],
+], ids=["export", "analyze"])
+def test_running_out_of_memory_is_one_line_and_exits_2(workdir, tmp_path, monkeypatch, capsys, argv):
+    import newstag.graph
+    import newstag.harness
+    from newstag.cli import main
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    # the closure is the largest allocation of both subcommands
+    monkeypatch.setattr(newstag.graph, "all_relations_truncated", exhausted)
+    monkeypatch.setattr(newstag.harness, "all_relations_truncated", exhausted)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main([*argv, "--input", str(workdir / "corpus.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: {argv[0]}: out of memory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_defaults_are_the_library_defaults(workdir):
     from newstag.cli import main
     from newstag.harness import ExperimentConfig

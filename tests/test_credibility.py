@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import newstag.credibility
 from newstag.credibility import (
     MAX_ITERATIONS,
     PowerSeries,
@@ -153,6 +154,20 @@ def test_symmetric_normalize_matches_diagonal_scaling():
         inv_sqrt = np.where(D > 0, 1.0 / np.sqrt(np.where(D > 0, D, 1.0)), 0.0)
         assert X.nnz == W.values.nnz
         assert np.allclose(X.toarray(), np.outer(inv_sqrt, inv_sqrt) * dense, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_symmetric_normalize_bytes_do_not_depend_on_row_blocks(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    isolated = RelationMatrix(
+        kind=NORMALIZED_DIRECT,
+        values=sp.csr_matrix(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])),
+        vocab=("iso", "a", "b"),
+    )
+    matrices = [isolated, random_graph_matrix(rng), all_relations_truncated(random_graph_matrix(rng), 4)]
+    expected = [symmetric_normalize(W)[0].data.tobytes() for W in matrices]
+    monkeypatch.setattr(newstag.credibility, "ROW_BLOCK_ENTRIES", block)
+    assert [symmetric_normalize(W)[0].data.tobytes() for W in matrices] == expected
 
 
 def test_isolated_node_anchors_at_one_minus_mu():

@@ -449,17 +449,31 @@ def test_export_without_credibility(tmp_path):
         assert line.endswith("\t\tmid")
 
 
-# --- sorted-entry writer ---------------------------------------------------------
+# --- row blocks and the writer -----------------------------------------------------
+
+def shuffled_rows(values: sp.csr_matrix, rng) -> sp.csr_matrix:
+    """The same matrix with the stored entries of every row in random order."""
+    data, indices, indptr = values.data.copy(), values.indices.copy(), values.indptr
+    for lo, hi in zip(indptr[:-1], indptr[1:]):
+        order = lo + rng.permutation(hi - lo)
+        data[lo:hi], indices[lo:hi] = data[order], indices[order]
+    return sp.csr_matrix((data, indices, indptr), shape=values.shape)
+
 
 def writer_matrices() -> list[RelationMatrix]:
     """Normalized and truncated matrices of random graphs, the path graph,
-    a one-hashtag and an edgeless matrix, and names DOT has to quote."""
+    a one-hashtag and an edgeless matrix, a closure whose rows store their
+    entries in random order, and names DOT has to quote."""
     matrices = [path_graph_n()]
     for seed in range(4):
         N = random_graph_matrix(np.random.default_rng(seed))
         matrices += [N, all_relations_truncated(N, k1=1 + seed)]
     matrices.append(RelationMatrix(kind=NORMALIZED_DIRECT, values=sp.csr_matrix((1, 1)), vocab=("solo",)))
     matrices.append(RelationMatrix(kind=NORMALIZED_DIRECT, values=sp.csr_matrix((3, 3)), vocab=("a", "b", "c")))
+    closure = matrices[2]
+    shuffled = shuffled_rows(closure.values, np.random.default_rng(5))
+    assert not shuffled.has_sorted_indices
+    matrices.append(RelationMatrix(kind=closure.kind, values=shuffled, vocab=closure.vocab))
     awkward = ('q"uote', "back\\slash", "caf\u00e9")
     matrices.append(all_relations_truncated(
         RelationMatrix(kind=NORMALIZED_DIRECT, values=path_graph_n().values, vocab=awkward), k1=3
@@ -467,36 +481,58 @@ def writer_matrices() -> list[RelationMatrix]:
     return matrices
 
 
-def test_sorted_upper_is_the_row_major_triangle():
+@pytest.mark.parametrize("block", [1, 3, 65536])
+def test_upper_blocks_are_the_row_major_triangle(monkeypatch, block):
+    monkeypatch.setattr(graph_module, "ROW_BLOCK_ENTRIES", block)
     for matrix in writer_matrices():
-        rows, cols, values = graph_module._sorted_upper(matrix.values)
+        before = matrix.values.indices.copy()
+        rows, cols, values = [], [], []
+        for block_rows, block_cols, block_values in graph_module._upper_blocks(matrix.values):
+            rows += block_rows
+            cols += block_cols
+            values += block_values
         assert list(zip(rows, cols, values)) == upper_entries_oracle(matrix)
         # plain Python numbers, so each entry formats as an int or float repr
         assert all(type(a) is int and type(b) is int and type(v) is float for a, b, v in zip(rows, cols, values))
+        assert np.array_equal(matrix.values.indices, before)  # a shuffled input is sorted in a copy
 
 
-@pytest.mark.parametrize("n", [0, 1, 3, 4, 9])
-def test_write_lines_joins_full_blocks(monkeypatch, n):
-    monkeypatch.setattr(graph_module, "_BLOCK_LINES", 3)
-    lines = [f"line {k}\n" for k in range(n)]
+def random_indptr(rng) -> np.ndarray:
+    """A row pointer with empty rows (leading and trailing among them) and long rows."""
+    lengths = rng.choice([0, 0, 1, 2, 5, 40], size=int(rng.integers(0, 30)))
+    return np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
 
-    class Recorder:
-        def __init__(self):
-            self.writes = []
 
-        def write(self, text):
-            self.writes.append(text)
+def test_row_ranges_cover_every_entry_in_ordered_disjoint_blocks():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        indptr = random_indptr(rng)
+        nnz = int(indptr[-1])
+        entries = int(rng.integers(1, 60))
+        ranges = graph_module.row_ranges(indptr, entries)
+        if not nnz:
+            assert ranges == []
+            continue
+        stored = np.flatnonzero(np.diff(indptr))  # rows that hold an entry
+        assert ranges[0][0] == stored[0] and ranges[-1][1] == stored[-1] + 1
+        for (lo, hi), (next_lo, _) in zip(ranges, ranges[1:]):
+            assert hi == next_lo  # ordered, disjoint, no entry between them
+        for lo, hi in ranges:
+            assert all(type(r) is int for r in (lo, hi)) and lo < hi
+            assert indptr[lo + 1] > indptr[lo]  # a block starts at a row holding an entry
+            assert indptr[hi] - indptr[lo + 1] < entries  # its first row, then fewer than ``entries``
+        assert len(ranges) <= -(-nnz // entries)
 
-    out = Recorder()
-    graph_module._write_lines(out, iter(lines))
-    assert "".join(out.writes) == "".join(lines)
-    assert out.writes == ["".join(lines[k:k + 3]) for k in range(0, n, 3)]
+
+@pytest.mark.parametrize("q", [0, 1, 5])
+def test_row_ranges_of_an_edgeless_matrix_are_empty(q):
+    assert graph_module.row_ranges(sp.csr_matrix((q, q)).indptr, 3) == []
 
 
 @pytest.mark.parametrize("scored", [False, True], ids=["no-credibility", "credibility"])
 @pytest.mark.parametrize("block", [1, 3, 65536])
 def test_export_matches_entrywise_oracle(tmp_path, monkeypatch, block, scored):
-    monkeypatch.setattr(graph_module, "_BLOCK_LINES", block)
+    monkeypatch.setattr(graph_module, "ROW_BLOCK_ENTRIES", block)
     rng = np.random.default_rng(block)
     for k, matrix in enumerate(writer_matrices()):
         scores = None
