@@ -19,6 +19,7 @@ a time; nothing reads them back.
 from __future__ import annotations
 
 import logging
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -220,9 +221,10 @@ def export_graph(
     The node table colors hashtags by credibility: "high" for scores at
     or above 0.9, "low" at or below -0.9, "mid" otherwise (or when no
     credibility vector is supplied).  Self-relations (diagonal entries
-    of closure matrices) are omitted from the edge list, which, like the
-    DOT edges, takes one ``write`` per row block of :func:`row_ranges`, so
-    its memory follows a block, not the matrix.  A hashtag
+    of closure matrices) are omitted from the edge list.  The edge list
+    and the DOT edges are written in one pass over the row blocks of
+    :func:`row_ranges`, one ``write`` per block to each file, so their
+    memory follows a block, not the matrix.  A hashtag
     holding a tab, CR or LF cannot be written as one TSV field and is
     refused before any file is opened.
     """
@@ -236,10 +238,25 @@ def export_graph(
         if scores.shape[0] != matrix.q:
             raise GraphError("credibility vector does not match matrix vocabulary")
 
-    with open(edges_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("hashtag_a\thashtag_b\tweight\n")
+    with ExitStack() as files:
+        edges = files.enter_context(open(edges_path, "w", encoding="utf-8", newline="\n"))
+        edges.write("hashtag_a\thashtag_b\tweight\n")
+        dot = None
+        if dot_path is not None:
+            palette = {"high": "blue", "low": "red", "mid": "gray"}
+            quoted = [_dot_quote(name) for name in vocab]
+            dot = files.enter_context(open(dot_path, "w", encoding="utf-8", newline="\n"))
+            dot.write("graph hashtags {\n")
+            for k, name in enumerate(quoted):
+                color = palette["mid" if scores is None else _color_class(float(scores[k]))]
+                dot.write(f"  {name} [color={color}];\n")
         for rows, cols, weights in _upper_blocks(matrix.values):
-            fh.write("".join(f"{vocab[a]}\t{vocab[b]}\t{w!r}\n" for a, b, w in zip(rows, cols, weights)))
+            edges.write("".join(f"{vocab[a]}\t{vocab[b]}\t{w!r}\n" for a, b, w in zip(rows, cols, weights)))
+            if dot is not None:
+                lines = (f"  {quoted[a]} -- {quoted[b]} [weight={w!r}];\n" for a, b, w in zip(rows, cols, weights))
+                dot.write("".join(lines))
+        if dot is not None:
+            dot.write("}\n")
 
     if nodes_path is not None:
         with open(nodes_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -249,16 +266,3 @@ def export_graph(
                     fh.write(f"{name}\t\tmid\n")
                 else:
                     fh.write(f"{name}\t{float(scores[k])!r}\t{_color_class(float(scores[k]))}\n")
-
-    if dot_path is not None:
-        palette = {"high": "blue", "low": "red", "mid": "gray"}
-        quoted = [_dot_quote(name) for name in vocab]
-        with open(dot_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("graph hashtags {\n")
-            for k, name in enumerate(quoted):
-                color = palette["mid" if scores is None else _color_class(float(scores[k]))]
-                fh.write(f"  {name} [color={color}];\n")
-            for rows, cols, weights in _upper_blocks(matrix.values):
-                lines = (f"  {quoted[a]} -- {quoted[b]} [weight={w!r}];\n" for a, b, w in zip(rows, cols, weights))
-                fh.write("".join(lines))
-            fh.write("}\n")

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import assert_same_columns, corpus_to_jsonl_oracle, generate_synthetic_oracle
-from newstag.corpus import corpus_to_jsonl, write_corpus
+from newstag import synth
+from newstag.corpus import FAKE, TRUE, corpus_to_jsonl, write_corpus
 from newstag.graph import build_direct_graph
 from newstag.synth import (
     CARRIER_NEWS_PREFIX,
@@ -180,13 +181,98 @@ def test_chains_without_true_hashtags_rejected_like_the_oracle():
             generate(params, 1)
 
 
-def test_benchmark_input_bytes_pinned(tmp_path):
-    """The q=800 seed-1 input of the benchmark's grid-mu-800 workload; any
-    change to the random stream or the writer changes these bytes."""
-    path = tmp_path / "q800.jsonl"
-    write_corpus(generate_synthetic(SyntheticParams(hashtags=800, news=500, purity=0.9), seed=1), path)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "138b28ec3abc2cbaa125304c69a05441bbb6cc97427e628d13cb5fa65141a1b2"
+@pytest.mark.parametrize("q, expected", [
+    (800, "138b28ec3abc2cbaa125304c69a05441bbb6cc97427e628d13cb5fa65141a1b2"),
+    (3000, "8a18cecc8c8aa54b24b38b158b0f02db7324a999b3cfb05f469c99d68cd297fb"),
+    (30000, "8982d6ec32536786e3db9c6cf8f0484781b05a05f99d288ecef352397eece952"),
+])
+def test_benchmark_input_bytes_pinned(tmp_path, q, expected):
+    """The seed-1 inputs of the benchmark's workloads (grid-mu-800, run-3k,
+    no-indirect-30k); any change to the random stream or the writer changes
+    these bytes."""
+    path = tmp_path / f"q{q}.jsonl"
+    write_corpus(generate_synthetic(SyntheticParams(hashtags=q, news=q * 5 // 8, purity=0.9), seed=1), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+
+
+# --- the scalar fallback --------------------------------------------------------------
+
+@pytest.mark.parametrize("fields, seeds", [
+    # pools of 500k-1M hashtags: about 1e-4 of the index draws redraw
+    ({"hashtags": 1_000_000, "news": 1500, "purity": 0.9}, (0, 2)),
+    ({"hashtags": 500_001, "news": 2000, "purity": 0.8, "fake_pool_fraction": 0.6}, (0, 2)),
+    ({"hashtags": 1_000_000, "news": 1200, "purity": 1.0, "chain_depth": 3, "chains": 5}, (0, 5)),
+    # ranges of one value draw no count
+    ({"hashtags": 999_999, "news": 1000, "purity": 0.9, "posts_per_news": (4, 4), "hashtags_per_post": (3, 3)},
+     (1, 5)),
+    ({"hashtags": 1_000_000, "news": 12, "purity": 0.9, "posts_per_news": (1, 3), "hashtags_per_post": (1, 1000)},
+     (2, 4)),
+    # a one-hashtag pool: every post is drawn by the scalar draws
+    ({"hashtags": 3, "news": 30, "purity": 0.8}, (0, 4)),
+], ids=lambda value: ",".join(f"{k}={v}" for k, v in value.items()) if isinstance(value, dict) else None)
+@pytest.mark.parametrize("buffered", [False, True], ids=["empty-buffer", "buffered-half"])
+def test_scalar_fallback_matches_oracle(monkeypatch, fields, seeds, buffered):
+    """News items drawn by the scalar draws, where a pool index redraws or a
+    pool holds one hashtag, give the oracle's corpus; the seed of each case
+    is chosen so that the main loop starts with the buffer state named."""
+    starts, fallback = [], []
+
+    class Draws(synth._Draws):
+        def __init__(self, rng):
+            super().__init__(rng)
+            starts.append(self.half >= 0)
+
+    def draw_scalar(draws, params, pools, labels, cols):
+        fallback.append(len(labels))
+        scalar(draws, params, pools, labels, cols)
+
+    scalar = synth._draw_scalar
+    monkeypatch.setattr(synth, "_Draws", Draws)
+    monkeypatch.setattr(synth, "_draw_scalar", draw_scalar)
+    params, seed = SyntheticParams(**fields), seeds[buffered]
+    corpus = generate_synthetic(params, seed)
+    assert starts == [buffered]
+    assert sum(fallback) >= 1  # every news item has a post
+    oracle = generate_synthetic_oracle(params, seed)
+    assert_same_columns(corpus, oracle)
+    assert list(corpus_to_jsonl(corpus)) == corpus_to_jsonl_oracle(oracle)
+
+
+@pytest.mark.parametrize("fields", [
+    {"hashtags": 10, "fake_pool_fraction": 0.3, "news": 80, "posts_per_news": (1, 10), "hashtags_per_post": (1, 3)},
+    {"hashtags": 10, "fake_pool_fraction": 0.3, "news": 60, "posts_per_news": (3, 3), "hashtags_per_post": (2, 2)},
+    {"hashtags": 6, "news": 6, "posts_per_news": (1, 3), "hashtags_per_post": (1, 1000)},
+], ids=["ranges", "fixed-counts", "wide-posts"])
+@pytest.mark.parametrize("buffered", [False, True], ids=["empty-buffer", "buffered-half"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_draws_match_scalar_draws_on_any_words(fields, buffered, seed):
+    """The walk and the array pass read what the scalar draws read, from
+    words of which one in 50 has a zero low half and one in 50 a zero high
+    half: a zero half redraws every count and index over a range that is
+    not a power of two, at every place a post's layout can break."""
+    params = SyntheticParams(purity=0.8, **fields)
+    n_fake = int(round(params.hashtags * params.fake_pool_fraction))
+    pools = {FAKE: (0, n_fake), TRUE: (n_fake, params.hashtags - n_fake)}
+    labels = np.random.default_rng(seed).choice([FAKE, TRUE], params.news)
+    sources = []
+    for _ in range(2):
+        rng = np.random.default_rng(seed)
+        if rng.bit_generator.state["has_uint32"] != buffered:
+            rng.integers(0, 10)
+        draws = synth._Draws(rng)
+        words = draws.reserve(200_000)
+        zero_low, zero_high = np.random.default_rng(seed + 100).random((2, len(words))) < 0.02
+        words[zero_low] &= np.uint64(0xFFFFFFFF00000000)
+        words[zero_high] &= np.uint64(0xFFFFFFFF)
+        sources.append(draws)
+    block, scalar = synth._Columns(), synth._Columns()
+    start = 0
+    while start < params.news:
+        start = synth._draw_block(sources[0], params, pools, labels, start, min(start + 7, params.news), block)
+    synth._draw_scalar(sources[1], params, pools, labels, scalar)
+    for name in ("post_count", "tag_count", "keys", "offsets"):
+        assert np.array_equal(np.concatenate(getattr(block, name)), np.concatenate(getattr(scalar, name))), name
+    assert (sources[0].pos, sources[0].half) == (sources[1].pos, sources[1].half)
 
 
 # --- the draw source -------------------------------------------------------------------
@@ -207,8 +293,13 @@ def test_draw_source_matches_generator(seed, buffered):
             rng.integers(0, 10)  # takes or fills the buffered half
     assert twin.bit_generator.state["has_uint32"] == buffered
     draws = _Draws(twin)
-    # more than one block of raw words
-    for _ in range(40_000):
+    # more than one block of raw words; the draws from step 20,000 to
+    # 25,000 are read again from a place recorded at step 20,000
+    for step in range(45_000):
+        if step == 20_000:
+            place, state = (draws.pos, draws.half), generator.bit_generator.state
+        elif step == 25_000:
+            (draws.pos, draws.half), generator.bit_generator.state = place, state
         kind = steps.integers(3)
         if kind == 0:
             lo = int(steps.integers(-1000, 1000))
