@@ -366,9 +366,22 @@ def _first_per_group(group: np.ndarray, tag: np.ndarray, size: int) -> np.ndarra
 
 def _first_appearance(tag: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of ``tag`` (each below ``size``) in order of
-    first appearance, and ``tag`` renumbered in that order."""
-    used, first = np.unique(tag, return_index=True)
-    order = used[np.argsort(first)]
+    first appearance, and ``tag`` renumbered in that order.
+
+    One stable sort groups the positions of each value, the head of each
+    run is its first position, and the values at those positions, read
+    in position order, are the distinct values.  The sort key is the
+    narrowest unsigned type that holds ``size - 1``: NumPy radix-sorts 8-
+    and 16-bit keys, so up to 65,536 values sort in linear time.
+    """
+    key = tag.astype(np.min_scalar_type(max(size - 1, 0)))
+    by_value = np.argsort(key, kind="stable")
+    key = key[by_value]
+    head = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    first = np.zeros(len(tag), dtype=bool)
+    first[by_value[head]] = True
+    order = tag[first]
     new_index = np.zeros(size, dtype=np.int64)
     new_index[order] = np.arange(len(order))
     return order, new_index[tag]
@@ -460,6 +473,19 @@ _YEAR_START = np.cumsum(365 + _LEAP) - (365 + _LEAP)
 _YEAR_START -= _YEAR_START[1970]
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _MONTH_START = np.concatenate([[0], np.cumsum(_MONTH_DAYS)[:-1]])
+
+
+def _dates_of_year(leap: int) -> np.ndarray:
+    """Month and day of the month of each day of a common or leap year,
+    counted from 0: two rows of 366 entries (a common year's last is 0)."""
+    lengths = _MONTH_DAYS[1:] + leap * (np.arange(1, 13) == 2)
+    month = np.repeat(np.arange(1, 13), lengths)
+    day = np.arange(len(month)) - (_MONTH_START[month] + leap * (month > 2)) + 1
+    return np.pad(np.stack([month, day]), ((0, 0), (0, 1 - leap)))
+
+
+# Per day of the year, counted from 0 and plus 366 in a leap year
+_MONTH_OF_DAY, _DAY_OF_MONTH = np.concatenate([_dates_of_year(0), _dates_of_year(1)], axis=1)
 
 
 def _stamp_micros(stamps: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -1112,22 +1138,33 @@ def _skew_violations(corpus: Corpus, clock_skew: timedelta) -> int:
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus in the JSONL external schema (deterministic bytes)."""
+    """Write a corpus in the JSONL external schema (deterministic bytes),
+    one block of ``CHUNK_LINES`` lines per write."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in corpus_to_jsonl(corpus):
-            fh.write(line)
-            fh.write("\n")
+        for lines in _jsonl_blocks(corpus):
+            lines.append("")
+            fh.write("\n".join(lines))
+
+
+def corpus_to_jsonl(corpus: Corpus) -> Iterator[str]:
+    """One JSON line per news item: the text ``json.dumps`` gives the
+    record with ``separators=(", ", ": ")`` and ASCII escapes."""
+    for lines in _jsonl_blocks(corpus):
+        yield from lines
 
 
 _LABEL_TEXT = {FAKE: "-1", TRUE: "1", 0: "null"}
 
 
-def corpus_to_jsonl(corpus: Corpus) -> Iterator[str]:
-    """One JSON line per news item: the text ``json.dumps`` gives the
-    record with ``separators=(", ", ": ")`` and ASCII escapes, assembled
-    from strings each escaped once, ``CHUNK_LINES`` news rows at a time."""
+def _jsonl_blocks(corpus: Corpus) -> Iterator[list[str]]:
+    """The lines of :func:`corpus_to_jsonl`, ``CHUNK_LINES`` news rows at
+    a time, assembled from strings each escaped once."""
     quote = json.encoder.encode_basestring_ascii
     names = list(map(quote, corpus.vocabulary))
+    # each hashtag as it follows another in a post's list, and as it
+    # opens one: after a newline, which no ASCII-escaped string holds
+    follows = np.array([", " + name for name in names], dtype=object)
+    opens = np.array(["\n" + name for name in names], dtype=object)
     occ = corpus.occurrences
     post_start = _bounds(occ.post_count)
     tag_start = _bounds(np.bincount(occ.post, minlength=occ.n_posts))
@@ -1135,31 +1172,68 @@ def corpus_to_jsonl(corpus: Corpus) -> Iterator[str]:
     for a in range(0, len(corpus), CHUNK_LINES):
         b = min(a + CHUNK_LINES, len(corpus))
         first, last = post_start[a], post_start[b]
-        t0, t1 = tag_start[first], tag_start[last]
-        hashtags = [names[t] for t in occ.tag[t0:t1].tolist()]
-        tags = (tag_start[first : last + 1] - t0).tolist()
+        tags = tag_start[first : last + 1]
+        hashtags = _hashtag_lists(occ.tag[tags[0] : tags[-1]], tags - tags[0], follows, opens)
         posts = [
-            f'{{"post_id": {post_id}, "created_at": {created}, "hashtags": [{", ".join(hashtags[i:j])}]}}'
-            for post_id, created, i, j in zip(
-                islice(post_ids, last - first), _stamps(corpus.created[first:last]), tags, tags[1:]
+            f'{{"post_id": {post_id}, "created_at": {created}, "hashtags": [{listed}]}}'
+            for post_id, created, listed in zip(
+                islice(post_ids, last - first), _stamps(corpus.created[first:last]), hashtags
             )
         ]
         rows = (post_start[a : b + 1] - first).tolist()
         labels = [_LABEL_TEXT[label] for label in occ.labels[a:b].tolist()]
-        for news_id, label, published, i, j in zip(
-            islice(news_ids, b - a), labels, _stamps(corpus.published[a:b]), rows, rows[1:]
-        ):
-            yield f'{{"id": {news_id}, "label": {label}, "published_at": {published}, "posts": [{", ".join(posts[i:j])}]}}'
+        yield [
+            f'{{"id": {news_id}, "label": {label}, "published_at": {published}, "posts": [{", ".join(posts[i:j])}]}}'
+            for news_id, label, published, i, j in zip(
+                islice(news_ids, b - a), labels, _stamps(corpus.published[a:b]), rows, rows[1:]
+            )
+        ]
+
+
+def _hashtag_lists(tag: np.ndarray, start: np.ndarray, follows: np.ndarray, opens: np.ndarray) -> list[str]:
+    """The text inside each post's hashtag list, for the hashtags ``tag``
+    of consecutive posts whose lists start at ``start`` (one more entry
+    than posts): the posts' lists are joined at once, each opened by a
+    newline, and split at the newlines."""
+    parts = follows[tag]
+    empty = start[:-1] == start[1:]
+    heads = start[:-1][~empty]
+    parts[heads] = opens[tag[heads]]
+    parts = np.insert(parts, start[:-1][empty], "\n")  # the list of a post without hashtags
+    return "".join(parts.tolist()).split("\n")[1:]
+
+
+# A rendered stamp, as code points, and where each two-digit field of
+# it starts: the year's hundreds and the rest, month, day, hour, minute
+# and second
+_STAMP_TEXT = np.array([ord(c) for c in f'"{_STAMP}"'], dtype=np.uint32)
+_FIELD_AT = (1, 3, 6, 9, 12, 15, 18)
 
 
 def _stamps(times: np.ndarray) -> list[str]:
     """Each time column entry as a JSON string holding its canonical
     ``YYYY-MM-DDTHH:MM:SSZ`` stamp (a four-digit year, floored to the
-    second), ``null`` when absent."""
+    second), ``null`` when absent.
+
+    The date comes from the calendar tables the stamp kernel reads.  The
+    stamps are built one row per character position and read back as
+    fixed-width strings in one call.
+    """
     missing = times == NO_TIME
-    seconds = np.where(missing, 0, times // 1_000_000).astype("M8[s]")  # floored to the second
-    text = np.datetime_as_string(seconds, unit="s").tolist()
-    return ["null" if absent else f'"{stamp}Z"' for stamp, absent in zip(text, missing.tolist())]
+    days, second = np.divmod(np.where(missing, 0, times) // 1_000_000, 86_400)  # floored to the second
+    year = np.searchsorted(_YEAR_START, days, side="right") - 1
+    day = days - _YEAR_START[year] + 366 * _LEAP[year]
+    fields = (
+        year // 100, year % 100, _MONTH_OF_DAY[day], _DAY_OF_MONTH[day], second // 3600, second // 60 % 60, second % 60
+    )
+    chars = np.repeat(_STAMP_TEXT[:, None], len(times), axis=1)
+    for at, field in zip(_FIELD_AT, fields):
+        chars[at] = field // 10 + ord("0")
+        chars[at + 1] = field % 10 + ord("0")
+    stamps = np.ascontiguousarray(chars.T).view(f"U{len(_STAMP_TEXT)}").ravel().tolist()
+    for i in np.flatnonzero(missing).tolist():
+        stamps[i] = "null"
+    return stamps
 
 
 # ---------------------------------------------------------------------------

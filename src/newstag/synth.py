@@ -32,11 +32,11 @@ CHAIN_NEWS_PREFIX = "chain-"
 CARRIER_NEWS_PREFIX = "carrier-"
 
 # Largest sizes a synthetic corpus may ask for.  Every range a draw
-# takes must stay below 2**32.  Generating a corpus peaks at about 210
+# takes must stay below 2**32.  Generating a corpus peaks at about 170
 # bytes per post (one hashtag each), and writing it, a block of news
-# rows at a time, stays below that peak; so the worst-case occurrence
-# count ``news * posts_per_news[1] * hashtags_per_post[1]`` is capped to
-# keep the peak near 0.6 GiB (628 MiB measured at the cap); the
+# rows at a time, about as much; so the worst-case occurrence count
+# ``news * posts_per_news[1] * hashtags_per_post[1]`` is capped to keep
+# the peak near 0.5 GiB (515 MiB measured at the cap); the
 # benchmark's largest corpus (30,000 hashtags, 18,750 news) reaches at
 # most 750,000.
 MAX_HASHTAGS = 1_000_000
@@ -298,6 +298,8 @@ def generate_synthetic(params: SyntheticParams, seed: int) -> Corpus:
         ]
 
     post_count, tag_count = np.concatenate(cols.post_count), np.concatenate(cols.tag_count)
+    # before the hashtag columns exist, so that its temporaries do not add to them at the peak
+    created = np.repeat(published, post_count) + _hour_micros(np.concatenate(cols.offsets))
     keys = np.concatenate(cols.keys).astype(np.int64, copy=False)
     post = np.repeat(np.arange(len(tag_count)), tag_count)
     first = _first_per_group(post, keys, len(names))
@@ -308,7 +310,7 @@ def generate_synthetic(params: SyntheticParams, seed: int) -> Corpus:
         published=published,
         post_count=post_count,
         post_ids=_Strings.from_lengths(id_text, id_lengths),
-        created=np.repeat(published, post_count) + _hour_micros(np.concatenate(cols.offsets)),
+        created=created,
         post=post[first],
         tag=tag,
         vocabulary=[names[k] for k in order.tolist()],

@@ -5,7 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from datetime import timedelta, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -15,7 +15,10 @@ import newstag.corpus
 from newstag.corpus import (
     EPOCH,
     MAX_SPAN_HOURS,
+    NO_TIME,
     CorpusError,
+    _from_columns,
+    _Strings,
     corpus_stats,
     filter_by_time,
     normalize_hashtag,
@@ -28,6 +31,7 @@ from newstag.synth import SyntheticParams, generate_synthetic
 
 from helpers import (
     assert_same_columns,
+    canonical_stamp,
     corpus_of,
     corpus_to_jsonl_oracle,
     parse_corpus_oracle,
@@ -757,6 +761,80 @@ def test_writer_matches_json_encoder_on_awkward_strings(monkeypatch, chunk):
     news.insert(0, untimed_news("no-posts-first", -1, []))
     corpus = corpus_of(news)
     assert list(newstag.corpus.corpus_to_jsonl(corpus)) == corpus_to_jsonl_oracle(corpus)
+
+
+def _stamp_oracle(micros):
+    """The JSON value of a time column entry, through ``datetime`` (to the second)."""
+    return None if micros == NO_TIME else canonical_stamp(EPOCH + timedelta(microseconds=micros))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, newstag.corpus.CHUNK_LINES])
+def test_writer_renders_stamps_like_datetime(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(newstag.corpus, "CHUNK_LINES", chunk)
+    rng = np.random.default_rng(chunk)
+
+    def micros(dt):
+        return (dt - EPOCH) // timedelta(microseconds=1)
+
+    low, high = micros(datetime.min.replace(tzinfo=timezone.utc)), micros(datetime.max.replace(tzinfo=timezone.utc))
+    # years 1-9999, before the epoch too, then the days around 29 February
+    # in years of each kind, each at its start, its noon and its last microsecond
+    times = [*rng.integers(low, high + 1, 4000).tolist(), low, high, -1, 0, 1]
+    for year in (1600, 1900, 2000, 2100):
+        for day in range(4):
+            start = micros(datetime(year, 2, 27, tzinfo=timezone.utc) + timedelta(days=day))
+            times += [start, start + 43_200_000_000, start + 86_400_000_000 - 1]
+    times = np.array(times)
+    times[rng.random(len(times)) < 0.1] = NO_TIME
+    # one news row per time; its 0-3 posts take the times in another order
+    post_count = rng.integers(0, 4, len(times))
+    n_posts = int(post_count.sum())
+    created = rng.permutation(np.resize(times, n_posts))
+    corpus = _from_columns(
+        ids=[f"n{k}" for k in range(len(times))],
+        labels=np.zeros(len(times), dtype=np.int64),
+        published=times,
+        post_count=post_count,
+        post_ids=_Strings([f"p{k}" for k in range(n_posts)]),
+        created=created,
+        post=np.arange(n_posts),
+        tag=np.zeros(n_posts, dtype=np.int64),
+        vocabulary=["a"] if n_posts else [],
+    )
+    lines = list(newstag.corpus.corpus_to_jsonl(corpus))
+    records = [json.loads(line) for line in lines]
+    assert [r["published_at"] for r in records] == list(map(_stamp_oracle, times.tolist()))
+    assert [p["created_at"] for r in records for p in r["posts"]] == list(map(_stamp_oracle, created.tolist()))
+    assert lines == corpus_to_jsonl_oracle(corpus)
+    write_corpus(corpus, tmp_path / "c.jsonl")
+    assert (tmp_path / "c.jsonl").read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
+
+
+def _first_appearance_oracle(tag, size):
+    """The distinct values by first appearance, and ``tag`` renumbered, from ``np.unique``."""
+    used, first, inverse = np.unique(tag, return_index=True, return_inverse=True)
+    rank = np.empty(len(used), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(used))
+    return used[np.argsort(first)], rank[inverse.ravel()]
+
+
+@pytest.mark.parametrize("size", [1, 256, 257, 65_536, 65_537, 1_000_000])
+def test_first_appearance_matches_unique(size):
+    # keys of 8, 16 and 32 bits: each size is the first or last of its width
+    rng = np.random.default_rng(size)
+    cases = [
+        rng.integers(0, size, 3 * size),  # most values, many repeated
+        rng.integers(0, size, 1 + size // 10),  # a few values
+        np.concatenate([[size - 1], rng.permutation(size), [0]]),  # every value, the largest first
+        np.array([], dtype=np.int64),
+        np.full(50, size // 2),
+    ]
+    for tag in cases:
+        order, renumbered = newstag.corpus._first_appearance(tag, size)
+        expected_order, expected_tag = _first_appearance_oracle(tag, size)
+        assert order.dtype == renumbered.dtype == np.int64
+        assert np.array_equal(order, expected_order)
+        assert np.array_equal(renumbered, expected_tag)
 
 
 # --- filter_by_time ----------------------------------------------------------

@@ -4,9 +4,9 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from helpers import assert_same_columns, corpus_to_jsonl_oracle, generate_synthetic_oracle
+from helpers import assert_same_columns, corpus_to_jsonl_oracle, filter_by_time_oracle, generate_synthetic_oracle
 from newstag import synth
-from newstag.corpus import FAKE, TRUE, corpus_to_jsonl, write_corpus
+from newstag.corpus import FAKE, TRUE, corpus_to_jsonl, filter_by_time, write_corpus
 from newstag.graph import build_direct_graph
 from newstag.synth import (
     CARRIER_NEWS_PREFIX,
@@ -172,6 +172,25 @@ def test_generator_matches_scalar_draw_oracle(fields, seed):
     corpus, oracle = generate_synthetic(params, seed), generate_synthetic_oracle(params, seed)
     assert_same_columns(corpus, oracle)
     assert list(corpus_to_jsonl(corpus)) == corpus_to_jsonl_oracle(oracle)
+
+
+@pytest.mark.parametrize("fields", [
+    {"hashtags": 70_000, "news": 40, "purity": 0.9},
+    {"hashtags": 65_537, "news": 30, "purity": 0.8, "chain_depth": 3, "chains": 4},
+], ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()))
+def test_vocabulary_over_16_bits_matches_the_oracles(fields):
+    """Over 65,536 hashtags, first appearance sorts 32-bit keys: the
+    generator, and the time filter that renumbers the hashtags it keeps,
+    give the oracles' corpora."""
+    params = SyntheticParams(**fields)
+    corpus, oracle = generate_synthetic(params, 3), generate_synthetic_oracle(params, 3)
+    # a hashtag whose key is above 65,535: a true-pool name past that key, or a chain's
+    n_fake = int(round(params.hashtags * params.fake_pool_fraction))
+    assert any(name[0] == "c" or (name[0] == "t" and n_fake + int(name[1:]) > 65_535) for name in corpus.vocabulary)
+    assert_same_columns(corpus, oracle)
+    assert list(corpus_to_jsonl(corpus)) == corpus_to_jsonl_oracle(oracle)
+    for hours in (1.0, 24.0):
+        assert_same_columns(filter_by_time(corpus, hours), filter_by_time_oracle(corpus, hours))
 
 
 def test_chains_without_true_hashtags_rejected_like_the_oracle():
